@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import ks_2samp
 
 from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
-from .replica import _factor_logs, _inner_log_sum, _k_truncation, g1 as rs_g1, g2 as rs_g2
-from .util import child_seeds, map_ordered, philox, poisson_pmf_vector, poisson_sf
+from .replica import factor_logs, g2 as rs_g2, profile_sum
+from .util import child_seeds, philox
 
 DEFAULT_ATOMS = 4096
 MC_CHUNK = 64
@@ -168,6 +167,8 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     scale_mismatch * c * xi of fresh draws; scale_mismatch != 1 is the
     deliberate power check and should fail.
     """
+    from scipy.stats import ks_2samp  # deferred: scipy.stats dominates import time
+
     if draws < 10:
         raise ValueError("need at least 10 draws per sample")
     c_ref = math.exp(0.5 * m * sigma * sigma) * scale_mismatch
@@ -210,23 +211,6 @@ def _t_of(hier: SpinHierarchySpec) -> float:
     return 0.0 if hier.kind == "uniform" else hier.t
 
 
-def _g1_one_rsb(beta: float, c: float, q: int, t: float, m: float,
-                eps: float) -> tuple[float, float]:
-    """(1/m) sum_k pi_c(k) ln E[W_k^m] over color-count profiles."""
-    if t == 0.0 or c == 0.0 or beta == 0.0:
-        return 0.0, 0.0
-    x = x_param(beta, q)
-    log_a, log_b, mag = _factor_logs(x, t, q)
-    k_max = _k_truncation(c, mag, eps)
-    pmf = poisson_pmf_vector(k_max, c)
-    total = 0.0
-    for k in range(k_max + 1):
-        log_w_m, logw = _inner_log_sum(k, q, log_a, log_b, power=m)
-        total += pmf[k] * float(logsumexp(logw + log_w_m)) / m
-    tail = mag * c * poisson_sf(k_max, c)
-    return total, tail
-
-
 def _g2_one_rsb(beta: float, c: float, q: int, t: float, m: float) -> float:
     x = x_param(beta, q)
     hi = 1.0 + x * t * t
@@ -235,22 +219,6 @@ def _g2_one_rsb(beta: float, c: float, q: int, t: float, m: float) -> float:
         raise ValueError("degenerate pair factor; requires beta < inf or |t| < 1")
     inner = math.exp(m * math.log(lo)) / q + (1.0 - 1.0 / q) * math.exp(m * math.log(hi))
     return 0.5 * c / m * math.log(inner)
-
-
-def _g1_l1_generic(beta: float, c: float, q: int, m: float,
-                   eps: float) -> tuple[float, float]:
-    """ln q + (1/m) sum_k pi_c(k) ln E[((1/q) sum_s e^(-beta n_s))^m]."""
-    if c == 0.0 or beta == 0.0:
-        return math.log(q), 0.0
-    mag = beta  # |ln W| <= beta k since e^(-beta k) <= W <= 1
-    k_max = _k_truncation(c, mag, eps)
-    pmf = poisson_pmf_vector(k_max, c)
-    total = math.log(q)
-    for k in range(k_max + 1):
-        log_w_m, logw = _inner_log_sum(k, q, -beta, 0.0, power=m)
-        total += pmf[k] * float(logsumexp(logw + log_w_m)) / m
-    tail = mag * c * poisson_sf(k_max, c)
-    return total, tail
 
 
 def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec,
@@ -270,20 +238,21 @@ def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec
             raise ValueError("one-level cascades support the uniform hierarchy only")
         m = spec.levels[0]
         if which == "g1":
-            return _g1_l1_generic(beta, c, q, m, eps)
+            # W = (1/q) sum_s e^(-beta n_s), so e^(-beta k) <= W <= 1
+            val, tail, _ = profile_sum(c, q, -beta, 0.0, m, beta, eps)
+            return math.log(q) + val, tail
         ym = -math.expm1(-m * beta)
         return 0.5 * c / m * math.log1p(-ym / q), 0.0
-    if kind == "rs":
+    if kind in ("rs", "one-rsb"):
+        m = spec.levels[1] if kind == "one-rsb" else 0.0  # RS: the m -> 0 limit
         if which == "g1":
-            val, tail = rs_g1(beta, c, q, t, eps) if t != 0.0 else (0.0, 0.0)
+            log_a, log_b, mag = factor_logs(beta, q, t)
+            val, tail, _ = profile_sum(c, q, log_a, log_b, m, mag, eps)
             return math.log(q) + c * log_ann + val, tail
-        return 0.5 * c * log_ann + (rs_g2(beta, c, q, t) if t != 0.0 else 0.0), 0.0
-    if kind == "one-rsb":
-        m = spec.levels[1]
-        if which == "g1":
-            val, tail = _g1_one_rsb(beta, c, q, t, m, eps)
-            return math.log(q) + c * log_ann + val, tail
-        return 0.5 * c * log_ann + (_g2_one_rsb(beta, c, q, t, m) if t != 0.0 else 0.0), 0.0
+        g2 = 0.0
+        if t != 0.0:
+            g2 = rs_g2(beta, c, q, t) if kind == "rs" else _g2_one_rsb(beta, c, q, t, m)
+        return 0.5 * c * log_ann + g2, 0.0
     raise ValueError(f"no closed form for cascade {spec} with hierarchy {hier.kind}")
 
 
@@ -449,19 +418,12 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
         raise ValueError("need samples >= 2")
     chunks = [(i, min(i + MC_CHUNK, samples)) for i in range(0, samples, MC_CHUNK)]
     seeds = child_seeds(seed, len(chunks))
-
-    def run(idx):
-        lo, hi = chunks[idx]
-        rng = philox(seeds[idx])
-        vals = np.empty(hi - lo)
-        tails = np.empty(hi - lo)
-        for i in range(hi - lo):
+    vals = np.empty(samples)
+    tails = np.empty(samples)
+    for (lo, hi), chunk_seed in zip(chunks, seeds):
+        rng = philox(chunk_seed)  # one stream per chunk of MC_CHUNK draws
+        for i in range(lo, hi):
             vals[i], tails[i] = draw_fn(params, n, spec, hier, rng, n_atoms)
-        return vals, tails
-
-    parts = map_ordered(run, list(range(len(chunks))))
-    vals = np.concatenate([p[0] for p in parts])
-    tails = np.concatenate([p[1] for p in parts])
     return QuenchedEstimate(
         value=float(vals.mean()),
         stat_error=float(vals.std(ddof=1) / math.sqrt(samples)),
@@ -514,16 +476,25 @@ def cavity_g2(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarch
     return _cavity(params, n, spec, hier, samples, seed, "g2", method, n_atoms, eps)
 
 
-def rsb_upper_bound(params: ModelParams, n: int, spec: CascadeSpec,
-                    hier: SpinHierarchySpec, samples: int = 4096, seed: int = 0,
-                    method: str = "auto", n_atoms: int = 1024,
-                    eps: float = 1e-10) -> QuenchedEstimate:
-    """G1 - G2: an upper bound on p_N for every admissible trial state."""
+def cavity_terms(params: ModelParams, n: int, spec: CascadeSpec,
+                 hier: SpinHierarchySpec, samples: int = 4096, seed: int = 0,
+                 method: str = "auto", n_atoms: int = 1024,
+                 eps: float = 1e-10) -> tuple[QuenchedEstimate, QuenchedEstimate]:
+    """(G1, G2) of one bound, on two independent streams split from `seed`."""
     s1, s2 = child_seeds(seed, 2)
     e1 = _cavity(params, n, spec, hier, samples, int(s1.generate_state(1)[0]),
                  "g1", method, n_atoms, eps)
     e2 = _cavity(params, n, spec, hier, samples, int(s2.generate_state(1)[0]),
                  "g2", method, n_atoms, eps)
+    return e1, e2
+
+
+def rsb_upper_bound(params: ModelParams, n: int, spec: CascadeSpec,
+                    hier: SpinHierarchySpec, samples: int = 4096, seed: int = 0,
+                    method: str = "auto", n_atoms: int = 1024,
+                    eps: float = 1e-10) -> QuenchedEstimate:
+    """G1 - G2: an upper bound on p_N for every admissible trial state."""
+    e1, e2 = cavity_terms(params, n, spec, hier, samples, seed, method, n_atoms, eps)
     return QuenchedEstimate(
         value=e1.value - e2.value,
         stat_error=math.hypot(e1.stat_error, e2.stat_error),

@@ -1,8 +1,9 @@
 """Batch command-line surface emitting machine-readable JSON and CSV.
 
 All commands are deterministic for a fixed seed: stochastic work is keyed
-by explicit Philox streams and chunked independently of the worker count,
-so output files are byte-identical under any POTTS_AF_THREADS.  Floats are
+by explicit Philox streams and runs on one thread, so output files are
+byte-identical under any POTTS_AF_THREADS (validated, otherwise ignored).
+Bad parameters end in the same structured error record.  Floats are
 serialized with 17 significant digits (round-trip exact); infinities
 become the literal string "inf"; NaN is never emitted — any NaN aborts
 with a structured error record and a nonzero exit code.
@@ -20,10 +21,11 @@ import sys
 import numpy as np
 
 from . import bounds, cascade, disorder, replica, second_moment
-from .model import ModelParams
+from .model import DEFAULT_ENUM_BUDGET, ModelParams
 from .util import BudgetExceededError, worker_count
 
 SCHEMA = "potts-af/1"
+MAX_PHASE_ROWS = 100_000  # about 6 s of boundary curves
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,14 @@ def _estimate_dict(est: disorder.QuenchedEstimate) -> dict:
 
 def cmd_phase_diagram(args) -> dict | None:
     q = args.q
+    if not (math.isfinite(args.c_min) and math.isfinite(args.c_max)):
+        raise ValueError("c-min and c-max must be finite")
+    if not args.c_step > 0:
+        raise ValueError(f"c-step must be > 0, got {args.c_step}")
+    if not args.c_min <= args.c_max:
+        raise ValueError(f"c-min {args.c_min} exceeds c-max {args.c_max}")
+    if (args.c_max - args.c_min) / args.c_step >= MAX_PHASE_ROWS:
+        raise BudgetExceededError(f"c grid exceeds {MAX_PHASE_ROWS} rows")
     th = bounds.thresholds(q)
     cs = []
     c = args.c_min
@@ -152,14 +162,9 @@ def cmd_pressure(args) -> dict | None:
 
 def cmd_rs_scan(args) -> dict | None:
     _require(args, "beta", "c")
-    ts = np.linspace(-1.0 / (args.q - 1), 1.0, args.t_points)
-    rows = []
-    best_t, best_bound = 0.0, math.inf
-    for t in ts:
-        ev = replica.rs_bound(args.beta, args.c, args.q, float(t))
-        rows.append([float(t), ev.g1, ev.g2, ev.gap, ev.rs_bound])
-        if ev.rs_bound < best_bound:
-            best_bound, best_t = ev.rs_bound, float(t)
+    ts, evals = replica.scan_rs_bound(args.beta, args.c, args.q, args.t_points)
+    rows = [[float(t), ev.g1, ev.g2, ev.gap, ev.rs_bound] for t, ev in zip(ts, evals)]
+    best_t, best_bound = min(zip(ts, (ev.rs_bound for ev in evals)), key=lambda r: r[1])
     unstable = replica.instability(args.beta, args.c, args.q)
     header = [
         f"schema: {SCHEMA}",
@@ -237,10 +242,8 @@ def cmd_cascade(args) -> dict | None:
         hier = cascade.uniform_hierarchy(args.q)
     else:
         hier = cascade.symmetric_t_hierarchy(args.q, args.t)
-    g1e = cascade.cavity_g1(params, args.n, spec, hier, samples=args.samples,
-                            seed=args.seed, method=args.method)
-    g2e = cascade.cavity_g2(params, args.n, spec, hier, samples=args.samples,
-                            seed=args.seed + 1, method=args.method)
+    g1e, g2e = cascade.cavity_terms(params, args.n, spec, hier, samples=args.samples,
+                                    seed=args.seed, method=args.method)
     bound = g1e.value - g2e.value
     payload = {
         "schema": SCHEMA,
@@ -260,7 +263,7 @@ def cmd_cascade(args) -> dict | None:
         "bound_stat_error": math.hypot(g1e.stat_error, g2e.stat_error),
         "annealed_pressure": bounds.annealed_pressure(args.beta, args.c, args.q),
     }
-    if args.q**args.n <= 20_000:
+    if args.q**args.n <= DEFAULT_ENUM_BUDGET:
         p_n = disorder.quenched_pressure_exact(params, args.n, eps=args.eps,
                                                seed=args.seed + 2)
         payload["quenched_pressure"] = _estimate_dict(p_n)

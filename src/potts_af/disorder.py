@@ -39,9 +39,9 @@ from .util import (
     child_seeds,
     gauss_legendre,
     log_multinomial,
-    map_ordered,
     multiset_permutations,
     philox,
+    poisson_cutoff,
     poisson_pmf_vector,
     poisson_sf,
 )
@@ -178,18 +178,6 @@ def _conditional_average(n: int, q: int, beta: float, k: int, per_j,
     return mean, sem, samples
 
 
-def _k_cutoff(beta: float, n: int, lam: float, eps: float) -> int:
-    """Smallest K_max with (beta/n) E[K 1{K > K_max}] <= eps/2."""
-    if lam == 0.0 or beta == 0.0:
-        return 0
-    k = max(4, int(lam))
-    while (beta / n) * lam * poisson_sf(k, lam) > 0.5 * eps:
-        k += max(2, k // 4)
-        if k > K_MAX_CAP:
-            raise BudgetExceededError(f"cannot certify tail {eps} within K <= {K_MAX_CAP}")
-    return k
-
-
 def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
                             seed: int = 0, mc_samples: int = DEFAULT_MC_SAMPLES,
                             exact_budget: int = DEFAULT_EXACT_BUDGET,
@@ -202,8 +190,10 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     and certified by tail_bound = (beta/N) E[K 1{K > K_max}].
     """
     q, beta, c = params.q, params.beta, params.c
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not beta < math.inf:
         raise ValueError("quenched_pressure_exact requires finite beta")
     if q**n > max_configs:
@@ -212,7 +202,9 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
         return QuenchedEstimate(math.log(q), 0.0, 0.0, 0, METHOD_EXACT)
 
     lam = c * n / 2.0
-    k_max = _k_cutoff(beta, n, lam, eps)
+    # (beta/N) E[K 1{K > k}]: the certified remainder of truncating at k
+    k_tail = lambda k: (beta / n) * lam * poisson_sf(k, lam)
+    k_max = poisson_cutoff(k_tail, 0.5 * eps, K_MAX_CAP)
     pmf = poisson_pmf_vector(k_max, lam)
     disc = _pair_indicator(n, q)
     seeds = child_seeds(seed, k_max + 1)
@@ -229,13 +221,12 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
         )
         return float(mean), float(sem), used
 
-    results = map_ordered(eval_k, list(range(k_max + 1)))
+    results = [eval_k(k) for k in range(k_max + 1)]
     value = sum(pmf[k] * results[k][0] for k in range(k_max + 1))
     value += (1.0 - pmf.sum()) * math.log(q)
     stat = math.sqrt(sum((pmf[k] * results[k][1]) ** 2 for k in range(k_max + 1)))
-    tail = (beta / n) * lam * poisson_sf(k_max, lam)
     total_samples = sum(r[2] for r in results)
-    return QuenchedEstimate(value, stat, tail, total_samples, METHOD_EXACT)
+    return QuenchedEstimate(value, stat, k_tail(k_max), total_samples, METHOD_EXACT)
 
 
 def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
@@ -244,6 +235,8 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     q, beta, c = params.q, params.beta, params.c
     if samples < 2:
         raise ValueError("need samples >= 2 for a standard error")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not beta < math.inf:
         raise ValueError("quenched_pressure_mc requires finite beta")
     if q**n > max_configs:
@@ -258,7 +251,7 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
         matrices = rng.poisson(c / (2.0 * n), size=(hi - lo, n * n)).astype(float)
         return _lnz_batch(matrices, disc, beta) / n
 
-    values = np.concatenate(map_ordered(run, list(range(len(chunks)))))
+    values = np.concatenate([run(idx) for idx in range(len(chunks))])
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / math.sqrt(samples))
     return QuenchedEstimate(mean, sem, 0.0, samples, METHOD_MC)
@@ -284,6 +277,8 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     q, beta, c = params.q, params.beta, params.c
     if r_max < 1 or quad_points < 3:
         raise ValueError("need r_max >= 1 and quad_points >= 3")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not beta < math.inf:
         raise ValueError("sum_rule_deficit requires finite beta")
     y = -math.expm1(-beta)
@@ -291,11 +286,7 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
         return QuenchedEstimate(0.0, 0.0, 0.0, 0, METHOD_EXACT)
 
     lam_top = c * n / 2.0
-    k_max = max(4, int(lam_top))
-    while poisson_sf(k_max + 1, lam_top) > k_tail_eps:
-        k_max += max(2, k_max // 4)
-        if k_max > K_MAX_CAP:
-            raise BudgetExceededError("sum-rule K truncation budget exhausted")
+    k_max = poisson_cutoff(lambda k: poisson_sf(k + 1, lam_top), k_tail_eps, K_MAX_CAP)
 
     disc = _pair_indicator(n, q)
     rs = np.arange(1, r_max + 1)
@@ -318,7 +309,7 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
         )
         return np.asarray(mean), np.asarray(sem), used
 
-    per_k = map_ordered(eval_k, list(range(k_max + 1)))
+    per_k = [eval_k(k) for k in range(k_max + 1)]
     means = np.stack([p[0] for p in per_k])  # (k_max+1, r_max)
     sems = np.stack([p[1] for p in per_k])
     total_samples = sum(p[2] for p in per_k)

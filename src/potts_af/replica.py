@@ -12,7 +12,9 @@ inner expectation collapses to color counts: with n_s slots of color s the
 product is A^{n_s} B^{k - n_s} for A = 1 - (q-1) x t, B = 1 + x t, so the
 tau average is an exact sum over (k + q - 1 choose q - 1) count profiles
 with multinomial weights.  The Poisson k-sum is truncated with a certified
-tail using |ln W| <= k max(|ln A|, |ln B|).
+tail using |ln W| <= k max(|ln A|, |ln B|).  The same profile sum at a
+cascade level m, (1/m) ln E_tau[W^m], gives the RSB functionals in the
+cascade module (profile_sum).
 
 Both corrections vanish at t = 0; their t^4 coefficients are
 -(1/4)(q-1) c^2 x^4 and -(1/4)(q-1) c x^2, so the symmetric point goes
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from .bounds import annealed_pressure, x_param
-from .util import BudgetExceededError, compositions, poisson_pmf_vector, poisson_sf
+from .util import compositions, poisson_cutoff, poisson_pmf_vector, poisson_sf
 
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
 
@@ -73,19 +75,10 @@ def _composition_table(k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, logw
 
 
-def _inner_log_sum(k: int, q: int, log_a: float, log_b: float,
-                   power: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-profile W (or W^power) with profile log-weights, W as in g1."""
-    counts, logw = _composition_table(k, q)
-    # W = (1/q) sum_s A^{n_s} B^{k-n_s}
-    log_terms = counts * log_a + (k - counts) * log_b
-    m = log_terms.max(axis=1, keepdims=True) if k > 0 else np.zeros((len(counts), 1))
-    w_val = np.exp(log_terms - m).sum(axis=1)
-    log_w_profile = m[:, 0] + np.log(w_val) - math.log(q)
-    return power * log_w_profile, logw
-
-
-def _factor_logs(x: float, t: float, q: int) -> tuple[float, float, float]:
+def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
+    """(ln A, ln B, max |ln|) for the g1 factors A = 1 - (q-1) x t, B = 1 + x t."""
+    _check_t(t, q)
+    x = x_param(beta, q)
     a = 1.0 - (q - 1) * x * t
     b = 1.0 + x * t
     if a <= 0.0 or b <= 0.0:
@@ -95,40 +88,45 @@ def _factor_logs(x: float, t: float, q: int) -> tuple[float, float, float]:
     return math.log(a), math.log(b), max(abs(math.log(a)), abs(math.log(b)))
 
 
-def _k_truncation(c: float, per_k_bound: float, eps: float) -> int:
-    """Smallest k_max with sum_{k > k_max} pi_c(k) k per_k_bound <= eps."""
-    if per_k_bound == 0.0 or c == 0.0:
-        return 0
-    k = max(4, int(c))
-    while per_k_bound * c * poisson_sf(k, c) > eps:
-        k += max(2, k // 4)
-        if k > K_SUM_CAP:
-            raise BudgetExceededError(
-                f"g1 truncation cannot reach eps = {eps} within k <= {K_SUM_CAP}"
-            )
-    return k
+def profile_sum(c: float, q: int, log_a: float, log_b: float, m: float, mag: float,
+                eps: float) -> tuple[float, float, int]:
+    """sum_k pi_c(k) (1/m) ln E_tau[W_k^m] with a certified Poisson tail.
 
-
-def g1(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> tuple[float, float]:
-    """Exact-in-tau evaluation of g1 with a certified Poisson tail.
-
-    Returns (value, tail) where tail bounds the dropped k > k_max mass.
+    W_k = (1/q) sum_s A^{n_s} B^{k-n_s} over k iid uniform colors, and m = 0
+    stands for the limit E_tau[ln W_k].  `mag` bounds |ln A| and |ln B|, so
+    every k-term is at most k mag in size.  Returns (value, tail, k_max):
+    tail = mag c P(K >= k_max) bounds the dropped k > k_max terms.
     """
-    _check_t(t, q)
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if c == 0.0 or t == 0.0 or beta == 0.0:
-        return 0.0, 0.0
-    x = x_param(beta, q)
-    log_a, log_b, mag = _factor_logs(x, t, q)
-    k_max = _k_truncation(c, mag, eps)
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if c == 0.0 or mag == 0.0:
+        return 0.0, 0.0, 0  # W_k = 1 for every profile that carries weight
+    k_tail = lambda k: mag * c * poisson_sf(k, c)
+    k_max = poisson_cutoff(k_tail, eps, K_SUM_CAP)
     pmf = poisson_pmf_vector(k_max, c)
     total = 0.0
     for k in range(k_max + 1):
-        log_w_profile, logw = _inner_log_sum(k, q, log_a, log_b)
-        total += pmf[k] * float(np.exp(logw) @ log_w_profile)
-    tail = mag * c * poisson_sf(k_max, c)
-    return total, tail
+        counts, logw = _composition_table(k, q)
+        # ln W per color-count profile, against its largest term
+        log_terms = counts * log_a + (k - counts) * log_b
+        top = log_terms.max(axis=1, keepdims=True) if k > 0 else np.zeros((len(counts), 1))
+        log_w = top[:, 0] + np.log(np.exp(log_terms - top).sum(axis=1)) - math.log(q)
+        if m == 0.0:
+            total += pmf[k] * float(np.exp(logw) @ log_w)
+        else:
+            total += pmf[k] * float(logsumexp(logw + m * log_w)) / m
+    return total, k_tail(k_max), k_max
+
+
+def g1(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> tuple[float, float]:
+    """Exact-in-tau evaluation of g1 (profile_sum at m = 0) with a certified
+    Poisson tail.
+
+    Returns (value, tail) where tail bounds the dropped k > k_max mass.
+    """
+    log_a, log_b, mag = factor_logs(beta, q, t)
+    value, tail, _ = profile_sum(c, q, log_a, log_b, 0.0, mag, eps)
+    return value, tail
 
 
 def rs_bound(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> RsEvaluation:
@@ -137,10 +135,8 @@ def rs_bound(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> RsE
     if t == 0.0:
         return RsEvaluation(g1=0.0, g2=0.0, gap=0.0, rs_bound=pressure,
                             k_truncation=0, tail_bound=0.0)
-    val1, tail = g1(beta, c, q, t, eps)
-    x = x_param(beta, q)
-    _, _, mag = _factor_logs(x, t, q)
-    k_max = _k_truncation(c, mag, eps) if c > 0 and beta > 0 else 0
+    log_a, log_b, mag = factor_logs(beta, q, t)
+    val1, tail, k_max = profile_sum(c, q, log_a, log_b, 0.0, mag, eps)
     val2 = g2(beta, c, q, t)
     gap = val1 - val2
     return RsEvaluation(g1=val1, g2=val2, gap=gap, rs_bound=pressure + gap,
@@ -156,6 +152,8 @@ def instability(beta: float, c: float, q: int) -> bool:
 
 def t_grid(q: int, points: int = 201) -> np.ndarray:
     """Uniform scan grid on the ansatz domain [-1/(q-1), 1]."""
+    if q < 2 or points < 1:
+        raise ValueError(f"need q >= 2 and at least one t point, got q={q}, points={points}")
     return np.linspace(-1.0 / (q - 1), 1.0, points)
 
 

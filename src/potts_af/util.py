@@ -1,26 +1,18 @@
-"""Shared numerical plumbing: Poisson tails, seeded RNG streams, worker pool.
+"""Shared numerical plumbing: Poisson tails, seeded RNG streams, cutoffs.
 
 Every stochastic routine in the package draws from a counter-based Philox
-generator keyed by an explicit integer seed.  Work that may be split across
-threads is chunked with a fixed chunk size and reduced in chunk order, so
-results are bit-identical for any worker count (POTTS_AF_THREADS).
+generator keyed by an explicit integer seed and runs serially, so results
+depend only on the seed.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammainc
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-# Fixed chunk size for splittable work; never derived from the worker count.
-CHUNK = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -28,7 +20,11 @@ class BudgetExceededError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Worker cap from POTTS_AF_THREADS (default 1).  Never affects results."""
+    """Validated POTTS_AF_THREADS (default 1).
+
+    All work runs on one thread, so the value never affects results; it is
+    still validated so that a malformed setting is reported.
+    """
     raw = os.environ.get("POTTS_AF_THREADS", "1")
     try:
         n = int(raw)
@@ -37,20 +33,6 @@ def worker_count() -> int:
     if n < 1:
         raise ValueError(f"POTTS_AF_THREADS must be >= 1, got {n}")
     return n
-
-
-def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map `fn` over work items, preserving order in the reduction.
-
-    With POTTS_AF_THREADS > 1 the items are dispatched to a thread pool;
-    outputs are still collected in input order, so any later reduction sees
-    the same operand sequence as the serial path.
-    """
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def philox(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -98,9 +80,33 @@ def poisson_sf(k: int, lam: float) -> float:
     return float(gammainc(k, lam))
 
 
-def poisson_mean_tail(k: int, lam: float) -> float:
-    """E[K 1{K >= k}] = lam * P(K >= k-1)."""
-    return lam * poisson_sf(k - 1, lam)
+def poisson_cutoff(tail: Callable[[int], float], target: float, cap: int) -> int:
+    """Smallest k >= 0 with tail(k) <= target, for tail non-increasing in k.
+
+    `tail` is a truncation bound built on poisson_sf.  The search gallops
+    over k = 1, 2, 4, ... until the bound is met, then bisects, so it costs
+    O(log k) evaluations and never overshoots.  A bound still unmet at k =
+    cap (or a NaN bound or target) raises BudgetExceededError.
+    """
+    def meets(k: int) -> bool:
+        return tail(k) <= target
+
+    if meets(0):
+        return 0
+    lo, hi = 0, 1  # invariant: the bound fails at lo
+    while not meets(hi):
+        if hi >= cap:
+            raise BudgetExceededError(
+                f"truncation bound cannot reach {target} within k <= {cap}"
+            )
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

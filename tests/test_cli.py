@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+from potts_af.cascade import one_rsb_spec, rsb_upper_bound, symmetric_t_hierarchy
 from potts_af.cli import fmt_float, main
+from potts_af.model import ModelParams
 
 
 def run_cli(*args: str) -> int:
@@ -150,3 +156,71 @@ def test_same_seed_byte_identical(tmp_path):
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cascade_bound_matches_library(tmp_path):
+    out = tmp_path / "ca.json"
+    assert run_cli("cascade", "--q", "2", "--beta", "1", "--c", "2", "--n", "2",
+                   "--m-list", "0,0.5,1", "--hierarchy", "symmetric-t", "--t", "0.5",
+                   "--samples", "64", "--seed", "11", "--method", "monte-carlo",
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    est = rsb_upper_bound(ModelParams(q=2, beta=1.0, c=2.0), 2, one_rsb_spec(0.5),
+                          symmetric_t_hierarchy(2, 0.5), samples=64, seed=11,
+                          method="monte-carlo")
+    assert doc["bound"] == est.value
+    assert doc["bound_stat_error"] == est.stat_error
+
+
+@pytest.mark.parametrize("args, message", [
+    (["rs-scan", "--q", "2", "--beta", "1", "--c", "4", "--t-points", "0"], "t point"),
+    (["rs-scan", "--q", "1", "--beta", "1", "--c", "4"], "q >= 2"),
+    (["pressure", "--q", "2", "--beta", "1", "--c", "2", "--n", "0"], "n must be"),
+    (["pressure", "--q", "2", "--beta", "1", "--c", "2", "--n", "0", "--method", "mc"],
+     "n must be"),
+    (["pressure", "--q", "2", "--beta", "1", "--c", "2", "--n", "2", "--eps", "nan"],
+     "eps must be"),
+    (["sum-rule", "--q", "2", "--beta", "1", "--c", "1", "--n", "2", "--eps", "nan"],
+     "eps must be"),
+])
+def test_bad_parameters_are_structured_errors(tmp_path, args, message):
+    out = tmp_path / "bad.json"
+    assert run_cli(*args, "--out", str(out)) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ValueError"
+    assert message in error["message"]
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("grid", [
+    ["--c-min", "0", "--c-max", "3", "--c-step", "0"],
+    ["--c-min", "0", "--c-max", "3", "--c-step", "-1"],
+    ["--c-min", "0", "--c-max", "inf", "--c-step", "1"],
+    ["--c-min", "3", "--c-max", "0", "--c-step", "1"],
+    ["--c-min", "0", "--c-max", "1e9", "--c-step", "1"],
+])
+def test_phase_diagram_bad_grid_fails_fast(tmp_path, grid):
+    # an unbounded grid used to loop forever; run it in a child process with
+    # a wall-clock and memory cap so a regression cannot take the suite down
+    out = tmp_path / "pd.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "potts_af.cli", "phase-diagram", "--q", "2", *grid,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error" in json.loads(out.read_text())
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, potts_af; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

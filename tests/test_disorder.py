@@ -20,6 +20,7 @@ from potts_af.disorder import (
     sum_rule_deficit,
 )
 from potts_af.model import ModelParams, log_partition
+from potts_af.util import poisson_sf
 
 from conftest import combined_error
 
@@ -109,6 +110,28 @@ def test_quenched_exact_matches_direct_poisson_average():
     est = quenched_pressure_exact(ModelParams(q=q, beta=beta, c=c), n, eps=1e-8)
     assert est.stat_error == 0.0  # fully exact at this size
     assert abs(total - est.value) <= est.tail_bound + (1 - mass) * 5 + 1e-12
+
+
+def test_quenched_exact_truncates_at_smallest_certified_cutoff():
+    # the reported tail is the bound at K_max, which pins K_max = 35
+    beta, c, n, eps = 2.0, 4.0, 6, 1e-6
+    lam = c * n / 2
+    tail = lambda k: (beta / n) * lam * poisson_sf(k, lam)
+    est = quenched_pressure_exact(ModelParams(q=2, beta=beta, c=c), n, eps=eps,
+                                  mc_samples=64)
+    assert est.tail_bound == tail(35)
+    assert tail(35) <= 0.5 * eps < tail(34)
+
+
+def test_quenched_bad_inputs_rejected():
+    params = ModelParams(q=2, beta=1.0, c=1.0)
+    for kwargs in (dict(n=0), dict(n=2, eps=math.nan), dict(n=2, eps=0.0)):
+        with pytest.raises(ValueError):
+            quenched_pressure_exact(params, **kwargs)
+    with pytest.raises(ValueError):
+        quenched_pressure_mc(params, 0, samples=10, seed=0)
+    with pytest.raises(ValueError):
+        sum_rule_deficit(params, 0, r_max=4, quad_points=4)
 
 
 def test_quenched_mc_trivial_cases():

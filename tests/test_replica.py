@@ -1,15 +1,26 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from potts_af.bounds import annealed_pressure, x_param
+from potts_af.cascade import (
+    CascadeSpec,
+    cavity_g1,
+    one_rsb_spec,
+    symmetric_t_hierarchy,
+    uniform_hierarchy,
+)
+from potts_af.model import ModelParams
 from potts_af.replica import (
+    factor_logs,
     g1,
     g2,
     instability,
+    profile_sum,
     quartic_coefficients,
     rs_bound,
     scan_rs_bound,
@@ -68,6 +79,46 @@ def test_g1_against_mc_oracle():
     mc, sem = vals.mean(), vals.std(ddof=1) / math.sqrt(draws)
     exact, tail = g1(beta, c, q, t)
     assert abs(mc - exact) <= 4 * sem + tail
+
+
+def brute_profile_sum(c, q, log_a, log_b, m, k_max):
+    """sum_k pi_c(k) (1/m) ln E[W^m] with the tau average over all of [q]^k."""
+    total = 0.0
+    for k in range(k_max + 1):
+        ws = np.array([
+            sum(math.exp(sum(log_a if colour == s else log_b for colour in tau))
+                for s in range(q)) / q
+            for tau in itertools.product(range(q), repeat=k)
+        ])
+        term = np.log(ws).mean() if m == 0.0 else math.log(np.mean(ws**m)) / m
+        total += math.exp(-c) * c**k / math.factorial(k) * term
+    return total
+
+
+@pytest.mark.parametrize("form", ["rs", "one-rsb", "l1"])
+def test_profile_sum_matches_brute_force(form):
+    q, beta, c, t, eps = 3, 1.0, 0.5, 0.6, 1e-4
+    params = ModelParams(q=q, beta=beta, c=c)
+    annealed_g1 = math.log(q) + c * math.log1p(math.expm1(-beta) / q)
+    if form == "l1":
+        log_a, log_b, mag, m = -beta, 0.0, beta, 0.5
+        library = cavity_g1(params, 3, CascadeSpec((m,)), uniform_hierarchy(q),
+                            eps=eps).value - math.log(q)
+    else:
+        log_a, log_b, mag = factor_logs(beta, q, t)
+        if form == "rs":
+            m = 0.0
+            library = g1(beta, c, q, t, eps)[0]
+        else:
+            m = 0.5
+            library = cavity_g1(params, 3, one_rsb_spec(m), symmetric_t_hierarchy(q, t),
+                                eps=eps).value - annealed_g1
+    value, tail, k_max = profile_sum(c, q, log_a, log_b, m, mag, eps)
+    assert 1 <= k_max <= 6
+    assert tail <= eps
+    brute = brute_profile_sum(c, q, log_a, log_b, m, k_max)
+    assert value == pytest.approx(brute, abs=1e-12)
+    assert library == pytest.approx(brute, abs=1e-12)
 
 
 def test_g1_evenness():
