@@ -345,29 +345,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Fill unset flags from the --config JSON; explicit flags take priority."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if attr in ("command", "config"):
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> str | None:
+    """Make the --config JSON values defaults of the chosen subcommand.
+
+    Each value passes through its flag's type and choices, and a flag the
+    file supplies is no longer required; explicit flags still win.  Returns
+    a message naming the keys that match no flag or fail their type.
+    """
+    commands = parser._subparsers._group_actions[0].choices
+    sub = commands.get(next((a for a in argv if not a.startswith("-")), None))
+    if sub is None:
+        return None
+    flags = {a.dest: a for a in sub._actions if a.option_strings and a.nargs != 0}
+    pre = argparse.ArgumentParser(add_help=False)  # same flags, so same abbreviations
+    for action in flags.values():
+        pre.add_argument(*action.option_strings, dest=action.dest)
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None:
+        return None
+    with open(known.config) as fh:
+        cfg = dict(json.load(fh))
+    problems = []
+    for key, raw in cfg.items():
+        action = flags.get(key.replace("-", "_"))
+        try:
+            if action is None or action.dest == "config":
+                raise ValueError("matches no flag")
+            value = (action.type or str)(str(raw))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"is not one of {list(action.choices)}")
+        except ValueError as exc:
+            problems.append(f"{key!r}: {exc}")
             continue
-        if hasattr(args, attr) and attr not in explicit:
-            setattr(args, attr, value)
-    return args
+        sub.set_defaults(**{action.dest: value})
+        action.required = False
+    return f"config {known.config}: " + "; ".join(problems) if problems else None
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    try:
+        config_problem = _apply_config(parser, argv)
+    except (OSError, TypeError, ValueError) as exc:
+        config_problem = f"cannot read config: {exc}"
     args = parser.parse_args(argv)
-    args = _apply_config(args, argv)
     worker_count()  # validate POTTS_AF_THREADS early
     try:
+        if config_problem:
+            raise ValueError(config_problem)
         args.fn(args)
     except (ValueError, BudgetExceededError, RuntimeError, OSError) as exc:
         record = {

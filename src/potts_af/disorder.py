@@ -13,32 +13,44 @@ Monte Carlo above that, and the K > K_max remainder certified through the
 per-edge bound |ln Z(K) - ln Z(0)| <= beta K: each extra edge multiplies
 every Gibbs weight by a factor in [e^-beta, 1].
 
+H depends on J only through tr J and the P = N(N-1)/2 pair sums
+J_ij + J_ji, so placements are folded to P pair counts plus one diagonal
+count, and ln Z sums over model.colour_classes.  The exact path runs over
+the C(P + K, K) multisets of these P + 1 cells; exact_budget caps that
+count per K, and its default keeps K <= 17 exact at N = 4, K <= 9 at
+N = 5 and K <= 6 at N = 6.  Monte Carlo draws ordered cells, then folds.
+
 The same conditioning evaluates the sum-rule deficit
 
     P - p_N = 1/2 sum_{R>=1} (1-e^-beta)^R / R  sum_s
               int_0^c << (rho_R(s) - q^-R)^2 >>_{N,beta,c'} dc',
 
 where the s-sum collapses to single-replica pair overlaps:
-sum_s <rho_R(s)^2> = N^-2 sum_ij M_ij^R with M_ij = <delta(s_i, s_j)>.
+sum_s <rho_R(s)^2> = N^-2 sum_ij M_ij^R = (N + 2 sum_{i<j} M_ij^R) / N^2
+with M_ij = <delta(s_i, s_j)>.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain
 from math import comb
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .model import DEFAULT_ENUM_BUDGET, ModelParams, config_block
+from .model import (
+    DEFAULT_ENUM_BUDGET,
+    ModelParams,
+    colour_classes,
+    config_energies,
+)
 from .util import (
     BudgetExceededError,
     child_seeds,
     gauss_legendre,
     log_multinomial,
+    multinomial_table,
     multiset_permutations,
     philox,
     poisson_cutoff,
@@ -49,10 +61,11 @@ from .util import (
 METHOD_EXACT = "exact-conditional"
 METHOD_MC = "monte-carlo"
 
-# placement multisets per K kept exact while C(N^2+K-1, K) stays below this
+# folded placement multisets per K kept exact while C(P+K, K) stays below this
 DEFAULT_EXACT_BUDGET = 120_000
 DEFAULT_MC_SAMPLES = 4096
 K_MAX_CAP = 100_000
+CHUNK = 4096  # placement rows per kernel call
 
 
 @dataclass(frozen=True)
@@ -104,78 +117,91 @@ def edges_to_couplings(edges: np.ndarray, n: int) -> np.ndarray:
 # conditional enumeration engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _pair_indicator(n: int, q: int) -> np.ndarray:
-    """(q^n, n^2) matrix D with D[cfg, i*n+j] = [sigma_i == sigma_j]."""
-    cfg = config_block(n, q, 0, q**n)
-    cols = [(cfg[:, i] == cfg[:, j]) for i in range(n) for j in range(n)]
-    return np.stack(cols, axis=1).astype(np.float64)
+def _fold(ordered: np.ndarray, n: int) -> np.ndarray:
+    """(B, n^2) ordered-cell counts -> (B, P + 1) folded placements: J_ij + J_ji
+    for the P = n(n-1)/2 pairs i < j, then tr J; all that ln Z depends on."""
+    sq, (i, j) = ordered.reshape(-1, n, n), np.triu_indices(n, 1)
+    return np.column_stack([sq[:, i, j] + sq[:, j, i], np.trace(sq, axis1=1, axis2=2)])
 
 
-def _lnz_batch(jflat: np.ndarray, disc: np.ndarray, beta: float) -> np.ndarray:
-    """ln Z for a batch of flattened coupling matrices (rows of jflat)."""
-    energies = jflat @ disc.T
-    return logsumexp(-beta * energies, axis=1)
+def _class_log_weights(rows: np.ndarray, n: int, q: int, beta: float) -> np.ndarray:
+    """(B, classes) ln(multiplicity e^{-beta H}) per folded placement, without -beta tr J."""
+    indicator, log_mult = colour_classes(n, q)
+    return log_mult - beta * (rows[:, :-1].astype(np.float64) @ indicator.T)
 
 
-def _gibbs_batch(jflat: np.ndarray, disc: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs weights over all configurations for each row of jflat."""
-    energies = -beta * (jflat @ disc.T)
-    energies -= energies.max(axis=1, keepdims=True)
-    w = np.exp(energies)
-    return w / w.sum(axis=1, keepdims=True)
+def _lnz_batch(rows: np.ndarray, n: int, q: int, beta: float) -> np.ndarray:
+    """ln Z for a batch of folded placements, summed over colour classes."""
+    logw = _class_log_weights(rows, n, q, beta)
+    top = logw.max(axis=1, keepdims=True)
+    return top[:, 0] + np.log(np.exp(logw - top).sum(axis=1)) - beta * rows[:, -1]
 
 
-def _exact_multisets(n_cells: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All coupling multisets with K edges, with probability weights."""
-    count = comb(n_cells + k - 1, k)
-    jrows = np.zeros((count, n_cells))
-    logw = np.empty(count)
-    log_cells = k * math.log(n_cells) if k else 0.0
-    for row, combo in enumerate(combinations_with_replacement(range(n_cells), k)):
-        counts: dict[int, int] = {}
-        for cell in combo:
-            counts[cell] = counts.get(cell, 0) + 1
-        for cell, cnt in counts.items():
-            jrows[row, cell] = cnt
-        logw[row] = log_multinomial(tuple(counts.values())) - log_cells
-    return jrows, np.exp(logw)
+def _overlap_moments(rows: np.ndarray, n: int, q: int, beta: float,
+                     r_max: int) -> np.ndarray:
+    """[N^-2 sum_ij M_ij^R for R = 1..r_max] per folded placement.
 
-
-def _mc_placements(n_cells: int, k: int, samples: int,
-                   seed: np.random.SeedSequence) -> np.ndarray:
-    rng = philox(seed)
-    return rng.multinomial(k, np.full(n_cells, 1.0 / n_cells), size=samples).astype(float)
-
-
-def _apply_chunked(per_j, jrows: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Evaluate per_j over fixed-size row chunks to cap peak memory."""
-    if len(jrows) <= chunk:
-        return np.asarray(per_j(jrows))
-    parts = [np.asarray(per_j(jrows[i:i + chunk])) for i in range(0, len(jrows), chunk)]
-    return np.concatenate(parts, axis=0)
-
-
-def _conditional_average(n: int, q: int, beta: float, k: int, per_j,
-                         samples: int, seed: np.random.SeedSequence,
-                         exact_budget: int):
-    """E[f(J) | K = k] with f vectorized over placement batches.
-
-    Returns (mean, sem, n_samples); sem = 0 on the exact path.  `per_j`
-    maps a (B, n^2) placement batch to a (B, ...) value array.
+    M_ij = <delta(s_i, s_j)> is a sum over the colour classes; M_ii = 1
+    and M is symmetric, so the sum is N + 2 sum_{i<j} M_ij^R.
     """
-    n_cells = n * n
-    count = comb(n_cells + k - 1, k)
-    if count <= exact_budget:
-        jrows, weights = _exact_multisets(n_cells, k)
-        vals = _apply_chunked(per_j, jrows)
-        mean = np.tensordot(weights, vals, axes=1)
+    indicator, _ = colour_classes(n, q)
+    logw = _class_log_weights(rows, n, q, beta)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    m = indicator.T @ (w / w.sum(axis=1, keepdims=True)).T  # (P, B) pair overlaps
+    out = np.empty((rows.shape[0], r_max))
+    power = m.copy()
+    for ridx in range(r_max):
+        out[:, ridx] = (n + 2.0 * power.sum(axis=0)) / (n * n)
+        power *= m
+    return out
+
+
+def _exact_placements(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(P + K, K) folded placements of K edges with their probabilities.
+
+    An edge lands on pair i < j with probability 2/n^2 and on the lumped
+    diagonal with probability 1/n.
+    """
+    log_probs = np.full(n * (n - 1) // 2 + 1, math.log(2.0 / (n * n)))
+    log_probs[-1] = -math.log(n)
+    counts, logw = multinomial_table(k, log_probs)
+    return counts, np.exp(logw)
+
+
+def _mc_placements(n: int, k: int, samples: int,
+                   seed: np.random.SeedSequence) -> np.ndarray:
+    """K uniform ordered cells per sample, drawn over the n^2 cells, then folded."""
+    return _fold(philox(seed).multinomial(k, np.full(n * n, 1.0 / (n * n)), size=samples), n)
+
+
+def _conditional_average(n: int, k: int, per_j, samples: int,
+                         seed: np.random.SeedSequence, exact_budget: int):
+    """E[f(J) | K = k] with f vectorized over folded placement batches.
+
+    Returns (mean, sem, n_samples); sem = 0 on the exact path, taken while
+    the C(P + K, K) placement multisets fit exact_budget.  `per_j` maps a
+    (B, P + 1) placement batch to a (B, ...) value array; it sees at most
+    CHUNK rows at a time, which caps peak memory.
+    """
+    if comb(n * (n - 1) // 2 + k, k) <= exact_budget:
+        jrows, weights = _exact_placements(n, k)
+        mean = sum(np.tensordot(weights[i:i + CHUNK], per_j(jrows[i:i + CHUNK]), axes=1)
+                   for i in range(0, len(jrows), CHUNK))
         return mean, np.zeros_like(mean), 0
-    jrows = _mc_placements(n_cells, k, samples, seed)
-    vals = _apply_chunked(per_j, jrows)
+    jrows = _mc_placements(n, k, samples, seed)
+    vals = np.concatenate([per_j(jrows[i:i + CHUNK]) for i in range(0, samples, CHUNK)])
     mean = vals.mean(axis=0)
     sem = vals.std(axis=0, ddof=1) / math.sqrt(samples)
     return mean, sem, samples
+
+
+def _check_system(name: str, n: int, q: int, beta: float, max_configs: float) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not beta < math.inf:
+        raise ValueError(f"{name} requires finite beta")
+    if q**n > max_configs:
+        raise BudgetExceededError(f"q^n = {q**n} exceeds enumeration budget {max_configs}")
 
 
 def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
@@ -192,12 +218,7 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     q, beta, c = params.q, params.beta, params.c
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not beta < math.inf:
-        raise ValueError("quenched_pressure_exact requires finite beta")
-    if q**n > max_configs:
-        raise BudgetExceededError(f"q^n = {q**n} exceeds enumeration budget {max_configs}")
+    _check_system("quenched_pressure_exact", n, q, beta, max_configs)
     if c == 0.0 or beta == 0.0:
         return QuenchedEstimate(math.log(q), 0.0, 0.0, 0, METHOD_EXACT)
 
@@ -206,27 +227,21 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     k_tail = lambda k: (beta / n) * lam * poisson_sf(k, lam)
     k_max = poisson_cutoff(k_tail, 0.5 * eps, K_MAX_CAP)
     pmf = poisson_pmf_vector(k_max, lam)
-    disc = _pair_indicator(n, q)
     seeds = child_seeds(seed, k_max + 1)
+
+    per_j = lambda rows: _lnz_batch(rows, n, q, beta) / n
 
     def eval_k(k: int):
         if k == 0:
             return math.log(q), 0.0, 0
         budget = mc_samples if pmf[k] <= 0 else max(
-            256, min(8 * mc_samples, int(4 * mc_samples * pmf[k]) + 1)
-        )
-        per_j = lambda rows: _lnz_batch(rows, disc, beta) / n
-        mean, sem, used = _conditional_average(
-            n, q, beta, k, per_j, budget, seeds[k], exact_budget
-        )
-        return float(mean), float(sem), used
+            256, min(8 * mc_samples, int(4 * mc_samples * pmf[k]) + 1))
+        return _conditional_average(n, k, per_j, budget, seeds[k], exact_budget)
 
-    results = [eval_k(k) for k in range(k_max + 1)]
-    value = sum(pmf[k] * results[k][0] for k in range(k_max + 1))
-    value += (1.0 - pmf.sum()) * math.log(q)
-    stat = math.sqrt(sum((pmf[k] * results[k][1]) ** 2 for k in range(k_max + 1)))
-    total_samples = sum(r[2] for r in results)
-    return QuenchedEstimate(value, stat, k_tail(k_max), total_samples, METHOD_EXACT)
+    means, sems, used = map(np.array, zip(*(eval_k(k) for k in range(k_max + 1))))
+    value = float(pmf @ means) + (1.0 - pmf.sum()) * math.log(q)
+    stat = math.sqrt(float(((pmf * sems) ** 2).sum()))
+    return QuenchedEstimate(value, stat, k_tail(k_max), int(used.sum()), METHOD_EXACT)
 
 
 def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
@@ -235,23 +250,15 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     q, beta, c = params.q, params.beta, params.c
     if samples < 2:
         raise ValueError("need samples >= 2 for a standard error")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not beta < math.inf:
-        raise ValueError("quenched_pressure_mc requires finite beta")
-    if q**n > max_configs:
-        raise BudgetExceededError(f"q^n = {q**n} exceeds enumeration budget {max_configs}")
-    disc = _pair_indicator(n, q)
-    chunks = [(i, min(i + 2048, samples)) for i in range(0, samples, 2048)]
-    seeds = child_seeds(seed, len(chunks))
+    _check_system("quenched_pressure_mc", n, q, beta, max_configs)
 
-    def run(idx):
-        lo, hi = chunks[idx]
-        rng = philox(seeds[idx])
-        matrices = rng.poisson(c / (2.0 * n), size=(hi - lo, n * n)).astype(float)
-        return _lnz_batch(matrices, disc, beta) / n
+    def chunk_values(lo: int, chunk_seed: np.random.SeedSequence) -> np.ndarray:
+        draws = philox(chunk_seed).poisson(c / (2.0 * n), size=(min(2048, samples - lo), n * n))
+        return _lnz_batch(_fold(draws, n), n, q, beta) / n
 
-    values = np.concatenate([run(idx) for idx in range(len(chunks))])
+    starts = range(0, samples, 2048)
+    values = np.concatenate([chunk_values(lo, ss)
+                             for lo, ss in zip(starts, child_seeds(seed, len(starts)))])
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / math.sqrt(samples))
     return QuenchedEstimate(mean, sem, 0.0, samples, METHOD_MC)
@@ -277,10 +284,7 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     q, beta, c = params.q, params.beta, params.c
     if r_max < 1 or quad_points < 3:
         raise ValueError("need r_max >= 1 and quad_points >= 3")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not beta < math.inf:
-        raise ValueError("sum_rule_deficit requires finite beta")
+    _check_system("sum_rule_deficit", n, q, beta, math.inf)
     y = -math.expm1(-beta)
     if c == 0.0 or beta == 0.0:
         return QuenchedEstimate(0.0, 0.0, 0.0, 0, METHOD_EXACT)
@@ -288,31 +292,14 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     lam_top = c * n / 2.0
     k_max = poisson_cutoff(lambda k: poisson_sf(k + 1, lam_top), k_tail_eps, K_MAX_CAP)
 
-    disc = _pair_indicator(n, q)
     rs = np.arange(1, r_max + 1)
     seeds = child_seeds(seed, k_max + 1)
 
-    def overlap_moments(rows: np.ndarray) -> np.ndarray:
-        """Per placement row: [N^-2 sum_ij M_ij^R for R = 1..r_max]."""
-        m = _gibbs_batch(rows, disc, beta) @ disc  # (B, n^2) pair overlaps
-        out = np.empty((rows.shape[0], r_max))
-        power = m.copy()
-        for ridx in range(r_max):
-            out[:, ridx] = power.mean(axis=1)
-            if ridx + 1 < r_max:
-                power *= m
-        return out
-
-    def eval_k(k: int):
-        mean, sem, used = _conditional_average(
-            n, q, beta, k, overlap_moments, mc_samples, seeds[k], exact_budget
-        )
-        return np.asarray(mean), np.asarray(sem), used
-
-    per_k = [eval_k(k) for k in range(k_max + 1)]
-    means = np.stack([p[0] for p in per_k])  # (k_max+1, r_max)
-    sems = np.stack([p[1] for p in per_k])
-    total_samples = sum(p[2] for p in per_k)
+    per_j = lambda rows: _overlap_moments(rows, n, q, beta, r_max)
+    means, sems, used = map(np.array, zip(*(  # (k_max+1, r_max) moments per K
+        _conditional_average(n, k, per_j, mc_samples, seeds[k], exact_budget)
+        for k in range(k_max + 1))))
+    total_samples = int(used.sum())
 
     coef_r = 0.5 * np.power(y, rs) / rs  # series weights per R
 
@@ -348,8 +335,7 @@ def balanced_count(n: int, q: int) -> int:
     """|[q]^(N,q)| = N! / ((N/q)!)^q."""
     if n % q:
         raise ValueError(f"N = {n} is not divisible by q = {q}")
-    total = math.factorial(n)
-    return total // math.factorial(n // q) ** q
+    return math.factorial(n) // math.factorial(n // q) ** q
 
 
 def restricted_partition_balanced(J, beta: float, q: int,
@@ -360,49 +346,34 @@ def restricted_partition_balanced(J, beta: float, q: int,
     color.  At beta = inf this counts balanced proper colorings (zero
     energy); returns -inf when none exist.
     """
-    J = np.asarray(J)
-    n = J.shape[0]
-    if n % q:
-        raise ValueError(f"N = {n} is not divisible by q = {q}")
-    if balanced_count(n, q) > max_states:
+    n = np.shape(J)[0]
+    states = balanced_count(n, q)
+    if states > max_states:
         raise BudgetExceededError("balanced sector too large to enumerate")
-    counts = [n // q] * q
-    energies = []
-    for cfg in multiset_permutations(counts):
-        sig = np.asarray(cfg, dtype=np.int64)
-        same = sig[:, None] == sig[None, :]
-        energies.append(float(J[same].sum()))
-    energies = np.asarray(energies)
+    cfg = np.fromiter(chain.from_iterable(multiset_permutations([n // q] * q)),
+                      dtype=np.int8, count=states * n).reshape(states, n)
+    energies = config_energies(cfg, J)
     if beta == math.inf:
         ground = int((energies == 0.0).sum())
         return math.log(ground) if ground else -math.inf
-    return float(logsumexp(-beta * energies))
+    logw = -beta * energies
+    top = logw.max()
+    return float(top + np.log(np.exp(logw - top).sum()))
 
 
 def _balanced_pair_measures(n: int, q: int):
-    """Integer q x q tables with all row and column sums N/q."""
-    per = n // q
+    """Integer q x q tables with all row and column sums N/q, flattened row by row."""
+    rows, _ = multinomial_table(n // q, np.zeros(q))
 
-    def rows(remaining_cols, rows_left):
-        if rows_left == 1:
-            yield (tuple(remaining_cols),)
+    def tables(cols: np.ndarray, left: int):
+        if left == 1:
+            yield tuple(cols.tolist())
             return
-        for row in _bounded_compositions(per, remaining_cols):
-            rest = tuple(rc - r for rc, r in zip(remaining_cols, row))
-            for tail in rows(rest, rows_left - 1):
-                yield (row,) + tail
+        for row in rows[np.all(rows <= cols, axis=1)]:
+            for tail in tables(cols - row, left - 1):
+                yield tuple(row.tolist()) + tail
 
-    yield from rows(tuple([per] * q), q)
-
-
-def _bounded_compositions(total: int, bounds):
-    if len(bounds) == 1:
-        if total <= bounds[0]:
-            yield (total,)
-        return
-    for head in range(min(total, bounds[0]) + 1):
-        for rest in _bounded_compositions(total - head, bounds[1:]):
-            yield (head,) + rest
+    yield from tables(np.full(q, n // q), q)
 
 
 def conditional_moments_balanced(n: int, q: int, beta: float, k: int,
@@ -414,19 +385,16 @@ def conditional_moments_balanced(n: int, q: int, beta: float, k: int,
     times exp(K w(beta, q, mu)) with
     w = ln(1 - 2(1-e^-beta)/q + (1-e^-beta)^2 sum mu^2).
     """
-    if n % q:
-        raise ValueError(f"N = {n} is not divisible by q = {q}")
     if k < 0:
         raise ValueError("k must be >= 0")
     y = 1.0 if beta == math.inf else -math.expm1(-beta)
     first = balanced_count(n, q) * (1.0 - y / q) ** k
     second = 0.0
-    for tables_seen, table in enumerate(_balanced_pair_measures(n, q)):
+    for tables_seen, flat in enumerate(_balanced_pair_measures(n, q)):
         if tables_seen >= max_tables:
             raise BudgetExceededError(
                 f"more than {max_tables} balanced pair measures at n = {n}, q = {q}"
             )
-        flat = [cell for row in table for cell in row]
         mu_sq = sum((cell / n) ** 2 for cell in flat)
         w = math.log(1.0 - 2.0 * y / q + y * y * mu_sq)
         second += math.exp(log_multinomial(flat) + k * w)

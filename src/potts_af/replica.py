@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from .bounds import annealed_pressure, x_param
-from .util import compositions, poisson_cutoff, poisson_pmf_vector, poisson_sf
+from .util import multinomial_table, poisson_cutoff, poisson_pmf_vector, poisson_sf
 
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
 
@@ -66,13 +66,7 @@ def g2(beta: float, c: float, q: int, t: float) -> float:
 @lru_cache(maxsize=512)
 def _composition_table(k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Color-count profiles of k uniform slots with their log-probabilities."""
-    counts = np.array(list(compositions(k, q)), dtype=np.int64)
-    logw = (
-        gammaln(k + 1)
-        - gammaln(counts + 1.0).sum(axis=1)
-        - k * math.log(q)
-    )
-    return counts, logw
+    return multinomial_table(k, np.full(q, -math.log(q)))
 
 
 def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:

@@ -12,7 +12,7 @@ import os
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 
 class BudgetExceededError(RuntimeError):
@@ -49,16 +49,6 @@ def child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
 # Poisson law helpers
 # ---------------------------------------------------------------------------
 
-def log_poisson_pmf(k: int, lam: float) -> float:
-    if lam == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    return -lam + k * math.log(lam) - math.lgamma(k + 1)
-
-
-def poisson_pmf(k: int, lam: float) -> float:
-    return math.exp(log_poisson_pmf(k, lam)) if lam > 0 or k == 0 else 0.0
-
-
 def poisson_pmf_vector(kmax: int, lam: float) -> np.ndarray:
     """pmf values for k = 0..kmax, computed in log space."""
     ks = np.arange(kmax + 1)
@@ -66,8 +56,6 @@ def poisson_pmf_vector(kmax: int, lam: float) -> np.ndarray:
         out = np.zeros(kmax + 1)
         out[0] = 1.0
         return out
-    from scipy.special import gammaln
-
     return np.exp(-lam + ks * math.log(lam) - gammaln(ks + 1))
 
 
@@ -137,14 +125,25 @@ def multiset_permutations(counts: Sequence[int]):
     yield from rec(0)
 
 
-def compositions(total: int, parts: int):
-    """Yield all tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+def multinomial_table(k: int, log_probs) -> tuple[np.ndarray, np.ndarray]:
+    """Every way k iid draws can fill cells with the given log-probabilities.
+
+    Returns (counts, logw): the C(k + cells - 1, k) compositions of k in
+    lexicographic order, and the multinomial log-probability of each.  The
+    rows for cells i.. are the rows for cells i+1.. with total at most k - h
+    (exactly k - h at the first cell), each prefixed by h = 0..k.
+    """
+    h = np.arange(k + 1)
+    cell_logs = h * np.asarray(log_probs, dtype=np.float64)[:, None] - gammaln(h + 1.0)
+    columns, logw, total = [], np.zeros(1), np.zeros(1, dtype=np.int64)
+    for cell in range(len(log_probs) - 1, -1, -1):
+        picks = [np.flatnonzero(total == k - x if cell == 0 else total <= k - x) for x in h]
+        rows = np.concatenate(picks)
+        head = np.repeat(h, [len(p) for p in picks])
+        columns = [head] + [col[rows] for col in columns]
+        logw = cell_logs[cell, head] + logw[rows]
+        total = head + total[rows]
+    return np.stack(columns, axis=1), gammaln(k + 1.0) + logw
 
 
 def log_multinomial(counts: Sequence[int]) -> float:

@@ -131,6 +131,47 @@ def test_config_file_supplies_flags(tmp_path):
     assert json.loads(out2.read_text())["q"] == 3
 
 
+def test_config_file_supplies_required_flags(tmp_path):
+    out = tmp_path / "req.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "beta": "1.5", "c": 0, "n": 2, "out": str(out)}))
+    assert run_cli("pressure", "--config", str(cfg)) == 0
+    doc = json.loads(out.read_text())
+    # values pass through each flag's type: "1.5" -> float, 0 -> float
+    assert doc["q"] == 3 and doc["beta"] == 1.5 and doc["c"] == 0.0
+    assert doc["estimate"]["value"] == pytest.approx(math.log(3), abs=1e-14)
+    # an abbreviated --config is read just as argparse resolves it
+    out.unlink()
+    assert run_cli("pressure", "--conf", str(cfg)) == 0 and out.exists()
+
+
+def test_config_explicit_flags_win(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "beta": 1.0, "c": 0.0, "n": 2, "seed": 5,
+                               "out": str(tmp_path / "unused.json")}))
+    out = tmp_path / "win.json"
+    assert run_cli("pressure", "--config", str(cfg), "--seed", "7", "--q", "3",
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["seed"], doc["q"]) == (7, 3)
+    assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"sampels": 10}, "'sampels': matches no flag"),
+    ({"n": 2.5}, "'n': invalid literal for int()"),
+    ({"method": "exactly"}, "not one of"),
+])
+def test_config_bad_keys_are_structured_errors(tmp_path, entries, message):
+    out = tmp_path / "bad.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 2, "beta": 1.0, "c": 0.0, "out": str(out), **entries}))
+    assert run_cli("pressure", "--config", str(cfg)) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ValueError"
+    assert message in error["message"]
+
+
 def test_missing_parameter_is_structured_error(tmp_path):
     out = tmp_path / "m.json"
     code = run_cli("pressure", "--q", "2", "--out", str(out))

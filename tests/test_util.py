@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from potts_af.util import BudgetExceededError, poisson_cutoff, poisson_sf
+from potts_af.util import BudgetExceededError, multinomial_table, poisson_cutoff, poisson_sf
 
 
 def pressure_tail(beta: float, n: int, c: float):
@@ -61,3 +63,18 @@ def test_cutoff_budget_and_nan():
         poisson_cutoff(pressure_tail(2.0, 6, 4.0), 1e-6, 20)
     with pytest.raises(BudgetExceededError):
         poisson_cutoff(pressure_tail(2.0, 6, 4.0), math.nan, 1000)
+
+
+@pytest.mark.parametrize("k, cells", [(0, 1), (5, 1), (0, 4), (3, 2), (4, 3), (3, 5)])
+def test_multinomial_table_is_every_composition(k, cells):
+    log_probs = np.log(np.random.default_rng(k + cells).dirichlet(np.ones(cells)))
+    counts, logw = multinomial_table(k, log_probs)
+    brute = {}
+    for draw in itertools.product(range(cells), repeat=k):
+        key = tuple(np.bincount(np.asarray(draw, dtype=np.int64), minlength=cells))
+        brute[key] = brute.get(key, 0.0) + math.exp(sum(log_probs[d] for d in draw))
+    assert [tuple(row) for row in counts] == sorted(brute)  # lexicographic
+    assert len(counts) == math.comb(k + cells - 1, k)
+    for row, lw in zip(counts, logw):
+        assert math.exp(lw) == pytest.approx(brute[tuple(row)], rel=1e-12)
+    assert np.exp(logw).sum() == pytest.approx(1.0, abs=1e-12)
