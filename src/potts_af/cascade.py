@@ -18,6 +18,13 @@ generic-m state with uniform spins, and the one-step RSB state (three
 levels, middle m free).  Every configuration can also be evaluated by
 direct Monte Carlo over truncated cascades; closed-form and MC paths are
 independent and cross-validate each other.
+
+The Monte Carlo engine draws a block of cascades per set of array
+operations, with colour counts and matching pairs drawn from their
+multinomial and binomial laws.  Each chunk of MC_CHUNK draws has its own
+child seed, and the block size (capped by MC_BLOCK_CELLS leaf x site x
+colour cells) depends only on the inputs, so results depend only on the
+inputs and the seed.
 """
 
 from __future__ import annotations
@@ -26,16 +33,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
 from .replica import factor_logs, g2 as rs_g2, profile_sum
-from .util import child_seeds, philox
+from .util import child_seeds, logsumexp, philox
 
-DEFAULT_ATOMS = 4096
-MC_CHUNK = 64
+MC_CHUNK = 64  # draws per child seed stream
+MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
 
 
 @dataclass(frozen=True)
@@ -260,174 +266,156 @@ def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec
 # Monte Carlo engine over truncated cascades
 # ---------------------------------------------------------------------------
 
-def _site_values(counts: np.ndarray, k_per_site: np.ndarray, log_match: float,
-                 log_other: float, q: int) -> np.ndarray:
-    """ln S per (node, site): S = sum_s exp(n_s log_match + (k - n_s) log_other).
+def _tree(spec: CascadeSpec, n_atoms: int) -> tuple[int, int]:
+    """(outer nodes, leaves per outer node) of one truncated cascade."""
+    ms = spec.atom_levels
+    if len(ms) > 2:
+        raise ValueError("Monte Carlo supports at most two unresolved atom levels")
+    if len(ms) == 2:
+        # nested truncation: ~sqrt(n_atoms) atoms per level keeps the
+        # leaf count comparable to the one-level case
+        side = max(16, int(round(math.sqrt(n_atoms))))
+        return side, side
+    if ms and n_atoms < 1:
+        raise ValueError("n_atoms must be >= 1")
+    return 1, n_atoms if ms else 1
 
-    counts has shape (nodes, sites, q); n_s counts slots whose reference
-    color equals s.
+
+def _pd_log_atoms(rng: np.random.Generator, m: float, shape) -> tuple[np.ndarray, np.ndarray]:
+    """ln of the largest shape[-1] PD(m) atoms per row, and each row's tail fraction.
+
+    ln xi_k = -ln(Gamma_k) / m as in sample_pd_atoms; the fraction is
+    tail / (tail + sum_k xi_k) with the same conditional-mean tail.
     """
-    expo = counts * (log_match - log_other) + k_per_site[None, :, None] * log_other
-    return logsumexp(expo, axis=2)
+    log_xi = np.log(np.cumsum(rng.exponential(1.0, size=shape), axis=-1)) / -m
+    log_tail = math.log(m / (1.0 - m)) + (1.0 - m) * log_xi[..., -1]
+    return log_xi, np.exp(log_tail - np.logaddexp(log_tail, logsumexp(log_xi, axis=-1)))
 
 
-def _color_counts(colors: np.ndarray, site_of_slot: np.ndarray, n_sites: int,
-                  q: int) -> np.ndarray:
-    """Count colors per (node, site): colors has shape (nodes, slots)."""
-    nodes = colors.shape[0]
-    out = np.zeros((nodes, n_sites, q))
-    for s in range(q):
-        hits = (colors == s).astype(float)
-        for j in range(n_sites):
-            sel = site_of_slot == j
-            if sel.any():
-                out[:, j, s] = hits[:, sel].sum(axis=1)
+def _block_log_weights(rng: np.random.Generator, ms: tuple[float, ...], outer: int,
+                       inner: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b, leaves) cascade log-weights and (b,) normalizer tail fractions."""
+    if not ms:
+        return np.zeros((b, 1)), np.zeros(b)
+    if len(ms) == 1:
+        return _pd_log_atoms(rng, ms[0], (b, inner))
+    log_outer, frac_outer = _pd_log_atoms(rng, ms[0], (b, outer))
+    log_inner, frac_inner = _pd_log_atoms(rng, ms[1], (b, outer, inner))
+    return ((log_outer[:, :, None] + log_inner).reshape(b, -1),
+            frac_outer + frac_inner.mean(axis=1))
+
+
+def _multinomial(rng: np.random.Generator, n, probs: np.ndarray, shape) -> np.ndarray:
+    """Multinomial(n, probs) counts, colour axis first: (len(probs),) + shape.
+
+    Drawn as a chain of binomials: colour s takes Binomial(rest, p_s / (p_s
+    + ... + p_last)) of the slots the earlier colours left.  Colours come
+    first, where a log-sum-exp over them runs about 9x faster than over
+    Generator.multinomial's short trailing axis.
+    """
+    out = np.empty((len(probs),) + shape, dtype=np.int64)
+    rest = np.broadcast_to(n, shape)
+    for s in range(len(probs) - 1):
+        left = probs[s:].sum()
+        out[s] = rng.binomial(rest, min(1.0, probs[s] / left) if left > 0 else 0.0, size=shape)
+        rest = rest - out[s]
+    out[-1] = rest
     return out
 
 
-def _sample_mu(rng: np.random.Generator, pattern: np.ndarray, t: float, q: int,
-               shape) -> np.ndarray:
-    """Sample leaf colors from mu_{P,t}(r) = t d(r,P) + (1-t)/q, any sign of t."""
-    if t >= 0.0:
-        fresh = rng.integers(0, q, size=shape)
-        copy = rng.random(shape) < t
-        return np.where(copy, np.broadcast_to(pattern, shape), fresh)
-    u = rng.random(shape)
-    base = (1.0 - t) / q
-    out = np.empty(shape, dtype=np.int64)
-    cum = np.zeros(shape)
-    remaining = np.ones(shape, dtype=bool)
-    for r in range(q):
-        p_r = base + t * (np.broadcast_to(pattern, shape) == r)
-        cum = cum + p_r
-        take = remaining & (u < cum)
-        out[take] = r
-        remaining &= ~take
-    out[remaining] = q - 1
-    return out
+def _leaf_counts(rng: np.random.Generator, k: np.ndarray, q: int, t: float | None,
+                 outer: int, inner: int) -> np.ndarray:
+    """Colour counts (q, b, outer, inner, sites) of k[b, site] slots per leaf.
+
+    t is None: every leaf colours the slots uniformly, Multinomial(k, 1/q).
+    Otherwise each outer node colours them with a uniform pattern and each
+    leaf redraws a slot of pattern colour p from mu_{p,t}, so given the
+    pattern counts n_p the leaf counts are sum_p Multinomial(n_p, mu_{p,t}).
+    """
+    b, sites = k.shape
+    slots, uniform = k[:, None, None, :], np.full(q, 1.0 / q)
+    if t is None:
+        return _multinomial(rng, slots, uniform, (b, outer, inner, sites))
+    pattern = _multinomial(rng, slots, uniform, (b, outer, 1, sites))
+    counts = np.zeros((q, b, outer, inner, sites), dtype=np.int64)
+    for p in range(q):
+        mu = np.maximum((1.0 - t) / q + t * (np.arange(q) == p), 0.0)
+        counts += _multinomial(rng, pattern[p], mu, (b, outer, inner, sites))
+    return counts
 
 
-class _CascadeDraw:
-    """Per-draw atom structure shared by the G1 and G2 estimators."""
+def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | None,
+                  outer: int, inner: int) -> np.ndarray:
+    """Matching pairs (b, outer, inner) among k[b] pairs per leaf.
 
-    def __init__(self, spec: CascadeSpec, rng: np.random.Generator, n_atoms: int):
-        ms = spec.atom_levels
-        if len(ms) > 2:
-            raise ValueError("Monte Carlo supports at most two unresolved atom levels")
-        self.ms = ms
-        if len(ms) == 0:
-            self.log_weights = np.zeros(1)
-            self.tail_fraction = 0.0
-            self.outer_nodes = 1
-            self.leaf_nodes = 1
-        elif len(ms) == 1:
-            a = sample_pd_atoms(ms[0], n_atoms, rng)
-            self.log_weights = np.log(a.atoms)
-            total = a.atoms.sum()
-            self.tail_fraction = a.tail_mass_bound / (a.tail_mass_bound + total)
-            self.outer_nodes = 1
-            self.leaf_nodes = n_atoms
-        else:
-            # nested truncation: ~sqrt(n_atoms) atoms per level keeps the
-            # leaf count comparable to the one-level case
-            side = max(16, int(round(math.sqrt(n_atoms))))
-            outer = sample_pd_atoms(ms[0], side, rng)
-            inner_logs = []
-            frac = outer.tail_mass_bound / (outer.tail_mass_bound + outer.atoms.sum())
-            inner_frac = 0.0
-            for _ in range(side):
-                inner = sample_pd_atoms(ms[1], side, rng)
-                inner_logs.append(np.log(inner.atoms))
-                inner_frac += inner.tail_mass_bound / (inner.tail_mass_bound + inner.atoms.sum())
-            self.log_weights = (np.log(outer.atoms)[:, None] + np.stack(inner_logs)).ravel()
-            self.tail_fraction = frac + inner_frac / side
-            self.outer_nodes = side
-            self.leaf_nodes = side * side
-
-    def combine(self, leaf_log_values: np.ndarray) -> float:
-        """ln( sum_a w_a V_a / sum_a w_a ) in log space."""
-        return float(
-            logsumexp(self.log_weights + leaf_log_values) - logsumexp(self.log_weights)
-        )
-
-
-def _mc_g1_draw(params: ModelParams, n: int, spec: CascadeSpec,
-                hier: SpinHierarchySpec, rng: np.random.Generator,
-                n_atoms: int) -> tuple[float, float]:
-    q, beta, c = params.q, params.beta, params.c
-    t = _t_of(hier)
-    y = -math.expm1(-beta)
-    draw = _CascadeDraw(spec, rng, n_atoms)
-    k_per_site = rng.poisson(c, size=n)
-    slots = int(k_per_site.sum())
-    site_of_slot = np.repeat(np.arange(n), k_per_site)
-
-    if spec.last_to_one:
-        # leaves integrate exactly against mu_{P,t}; patterns sit on the
-        # deepest remaining nodes (one per leaf node of the atom structure)
-        pattern = rng.integers(0, q, size=(draw.leaf_nodes, slots))
-        counts = _color_counts(pattern, site_of_slot, n, q)
-        log_match = math.log(1.0 - y * (t + (1.0 - t) / q))
-        log_other = math.log(1.0 - y * (1.0 - t) / q)
-        lnx = _site_values(counts, k_per_site, log_match, log_other, q).sum(axis=1)
-    else:
-        # leaves carry sampled spins; patterns (if any) live one level up
-        if hier.kind == "uniform":
-            tau = rng.integers(0, q, size=(draw.leaf_nodes, slots))
-        else:
-            inner = draw.leaf_nodes // draw.outer_nodes
-            pattern = rng.integers(0, q, size=(draw.outer_nodes, 1, slots))
-            tau = _sample_mu(rng, pattern, t, q, (draw.outer_nodes, inner, slots))
-            tau = tau.reshape(draw.leaf_nodes, slots)
-        counts = _color_counts(tau, site_of_slot, n, q)
-        lnx = _site_values(counts, k_per_site, -beta, 0.0, q).sum(axis=1)
-    return draw.combine(lnx) / n, draw.tail_fraction / n
-
-
-def _mc_g2_draw(params: ModelParams, n: int, spec: CascadeSpec,
-                hier: SpinHierarchySpec, rng: np.random.Generator,
-                n_atoms: int) -> tuple[float, float]:
-    q, beta, c = params.q, params.beta, params.c
-    t = _t_of(hier)
-    y = -math.expm1(-beta)
-    draw = _CascadeDraw(spec, rng, n_atoms)
-    k_pairs = int(rng.poisson(0.5 * c * n))
-
-    if spec.last_to_one:
-        # per deepest node: pattern pair matches are Bernoulli(1/q)
-        matches = rng.binomial(k_pairs, 1.0 / q, size=draw.leaf_nodes)
-        log_same = math.log(1.0 - y * (t * t + (1.0 - t * t) / q))
-        log_diff = math.log(1.0 - y * (1.0 - t * t) / q)
-        lny = matches * log_same + (k_pairs - matches) * log_diff
-    else:
-        if hier.kind == "uniform":
-            hits = rng.random((draw.leaf_nodes, k_pairs)) < 1.0 / q
-        else:
-            inner = draw.leaf_nodes // draw.outer_nodes
-            pat_match = rng.random((draw.outer_nodes, 1, k_pairs)) < 1.0 / q
-            p_match = t * t * pat_match + (1.0 - t * t) / q
-            hits = rng.random((draw.outer_nodes, inner, k_pairs)) < p_match
-            hits = hits.reshape(draw.leaf_nodes, k_pairs)
-        lny = -beta * hits.sum(axis=1).astype(float)
-    return draw.combine(lny) / n, draw.tail_fraction / n
+    t is None: Binomial(K, 1/q).  Otherwise m ~ Binomial(K, 1/q) pairs
+    match in the outer node's pattern, and a leaf pair matches with
+    probability t^2 + (1 - t^2)/q given a pattern match, (1 - t^2)/q not.
+    """
+    b, pairs = len(k), k[:, None, None]
+    if t is None:
+        return rng.binomial(pairs, 1.0 / q, size=(b, outer, inner))
+    in_pattern = rng.binomial(pairs, 1.0 / q, size=(b, outer, 1))
+    off = (1.0 - t * t) / q
+    return (rng.binomial(in_pattern, t * t + off, size=(b, outer, inner))
+            + rng.binomial(pairs - in_pattern, off, size=(b, outer, inner)))
 
 
 def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
-            samples: int, seed: int, n_atoms: int, draw_fn) -> QuenchedEstimate:
+            samples: int, seed: int, n_atoms: int, which: str) -> QuenchedEstimate:
+    """Mean over `samples` draws of (1/n) ln( sum_a w_a V_a / sum_a w_a ).
+
+    For G1, ln V_a = sum_i ln S_i over the n cavity sites, with S_i =
+    sum_s exp(n_s log_match + (k_i - n_s) log_other) over the colour
+    counts n_s of site i's k_i slots; for G2, ln V_a = M log_match +
+    (K - M) log_other for M matching pairs out of K.  Below, gap =
+    log_match - log_other.
+    """
     if samples < 2:
         raise ValueError("need samples >= 2")
-    chunks = [(i, min(i + MC_CHUNK, samples)) for i in range(0, samples, MC_CHUNK)]
-    seeds = child_seeds(seed, len(chunks))
-    vals = np.empty(samples)
-    tails = np.empty(samples)
-    for (lo, hi), chunk_seed in zip(chunks, seeds):
-        rng = philox(chunk_seed)  # one stream per chunk of MC_CHUNK draws
-        for i in range(lo, hi):
-            vals[i], tails[i] = draw_fn(params, n, spec, hier, rng, n_atoms)
+    q, beta, c = params.q, params.beta, params.c
+    t = _t_of(hier)
+    y = -math.expm1(-beta)
+    if spec.last_to_one:
+        # leaves integrate exactly against mu_{P,t}; uniform patterns sit
+        # on the leaves of the atom structure
+        shared = None
+        u = t if which == "g1" else t * t  # leaf-pattern agreement of a slot / a pair
+        log_other = math.log(1.0 - y * (1.0 - u) / q)
+        gap = math.log(1.0 - y * (u + (1.0 - u) / q)) - log_other
+    else:
+        # leaves carry sampled spins; patterns (if any) live one level up
+        if beta == math.inf:
+            raise ValueError("Monte Carlo over sampled leaf spins requires finite beta")
+        shared = t if hier.kind == "symmetric-t" else None
+        gap, log_other = -beta, 0.0
+    outer, inner = _tree(spec, n_atoms)
+
+    # one stream per chunk of MC_CHUNK draws, drawn in blocks of at most
+    # MC_BLOCK_CELLS (leaf, site, colour) cells, so values depend only on
+    # the inputs and the seed
+    block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (outer * inner * n * q)))
+    starts = range(0, samples, MC_CHUNK)
+    vals, fracs = np.empty(samples), np.empty(samples)
+    for lo, chunk_seed in zip(starts, child_seeds(seed, len(starts))):
+        rng = philox(chunk_seed)
+        for a in range(lo, min(lo + MC_CHUNK, samples), block):
+            b = min(block, lo + MC_CHUNK - a, samples - a)
+            log_w, fracs[a:a + b] = _block_log_weights(rng, spec.atom_levels, outer, inner, b)
+            if which == "g1":
+                k = rng.poisson(c, size=(b, n))
+                counts = _leaf_counts(rng, k, q, shared, outer, inner)
+                excess = logsumexp(gap * counts, axis=0).sum(axis=-1)
+            else:
+                k = rng.poisson(0.5 * c * n, size=(b, 1))
+                excess = gap * _leaf_matches(rng, k[:, 0], q, shared, outer, inner)
+            leaf = excess.reshape(b, -1) + log_other * k.sum(axis=1, keepdims=True)
+            vals[a:a + b] = logsumexp(log_w + leaf, axis=1) - logsumexp(log_w, axis=1)
+    vals /= n
     return QuenchedEstimate(
         value=float(vals.mean()),
         stat_error=float(vals.std(ddof=1) / math.sqrt(samples)),
-        tail_bound=float(tails.mean()),
+        tail_bound=float(fracs.mean() / n),
         samples=samples,
         method=METHOD_MC,
     )
@@ -457,8 +445,7 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
         value, tail = _closed_form(params, spec, hier, which, eps)
         return QuenchedEstimate(value, 0.0, tail, 0, METHOD_EXACT)
     if method == "monte-carlo":
-        draw_fn = _mc_g1_draw if which == "g1" else _mc_g2_draw
-        return _run_mc(params, n, spec, hier, samples, seed, n_atoms, draw_fn)
+        return _run_mc(params, n, spec, hier, samples, seed, n_atoms, which)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -263,7 +263,7 @@ def cmd_cascade(args) -> dict | None:
         "bound_stat_error": math.hypot(g1e.stat_error, g2e.stat_error),
         "annealed_pressure": bounds.annealed_pressure(args.beta, args.c, args.q),
     }
-    if args.q**args.n <= DEFAULT_ENUM_BUDGET:
+    if args.beta < math.inf and args.q**args.n <= DEFAULT_ENUM_BUDGET:
         p_n = disorder.quenched_pressure_exact(params, args.n, eps=args.eps,
                                                seed=args.seed + 2)
         payload["quenched_pressure"] = _estimate_dict(p_n)

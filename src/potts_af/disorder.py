@@ -50,6 +50,7 @@ from .util import (
     child_seeds,
     gauss_legendre,
     log_multinomial,
+    logsumexp,
     multinomial_table,
     multiset_permutations,
     philox,
@@ -132,9 +133,7 @@ def _class_log_weights(rows: np.ndarray, n: int, q: int, beta: float) -> np.ndar
 
 def _lnz_batch(rows: np.ndarray, n: int, q: int, beta: float) -> np.ndarray:
     """ln Z for a batch of folded placements, summed over colour classes."""
-    logw = _class_log_weights(rows, n, q, beta)
-    top = logw.max(axis=1, keepdims=True)
-    return top[:, 0] + np.log(np.exp(logw - top).sum(axis=1)) - beta * rows[:, -1]
+    return logsumexp(_class_log_weights(rows, n, q, beta), axis=1) - beta * rows[:, -1]
 
 
 def _overlap_moments(rows: np.ndarray, n: int, q: int, beta: float,
@@ -279,12 +278,13 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     as the quenched pressure; the c' integral uses Gauss-Legendre with
     quad_points nodes.  tail_bound adds the geometric R > r_max remainder,
     the certified K cutoff error, and a quadrature error estimate from a
-    refined rule.
+    refined rule.  The colour classes enumerate q^n configurations, so q^n
+    is held to DEFAULT_ENUM_BUDGET like the quenched pressures' default.
     """
     q, beta, c = params.q, params.beta, params.c
     if r_max < 1 or quad_points < 3:
         raise ValueError("need r_max >= 1 and quad_points >= 3")
-    _check_system("sum_rule_deficit", n, q, beta, math.inf)
+    _check_system("sum_rule_deficit", n, q, beta, DEFAULT_ENUM_BUDGET)
     y = -math.expm1(-beta)
     if c == 0.0 or beta == 0.0:
         return QuenchedEstimate(0.0, 0.0, 0.0, 0, METHOD_EXACT)
@@ -356,9 +356,7 @@ def restricted_partition_balanced(J, beta: float, q: int,
     if beta == math.inf:
         ground = int((energies == 0.0).sum())
         return math.log(ground) if ground else -math.inf
-    logw = -beta * energies
-    top = logw.max()
-    return float(top + np.log(np.exp(logw - top).sum()))
+    return float(logsumexp(-beta * energies))
 
 
 def _balanced_pair_measures(n: int, q: int):

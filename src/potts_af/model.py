@@ -23,9 +23,9 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from .util import BudgetExceededError
+from .util import BudgetExceededError, logsumexp
 
 # q^N cap: admits 2^14 and 3^9, the stated per-q defaults.
 DEFAULT_ENUM_BUDGET = 20_000

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import annealed_pressure, x_param
-from .util import multinomial_table, poisson_cutoff, poisson_pmf_vector, poisson_sf
+from .util import logsumexp, multinomial_table, poisson_cutoff, poisson_pmf_vector, poisson_sf
 
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
 
@@ -65,8 +64,10 @@ def g2(beta: float, c: float, q: int, t: float) -> float:
 
 @lru_cache(maxsize=512)
 def _composition_table(k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Color-count profiles of k uniform slots with their log-probabilities."""
-    return multinomial_table(k, np.full(q, -math.log(q)))
+    """Color-count profiles of k uniform slots, colour axis first (so sums over
+    colours run along contiguous rows), with their log-probabilities."""
+    counts, logw = multinomial_table(k, np.full(q, -math.log(q)))
+    return np.ascontiguousarray(counts.T), logw
 
 
 def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
@@ -101,10 +102,8 @@ def profile_sum(c: float, q: int, log_a: float, log_b: float, m: float, mag: flo
     total = 0.0
     for k in range(k_max + 1):
         counts, logw = _composition_table(k, q)
-        # ln W per color-count profile, against its largest term
-        log_terms = counts * log_a + (k - counts) * log_b
-        top = log_terms.max(axis=1, keepdims=True) if k > 0 else np.zeros((len(counts), 1))
-        log_w = top[:, 0] + np.log(np.exp(log_terms - top).sum(axis=1)) - math.log(q)
+        # ln W per color-count profile
+        log_w = logsumexp(counts * log_a + (k - counts) * log_b, axis=0) - math.log(q)
         if m == 0.0:
             total += pmf[k] * float(np.exp(logw) @ log_w)
         else:

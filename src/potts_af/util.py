@@ -1,4 +1,5 @@
-"""Shared numerical plumbing: Poisson tails, seeded RNG streams, cutoffs.
+"""Shared numerical plumbing: Poisson tails, seeded RNG streams, cutoffs,
+log-sum-exp.
 
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed by an explicit integer seed and runs serially, so results
@@ -43,6 +44,19 @@ def philox(seed: int | np.random.SeedSequence) -> np.random.Generator:
 def child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     """Pre-split `n` independent child streams from one integer seed."""
     return np.random.SeedSequence(seed).spawn(n)
+
+
+def logsumexp(a, axis: int | None = None) -> np.ndarray:
+    """ln sum exp(a) over `axis` (every entry when None), against the maximum.
+
+    A slice whose entries are all -inf gives -inf, not NaN.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max(axis=axis, keepdims=True)
+    top[np.isinf(top)] = 0.0  # no finite shift; a NaN maximum stays and gives NaN
+    with np.errstate(divide="ignore"):  # ln 0 = -inf for an all -inf slice
+        out = np.log(np.exp(a - top).sum(axis=axis, keepdims=True))
+    return (out + top).squeeze(axis)
 
 
 # ---------------------------------------------------------------------------

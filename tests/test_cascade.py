@@ -253,3 +253,35 @@ def test_cavity_g2_zero_beta_trivial():
     hier = symmetric_t_hierarchy(3, 0.5)
     assert cavity_g2(params, 3, rs_spec(), hier).value == 0.0
     assert cavity_g1(params, 3, rs_spec(), hier).value == math.log(3)
+
+
+@pytest.mark.parametrize("spec, hier", [
+    (CascadeSpec((0.5,)), uniform_hierarchy(2)),
+    (CascadeSpec((0.3, 0.7)), symmetric_t_hierarchy(2, 0.5)),
+])
+def test_sampled_leaves_at_infinite_beta_rejected(monkeypatch, spec, hier):
+    # -beta * 0 is NaN at beta = inf; the check comes before any draw
+    def no_draws(seed):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr("potts_af.cascade.philox", no_draws)
+    params = ModelParams(q=2, beta=math.inf, c=1.0)
+    for fn in (cavity_g1, cavity_g2):
+        with pytest.raises(ValueError, match="finite beta"):
+            fn(params, 3, spec, hier, samples=64, method="monte-carlo")
+
+
+def test_monte_carlo_needs_an_atom():
+    params = ModelParams(q=2, beta=1.0, c=1.0)
+    with pytest.raises(ValueError, match="n_atoms"):
+        cavity_g1(params, 3, CascadeSpec((0.5,)), uniform_hierarchy(2), samples=8,
+                  method="monte-carlo", n_atoms=0)
+
+
+def test_integrated_leaves_at_infinite_beta_finite():
+    params = ModelParams(q=2, beta=math.inf, c=1.0)
+    for spec in (rs_spec(), one_rsb_spec(0.5)):
+        for fn in (cavity_g1, cavity_g2):
+            est = fn(params, 3, spec, symmetric_t_hierarchy(2, 0.4), samples=64, seed=2,
+                     method="monte-carlo", n_atoms=64)
+            assert math.isfinite(est.value) and math.isfinite(est.stat_error)

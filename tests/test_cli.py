@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from potts_af.cascade import one_rsb_spec, rsb_upper_bound, symmetric_t_hierarchy
+from potts_af.cascade import one_rsb_spec, rs_spec, rsb_upper_bound, symmetric_t_hierarchy
 from potts_af.cli import fmt_float, main
 from potts_af.model import ModelParams
 
@@ -211,6 +211,19 @@ def test_cascade_bound_matches_library(tmp_path):
                           method="monte-carlo")
     assert doc["bound"] == est.value
     assert doc["bound_stat_error"] == est.stat_error
+
+
+def test_cascade_infinite_beta_skips_pressure(tmp_path):
+    # the optional quenched-pressure comparison needs finite beta
+    out = tmp_path / "inf.json"
+    assert run_cli("cascade", "--q", "2", "--beta", "inf", "--c", "3", "--n", "3",
+                   "--m-list", "0,1", "--hierarchy", "symmetric-t", "--t", "0.4",
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    est = rsb_upper_bound(ModelParams(q=2, beta=math.inf, c=3.0), 3, rs_spec(),
+                          symmetric_t_hierarchy(2, 0.4))
+    assert doc["bound"] == est.value
+    assert "quenched_pressure" not in doc
 
 
 @pytest.mark.parametrize("args, message", [

@@ -20,7 +20,7 @@ from potts_af.disorder import (
     sum_rule_deficit,
 )
 from potts_af.model import ModelParams, log_partition
-from potts_af.util import poisson_sf
+from potts_af.util import BudgetExceededError, poisson_sf
 
 from conftest import combined_error
 
@@ -231,6 +231,12 @@ def test_sum_rule_matches_direct_gap(pressure_cache):
     direct = annealed_pressure(1.0, 1.0, 2) - p2.value
     budget = deficit.tail_bound + 4 * deficit.stat_error + combined_error(p2)
     assert abs(deficit.value - direct) <= budget
+
+
+def test_sum_rule_enumeration_budget():
+    # q^n = 3^14 = 4.8 M configurations is refused before any enumeration
+    with pytest.raises(BudgetExceededError, match="exceeds enumeration budget"):
+        sum_rule_deficit(ModelParams(q=3, beta=1.0, c=1.0), 14, r_max=2, quad_points=3)
 
 
 def test_balanced_count():

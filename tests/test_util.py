@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from potts_af.util import BudgetExceededError, multinomial_table, poisson_cutoff, poisson_sf
+from scipy.special import logsumexp as scipy_logsumexp
+
+from potts_af.util import (
+    BudgetExceededError,
+    logsumexp,
+    multinomial_table,
+    poisson_cutoff,
+    poisson_sf,
+)
 
 
 def pressure_tail(beta: float, n: int, c: float):
@@ -78,3 +86,20 @@ def test_multinomial_table_is_every_composition(k, cells):
     for row, lw in zip(counts, logw):
         assert math.exp(lw) == pytest.approx(brute[tuple(row)], rel=1e-12)
     assert np.exp(logw).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape, axis", [((7,), None), ((5, 9), 1), ((5, 9), 0),
+                                         ((3, 4, 2), -1), ((3, 4, 2), None)])
+def test_logsumexp_matches_scipy(shape, axis):
+    a = 40.0 * np.random.default_rng(len(shape)).standard_normal(shape)
+    a.flat[0] = -np.inf
+    np.testing.assert_allclose(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis),
+                               rtol=1e-15, atol=1e-12)
+    assert np.shape(logsumexp(a, axis=axis)) == np.shape(scipy_logsumexp(a, axis=axis))
+
+
+def test_logsumexp_infinite_slices():
+    a = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [np.inf, 1.0]])
+    out = logsumexp(a, axis=1)  # RuntimeWarnings are errors in the test suite
+    assert out[0] == -np.inf and out[1] == 0.0 and out[2] == np.inf
+    assert logsumexp(np.full(3, -np.inf)) == -np.inf
