@@ -38,7 +38,7 @@ from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
 from .replica import factor_logs, g2 as rs_g2, profile_sum
-from .util import child_seeds, logsumexp, philox
+from .util import BudgetExceededError, child_seeds, logsumexp, philox
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -247,6 +247,12 @@ def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec
             # W = (1/q) sum_s e^(-beta n_s), so e^(-beta k) <= W <= 1
             val, tail, _ = profile_sum(c, q, -beta, 0.0, m, beta, eps)
             return math.log(q) + val, tail
+        if m == 0.0:
+            # the m -> 0 limit of (1/m) ln(1 - (1 - e^(-m beta))/q) is -beta/q,
+            # the limit convention profile_sum uses for G1
+            if math.isinf(beta) and c > 0.0:
+                raise BudgetExceededError("the m -> 0 limit of G2 diverges at beta = inf")
+            return (-0.5 * c * beta / q if c > 0.0 else 0.0), 0.0
         ym = -math.expm1(-m * beta)
         return 0.5 * c / m * math.log1p(-ym / q), 0.0
     if kind in ("rs", "one-rsb"):

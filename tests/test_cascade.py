@@ -24,7 +24,7 @@ from potts_af.cascade import (
 )
 from potts_af.model import ModelParams
 from potts_af.replica import g1 as rs_g1, g2 as rs_g2
-from potts_af.util import philox
+from potts_af.util import BudgetExceededError, philox
 
 from conftest import combined_error
 
@@ -269,6 +269,24 @@ def test_sampled_leaves_at_infinite_beta_rejected(monkeypatch, spec, hier):
     for fn in (cavity_g1, cavity_g2):
         with pytest.raises(ValueError, match="finite beta"):
             fn(params, 3, spec, hier, samples=64, method="monte-carlo")
+
+
+def test_l1_g2_at_m_zero_is_the_limit():
+    # G2 of CascadeSpec((0,), first_to_zero) is the m -> 0 limit -c beta / (2q)
+    q, beta, c = 2, 1.0, 2.0
+    params = ModelParams(q=q, beta=beta, c=c)
+    limit = cavity_g2(params, 3, CascadeSpec((0.0,), first_to_zero=True), uniform_hierarchy(q))
+    assert limit.value == -c * beta / (2 * q) and limit.tail_bound == 0.0
+    near = cavity_g2(params, 3, CascadeSpec((1e-6,)), uniform_hierarchy(q))
+    assert near.value == pytest.approx(limit.value, abs=1e-6)
+
+
+def test_l1_at_m_zero_and_infinite_beta_raises_on_both_sides():
+    params = ModelParams(q=2, beta=math.inf, c=2.0)
+    spec = CascadeSpec((0.0,), first_to_zero=True)
+    for fn in (cavity_g1, cavity_g2):
+        with pytest.raises(BudgetExceededError):
+            fn(params, 3, spec, uniform_hierarchy(2))
 
 
 def test_monte_carlo_needs_an_atom():

@@ -272,6 +272,21 @@ def test_phase_diagram_bad_grid_fails_fast(tmp_path, grid):
     assert "error" in json.loads(out.read_text())
 
 
+def test_rs_scan_too_many_points_fails_fast(tmp_path):
+    # a billion t points used to allocate 8 GB and run for days
+    out = tmp_path / "rs.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "potts_af.cli", "rs-scan", "--q", "2", "--beta", "1",
+         "--c", "4", "--t-points", "1000000000", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(out.read_text())["error"]
+    assert "100000" in error["message"]
+
+
 def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, potts_af; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

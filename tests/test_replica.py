@@ -16,6 +16,7 @@ from potts_af.cascade import (
 )
 from potts_af.model import ModelParams
 from potts_af.replica import (
+    MAX_T_POINTS,
     factor_logs,
     g1,
     g2,
@@ -26,6 +27,7 @@ from potts_af.replica import (
     scan_rs_bound,
     t_grid,
 )
+from potts_af.util import BudgetExceededError
 
 
 def test_g2_trivial_points():
@@ -144,6 +146,44 @@ def test_rs_bound_t0_is_annealed():
     ev = rs_bound(1.2, 5.0, 3, 0.0)
     assert ev.rs_bound == annealed_pressure(1.2, 5.0, 3)
     assert ev.g1 == 0.0 and ev.g2 == 0.0 and ev.gap == 0.0
+
+
+@pytest.mark.parametrize("q, beta, c, points", [(2, 1.0, 4.0, 41), (3, 2.0, 10.0, 31),
+                                                 (4, 1.0, 10.0, 21)])
+def test_scan_entries_match_rs_bound(q, beta, c, points):
+    ts, evals = scan_rs_bound(beta, c, q, points)
+    assert 0.0 in ts
+    for t, ev in zip(ts, evals):
+        one = rs_bound(beta, c, q, float(t))
+        assert abs(ev.rs_bound - one.rs_bound) <= 1e-14
+        assert ev.k_truncation == one.k_truncation and ev.tail_bound == one.tail_bound
+        if t == 0.0:
+            assert ev.rs_bound == annealed_pressure(beta, c, q)
+
+
+def test_profile_blocks_do_not_change_values(monkeypatch):
+    # one t per block gives the same bits as the default block cap
+    q, beta, c = 3, 2.0, 10.0
+    ts = t_grid(q, 41)
+    log_a, log_b, mag = np.array([factor_logs(beta, q, float(t)) for t in ts]).T
+    for m in (0.0, 0.5):
+        default = profile_sum(c, q, log_a, log_b, m, mag, 1e-10)
+        monkeypatch.setattr("potts_af.replica.PROFILE_BLOCK_CELLS", 1)
+        single = profile_sum(c, q, log_a, log_b, m, mag, 1e-10)
+        monkeypatch.undo()
+        for got, want in zip(single, default):
+            assert np.array_equal(got, want)
+    _, default = scan_rs_bound(beta, c, q, 41)
+    monkeypatch.setattr("potts_af.replica.PROFILE_BLOCK_CELLS", 1)
+    assert scan_rs_bound(beta, c, q, 41)[1] == default
+
+
+def test_t_grid_point_cap():
+    assert len(t_grid(2, MAX_T_POINTS)) == MAX_T_POINTS
+    with pytest.raises(BudgetExceededError):
+        t_grid(2, MAX_T_POINTS + 1)
+    with pytest.raises(BudgetExceededError):
+        scan_rs_bound(1.0, 4.0, 2, 10**9)
 
 
 def test_rs_bound_improves_when_unstable():
