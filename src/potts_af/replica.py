@@ -22,7 +22,9 @@ profile_sum takes the factors of a whole t grid at once.  Each t keeps its
 own truncation order k_max and tail; one pass over the classes of every
 k <= k_max serves a block of t, and a block holds at most
 PROFILE_BLOCK_CELLS (t, colour, class) cells, so memory does not grow with
-the grid.  scan_rs_bound makes one such call for every t != 0.
+the grid.  The class table itself is capped at MAX_CLASS_ROWS rows, past
+which BudgetExceededError is raised before it is allocated.  scan_rs_bound
+makes one such call for every t != 0.
 
 Both corrections vanish at t = 0; their t^4 coefficients are
 -(1/4)(q-1) c^2 x^4 and -(1/4)(q-1) c x^2, so the symmetric point goes
@@ -44,6 +46,7 @@ from .util import BudgetExceededError, logsumexp, poisson_cutoff, poisson_pmf_ve
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
 PROFILE_BLOCK_CELLS = 2**15  # cap on t x colour x class cells in one block of the profile sum
 MAX_T_POINTS = 100_000  # cap on a scan grid, as on phase-diagram rows
+MAX_CLASS_ROWS = 1_000_000  # cap on colour-class rows; 0.84 M rows at q = 5 peak near 260 MB
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,9 @@ def _class_table(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     for cell in range(q - 1, -1, -1):
         # cells 0..cell each hold at least x, so (cell + 1) x <= k_top - total
         span = (k_top - total) // (cell + 1) - low + 1
+        if span.sum() > MAX_CLASS_ROWS:  # rows only grow from cell to cell
+            raise BudgetExceededError(f"colour classes of k <= {k_top} at q = {q} exceed "
+                                      f"{MAX_CLASS_ROWS} rows")
         src = np.repeat(np.arange(len(total)), span)
         x = low[src] + np.arange(len(src)) - np.repeat(np.cumsum(span) - span, span)
         head, total, low = np.column_stack([x, head[src]]), total[src] + x, x

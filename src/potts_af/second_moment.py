@@ -11,13 +11,15 @@ equals twice the annealed pressure.  The one-parameter-per-row family
     mu_{k,t}: rows r1 <= k uniform; rows r1 > k put t q^-2 on column 0 and
               (q-t)/(q-1) q^-2 elsewhere,
 
-gives the closed form (x = x(beta, q), E(t) = t ln t + (q-t) ln((q-t)/(q-1)))
+gives, with x = x(beta, q), E(t) = t ln t + (q-t) ln((q-t)/(q-1)), u = q - k
+and a(t) = x^2 (t-1)^2 / (q(q-1)), the closed form
 
-    Phi2(beta,c,q,k,t) - 2P = (c/2) ln(1 + x^2 (q-k)(t-1)^2 / (q(q-1)))
-                              - (q-k) E(t) / q^2,
+    Phi2(beta,c,q,k,t) - 2P = (c/2) ln(1 + a(t) u) - u E(t) / q^2,
 
 which matches phi2(mu_{k,t}) identically for integer k and extends to real
-k as a pure optimization parameter.  Rescaling with the multiplier
+k as a pure optimization parameter.  It is concave in u, so `optimize`
+eliminates k in closed form, and its `certified` is a proof over the whole
+(k, t) square.  Rescaling with the multiplier
 lambda = x^2 (q-1)^2 maps the positive-temperature gap exactly onto the
 zero-temperature one:
 
@@ -32,6 +34,7 @@ effective zero-temperature connectivity x^2 q^2 c stays below 2 q ln q.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,8 @@ from .bounds import annealed_pressure, beta_1, beta_rs_loc, x_param
 
 CERTIFIED_TOL = 1e-9
 GRID_POINTS = 401
+ZOOM_STEPS = 64  # zoom points on each side of the best point; the bracket shrinks 64x a round
+MAX_CELLS = 1 << 14  # cap on t-cells examined by one certification
 
 
 @dataclass(frozen=True)
@@ -125,21 +130,26 @@ def mu_kt(q: int, k: float, t: float) -> OverlapMeasure:
     return OverlapMeasure(mass)
 
 
-def _row_entropy(t: float, q: int) -> float:
-    """E(t) = t ln t + (q - t) ln((q - t)/(q - 1)), with 0 ln 0 := 0."""
-    first = t * math.log(t) if t > 0 else 0.0
-    second = (q - t) * math.log((q - t) / (q - 1.0)) if q - t > 0 else 0.0
-    return first + second
+def _check_c(c: float) -> None:
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be finite and >= 0, got {c}")
+
+
+def _row_entropy(t, q: int):
+    """E(t) = t ln t + (q-t) ln((q-t)/(q-1)), 0 ln 0 := 0; log1p keeps it accurate near t = 1."""
+    rest = q - t
+    return (t * np.log(np.where(t > 0, t, 1.0))
+            + rest * np.log1p(np.where(rest > 0, (1.0 - t) / (q - 1.0), 0.0)))
 
 
 def phi2_kt_gap(beta: float, c: float, q: int, k: float, t: float) -> float:
     """Phi2(beta, c, q, k, t) - 2 P(beta, c), computed without cancellation."""
+    _check_c(c)
     if not (0 <= t <= q) or not (0 <= k <= q):
         raise ValueError(f"(k, t) must lie in [0, {q}]^2, got ({k}, {t})")
     x = x_param(beta, q)
     energy = 0.5 * c * math.log1p(x * x * (q - k) * (t - 1.0) ** 2 / (q * (q - 1.0)))
-    entropy = (q - k) * _row_entropy(t, q) / q**2
-    return energy - entropy
+    return energy - (q - k) * float(_row_entropy(t, q)) / q**2
 
 
 def Phi2_kt(beta: float, c: float, q: int, k: float, t: float) -> float:
@@ -176,79 +186,69 @@ def in_guaranteed_region(beta: float, c: float, q: int) -> bool:
     return zero_t_connectivity(beta, c, q) <= 2.0 * q * math.log(q)
 
 
-def _gap_grid(beta: float, c: float, q: int, ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    x = x_param(beta, q)
-    k = ks[:, None]
-    t = ts[None, :]
-    energy = 0.5 * c * np.log1p(x * x * (q - k) * (t - 1.0) ** 2 / (q * (q - 1.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tlnt = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
-        qmt = q - t
-        rest = np.where(qmt > 0, qmt * np.log(np.where(qmt > 0, qmt / (q - 1.0), 1.0)), 0.0)
-    return energy - (q - k) * (tlnt + rest) / q**2
+def _profile(alpha, ent, c: float, q: int, top):
+    """(argmax, max) over w in [0, top] of (c/2) ln(1 + alpha w) - w ent / q^2.
+
+    Concave in w, so the argmax is c q^2 / (2 ent) - 1/alpha clipped to
+    [0, top]; where alpha = ent = 0 every w ties and top is taken.
+    """
+    num, den = c * (q * q * alpha) - 2.0 * ent, 2.0 * ent * alpha
+    ceiling = num >= top * den
+    inside = (num > 0) & ~ceiling  # so 0 < num / den < top, up to rounding
+    w = np.where(inside, np.minimum(num / np.where(inside, den, 1.0), top), ceiling * top)
+    return w, 0.5 * c * np.log1p(alpha * w) - w * ent / (q * q)
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = fn(c1), fn(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = fn(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = fn(c1)
-    xm = 0.5 * (a + b)
-    return xm, fn(xm)
+def _certify(slope: float, c: float, q: int, edges: np.ndarray) -> bool:
+    """Branch and bound over the t-cells between edges: True if gap <= CERTIFIED_TOL.
+
+    With s = (t-1)^2, a = slope s is at most its larger endpoint value on a
+    cell and E at least its smaller one (both convex, E zero at t = 1); on a
+    cell touching t = 1, E >= s min E''/2 (E'' = 1/t + 1/(q-t)) bounds the gap
+    in w = s u <= q max s.  Failing cells are bisected up to MAX_CELLS.
+    """
+    lo, hi, seen = edges[:-1], edges[1:], 0
+    while lo.size:
+        seen += lo.size
+        if seen > MAX_CELLS:
+            return False
+        touch = (lo <= 1.0) & (hi >= 1.0)
+        flat, s_max = np.minimum(hi, 0.5 * q), np.maximum((lo - 1.0) ** 2, (hi - 1.0) ** 2)
+        e_min = _row_entropy(np.stack([lo, hi]), q).min(axis=0)
+        ent = np.where(touch, 0.5 / flat + 0.5 / (q - flat), e_min)
+        fail = _profile(slope * np.where(touch, 1.0, s_max), ent, c, q,
+                        np.where(touch, q * s_max, float(q)))[1] > CERTIFIED_TOL
+        lo, hi, mid = lo[fail], hi[fail], 0.5 * (lo[fail] + hi[fail])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return True
 
 
 def optimize(beta: float, c: float, q: int,
              grid_points: int = GRID_POINTS) -> SecondMomentResult:
     """Maximize Phi2 - 2P over (k, t) in [0, q]^2.
 
-    Dense grid scan first (the maximum can sit on the boundary), then
-    alternating golden-section refinement from the best cell.  Argmax ties
-    break toward the lowest k, then the lowest t.  certified means the
-    refined maximum is <= 1e-9; inside the guaranteed region the grid
-    maximum is exactly zero, attained on the t = 1 line.
+    k is eliminated in closed form; the exact profile g(t) = max_k gap is
+    scanned on grid_points points of [0, q] plus t = 1, then zoomed around
+    the best point to a bracket below 1e-13 q.  Ties go to the lowest k,
+    then the lowest t, so the symmetric zero gives t* = 1, k* = 0 exactly.
+    certified proves (up to rounding) gap <= CERTIFIED_TOL on the whole
+    square by branch and bound over t-cells, run only if max_gap is too.
     """
-    ks = np.linspace(0.0, q, grid_points)
-    ts = np.linspace(0.0, q, grid_points)
-    if not np.any(ts == 1.0):
-        # the symmetric point must sit on the grid so that exact zero-gap
-        # ties resolve to t = 1 rather than to the degenerate k = q row
-        ts = np.sort(np.append(ts, 1.0))
-    gaps = _gap_grid(beta, c, q, ks, ts)
-    flat = int(np.argmax(gaps))
-    ik, it = divmod(flat, len(ts))
-    k_best, t_best = float(ks[ik]), float(ts[it])
-    gap_best = float(gaps[ik, it])
-
-    def gap_at(kk: float, tt: float) -> float:
-        return phi2_kt_gap(beta, c, q, kk, tt)
-
-    dk = q / (grid_points - 1)
-    for _ in range(3):
-        k_lo, k_hi = max(0.0, k_best - dk), min(float(q), k_best + dk)
-        k_best, _ = _golden_max(lambda kk: gap_at(kk, t_best), k_lo, k_hi)
-        t_lo, t_hi = max(0.0, t_best - dk), min(float(q), t_best + dk)
-        t_best, gap_ref = _golden_max(lambda tt: gap_at(k_best, tt), t_lo, t_hi)
-    # prefer the exact symmetric point over a refinement wobble that ties it
-    # to within rounding noise
-    if abs(t_best - 1.0) < 2 * dk and gap_at(k_best, 1.0) >= gap_ref - 1e-15:
-        t_best = 1.0
-    gap_best = max(gap_best, gap_ref)
-    return SecondMomentResult(
-        t_star=t_best,
-        k_star=k_best,
-        max_gap=gap_best,
-        certified=bool(gap_best <= CERTIFIED_TOL),
-    )
+    _check_c(c)
+    if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
+        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points!r}")
+    slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
+    ts = np.union1d(np.linspace(0.0, q, grid_points), [1.0])
+    pts, h = ts, q / (grid_points - 1)
+    steps = np.arange(-ZOOM_STEPS, ZOOM_STEPS + 1) / ZOOM_STEPS
+    while True:
+        u, g = _profile(slope * (pts - 1.0) ** 2, _row_entropy(pts, q), c, q, float(q))
+        i = int(np.lexsort((pts, -u, -g))[0])  # ties: largest u (lowest k), then lowest t
+        if h <= 5e-14 * q:
+            break
+        pts, h = np.clip(pts[i] + h * steps, 0.0, q), h / ZOOM_STEPS  # keeps pts[i] exactly
+    certified = g[i] <= CERTIFIED_TOL and _certify(slope, c, q, ts)
+    return SecondMomentResult(float(pts[i]), q - float(u[i]), float(g[i]), bool(certified))
 
 
 def ising_gap(beta: float, c: float, theta: float) -> float:

@@ -287,6 +287,23 @@ def test_rs_scan_too_many_points_fails_fast(tmp_path):
     assert "100000" in error["message"]
 
 
+def test_rs_scan_class_table_budget_fails_fast(tmp_path):
+    # q = 5 at c = 150 needs about 68 M colour classes; it used to die with a
+    # MemoryError under a 1 GiB cap and be killed for memory without one
+    out = tmp_path / "rs.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "potts_af.cli", "rs-scan", "--q", "5", "--beta", "1",
+         "--c", "150", "--t-points", "5", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "BudgetExceededError"
+    assert "1000000 rows" in error["message"]
+
+
 def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, potts_af; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

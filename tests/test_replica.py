@@ -15,6 +15,7 @@ from potts_af.cascade import (
     uniform_hierarchy,
 )
 from potts_af.model import ModelParams
+import potts_af.replica as replica
 from potts_af.replica import (
     MAX_T_POINTS,
     factor_logs,
@@ -184,6 +185,18 @@ def test_t_grid_point_cap():
         t_grid(2, MAX_T_POINTS + 1)
     with pytest.raises(BudgetExceededError):
         scan_rs_bound(1.0, 4.0, 2, 10**9)
+
+
+def test_class_table_row_cap(monkeypatch):
+    # the cap is checked while the table is built, before the largest array;
+    # the uncached function is called, so that a cached table cannot hide the check
+    build = replica._class_table.__wrapped__
+    rows = len(build(30, 4)[1])
+    monkeypatch.setattr(replica, "MAX_CLASS_ROWS", rows)
+    assert len(build(30, 4)[1]) == rows
+    monkeypatch.setattr(replica, "MAX_CLASS_ROWS", rows - 1)
+    with pytest.raises(BudgetExceededError, match=f"{rows - 1} rows"):
+        build(30, 4)
 
 
 def test_rs_bound_improves_when_unstable():

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import potts_af.second_moment as sm
 from potts_af.bounds import annealed_pressure, beta_rs_loc, x_param
 from potts_af.second_moment import (
+    CERTIFIED_TOL,
     Phi2_kt,
     beta_star_certified,
     in_guaranteed_region,
@@ -14,6 +18,7 @@ from potts_af.second_moment import (
     mu_kt,
     optimize,
     phi2,
+    phi2_kt_gap,
     rescale,
     rescale_multiplier,
     uniform_overlap,
@@ -153,6 +158,66 @@ def test_optimize_fails_far_beyond_gate():
     assert not res.certified
     assert res.max_gap > 1e-4
     assert res.t_star != pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_bad_connectivity_rejected(c):
+    with pytest.raises(ValueError, match="c must be finite"):
+        optimize(1.0, c, 3)
+    with pytest.raises(ValueError, match="c must be finite"):
+        phi2_kt_gap(1.0, c, 3, 0.0, 2.0)
+    with pytest.raises(ValueError):
+        Phi2_kt(1.0, c, 3, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("points", [1, 0, -3, 2.0, 10.5, "401", None, True])
+def test_bad_grid_points_rejected(points):
+    with pytest.raises(ValueError, match="grid_points"):
+        optimize(1.0, 2.0, 3, grid_points=points)
+
+
+def test_smallest_and_numpy_grids_accepted():
+    far = optimize(math.inf, 3 * 3 * math.log(3), 3)
+    for points in (2, 3, np.int64(51)):
+        res = optimize(math.inf, 3 * 3 * math.log(3), 3, grid_points=points)
+        assert res.max_gap == pytest.approx(far.max_gap, abs=1e-12)
+        assert not res.certified
+
+
+def test_symmetric_point_ties_resolve_to_lowest_k():
+    # at beta = 0 or c = 0 the gap is <= 0 everywhere and 0 on the t = 1 line
+    for beta, c in ((0.0, 11.0), (1.0, 0.0), (math.inf, 0.0)):
+        res = optimize(beta, c, 4)
+        assert (res.t_star, res.k_star, res.max_gap, res.certified) == (1.0, 0.0, 0.0, True)
+
+
+def test_certification_gives_up_past_the_cell_cap(monkeypatch):
+    c = 3 * math.log(3) / (x_param(1.0, 3) ** 2 * 9)
+    assert optimize(1.0, c, 3).certified
+    monkeypatch.setattr(sm, "MAX_CELLS", 100)  # fewer than the 402 grid cells
+    res = optimize(1.0, c, 3)
+    assert res.max_gap == 0.0 and not res.certified
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.integers(2, 6),
+    beta=st.sampled_from([0.0, 0.3, 1.0, 2.5, math.inf]) | st.floats(0.0, 20.0),
+    c=st.floats(0.0, 100.0),
+    samples=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=25),
+)
+def test_optimize_properties(q, beta, c, samples):
+    res = optimize(beta, c, q)
+    assert not any(math.isnan(v) for v in (res.t_star, res.k_star, res.max_gap))
+    assert 0.0 <= res.k_star <= q and 0.0 <= res.t_star <= q
+    assert phi2_kt_gap(beta, c, q, res.k_star, res.t_star) == pytest.approx(
+        res.max_gap, abs=1e-13)
+    for fk, ft in samples:
+        gap = phi2_kt_gap(beta, c, q, fk * q, ft * q)
+        assert res.max_gap >= gap - 1e-13, (fk * q, ft * q, gap)
+        if res.certified:
+            assert gap <= CERTIFIED_TOL
 
 
 def test_ising_gap_symmetric_point():
