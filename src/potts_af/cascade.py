@@ -367,6 +367,19 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
             + rng.binomial(pairs - in_pattern, off, size=(b, outer, inner)))
 
 
+def _colour_logsumexp(counts: np.ndarray, gap: float, work: np.ndarray) -> np.ndarray:
+    """logsumexp(gap * counts, axis=0), bit for bit, computed in `work`: one
+    workspace per call, not fresh block-sized temporaries, which the allocator
+    would map, page-fault in and unmap again on every block."""
+    a = np.multiply(counts, gap, out=work[:counts.size].reshape(counts.shape))
+    top = a.max(axis=0)
+    top[np.isinf(top)] = 0.0  # as in util.logsumexp
+    a -= top
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        return np.log(a.sum(axis=0)) + top
+
+
 def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
             samples: int, seed: int, n_atoms: int, which: str) -> QuenchedEstimate:
     """Mean over `samples` draws of (1/n) ln( sum_a w_a V_a / sum_a w_a ).
@@ -401,6 +414,7 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     # MC_BLOCK_CELLS (leaf, site, colour) cells, so values depend only on
     # the inputs and the seed
     block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (outer * inner * n * q)))
+    work = np.empty(block * outer * inner * n * q) if which == "g1" else None
     starts = range(0, samples, MC_CHUNK)
     vals, fracs = np.empty(samples), np.empty(samples)
     for lo, chunk_seed in zip(starts, child_seeds(seed, len(starts))):
@@ -411,7 +425,7 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
             if which == "g1":
                 k = rng.poisson(c, size=(b, n))
                 counts = _leaf_counts(rng, k, q, shared, outer, inner)
-                excess = logsumexp(gap * counts, axis=0).sum(axis=-1)
+                excess = _colour_logsumexp(counts, gap, work).sum(axis=-1)
             else:
                 k = rng.poisson(0.5 * c * n, size=(b, 1))
                 excess = gap * _leaf_matches(rng, k[:, 0], q, shared, outer, inner)

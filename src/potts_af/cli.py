@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sum-rule", help="overlap-fluctuation series vs direct gap")
     _add_common(p, n=True, seed=True, eps=True)
     p.add_argument("--r-max", type=int, default=20)
-    p.add_argument("--quad-points", type=int, default=16)
+    p.add_argument("--quad-points", type=int, default=16,
+                   help="validated (>= 3), recorded, otherwise ignored: the c' integral is exact")
     p.set_defaults(fn=cmd_sum_rule)
 
     p = sub.add_parser("cascade", help="cascade upper bound G1 - G2")

@@ -48,7 +48,6 @@ from .model import (
 from .util import (
     BudgetExceededError,
     child_seeds,
-    gauss_legendre,
     log_multinomial,
     logsumexp,
     multinomial_table,
@@ -250,6 +249,8 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     if samples < 2:
         raise ValueError("need samples >= 2 for a standard error")
     _check_system("quenched_pressure_mc", n, q, beta, max_configs)
+    if c == 0.0 or beta == 0.0:
+        return QuenchedEstimate(math.log(q), 0.0, 0.0, 0, METHOD_EXACT)
 
     def chunk_values(lo: int, chunk_seed: np.random.SeedSequence) -> np.ndarray:
         draws = philox(chunk_seed).poisson(c / (2.0 * n), size=(min(2048, samples - lo), n * n))
@@ -275,11 +276,12 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
 
     Per replica order R the double bracket reduces to the pair-overlap
     moments E[N^-2 sum_ij M_ij(J)^R] computed by the same K-conditioning
-    as the quenched pressure; the c' integral uses Gauss-Legendre with
-    quad_points nodes.  tail_bound adds the geometric R > r_max remainder,
-    the certified K cutoff error, and a quadrature error estimate from a
-    refined rule.  The colour classes enumerate q^n configurations, so q^n
-    is held to DEFAULT_ENUM_BUDGET like the quenched pressures' default.
+    as the quenched pressure.  The c' integral is exact: the weight of K = k
+    integrates to (2/N) P(Poisson(cN/2) >= k + 1).  quad_points is kept for
+    compatibility; it is validated (>= 3) and otherwise ignored.  tail_bound
+    adds the geometric R > r_max remainder and the certified K cutoff
+    error.  The colour classes enumerate q^n configurations, so q^n is held
+    to DEFAULT_ENUM_BUDGET like the quenched pressures' default.
     """
     q, beta, c = params.q, params.beta, params.c
     if r_max < 1 or quad_points < 3:
@@ -302,28 +304,16 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     total_samples = int(used.sum())
 
     coef_r = 0.5 * np.power(y, rs) / rs  # series weights per R
-
-    def quadrature_value(points: int) -> tuple[float, np.ndarray]:
-        nodes, weights = gauss_legendre(points, 0.0, c)
-        acc = 0.0
-        coef_k = np.zeros(k_max + 1)
-        for node, wq in zip(nodes, weights):
-            pmf = poisson_pmf_vector(k_max, node * n / 2.0)
-            inner = pmf @ means - np.power(float(q), -rs.astype(float)) * pmf.sum()
-            acc += wq * float(coef_r @ inner)
-            coef_k += wq * pmf
-        return acc, coef_k
-
-    value, coef_k = quadrature_value(quad_points)
-    value_refined, _ = quadrature_value(quad_points + 8)
-    quad_err = abs(value - value_refined)
+    # exact c' integral of each Poisson weight: (2/N) P(Poisson(cN/2) >= k+1)
+    coef_k = np.array([poisson_sf(k + 1, lam_top) for k in range(k_max + 1)]) * (2.0 / n)
+    value = float(coef_r @ (coef_k @ means - np.power(float(q), -rs.astype(float)) * coef_k.sum()))
 
     # statistical error: deficit is linear in the per-K moment vector
     stat = math.sqrt(float((((sems * coef_k[:, None]) @ coef_r) ** 2).sum()))
 
     r_tail = 0.5 * c * y ** (r_max + 1) / ((r_max + 1) * (1.0 - y)) if y < 1 else math.inf
     k_tail = c * float(coef_r.sum()) * poisson_sf(k_max + 1, lam_top)
-    return QuenchedEstimate(value, stat, r_tail + k_tail + quad_err,
+    return QuenchedEstimate(value, stat, r_tail + k_tail,
                             total_samples, METHOD_EXACT if total_samples == 0 else METHOD_MC)
 
 

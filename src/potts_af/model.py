@@ -23,9 +23,8 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaln
 
-from .util import BudgetExceededError, logsumexp
+from .util import BudgetExceededError, log_factorial, logsumexp
 
 # q^N cap: admits 2^14 and 3^9, the stated per-q defaults.
 DEFAULT_ENUM_BUDGET = 20_000
@@ -125,7 +124,7 @@ def colour_classes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     reps = cfg[(cfg[:, 0] == 0) & np.all(cfg[:, 1:] <= top[:, :-1] + 1, axis=1)]
     i, j = np.triu_indices(n, 1)
     indicator = (reps[:, i] == reps[:, j]).astype(np.float64)  # (classes, n(n-1)/2)
-    log_mult = gammaln(q + 1.0) - gammaln(q - reps.max(axis=1).astype(np.float64))
+    log_mult = log_factorial(q) - log_factorial(q - 1 - reps.max(axis=1))
     indicator.flags.writeable = log_mult.flags.writeable = False  # shared by the cache
     return indicator, log_mult
 

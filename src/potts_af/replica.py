@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, update_wrapper
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bounds import annealed_pressure, x_param
-from .util import BudgetExceededError, logsumexp, poisson_cutoff, poisson_pmf_vector, poisson_sf
+from .util import (BudgetExceededError, log_factorial, logsumexp, poisson_cutoff,
+                   poisson_pmf_vector, poisson_sf)
 
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
 PROFILE_BLOCK_CELLS = 2**15  # cap on t x colour x class cells in one block of the profile sum
@@ -76,7 +76,24 @@ def g2(beta: float, c: float, q: int, t: float) -> float:
     return 0.5 * c / q * ((q - 1) * math.log(hi) + math.log(lo))
 
 
-@lru_cache(maxsize=64)
+def _largest_per_q(build):
+    """Keep only the largest table built per q and serve smaller k_top as
+    prefix views of it: classes are sorted by k, and a row depends only on
+    its own counts, so the table of k <= k_top is a bit-exact prefix."""
+    held = {}
+
+    def table(k_top: int, q: int):
+        if q not in held or held[q][0] < k_top:
+            held.pop(q, None)  # free the old table first, so the new one can reuse its memory
+            held[q] = (k_top, build(k_top, q))
+        counts, slots, logw, bounds = held[q][1]
+        n = bounds[k_top + 1]
+        return counts[:, :n], slots[:n], logw[:n], bounds[:k_top + 2]
+
+    return update_wrapper(table, build)
+
+
+@_largest_per_q
 def _class_table(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Colour classes of k uniform slots for every k <= k_top.
 
@@ -104,7 +121,7 @@ def _class_table(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     run = np.ones(counts.shape)
     for s in range(1, q):
         run[:, s] = np.where(counts[:, s] == counts[:, s - 1], run[:, s - 1] + 1.0, 1.0)
-    logw = (gammaln(slots + 1.0) - gammaln(counts + 1.0).sum(axis=1) - slots * math.log(q)
+    logw = (log_factorial(slots) - log_factorial(counts).sum(axis=1) - slots * math.log(q)
             + np.log(float(math.factorial(q)) / run.prod(axis=1)))
     bounds = np.searchsorted(slots, np.arange(k_top + 2))
     return np.ascontiguousarray(counts.T), slots, logw, bounds

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import annealed_pressure, beta_1, beta_rs_loc, x_param
+from .replica import MAX_T_POINTS
+from .util import BudgetExceededError
 
 CERTIFIED_TOL = 1e-9
 GRID_POINTS = 401
@@ -228,15 +230,18 @@ def optimize(beta: float, c: float, q: int,
     """Maximize Phi2 - 2P over (k, t) in [0, q]^2.
 
     k is eliminated in closed form; the exact profile g(t) = max_k gap is
-    scanned on grid_points points of [0, q] plus t = 1, then zoomed around
-    the best point to a bracket below 1e-13 q.  Ties go to the lowest k,
-    then the lowest t, so the symmetric zero gives t* = 1, k* = 0 exactly.
+    scanned on grid_points (at most MAX_T_POINTS) points of [0, q] plus
+    t = 1, then zoomed around the best point to a bracket below 1e-13 q.
+    Ties go to the lowest k, then the lowest t, so the symmetric zero gives
+    t* = 1, k* = 0 exactly.
     certified proves (up to rounding) gap <= CERTIFIED_TOL on the whole
     square by branch and bound over t-cells, run only if max_gap is too.
     """
     _check_c(c)
     if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
         raise ValueError(f"grid_points must be an integer >= 2, got {grid_points!r}")
+    if grid_points > MAX_T_POINTS:
+        raise BudgetExceededError(f"t grid of {grid_points} points exceeds {MAX_T_POINTS}")
     slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
     ts = np.union1d(np.linspace(0.0, q, grid_points), [1.0])
     pts, h = ts, q / (grid_points - 1)

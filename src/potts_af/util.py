@@ -1,9 +1,11 @@
-"""Shared numerical plumbing: Poisson tails, seeded RNG streams, cutoffs,
-log-sum-exp.
+"""Shared numerical plumbing: Poisson weights and tails, log-factorials,
+seeded RNG streams, cutoffs, log-sum-exp.
 
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed by an explicit integer seed and runs serially, so results
-depend only on the seed.
+depend only on the seed.  Poisson weights and multinomials read a table of
+ln k! built with math.lgamma, and Poisson tails are summed in plain float
+arithmetic, so importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import os
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 
 class BudgetExceededError(RuntimeError):
@@ -63,6 +64,23 @@ def logsumexp(a, axis: int | None = None) -> np.ndarray:
 # Poisson law helpers
 # ---------------------------------------------------------------------------
 
+_LOG_FACTORIAL = np.zeros(1)  # ln k! for k < len; grown by log_factorial
+
+
+def log_factorial(k):
+    """ln k! for a nonnegative integer k or integer array k, read from a table."""
+    global _LOG_FACTORIAL
+    k = np.asarray(k)
+    if k.size and k.min() < 0:
+        raise ValueError("log_factorial needs nonnegative integers")
+    top = int(k.max(initial=0))
+    if top >= len(_LOG_FACTORIAL):
+        have = len(_LOG_FACTORIAL)
+        grown = [math.lgamma(j + 1.0) for j in range(have, max(top + 1, 2 * have))]
+        _LOG_FACTORIAL = np.concatenate([_LOG_FACTORIAL, grown])
+    return _LOG_FACTORIAL[k]
+
+
 def poisson_pmf_vector(kmax: int, lam: float) -> np.ndarray:
     """pmf values for k = 0..kmax, computed in log space."""
     ks = np.arange(kmax + 1)
@@ -70,16 +88,67 @@ def poisson_pmf_vector(kmax: int, lam: float) -> np.ndarray:
         out = np.zeros(kmax + 1)
         out[0] = 1.0
         return out
-    return np.exp(-lam + ks * math.log(lam) - gammaln(ks + 1))
+    return np.exp(-lam + ks * math.log(lam) - log_factorial(ks))
+
+
+def _log_poisson_pmf(k: int, lam: float) -> float:
+    """ln pi_lam(k) for lam > 0, to a few ulp of its size.
+
+    Above k = 15 it uses Loader's saddle-point form, -ln sqrt(2 pi k) minus
+    the Stirling remainder of ln k! minus lam D(k / lam) with D(r) = r ln r -
+    r + 1, which avoids cancelling k ln lam against ln k!.
+    """
+    if k < 16:
+        return k * math.log(lam) - lam - math.lgamma(k + 1.0)
+    kk = float(k) * k
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
+    d = k - lam
+    v = d / (k + lam)
+    if abs(v) < 0.5:  # k D = (k - lam) v + 2 k sum_j v^(2j+1) / (2j+1)
+        dev, odd, j = d * v, 2.0 * k * v, 1
+        while True:
+            odd *= v * v
+            nxt = dev + odd / (2 * j + 1)
+            if nxt == dev:
+                break
+            dev, j = nxt, j + 1
+    else:
+        dev = k * math.log(k / lam) - d
+    return -0.5 * math.log(2.0 * math.pi * k) - stirling - dev
 
 
 def poisson_sf(k: int, lam: float) -> float:
-    """P(K >= k) for K ~ Poisson(lam).  Regularized lower incomplete gamma."""
-    if k <= 0:
+    """P(K >= k) for K ~ Poisson(lam) and integer k, summed away from the mode.
+
+    For k > lam the terms pi(k), pi(k+1), ... fall by lam/(j+1); they are
+    summed until one drops below 1e-17 of the sum, and the rest is bounded
+    by a geometric series.  For k <= lam the result is 1 minus pi(k-1) +
+    pi(k-2) + ..., whose terms fall by j/lam.  A relative margin of 16 ulp
+    per unit of |ln pi| and per term covers the rounding of both, so the
+    value is an upper bound on the tail, as certified truncations need, and
+    lies within a few parts in 1e12 of it.
+    """
+    if k <= 0 or lam == math.inf:
         return 1.0
     if lam == 0.0:
         return 0.0
-    return float(gammainc(k, lam))
+    upper = k > lam
+    j = k if upper else k - 1
+    log_p = _log_poisson_pmf(j, lam)
+    term = total = math.exp(log_p)
+    while term > 1e-17 * total and (upper or j > 0):
+        if upper:
+            j += 1
+            term *= lam / j
+        else:
+            term *= j / lam
+            j -= 1
+        total += term
+    margin = 2.0**-48 * (abs(log_p) + abs(j - k) + 8)
+    if upper:
+        ratio = lam / (j + 1)
+        return (total + term * ratio / (1.0 - ratio)) * (1.0 + margin)
+    return 1.0 - total * (1.0 - margin)
 
 
 def poisson_cutoff(tail: Callable[[int], float], target: float, cap: int) -> int:
@@ -148,7 +217,7 @@ def multinomial_table(k: int, log_probs) -> tuple[np.ndarray, np.ndarray]:
     (exactly k - h at the first cell), each prefixed by h = 0..k.
     """
     h = np.arange(k + 1)
-    cell_logs = h * np.asarray(log_probs, dtype=np.float64)[:, None] - gammaln(h + 1.0)
+    cell_logs = h * np.asarray(log_probs, dtype=np.float64)[:, None] - log_factorial(h)
     columns, logw, total = [], np.zeros(1), np.zeros(1, dtype=np.int64)
     for cell in range(len(log_probs) - 1, -1, -1):
         picks = [np.flatnonzero(total == k - x if cell == 0 else total <= k - x) for x in h]
@@ -157,15 +226,9 @@ def multinomial_table(k: int, log_probs) -> tuple[np.ndarray, np.ndarray]:
         columns = [head] + [col[rows] for col in columns]
         logw = cell_logs[cell, head] + logw[rows]
         total = head + total[rows]
-    return np.stack(columns, axis=1), gammaln(k + 1.0) + logw
+    return np.stack(columns, axis=1), log_factorial(k) + logw
 
 
 def log_multinomial(counts: Sequence[int]) -> float:
     total = sum(counts)
     return math.lgamma(total + 1) - sum(math.lgamma(c + 1) for c in counts)
-
-
-def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +199,38 @@ def test_class_table_row_cap(monkeypatch):
     monkeypatch.setattr(replica, "MAX_CLASS_ROWS", rows - 1)
     with pytest.raises(BudgetExceededError, match=f"{rows - 1} rows"):
         build(30, 4)
+
+
+def test_class_table_prefix_is_bit_identical():
+    build = replica._class_table.__wrapped__
+    largest = replica._class_table(40, 4)
+    for k_top in (0, 7, 23, 40):
+        served, fresh = replica._class_table(k_top, 4), build(k_top, 4)
+        assert np.shares_memory(served[1], largest[1])  # a prefix view, not a rebuild
+        for a, b in zip(served, fresh):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_class_table_sweep_keeps_one_table():
+    # a growing sweep used to keep every table, about 550 MB resident
+    code = """
+import resource
+from potts_af import replica
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * resource.getpagesize()
+start = rss()
+for c in range(30, 45):
+    ev = replica.rs_bound(1.0, float(c), 5, 0.3)
+held = replica._class_table(ev.k_truncation, 5)
+print(rss() - start, sum(a.nbytes if a.base is None else a.base.nbytes for a in held))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, table = map(int, proc.stdout.split())
+    assert grown <= table + (100 << 20)
 
 
 def test_rs_bound_improves_when_unstable():

@@ -3,16 +3,22 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.special import logsumexp as scipy_logsumexp
 
+import potts_af.util as util
 from potts_af.util import (
     BudgetExceededError,
+    log_factorial,
     logsumexp,
     multinomial_table,
     poisson_cutoff,
+    poisson_pmf_vector,
     poisson_sf,
 )
 
@@ -103,3 +109,61 @@ def test_logsumexp_infinite_slices():
     out = logsumexp(a, axis=1)  # RuntimeWarnings are errors in the test suite
     assert out[0] == -np.inf and out[1] == 0.0 and out[2] == np.inf
     assert logsumexp(np.full(3, -np.inf)) == -np.inf
+
+
+@st.composite
+def poisson_points(draw):
+    lam = draw(st.floats(1e-3, 1000.0))
+    return draw(st.integers(0, int(3 * lam) + 60)), lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(poisson_points())
+def test_poisson_sf_matches_mpmath(point):
+    k, lam = point
+    got = poisson_sf(k, lam)
+    with mpmath.workdps(40):
+        exact = mpmath.gammainc(k, 0, lam, regularized=True) if k > 0 else mpmath.mpf(1)
+        ref = float(exact)
+        assert abs(got - ref) <= 1e-12
+        # relative checks where the tail is a normal float; below 1e-290 the
+        # pmf itself underflows and only the absolute error means anything
+        if 1e-290 < ref < 0.5:
+            assert abs(got - ref) <= 1e-11 * ref
+        if ref > 1e-290:
+            assert got >= exact * (1 - mpmath.mpf(1e-15))  # an upper bound on the tail
+
+
+def test_poisson_sf_edges():
+    assert poisson_sf(0, 3.0) == poisson_sf(-2, 3.0) == 1.0
+    assert poisson_sf(1, 0.0) == 0.0
+    assert poisson_sf(40, math.inf) == 1.0
+    assert math.isnan(poisson_sf(40, math.nan))
+    assert poisson_sf(1, 2.0) == pytest.approx(-math.expm1(-2.0), rel=1e-14)
+    assert poisson_sf(5000, 10.0) == 0.0  # the pmf underflows
+
+
+@pytest.mark.parametrize("c, n", [(1.0, 6), (4.0, 3), (2.0, 4), (3.0, 5)])
+def test_poisson_weight_integrates_to_a_tail(c, n):
+    # int_0^c pi_{c'N/2}(k) dc' = (2/N) P(Poisson(cN/2) >= k + 1): the sum
+    # rule's exact c' integral, against a 24-node Gauss-Legendre rule
+    x, w = np.polynomial.legendre.leggauss(24)
+    pmfs = [poisson_pmf_vector(40, node) for node in 0.25 * c * n * (x + 1.0)]
+    quad = 0.5 * c * np.tensordot(w, pmfs, axes=1)
+    exact = [2.0 / n * poisson_sf(k + 1, 0.5 * c * n) for k in range(41)]
+    np.testing.assert_allclose(quad, exact, rtol=1e-12, atol=1e-15)  # poisson_sf's margin
+
+
+def test_log_factorial_matches_lgamma_across_regrowth(monkeypatch):
+    monkeypatch.setattr(util, "_LOG_FACTORIAL", np.zeros(1))
+    assert log_factorial(0) == 0.0
+    assert log_factorial(7) == math.lgamma(8.0)
+    size = len(util._LOG_FACTORIAL)
+    ks = np.arange(3000).reshape(30, 100)
+    got = log_factorial(ks)  # grows the table past its first size
+    assert len(util._LOG_FACTORIAL) >= 3000 > size
+    assert got.shape == ks.shape
+    assert np.array_equal(got.ravel(), [math.lgamma(k + 1.0) for k in range(3000)])
+    assert log_factorial(np.arange(0)).shape == (0,)
+    with pytest.raises(ValueError):
+        log_factorial(-1)
