@@ -92,6 +92,7 @@ def _estimate_dict(est: disorder.QuenchedEstimate) -> dict:
         "value": est.value,
         "stat_error": est.stat_error,
         "tail_bound": est.tail_bound,
+        "bias_estimate": est.bias_estimate,
         "samples": est.samples,
         "method": est.method,
     }

@@ -1,24 +1,24 @@
 """Poisson disorder: sampling, certified quenched averages, the sum rule.
 
-The N^2 couplings are iid Poisson(c/2N), so the total count |J| is
-Poisson(cN/2) and, conditionally on |J| = K, the K unit couplings land on
-iid uniform ordered pairs (i, j).  Quenched averages are therefore
-computed by conditioning on K:
+The N^2 couplings are iid Poisson(c/2N), and H = tr J + sum_{i<j} (J_ij +
+J_ji) delta(s_i, s_j).  The self-loops only shift H by tr J, so they
+never change the Gibbs measure and enter ln Z as -beta tr J, whose mean
+-beta c/2 is summed exactly.  The pair-edge count M = sum_{i<j} (J_ij +
+J_ji) is Poisson(c(N-1)/2), independent of tr J, and given M the M edges
+land on iid uniform pairs i < j.  Quenched averages therefore condition
+on M:
 
-    p_N(beta, c) = sum_K pi_{cN/2}(K) E[ln Z / N | K],
+    p_N(beta, c) = -beta c/2N + sum_M pi_{c(N-1)/2}(M) E[ln Z_pairs / N | M],
 
-with the inner expectation evaluated exactly (weighted enumeration of
-placement multisets) while the multiset count fits a budget, by seeded
-Monte Carlo above that, and the K > K_max remainder certified through the
-per-edge bound |ln Z(K) - ln Z(0)| <= beta K: each extra edge multiplies
-every Gibbs weight by a factor in [e^-beta, 1].
-
-H depends on J only through tr J and the P = N(N-1)/2 pair sums
-J_ij + J_ji, so placements are folded to P pair counts plus one diagonal
-count, and ln Z sums over model.colour_classes.  The exact path runs over
-the C(P + K, K) multisets of these P + 1 cells; exact_budget caps that
-count per K, and its default keeps K <= 17 exact at N = 4, K <= 9 at
-N = 5 and K <= 6 at N = 6.  Monte Carlo draws ordered cells, then folds.
+with the inner expectation evaluated exactly (weighted enumeration of the
+C(P + M - 1, M) multisets of P = N(N-1)/2 pair counts) while that count
+fits exact_budget, by seeded Monte Carlo (multinomial draws over the P
+pairs) above it, and the M > M_max remainder certified through the
+per-edge bound |ln Z(M) - ln Z(0)| <= beta M: each extra edge multiplies
+every Gibbs weight by a factor in [e^-beta, 1].  ln Z sums over
+model.colour_classes.  The default exact_budget keeps M <= 20 exact at
+N = 4, M <= 9 at N = 5 and M <= 6 at N = 6.  N = 1 has no pairs, and
+p_1 = ln q - beta c/2 exactly.
 
 The same conditioning evaluates the sum-rule deficit
 
@@ -61,10 +61,10 @@ from .util import (
 METHOD_EXACT = "exact-conditional"
 METHOD_MC = "monte-carlo"
 
-# folded placement multisets per K kept exact while C(P+K, K) stays below this
-DEFAULT_EXACT_BUDGET = 120_000
+# pair-count multisets per M kept exact while C(P+M-1, M) stays below this
+DEFAULT_EXACT_BUDGET = 60_000
 DEFAULT_MC_SAMPLES = 4096
-K_MAX_CAP = 100_000
+M_MAX_CAP = 100_000
 CHUNK = 4096  # placement rows per kernel call
 
 
@@ -73,7 +73,9 @@ class QuenchedEstimate:
     """A disorder-averaged value with its error budget.
 
     stat_error is one standard error (0 on fully exact paths); tail_bound
-    is the certified truncation remainder added on top.
+    is the certified truncation remainder added on top; bias_estimate is an
+    estimated, uncertified systematic error (the cascade Monte Carlo's
+    Poisson-Dirichlet truncation), kept out of that budget.
     """
 
     value: float
@@ -81,9 +83,10 @@ class QuenchedEstimate:
     tail_bound: float
     samples: int
     method: str
+    bias_estimate: float = 0.0
 
     def __post_init__(self):
-        if self.stat_error < 0 or self.tail_bound < 0:
+        if self.stat_error < 0 or self.tail_bound < 0 or self.bias_estimate < 0:
             raise ValueError("error fields must be nonnegative")
         if self.method == METHOD_MC and self.samples < 1:
             raise ValueError("monte-carlo estimates need samples >= 1")
@@ -117,27 +120,20 @@ def edges_to_couplings(edges: np.ndarray, n: int) -> np.ndarray:
 # conditional enumeration engine
 # ---------------------------------------------------------------------------
 
-def _fold(ordered: np.ndarray, n: int) -> np.ndarray:
-    """(B, n^2) ordered-cell counts -> (B, P + 1) folded placements: J_ij + J_ji
-    for the P = n(n-1)/2 pairs i < j, then tr J; all that ln Z depends on."""
-    sq, (i, j) = ordered.reshape(-1, n, n), np.triu_indices(n, 1)
-    return np.column_stack([sq[:, i, j] + sq[:, j, i], np.trace(sq, axis1=1, axis2=2)])
-
-
 def _class_log_weights(rows: np.ndarray, n: int, q: int, beta: float) -> np.ndarray:
-    """(B, classes) ln(multiplicity e^{-beta H}) per folded placement, without -beta tr J."""
+    """(B, classes) ln(multiplicity e^{-beta H}) per row of P pair counts J_ij + J_ji."""
     indicator, log_mult = colour_classes(n, q)
-    return log_mult - beta * (rows[:, :-1].astype(np.float64) @ indicator.T)
+    return log_mult - beta * (rows.astype(np.float64) @ indicator.T)
 
 
 def _lnz_batch(rows: np.ndarray, n: int, q: int, beta: float) -> np.ndarray:
-    """ln Z for a batch of folded placements, summed over colour classes."""
-    return logsumexp(_class_log_weights(rows, n, q, beta), axis=1) - beta * rows[:, -1]
+    """ln Z without -beta tr J for a batch of pair-count rows, over colour classes."""
+    return logsumexp(_class_log_weights(rows, n, q, beta), axis=1)
 
 
 def _overlap_moments(rows: np.ndarray, n: int, q: int, beta: float,
                      r_max: int) -> np.ndarray:
-    """[N^-2 sum_ij M_ij^R for R = 1..r_max] per folded placement.
+    """[N^-2 sum_ij M_ij^R for R = 1..r_max] per pair-count row.
 
     M_ij = <delta(s_i, s_j)> is a sum over the colour classes; M_ii = 1
     and M is symmetric, so the sum is N + 2 sum_{i<j} M_ij^R.
@@ -154,39 +150,36 @@ def _overlap_moments(rows: np.ndarray, n: int, q: int, beta: float,
     return out
 
 
-def _exact_placements(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The C(P + K, K) folded placements of K edges with their probabilities.
-
-    An edge lands on pair i < j with probability 2/n^2 and on the lumped
-    diagonal with probability 1/n.
-    """
-    log_probs = np.full(n * (n - 1) // 2 + 1, math.log(2.0 / (n * n)))
-    log_probs[-1] = -math.log(n)
-    counts, logw = multinomial_table(k, log_probs)
+def _exact_placements(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(P + M - 1, M) pair-count multisets of M uniform pair edges,
+    with their probabilities; needs n >= 2."""
+    p = n * (n - 1) // 2
+    counts, logw = multinomial_table(m, np.full(p, -math.log(p)))
     return counts, np.exp(logw)
 
 
-def _mc_placements(n: int, k: int, samples: int,
+def _mc_placements(n: int, m: int, samples: int,
                    seed: np.random.SeedSequence) -> np.ndarray:
-    """K uniform ordered cells per sample, drawn over the n^2 cells, then folded."""
-    return _fold(philox(seed).multinomial(k, np.full(n * n, 1.0 / (n * n)), size=samples), n)
+    """M uniform pair edges per sample, as counts over the P pairs."""
+    p = n * (n - 1) // 2
+    return philox(seed).multinomial(m, np.full(p, 1.0 / p), size=samples)
 
 
-def _conditional_average(n: int, k: int, per_j, samples: int,
+def _conditional_average(n: int, m: int, per_j, samples: int,
                          seed: np.random.SeedSequence, exact_budget: int):
-    """E[f(J) | K = k] with f vectorized over folded placement batches.
+    """E[f(J) | M = m] with f vectorized over pair-count row batches.
 
     Returns (mean, sem, n_samples); sem = 0 on the exact path, taken while
-    the C(P + K, K) placement multisets fit exact_budget.  `per_j` maps a
-    (B, P + 1) placement batch to a (B, ...) value array; it sees at most
-    CHUNK rows at a time, which caps peak memory.
+    the C(P + M - 1, M) multisets fit exact_budget.  `per_j` maps a (B, P)
+    batch of pair counts to a (B, ...) value array; it sees at most CHUNK
+    rows at a time, which caps peak memory.  Needs n >= 2.
     """
-    if comb(n * (n - 1) // 2 + k, k) <= exact_budget:
-        jrows, weights = _exact_placements(n, k)
+    if comb(n * (n - 1) // 2 + m - 1, m) <= exact_budget:
+        jrows, weights = _exact_placements(n, m)
         mean = sum(np.tensordot(weights[i:i + CHUNK], per_j(jrows[i:i + CHUNK]), axes=1)
                    for i in range(0, len(jrows), CHUNK))
         return mean, np.zeros_like(mean), 0
-    jrows = _mc_placements(n, k, samples, seed)
+    jrows = _mc_placements(n, m, samples, seed)
     vals = np.concatenate([per_j(jrows[i:i + CHUNK]) for i in range(0, samples, CHUNK)])
     mean = vals.mean(axis=0)
     sem = vals.std(axis=0, ddof=1) / math.sqrt(samples)
@@ -206,60 +199,62 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
                             seed: int = 0, mc_samples: int = DEFAULT_MC_SAMPLES,
                             exact_budget: int = DEFAULT_EXACT_BUDGET,
                             max_configs: int = DEFAULT_ENUM_BUDGET) -> QuenchedEstimate:
-    """p_N(beta, c) by edge-count conditioning with a certified tail.
+    """p_N(beta, c) by pair-edge-count conditioning with a certified tail.
 
-    Exact placement enumeration per K while the multiset count fits
-    exact_budget; seeded Monte Carlo (samples proportional to the Poisson
-    weight of K) above it.  The K > K_max remainder is replaced by ln q
-    and certified by tail_bound = (beta/N) E[K 1{K > K_max}].
+    The self-loops contribute -beta c/2N exactly.  Exact multiset
+    enumeration per M while the multiset count fits exact_budget; seeded
+    Monte Carlo (samples proportional to the Poisson weight of M) above it.
+    The M > M_max remainder is replaced by ln q and certified by
+    tail_bound = (beta/N) E[M 1{M > M_max}].
     """
     q, beta, c = params.q, params.beta, params.c
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     _check_system("quenched_pressure_exact", n, q, beta, max_configs)
-    if c == 0.0 or beta == 0.0:
-        return QuenchedEstimate(math.log(q), 0.0, 0.0, 0, METHOD_EXACT)
+    if c == 0.0 or beta == 0.0 or n == 1:
+        return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
 
-    lam = c * n / 2.0
-    # (beta/N) E[K 1{K > k}]: the certified remainder of truncating at k
-    k_tail = lambda k: (beta / n) * lam * poisson_sf(k, lam)
-    k_max = poisson_cutoff(k_tail, 0.5 * eps, K_MAX_CAP)
-    pmf = poisson_pmf_vector(k_max, lam)
-    seeds = child_seeds(seed, k_max + 1)
+    lam = c * (n - 1) / 2.0
+    # (beta/N) E[M 1{M > m}]: the certified remainder of truncating at m
+    m_tail = lambda m: (beta / n) * lam * poisson_sf(m, lam)
+    m_max = poisson_cutoff(m_tail, 0.5 * eps, M_MAX_CAP)
+    pmf = poisson_pmf_vector(m_max, lam)
+    seeds = child_seeds(seed, m_max + 1)
 
     per_j = lambda rows: _lnz_batch(rows, n, q, beta) / n
 
-    def eval_k(k: int):
-        if k == 0:
+    def eval_m(m: int):
+        if m == 0:
             return math.log(q), 0.0, 0
-        budget = mc_samples if pmf[k] <= 0 else max(
-            256, min(8 * mc_samples, int(4 * mc_samples * pmf[k]) + 1))
-        return _conditional_average(n, k, per_j, budget, seeds[k], exact_budget)
+        budget = mc_samples if pmf[m] <= 0 else max(
+            256, min(8 * mc_samples, int(4 * mc_samples * pmf[m]) + 1))
+        return _conditional_average(n, m, per_j, budget, seeds[m], exact_budget)
 
-    means, sems, used = map(np.array, zip(*(eval_k(k) for k in range(k_max + 1))))
-    value = float(pmf @ means) + (1.0 - pmf.sum()) * math.log(q)
+    means, sems, used = map(np.array, zip(*(eval_m(m) for m in range(m_max + 1))))
+    value = float(pmf @ means) + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n)
     stat = math.sqrt(float(((pmf * sems) ** 2).sum()))
-    return QuenchedEstimate(value, stat, k_tail(k_max), int(used.sum()), METHOD_EXACT)
+    return QuenchedEstimate(value, stat, m_tail(m_max), int(used.sum()), METHOD_EXACT)
 
 
 def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
                          max_configs: int = DEFAULT_ENUM_BUDGET) -> QuenchedEstimate:
-    """Plain Monte Carlo over iid coupling draws."""
+    """Plain Monte Carlo over iid pair sums J_ij + J_ji ~ Poisson(c/N), with
+    -beta tr J/N replaced by its mean -beta c/2N."""
     q, beta, c = params.q, params.beta, params.c
     if samples < 2:
         raise ValueError("need samples >= 2 for a standard error")
     _check_system("quenched_pressure_mc", n, q, beta, max_configs)
-    if c == 0.0 or beta == 0.0:
-        return QuenchedEstimate(math.log(q), 0.0, 0.0, 0, METHOD_EXACT)
+    if c == 0.0 or beta == 0.0 or n == 1:
+        return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
 
     def chunk_values(lo: int, chunk_seed: np.random.SeedSequence) -> np.ndarray:
-        draws = philox(chunk_seed).poisson(c / (2.0 * n), size=(min(2048, samples - lo), n * n))
-        return _lnz_batch(_fold(draws, n), n, q, beta) / n
+        size = (min(2048, samples - lo), n * (n - 1) // 2)
+        return _lnz_batch(philox(chunk_seed).poisson(c / n, size=size), n, q, beta) / n
 
     starts = range(0, samples, 2048)
     values = np.concatenate([chunk_values(lo, ss)
                              for lo, ss in zip(starts, child_seeds(seed, len(starts)))])
-    mean = float(values.mean())
+    mean = float(values.mean()) - beta * c / (2 * n)
     sem = float(values.std(ddof=1) / math.sqrt(samples))
     return QuenchedEstimate(mean, sem, 0.0, samples, METHOD_MC)
 
@@ -275,45 +270,48 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     """Overlap-fluctuation series for P - p_N, with explicit error budget.
 
     Per replica order R the double bracket reduces to the pair-overlap
-    moments E[N^-2 sum_ij M_ij(J)^R] computed by the same K-conditioning
-    as the quenched pressure.  The c' integral is exact: the weight of K = k
-    integrates to (2/N) P(Poisson(cN/2) >= k + 1).  quad_points is kept for
-    compatibility; it is validated (>= 3) and otherwise ignored.  tail_bound
-    adds the geometric R > r_max remainder and the certified K cutoff
-    error.  The colour classes enumerate q^n configurations, so q^n is held
-    to DEFAULT_ENUM_BUDGET like the quenched pressures' default.
+    moments E[N^-2 sum_ij M_ij(J)^R], which do not depend on the
+    self-loops; they are computed by the same M-conditioning as the
+    quenched pressure.  The c' integral is exact: the weight of M = m
+    integrates to (2/(N-1)) P(Poisson(c(N-1)/2) >= m + 1).  At N = 1 every
+    moment is 1 and the series sums to (c/2)(beta + ln(1 - y/q)) exactly.
+    quad_points is kept for compatibility; it is validated (>= 3) and
+    otherwise ignored.  tail_bound adds the geometric R > r_max remainder
+    and the certified M cutoff error (k_tail_eps bounds its Poisson tail).
+    The colour classes enumerate q^n configurations, so q^n is held to
+    DEFAULT_ENUM_BUDGET like the quenched pressures' default.
     """
     q, beta, c = params.q, params.beta, params.c
     if r_max < 1 or quad_points < 3:
         raise ValueError("need r_max >= 1 and quad_points >= 3")
     _check_system("sum_rule_deficit", n, q, beta, DEFAULT_ENUM_BUDGET)
     y = -math.expm1(-beta)
-    if c == 0.0 or beta == 0.0:
-        return QuenchedEstimate(0.0, 0.0, 0.0, 0, METHOD_EXACT)
+    if c == 0.0 or beta == 0.0 or n == 1:
+        return QuenchedEstimate(0.5 * c * (beta + math.log1p(-y / q)), 0.0, 0.0, 0, METHOD_EXACT)
 
-    lam_top = c * n / 2.0
-    k_max = poisson_cutoff(lambda k: poisson_sf(k + 1, lam_top), k_tail_eps, K_MAX_CAP)
+    lam = c * (n - 1) / 2.0
+    m_max = poisson_cutoff(lambda m: poisson_sf(m + 1, lam), k_tail_eps, M_MAX_CAP)
 
     rs = np.arange(1, r_max + 1)
-    seeds = child_seeds(seed, k_max + 1)
+    seeds = child_seeds(seed, m_max + 1)
 
     per_j = lambda rows: _overlap_moments(rows, n, q, beta, r_max)
-    means, sems, used = map(np.array, zip(*(  # (k_max+1, r_max) moments per K
-        _conditional_average(n, k, per_j, mc_samples, seeds[k], exact_budget)
-        for k in range(k_max + 1))))
+    means, sems, used = map(np.array, zip(*(  # (m_max+1, r_max) moments per M
+        _conditional_average(n, m, per_j, mc_samples, seeds[m], exact_budget)
+        for m in range(m_max + 1))))
     total_samples = int(used.sum())
 
     coef_r = 0.5 * np.power(y, rs) / rs  # series weights per R
-    # exact c' integral of each Poisson weight: (2/N) P(Poisson(cN/2) >= k+1)
-    coef_k = np.array([poisson_sf(k + 1, lam_top) for k in range(k_max + 1)]) * (2.0 / n)
-    value = float(coef_r @ (coef_k @ means - np.power(float(q), -rs.astype(float)) * coef_k.sum()))
+    # exact c' integral of each Poisson weight: (2/(N-1)) P(Poisson(c(N-1)/2) >= m+1)
+    coef_m = np.array([poisson_sf(m + 1, lam) for m in range(m_max + 1)]) * (2.0 / (n - 1))
+    value = float(coef_r @ (coef_m @ means - np.power(float(q), -rs.astype(float)) * coef_m.sum()))
 
-    # statistical error: deficit is linear in the per-K moment vector
-    stat = math.sqrt(float((((sems * coef_k[:, None]) @ coef_r) ** 2).sum()))
+    # statistical error: deficit is linear in the per-M moment vector
+    stat = math.sqrt(float((((sems * coef_m[:, None]) @ coef_r) ** 2).sum()))
 
     r_tail = 0.5 * c * y ** (r_max + 1) / ((r_max + 1) * (1.0 - y)) if y < 1 else math.inf
-    k_tail = c * float(coef_r.sum()) * poisson_sf(k_max + 1, lam_top)
-    return QuenchedEstimate(value, stat, r_tail + k_tail,
+    m_tail = c * float(coef_r.sum()) * poisson_sf(m_max + 1, lam)
+    return QuenchedEstimate(value, stat, r_tail + m_tail,
                             total_samples, METHOD_EXACT if total_samples == 0 else METHOD_MC)
 
 

@@ -271,8 +271,13 @@ def quartic_coefficients(beta: float, c: float, q: int, h: float = 0.05,
     if x == 0.0 or c == 0.0:
         return 0.0, 0.0, 0.0, 0.0
 
+    # one profile sum over the six t the stencils use: +-h/2, +-h, +-2h
+    ts = [s * f * h for f in (0.5, 1.0, 2.0) for s in (1.0, -1.0)]
+    log_a, log_b, mag = np.array([factor_logs(beta, q, t) for t in ts]).T
+    g1_at = dict(zip(ts, profile_sum(c, q, log_a, log_b, 0.0, mag, eps)[0].tolist()))
+
     def even_g1(tt: float) -> float:
-        return 0.5 * (g1(beta, c, q, tt, eps)[0] + g1(beta, c, q, -tt, eps)[0])
+        return 0.5 * (g1_at[tt] + g1_at[-tt])
 
     def even_g2(tt: float) -> float:
         return 0.5 * (g2(beta, c, q, tt) + g2(beta, c, q, -tt))

@@ -24,5 +24,5 @@ def pressure_cache():
 
 
 def combined_error(*estimates: QuenchedEstimate, sigmas: float = 4.0) -> float:
-    """Certified tails plus a k-sigma statistical allowance."""
-    return sum(e.tail_bound + sigmas * e.stat_error for e in estimates)
+    """Certified tails and estimated biases plus a k-sigma statistical allowance."""
+    return sum(e.tail_bound + e.bias_estimate + sigmas * e.stat_error for e in estimates)

@@ -270,7 +270,7 @@ def test_criterion_11_rsb_dominance(pressure_cache):
     for label, spec, hier, method, samples in configs:
         bound = pa.rsb_upper_bound(params, 5, spec, hier, samples=max(samples, 2),
                                    seed=77, method=method, n_atoms=2048)
-        slack = combined_error(bound, p5) + 3 * bound.tail_bound
+        slack = combined_error(bound, p5) + 3 * bound.bias_estimate
         margin = bound.value - (p5.value - slack)
         assert margin >= 0, (label, bound.value, p5.value)
         worst = min(worst, bound.value - p5.value)

@@ -182,7 +182,8 @@ def test_one_rsb_monte_carlo_agrees_with_closed_form():
         cf = fn(params, 3, spec, hier)
         mc = fn(params, 3, spec, hier, samples=samples, seed=21,
                 method="monte-carlo", n_atoms=2048)
-        assert abs(mc.value - cf.value) <= combined_error(cf, mc) + mc.tail_bound * 3
+        assert mc.tail_bound == 0.0 < mc.bias_estimate  # the PD truncation is not certified
+        assert abs(mc.value - cf.value) <= combined_error(cf, mc) + mc.bias_estimate * 3
 
 
 def test_l1_generic_monte_carlo_agrees_with_closed_form():
@@ -193,7 +194,7 @@ def test_l1_generic_monte_carlo_agrees_with_closed_form():
         cf = fn(params, 3, spec, u, eps=1e-10)
         mc = fn(params, 3, spec, u, samples=samples, seed=22,
                 method="monte-carlo", n_atoms=2048)
-        assert abs(mc.value - cf.value) <= combined_error(cf, mc) + mc.tail_bound * 3
+        assert abs(mc.value - cf.value) <= combined_error(cf, mc) + mc.bias_estimate * 3
 
 
 def test_l1_symmetric_t_unsupported():
@@ -243,7 +244,7 @@ def test_one_rsb_vs_rs_at_unstable_point_regression():
     rs = rsb_upper_bound(params, 3, rs_spec(), hier)
     one = rsb_upper_bound(params, 3, one_rsb_spec(0.5), hier, samples=1500,
                           seed=17, method="monte-carlo", n_atoms=2048)
-    slack = combined_error(rs, one) + 3 * one.tail_bound
+    slack = combined_error(rs, one) + 3 * one.bias_estimate
     assert one.value <= rs.value + slack
 
 

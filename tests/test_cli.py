@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from potts_af.cascade import one_rsb_spec, rs_spec, rsb_upper_bound, symmetric_t_hierarchy
 from potts_af.cli import fmt_float, main
@@ -211,6 +213,8 @@ def test_cascade_bound_matches_library(tmp_path):
                           method="monte-carlo")
     assert doc["bound"] == est.value
     assert doc["bound_stat_error"] == est.stat_error
+    assert doc["g1"]["bias_estimate"] + doc["g2"]["bias_estimate"] == est.bias_estimate > 0
+    assert doc["g1"]["tail_bound"] == doc["g2"]["tail_bound"] == est.tail_bound == 0.0
 
 
 def test_cascade_infinite_beta_skips_pressure(tmp_path):
@@ -314,3 +318,99 @@ def test_import_leaves_scipy_stats_unloaded():
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+
+
+# ---------------------------------------------------------------------------
+# generated argv: every accepted argument ends in a result or an error record
+# ---------------------------------------------------------------------------
+
+EXAMPLE_TIMEOUT_S = 20
+
+def _floats(lo: float, hi: float):
+    special = [0.0, -0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]
+    return st.one_of(st.sampled_from(special), st.floats(lo, hi))
+
+
+_FLOATS = {
+    "beta": _floats(0.0, 8.0), "c": _floats(0.0, 30.0), "eps": _floats(1e-12, 0.1),
+    "t": _floats(-1.5, 1.5), "c-min": _floats(-5.0, 40.0), "c-max": _floats(-5.0, 40.0),
+    "c-step": _floats(1e-3, 10.0),
+}
+_INTS = {
+    "q": st.integers(-1, 6), "n": st.integers(-1, 8), "seed": st.integers(-2, 2**40),
+    "samples": st.integers(-1, 3000), "t-points": st.integers(-1, 400),
+    "r-max": st.integers(-1, 40), "quad-points": st.integers(-1, 20),
+}
+_CHOICES = {
+    "hierarchy": ["uniform", "symmetric-t"],
+    "m-list": ["0,1", "0,0.5,1", "0.5", "0.3,0.7", "0,0.4", "1,0", "0,2", "nan", "x", ""],
+}
+_REQUIRED = ("q", "c-min", "c-max", "c-step")  # argparse itself refuses argv without these
+_COMMON = ("q", "beta", "c")
+_FLAGS = {
+    "phase-diagram": ("q", "c-min", "c-max", "c-step"),
+    "pressure": (*_COMMON, "n", "seed", "samples", "eps", "method"),
+    "rs-scan": (*_COMMON, "t-points"),
+    "second-moment": _COMMON,
+    "sum-rule": (*_COMMON, "n", "seed", "eps", "r-max", "quad-points"),
+    "cascade": (*_COMMON, "n", "seed", "samples", "eps", "m-list", "hierarchy", "t", "method"),
+}
+_METHODS = {"pressure": ["exact", "mc"], "cascade": ["auto", "closed-form", "monte-carlo"]}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """A subcommand with values of the right type for each flag, any of them
+    possibly absent, so argparse accepts the line and the program must judge it."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag in _FLAGS[command]:
+        if flag not in _REQUIRED and not draw(st.booleans()) and draw(st.booleans()):
+            continue  # absent a quarter of the time
+        if flag in _FLOATS:
+            value = repr(draw(_FLOATS[flag]))
+        elif flag in _INTS:
+            value = str(draw(_INTS[flag]))
+        else:
+            value = draw(st.sampled_from(_METHODS[command] if flag == "method" else _CHOICES[flag]))
+        argv.append(f"--{flag}={value}")  # "=" lets values such as -inf through
+    return argv
+
+
+def _nan_free(value) -> bool:
+    if isinstance(value, dict):
+        return all(_nan_free(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_nan_free(v) for v in value)
+    return not (isinstance(value, float) and math.isnan(value))
+
+
+def check_cli_outcome(argv: list[str], out) -> None:
+    """Run argv in a child under a 1 GiB address-space cap and a wall-clock
+    bound; it must exit 0 with NaN-free output or 1 with the error record."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out.unlink(missing_ok=True)  # no earlier example's file can stand in
+    proc = subprocess.run([sys.executable, "-m", "potts_af.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=EXAMPLE_TIMEOUT_S,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode in (0, 1), (argv, proc.returncode, proc.stderr[-2000:])
+    text = out.read_text()
+    if argv[0] in ("phase-diagram", "rs-scan") and proc.returncode == 0:
+        rows = [line.split(",") for line in text.splitlines()
+                if line and not line.startswith("#")][1:]
+        assert rows, argv  # never a silently empty table
+        assert not any(math.isnan(float(v)) for row in rows for v in row), argv
+        return
+    doc = json.loads(text)
+    assert doc["schema"] == "potts-af/1" and doc["command"] == argv[0]
+    if proc.returncode == 1:
+        assert set(doc["error"]) == {"type", "message"}, argv
+    else:
+        assert "error" not in doc and _nan_free(doc), argv
+
+
+@settings(max_examples=18, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_generated_argv_ends_in_result_or_error_record(tmp_path, argv):
+    check_cli_outcome(argv, tmp_path / "out")

@@ -113,14 +113,15 @@ def test_quenched_exact_matches_direct_poisson_average():
 
 
 def test_quenched_exact_truncates_at_smallest_certified_cutoff():
-    # the reported tail is the bound at K_max, which pins K_max = 35
+    # the reported tail is the bound at M_max for the pair-edge count
+    # M ~ Poisson(c(N-1)/2 = 10), which pins M_max = 31
     beta, c, n, eps = 2.0, 4.0, 6, 1e-6
-    lam = c * n / 2
-    tail = lambda k: (beta / n) * lam * poisson_sf(k, lam)
+    lam = c * (n - 1) / 2
+    tail = lambda m: (beta / n) * lam * poisson_sf(m, lam)
     est = quenched_pressure_exact(ModelParams(q=2, beta=beta, c=c), n, eps=eps,
                                   mc_samples=64)
-    assert est.tail_bound == tail(35)
-    assert tail(35) <= 0.5 * eps < tail(34)
+    assert est.tail_bound == tail(31)
+    assert tail(31) <= 0.5 * eps < tail(30)
 
 
 def test_quenched_bad_inputs_rejected():

@@ -3,7 +3,11 @@
 The oracle below is the kernel the disorder engine used before pair
 folding and colour relabelling: a q^N x N^2 indicator over ordered cells,
 scipy's logsumexp over every configuration, and a Python loop over the
-placement multisets of the N^2 ordered cells.
+placement multisets of the N^2 ordered cells, conditioned on the total
+edge count K.  The engine conditions on the pair-edge count M instead; of
+K uniform ordered cells, M ~ Binomial(K, 1 - 1/N) fall off the diagonal,
+so the K-conditional averages are Binomial mixtures of the M-conditional
+ones, less beta (K - M) for ln Z.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ from scipy.special import logsumexp
 
 from potts_af.disorder import (
     DEFAULT_EXACT_BUDGET,
-    K_MAX_CAP,
+    M_MAX_CAP,
     _conditional_average,
     _exact_placements,
-    _fold,
     _lnz_batch,
     _overlap_moments,
     quenched_pressure_exact,
@@ -86,13 +89,41 @@ def random_couplings(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).poisson(0.8, size=(n, n))
 
 
+def pair_sums(ordered: np.ndarray, n: int) -> np.ndarray:
+    """(B, n^2) ordered-cell counts -> (B, P) pair sums J_ij + J_ji, i < j."""
+    sq, (i, j) = ordered.reshape(-1, n, n), np.triu_indices(n, 1)
+    return sq[:, i, j] + sq[:, j, i]
+
+
+def upper_couplings(rows: np.ndarray, n: int) -> np.ndarray:
+    """(B, P) pair counts -> (B, n^2) couplings with each pair on J_ij, i < j."""
+    out = np.zeros((rows.shape[0], n, n))
+    i, j = np.triu_indices(n, 1)
+    out[:, i, j] = rows
+    return out.reshape(rows.shape[0], n * n)
+
+
+def thinned(n: int, k: int):
+    """(m, P(M = m | K = k)) for the M ~ Binomial(k, 1 - 1/n) pair edges."""
+    p = 1.0 - 1.0 / n
+    return [(m, math.comb(k, m) * p**m * (1.0 - p) ** (k - m)) for m in range(k + 1)]
+
+
+def pair_average(n: int, m: int, per_j):
+    """E[f | M = m] by the engine; with no pairs (n = 1) the only row is empty."""
+    if n == 1:
+        return per_j(np.zeros((1, 0), dtype=np.int64))[0]
+    return _conditional_average(n, m, per_j, 8, np.random.SeedSequence(0),
+                                DEFAULT_EXACT_BUDGET)[0]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_folded_lnz_matches_unreduced_kernel(q, n):
     for seed in range(4):
         J = random_couplings(n, 100 * n + seed)
         beta = 0.3 + 0.7 * seed
-        folded = _lnz_batch(_fold(J.reshape(1, -1), n), n, q, beta)[0]
+        folded = _lnz_batch(pair_sums(J.reshape(1, -1), n), n, q, beta)[0] - beta * np.trace(J)
         assert abs(folded - old_lnz(J.reshape(1, -1).astype(float), n, q, beta)[0]) <= TOL
         assert abs(folded - log_partition(J, beta, q)) <= TOL
 
@@ -106,60 +137,70 @@ def test_colour_classes_cover_every_configuration(n, q, classes):
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 0), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_exact_placements_match_ordered_brute_force(n, k):
-    rows, weights = _exact_placements(n, k)
+    # the pair-sum law of K uniform ordered cells, as a Binomial mixture over
+    # M of the engine's pair-count multisets
     p = n * (n - 1) // 2
-    assert rows.shape == (math.comb(p + k, k), p + 1)
-    assert weights.sum() == pytest.approx(1.0, abs=TOL)
+    thinned_law: dict[tuple, float] = {}
+    for m, w_m in thinned(n, k):
+        if p == 0:  # no pairs: every edge is a self-loop
+            rows, weights = np.zeros((1, 0), dtype=np.int64), np.ones(1)
+        else:
+            rows, weights = _exact_placements(n, m)
+            assert rows.shape == (math.comb(p + m - 1, m), p)
+            assert weights.sum() == pytest.approx(1.0, abs=TOL)
+        for row, w in zip(rows, weights):
+            thinned_law[tuple(row)] = thinned_law.get(tuple(row), 0.0) + w_m * w
     brute: dict[tuple, float] = {}
     for cells in itertools.product(range(n * n), repeat=k):
         ordered = np.bincount(np.asarray(cells, dtype=np.int64), minlength=n * n)
-        key = tuple(_fold(ordered.reshape(1, -1), n)[0])
+        key = tuple(pair_sums(ordered.reshape(1, -1), n)[0])
         brute[key] = brute.get(key, 0.0) + float(n * n) ** -k
-    assert len(brute) == len(rows)
-    for row, w in zip(rows, weights):
-        assert abs(brute[tuple(row)] - w) <= TOL
+    assert brute.keys() == {key for key, w in thinned_law.items() if w > 0}
+    for key, w in brute.items():
+        assert abs(thinned_law[key] - w) <= TOL
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("n, k_top", [(1, 5), (2, 6), (3, 4), (4, 3)])
 def test_exact_conditional_averages_match_unreduced_kernel(q, n, k_top):
     beta, r_max = 1.3, 20
-    seed = np.random.SeedSequence(0)
+    if n > 1:  # the pair averages of every m used below are enumerated
+        assert _conditional_average(n, k_top, lambda rows: rows, 8, np.random.SeedSequence(0),
+                                    DEFAULT_EXACT_BUDGET)[2] == 0
+    lnz_fn = lambda rows: _lnz_batch(rows, n, q, beta)
+    moments_fn = lambda rows: _overlap_moments(rows, n, q, beta, r_max)
     for k in range(k_top + 1):
         jrows, weights = old_exact_multisets(n * n, k)
-        lnz, _, used = _conditional_average(
-            n, k, lambda rows: _lnz_batch(rows, n, q, beta), 8, seed, DEFAULT_EXACT_BUDGET)
-        assert used == 0
+        lnz = sum(w * (pair_average(n, m, lnz_fn) - beta * (k - m)) for m, w in thinned(n, k))
         assert abs(lnz - weights @ old_lnz(jrows, n, q, beta)) <= TOL
-        moments, _, _ = _conditional_average(
-            n, k, lambda rows: _overlap_moments(rows, n, q, beta, r_max), 8, seed,
-            DEFAULT_EXACT_BUDGET)
+        moments = sum(w * pair_average(n, m, moments_fn) for m, w in thinned(n, k))
         expect = weights @ old_overlap_moments(jrows, n, q, beta, r_max)
         np.testing.assert_allclose(moments, expect, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("q, beta, c, n", [(2, 1.0, 2.0, 3), (3, 2.0, 4.0, 4), (3, 0.5, 1.0, 5)])
 def test_mc_path_draws_unchanged(q, beta, c, n):
-    # Monte Carlo paths still draw over the n^2 ordered cells, so a seed
-    # gives the unreduced kernel's value
+    # the Monte Carlo path draws the n(n-1)/2 pair sums as Poisson(c/n) and
+    # adds the self-loop mean -beta c/2n; the unreduced kernel gives the
+    # same value on the same draws
     params = ModelParams(q=q, beta=beta, c=c)
     samples, seed = 3000, 11
     chunks = [(i, min(i + 2048, samples)) for i in range(0, samples, 2048)]
     parts = []
     for (lo, hi), ss in zip(chunks, child_seeds(seed, len(chunks))):
-        draws = philox(ss).poisson(c / (2.0 * n), size=(hi - lo, n * n)).astype(float)
-        parts.append(old_lnz(draws, n, q, beta) / n)
+        draws = philox(ss).poisson(c / n, size=(hi - lo, n * (n - 1) // 2))
+        parts.append(old_lnz(upper_couplings(draws, n), n, q, beta) / n)
     values = np.concatenate(parts)
     est = quenched_pressure_mc(params, n, samples, seed)
-    assert abs(est.value - values.mean()) <= TOL
+    assert abs(est.value - (values.mean() - beta * c / (2 * n))) <= TOL
     assert abs(est.stat_error - values.std(ddof=1) / math.sqrt(samples)) <= TOL
 
 
 def test_mc_overlap_moments_draws_unchanged():
     n, q, beta, k, samples = 4, 3, 1.0, 9, 500
     seed = np.random.SeedSequence(21)
-    draws = philox(seed).multinomial(k, np.full(n * n, 1.0 / (n * n)), size=samples)
-    values = old_overlap_moments(draws.astype(float), n, q, beta, 20)
+    draws = philox(seed).multinomial(k, np.full(6, 1.0 / 6), size=samples)  # over P = 6 pairs
+    values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20)
     mean, sem, used = _conditional_average(
         n, k, lambda rows: _overlap_moments(rows, n, q, beta, 20), samples, seed, 0)
     assert used == samples
@@ -172,16 +213,16 @@ def test_mc_overlap_moments_draws_unchanged():
 def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n):
     params = ModelParams(q=q, beta=beta, c=c)
     eps, seed, mc_samples = 2e-4, 5, 64
-    lam = c * n / 2.0
-    k_max = poisson_cutoff(lambda k: (beta / n) * lam * poisson_sf(k, lam), 0.5 * eps,
-                           K_MAX_CAP)
-    pmf = poisson_pmf_vector(k_max, lam)
-    seeds = child_seeds(seed, k_max + 1)
-    value = pmf[0] * math.log(q) + (1.0 - pmf.sum()) * math.log(q)
-    for k in range(1, k_max + 1):
-        budget = max(256, min(8 * mc_samples, int(4 * mc_samples * pmf[k]) + 1))
-        draws = philox(seeds[k]).multinomial(k, np.full(n * n, 1.0 / (n * n)), size=budget)
-        value += pmf[k] * float(old_lnz(draws.astype(float), n, q, beta).mean()) / n
+    lam, p = c * (n - 1) / 2.0, n * (n - 1) // 2
+    m_max = poisson_cutoff(lambda m: (beta / n) * lam * poisson_sf(m, lam), 0.5 * eps,
+                           M_MAX_CAP)
+    pmf = poisson_pmf_vector(m_max, lam)
+    seeds = child_seeds(seed, m_max + 1)
+    value = pmf[0] * math.log(q) + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n)
+    for m in range(1, m_max + 1):
+        budget = max(256, min(8 * mc_samples, int(4 * mc_samples * pmf[m]) + 1))
+        draws = philox(seeds[m]).multinomial(m, np.full(p, 1.0 / p), size=budget)
+        value += pmf[m] * float(old_lnz(upper_couplings(draws, n), n, q, beta).mean()) / n
     est = quenched_pressure_exact(params, n, eps=eps, seed=seed, mc_samples=mc_samples,
                                   exact_budget=0)
     assert abs(est.value - value) <= TOL

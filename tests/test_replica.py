@@ -269,6 +269,20 @@ def test_quartic_coefficients_match_references():
         assert abs(a2 - ref2) <= 0.01 * abs(ref2)
 
 
+@pytest.mark.parametrize("beta, c, q, h", [(1.0, 4.0, 2, 0.05), (2.0, 10.0, 3, 0.05),
+                                           (1.0, 3.0, 5, 0.1), (0.2, 20.0, 3, 0.01)])
+def test_quartic_batched_g1_bit_identical_to_separate_calls(beta, c, q, h):
+    # the one profile sum over +-h/2, +-h, +-2h gives each t the value of its own g1 call
+    def even(tt: float) -> float:
+        return 0.5 * (g1(beta, c, q, tt, 1e-12)[0] + g1(beta, c, q, -tt, 1e-12)[0])
+
+    def stencil(hh: float) -> float:
+        return (even(2 * hh) - 4.0 * even(hh)) / (12.0 * hh**4)
+
+    a1 = quartic_coefficients(beta, c, q, h=h)[0]
+    assert a1 == (4.0 * stencil(h / 2) - stencil(h)) / 3.0
+
+
 def test_quartic_coefficients_trivial_at_beta_zero():
     assert quartic_coefficients(0.0, 4.0, 2) == (0.0, 0.0, 0.0, 0.0)
 
