@@ -20,14 +20,21 @@ direct Monte Carlo over truncated cascades; closed-form and MC paths are
 independent and cross-validate each other.
 
 The Monte Carlo engine draws a block of cascades per set of array
-operations, with colour counts and matching pairs drawn from their
-multinomial and binomial laws.  Each chunk of MC_CHUNK draws has its own
-child seed, and the block size (capped by MC_BLOCK_CELLS leaf x site x
-colour cells) depends only on the inputs, so results depend only on the
-inputs and the seed.  Each level keeps n_atoms atoms; the mean share of
-normalizer mass beyond them, divided by n, is reported as bias_estimate.
-It is an estimate, not a bound, so it stays out of the certified
-tail_bound.
+operations.  For G1 a site's factor depends on its slots' colour counts
+only through their class (the sorted count profile), so on uniform leaves
+each (leaf, site) draws its class with one uniform from a Walker alias
+table over the classes of its k slots (replica._class_alias, cached per
+q), and ln S is read from a per-class array.  A chain of q - 1 binomial
+draws of the colour counts serves the symmetric-t sampled leaves, which
+need colour identity, and any block whose class table would pass
+replica.MAX_CLASS_ROWS.  G2 draws matching pairs from their binomial laws.
+Each chunk of MC_CHUNK draws has its own child seed, and the block size
+(capped by MC_BLOCK_CELLS leaf x site x colour cells) depends only on the
+inputs, so results depend only on the inputs and the seed.  Sample counts
+past util.MAX_MC_SAMPLES raise BudgetExceededError before anything is
+drawn.  Each level keeps n_atoms atoms; the mean share of normalizer mass
+beyond them, divided by n, is reported as bias_estimate.  It is an
+estimate, not a bound, so it stays out of the certified tail_bound.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ import numpy as np
 from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
-from .replica import factor_logs, g2 as rs_g2, profile_sum
-from .util import BudgetExceededError, child_seeds, logsumexp, philox
+from .replica import (_class_alias, _class_table, class_table_fits, factor_logs,
+                      g2 as rs_g2, profile_sum)
+from .util import BudgetExceededError, check_samples, child_seeds, logsumexp, philox
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -151,8 +159,9 @@ def sample_pd_atoms(m: float, n_atoms: int, seed) -> AtomSet:
     if n_atoms < 1:
         raise ValueError("n_atoms must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else philox(seed)
-    arrivals = np.cumsum(rng.exponential(1.0, size=n_atoms))
-    atoms = arrivals ** (-1.0 / m)
+    atoms = rng.standard_exponential(n_atoms)  # arrivals, then atoms, in one buffer
+    np.cumsum(atoms, out=atoms)
+    np.power(atoms, -1.0 / m, out=atoms)
     tail = (m / (1.0 - m)) * atoms[-1] ** (1.0 - m)
     return AtomSet(atoms=atoms, tail_mass_bound=float(tail))
 
@@ -332,14 +341,55 @@ def _multinomial(rng: np.random.Generator, n, probs: np.ndarray, shape) -> np.nd
     return out
 
 
+class _ClassDraw:
+    """ln S = ln sum_s exp(gap n_s) of uniformly coloured slots, drawn by colour class.
+
+    S depends on the counts n_s only through their class (the sorted
+    profile), so one uniform per (leaf, site) picks the class of its k slots
+    from replica._class_alias, and ln S is read from a per-class array.  The
+    tables cover k <= top; top grows to the largest k seen while
+    replica.class_table_fits allows, and ln S is extended over the new
+    classes only.
+    """
+
+    def __init__(self, q: int, gap: float):
+        self.q, self.gap, self.top = q, gap, -1
+        self.log_s = np.empty(0)
+
+    def covers(self, k_max: int) -> bool:
+        """Whether draws for k <= k_max can be served, growing the tables if
+        they can be built."""
+        if k_max > self.top and class_table_fits(k_max, self.q):
+            counts = _class_table(k_max, self.q)[0][:, self.log_s.size:]
+            self.log_s = np.concatenate([self.log_s, logsumexp(counts * self.gap, axis=0)])
+            self.accept, self.alias, bounds = _class_alias(k_max, self.q)
+            self.first, self.classes = bounds[:-1], np.diff(bounds)
+            self.top = k_max
+        return k_max <= self.top
+
+    def rows(self, rng: np.random.Generator, k: np.ndarray, leaves: int) -> np.ndarray:
+        """Class rows (b, sites, leaves) of k[b, site] slots at each leaf."""
+        x = rng.random((*k.shape, leaves)) * self.classes[k][..., None]
+        j = x.astype(np.int64)  # a uniform is below 1 in steps of 2^-53, so x < classes
+        row = self.first[k][..., None] + j
+        return np.where(x - j < self.accept[row], row, self.alias[row])
+
+    def draw(self, rng: np.random.Generator, k: np.ndarray, leaves: int) -> np.ndarray:
+        """sum_site ln S per leaf, (b, leaves), for k[b, site] slots at each leaf."""
+        return self.log_s[self.rows(rng, k, leaves)].sum(axis=1)
+
+
 def _leaf_counts(rng: np.random.Generator, k: np.ndarray, q: int, t: float | None,
                  outer: int, inner: int) -> np.ndarray:
     """Colour counts (q, b, outer, inner, sites) of k[b, site] slots per leaf.
 
     t is None: every leaf colours the slots uniformly, Multinomial(k, 1/q).
-    Otherwise each outer node colours them with a uniform pattern and each
-    leaf redraws a slot of pattern colour p from mu_{p,t}, so given the
-    pattern counts n_p the leaf counts are sum_p Multinomial(n_p, mu_{p,t}).
+    The G1 engine draws those by class (_ClassDraw) and comes here only
+    for blocks whose class table would be too large.  Otherwise each outer
+    node colours the slots with a uniform pattern and each leaf redraws a
+    slot of pattern colour p from mu_{p,t}, so given the pattern counts n_p
+    the leaf counts are sum_p Multinomial(n_p, mu_{p,t}); this needs colour
+    identity, so it stays on the binomial chain.
     """
     b, sites = k.shape
     slots, uniform = k[:, None, None, :], np.full(q, 1.0 / q)
@@ -395,6 +445,7 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     """
     if samples < 2:
         raise ValueError("need samples >= 2")
+    check_samples(samples)
     q, beta, c = params.q, params.beta, params.c
     t = _t_of(hier)
     y = -math.expm1(-beta)
@@ -418,6 +469,7 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     # the inputs and the seed
     block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (outer * inner * n * q)))
     work = np.empty(block * outer * inner * n * q) if which == "g1" else None
+    classes = _ClassDraw(q, gap) if which == "g1" and shared is None else None
     starts = range(0, samples, MC_CHUNK)
     vals, fracs = np.empty(samples), np.empty(samples)
     for lo, chunk_seed in zip(starts, child_seeds(seed, len(starts))):
@@ -427,8 +479,11 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
             log_w, fracs[a:a + b] = _block_log_weights(rng, spec.atom_levels, outer, inner, b)
             if which == "g1":
                 k = rng.poisson(c, size=(b, n))
-                counts = _leaf_counts(rng, k, q, shared, outer, inner)
-                excess = _colour_logsumexp(counts, gap, work).sum(axis=-1)
+                if classes is not None and classes.covers(int(k.max())):
+                    excess = classes.draw(rng, k, outer * inner)
+                else:
+                    counts = _leaf_counts(rng, k, q, shared, outer, inner)
+                    excess = _colour_logsumexp(counts, gap, work).sum(axis=-1)
             else:
                 k = rng.poisson(0.5 * c * n, size=(b, 1))
                 excess = gap * _leaf_matches(rng, k[:, 0], q, shared, outer, inner)

@@ -110,13 +110,16 @@ def cmd_phase_diagram(args) -> dict | None:
         raise ValueError(f"c-step must be > 0, got {args.c_step}")
     if not args.c_min <= args.c_max:
         raise ValueError(f"c-min {args.c_min} exceeds c-max {args.c_max}")
-    if (args.c_max - args.c_min) / args.c_step >= MAX_PHASE_ROWS:
+    # the grid runs to c_max + 1e-12, so that slack counts towards the rows
+    if (args.c_max + 1e-12 - args.c_min) / args.c_step >= MAX_PHASE_ROWS:
         raise BudgetExceededError(f"c grid exceeds {MAX_PHASE_ROWS} rows")
     th = bounds.thresholds(q)
     cs = []
     c = args.c_min
     while c <= args.c_max + 1e-12:
         cs.append(round(c, 12))
+        if c + args.c_step == c:
+            raise ValueError(f"c-step {args.c_step} is below the float spacing at c = {c}")
         c += args.c_step
     rows = []
     for cval in cs:

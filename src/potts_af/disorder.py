@@ -47,6 +47,7 @@ from .model import (
 )
 from .util import (
     BudgetExceededError,
+    check_samples,
     child_seeds,
     log_multinomial,
     logsumexp,
@@ -210,6 +211,7 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     q, beta, c = params.q, params.beta, params.c
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
+    check_samples(mc_samples)
     _check_system("quenched_pressure_exact", n, q, beta, max_configs)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
@@ -243,6 +245,7 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     q, beta, c = params.q, params.beta, params.c
     if samples < 2:
         raise ValueError("need samples >= 2 for a standard error")
+    check_samples(samples)
     _check_system("quenched_pressure_mc", n, q, beta, max_configs)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
@@ -284,6 +287,7 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     q, beta, c = params.q, params.beta, params.c
     if r_max < 1 or quad_points < 3:
         raise ValueError("need r_max >= 1 and quad_points >= 3")
+    check_samples(mc_samples)
     _check_system("sum_rule_deficit", n, q, beta, DEFAULT_ENUM_BUDGET)
     y = -math.expm1(-beta)
     if c == 0.0 or beta == 0.0 or n == 1:

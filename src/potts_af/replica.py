@@ -22,9 +22,11 @@ profile_sum takes the factors of a whole t grid at once.  Each t keeps its
 own truncation order k_max and tail; one pass over the classes of every
 k <= k_max serves a block of t, and a block holds at most
 PROFILE_BLOCK_CELLS (t, colour, class) cells, so memory does not grow with
-the grid.  The class table itself is capped at MAX_CLASS_ROWS rows, past
-which BudgetExceededError is raised before it is allocated.  scan_rs_bound
-makes one such call for every t != 0.
+the grid.  The class table itself is capped at MAX_CLASS_ROWS rows and at
+q <= MAX_CLASS_Q, past which BudgetExceededError is raised before it is
+allocated.  scan_rs_bound makes one such call for every t != 0.  The
+cascade Monte Carlo draws classes from Walker alias tables built from the
+same class weights (_class_alias) and cached beside them.
 
 Both corrections vanish at t = 0; their t^4 coefficients are
 -(1/4)(q-1) c^2 x^4 and -(1/4)(q-1) c x^2, so the symmetric point goes
@@ -47,6 +49,7 @@ K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
 PROFILE_BLOCK_CELLS = 2**15  # cap on t x colour x class cells in one block of the profile sum
 MAX_T_POINTS = 100_000  # cap on a scan grid, as on phase-diagram rows
 MAX_CLASS_ROWS = 1_000_000  # cap on colour-class rows; 0.84 M rows at q = 5 peak near 260 MB
+MAX_CLASS_Q = 170  # largest q whose q! is a finite float
 
 
 @dataclass(frozen=True)
@@ -76,19 +79,40 @@ def g2(beta: float, c: float, q: int, t: float) -> float:
     return 0.5 * c / q * ((q - 1) * math.log(hi) + math.log(lo))
 
 
+def class_rows(k_top: int, q: int) -> float:
+    """Rows of _class_table(k_top, q), counted without building it: the
+    partitions of each k <= k_top into at most q parts, which are those into
+    parts no larger than q.  Allowing parts of size j turns the count of k
+    into a running sum over k, k - j, k - 2j, ..., one column of a reshape."""
+    p = np.ones(k_top + 1)
+    for j in range(2, min(q, k_top) + 1):
+        grid = np.zeros(-(-(k_top + 1) // j) * j)
+        grid[:k_top + 1] = p
+        p = np.cumsum(grid.reshape(-1, j), axis=0).reshape(-1)[:k_top + 1]
+    return float(p.sum())
+
+
+def class_table_fits(k_top: int, q: int) -> bool:
+    """Whether _class_table(k_top, q) can be built: at most MAX_CLASS_ROWS
+    rows, and q! (in the class weights) finite as a float."""
+    return q <= MAX_CLASS_Q and class_rows(k_top, q) <= MAX_CLASS_ROWS
+
+
 def _largest_per_q(build):
-    """Keep only the largest table built per q and serve smaller k_top as
-    prefix views of it: classes are sorted by k, and a row depends only on
-    its own counts, so the table of k <= k_top is a bit-exact prefix."""
+    """Keep only the largest tables built per q and serve smaller k_top as
+    prefix views of them.  `build` returns per-row arrays (rows on the last
+    axis) and then the run boundaries of k; classes are sorted by k, and a
+    row depends only on its own k, so the rows of k <= k_top are a bit-exact
+    prefix."""
     held = {}
 
     def table(k_top: int, q: int):
         if q not in held or held[q][0] < k_top:
             held.pop(q, None)  # free the old table first, so the new one can reuse its memory
             held[q] = (k_top, build(k_top, q))
-        counts, slots, logw, bounds = held[q][1]
+        *rows, bounds = held[q][1]
         n = bounds[k_top + 1]
-        return counts[:, :n], slots[:n], logw[:n], bounds[:k_top + 2]
+        return (*(a[..., :n] for a in rows), bounds[:k_top + 2])
 
     return update_wrapper(table, build)
 
@@ -104,13 +128,16 @@ def _class_table(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     probability of the class's profiles, and the run boundaries of the
     classes sorted by k (those of k are bounds[k]:bounds[k + 1]).
     """
+    if q > MAX_CLASS_Q:
+        raise BudgetExceededError(f"colour-class weights need q! as a float; q = {q} exceeds "
+                                  f"{MAX_CLASS_Q}")
+    if class_rows(k_top, q) > MAX_CLASS_ROWS:
+        raise BudgetExceededError(f"colour classes of k <= {k_top} at q = {q} exceed "
+                                  f"{MAX_CLASS_ROWS} rows")
     head, total, low = np.zeros((1, 0), np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
     for cell in range(q - 1, -1, -1):
         # cells 0..cell each hold at least x, so (cell + 1) x <= k_top - total
         span = (k_top - total) // (cell + 1) - low + 1
-        if span.sum() > MAX_CLASS_ROWS:  # rows only grow from cell to cell
-            raise BudgetExceededError(f"colour classes of k <= {k_top} at q = {q} exceed "
-                                      f"{MAX_CLASS_ROWS} rows")
         src = np.repeat(np.arange(len(total)), span)
         x = low[src] + np.arange(len(src)) - np.repeat(np.cumsum(span) - span, span)
         head, total, low = np.column_stack([x, head[src]]), total[src] + x, x
@@ -125,6 +152,49 @@ def _class_table(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
             + np.log(float(math.factorial(q)) / run.prod(axis=1)))
     bounds = np.searchsorted(slots, np.arange(k_top + 2))
     return np.ascontiguousarray(counts.T), slots, logw, bounds
+
+
+def _alias_fill(p: np.ndarray, accept: np.ndarray, alias: np.ndarray, base: int) -> None:
+    """Walker alias table of the probabilities p, written into accept and
+    alias (global rows, offset by base), which start as 1 and the row itself.
+
+    Scaled to mean 1, light rows (w < 1) keep w and lend 1 - w to a heavy
+    one.  The lights' deficits and the heavies' excesses w - 1 are laid end
+    to end on one line each: a light takes as alias the heavy whose excess
+    holds the start of its deficit, and heavy h keeps 1 minus the overhang
+    of the light that straddles the end of its excess, lending the rest to
+    heavy h + 1.  This is Vose's construction with the lights taken in order,
+    found by two searches instead of a loop.
+    """
+    w = p * (len(p) / p.sum())
+    light, heavy = np.flatnonzero(w < 1.0), np.flatnonzero(w >= 1.0)
+    if not light.size or not heavy.size:
+        return  # every w is 1 up to rounding
+    ends = np.cumsum(1.0 - w[light])
+    tops = np.cumsum(w[heavy] - 1.0)
+    starts = np.concatenate(([0.0], ends[:-1]))
+    accept[light] = w[light]
+    alias[light] = base + heavy[np.minimum(np.searchsorted(tops, starts, side="right"),
+                                           heavy.size - 1)]
+    straddle = np.minimum(np.searchsorted(ends, tops[:-1]), light.size - 1)
+    accept[heavy[:-1]] = 1.0 - np.clip(ends[straddle] - tops[:-1], 0.0, 1.0)
+    alias[heavy[:-1]] = base + heavy[1:]
+
+
+@_largest_per_q
+def _class_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alias tables over the colour classes of k uniform slots, k <= k_top.
+
+    Rows follow _class_table(k_top, q).  Take row bounds[k] + j for j
+    uniform on the classes of k, keep it with probability accept[row] and
+    take alias[row] otherwise: the result is class r with probability
+    exp(logw[r]).  Returns (accept, alias, bounds).
+    """
+    logw, bounds = _class_table(k_top, q)[2:]
+    accept, alias = np.ones(len(logw)), np.arange(len(logw))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        _alias_fill(np.exp(logw[lo:hi]), accept[lo:hi], alias[lo:hi], lo)
+    return accept, alias, bounds
 
 
 def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:

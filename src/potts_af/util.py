@@ -21,6 +21,21 @@ class BudgetExceededError(RuntimeError):
     """An enumeration or truncation budget would be exceeded."""
 
 
+# Cap on a Monte Carlo sample count: 100 times the largest count the tests,
+# the acceptance criteria and the benchmark use (10 000 draws; a quenched
+# pressure stratum takes at most 8 x 4 096).  At the cap a cascade run at
+# 2 048 leaves already takes half an hour (about 2 ms a draw), and near 10^8
+# draws its per-draw arrays alone would outgrow a 1 GiB address space.
+MAX_MC_SAMPLES = 1_000_000
+
+
+def check_samples(samples: int) -> None:
+    """Raise BudgetExceededError past MAX_MC_SAMPLES, before anything is
+    allocated or any seed is split."""
+    if samples > MAX_MC_SAMPLES:
+        raise BudgetExceededError(f"{samples} Monte Carlo samples exceed {MAX_MC_SAMPLES}")
+
+
 def worker_count() -> int:
     """Validated POTTS_AF_THREADS (default 1).
 

@@ -24,7 +24,7 @@ from potts_af.cascade import (
 )
 from potts_af.model import ModelParams
 from potts_af.replica import g1 as rs_g1, g2 as rs_g2
-from potts_af.util import BudgetExceededError, philox
+from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, philox
 
 from conftest import combined_error
 
@@ -57,6 +57,28 @@ def test_pd_atoms_descending_positive():
         assert np.all(np.diff(a.atoms) <= 0)
         assert a.atoms[-1] > 0
         assert a.tail_mass_bound > 0
+
+
+@pytest.mark.parametrize("m, n_atoms, seed", [(0.1, 5, 0), (0.5, 3000, 7), (0.9, 100, 123),
+                                               (0.37, 1, 4)])
+def test_pd_atoms_bit_identical_to_the_one_line_formula(m, n_atoms, seed):
+    atoms = sample_pd_atoms(m, n_atoms, seed)
+    expect = np.cumsum(philox(seed).exponential(1.0, size=n_atoms)) ** (-1.0 / m)
+    assert [float.hex(x) for x in atoms.atoms.tolist()] == [float.hex(x) for x in expect.tolist()]
+    tail = (m / (1.0 - m)) * expect[-1] ** (1.0 - m)
+    assert float.hex(atoms.tail_mass_bound) == float.hex(float(tail))
+
+
+def test_monte_carlo_sample_cap_raises_before_drawing(monkeypatch):
+    def no_seeds(*args):
+        raise AssertionError("split seeds")
+
+    monkeypatch.setattr("potts_af.cascade.child_seeds", no_seeds)
+    params = ModelParams(q=2, beta=1.0, c=4.0)
+    for fn in (cavity_g1, cavity_g2):
+        with pytest.raises(BudgetExceededError, match=str(MAX_MC_SAMPLES)):
+            fn(params, 3, CascadeSpec((0.5,)), uniform_hierarchy(2),
+               samples=MAX_MC_SAMPLES + 1, method="monte-carlo")
 
 
 def test_pd_atoms_invalid_m():

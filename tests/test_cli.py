@@ -260,6 +260,8 @@ def _cap_address_space():
     ["--c-min", "0", "--c-max", "inf", "--c-step", "1"],
     ["--c-min", "3", "--c-max", "0", "--c-step", "1"],
     ["--c-min", "0", "--c-max", "1e9", "--c-step", "1"],
+    ["--c-min", "0", "--c-max", "0", "--c-step", "1e-300"],
+    ["--c-min", "10", "--c-max", "10", "--c-step", "1e-16"],
 ])
 def test_phase_diagram_bad_grid_fails_fast(tmp_path, grid):
     # an unbounded grid used to loop forever; run it in a child process with
@@ -308,6 +310,28 @@ def test_rs_scan_class_table_budget_fails_fast(tmp_path):
     assert "1000000 rows" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["cascade", "--q", "2", "--beta", "1", "--c", "4", "--m-list", "0.5",
+     "--method", "monte-carlo", "--samples", "100000000000"],
+    ["pressure", "--q", "2", "--beta", "1", "--c", "4", "--n", "3", "--method", "mc",
+     "--samples", "100000000000"],
+])
+def test_huge_sample_count_fails_fast(tmp_path, argv):
+    # the cascade used to die allocating 10^11 values, with a traceback and no
+    # record; the plain pressure MC first split one seed per 2048 samples
+    out = tmp_path / "mc.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "potts_af.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "BudgetExceededError"
+    assert "1000000" in error["message"]
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # no scipy module at all: scipy.stats is imported lazily by
     # cascade.stability_test, and nothing else in the package uses scipy
@@ -338,7 +362,8 @@ _FLOATS = {
 }
 _INTS = {
     "q": st.integers(-1, 6), "n": st.integers(-1, 8), "seed": st.integers(-2, 2**40),
-    "samples": st.integers(-1, 3000), "t-points": st.integers(-1, 400),
+    "samples": st.one_of(st.integers(-1, 3000), st.sampled_from([10**6 + 1, 10**9, 10**11])),
+    "t-points": st.integers(-1, 400),
     "r-max": st.integers(-1, 40), "quad-points": st.integers(-1, 20),
 }
 _CHOICES = {

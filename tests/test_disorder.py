@@ -20,7 +20,7 @@ from potts_af.disorder import (
     sum_rule_deficit,
 )
 from potts_af.model import ModelParams, log_partition
-from potts_af.util import BudgetExceededError, poisson_sf
+from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, poisson_sf
 
 from conftest import combined_error
 
@@ -154,6 +154,20 @@ def test_quenched_mc_agrees_with_exact(pressure_cache):
 def test_quenched_mc_needs_two_samples():
     with pytest.raises(ValueError):
         quenched_pressure_mc(ModelParams(q=2, beta=1.0, c=1.0), 2, samples=1, seed=0)
+
+
+def test_sample_counts_past_the_cap_raise_before_drawing(monkeypatch):
+    def no_seeds(*args):
+        raise AssertionError("split seeds")
+
+    monkeypatch.setattr("potts_af.disorder.child_seeds", no_seeds)
+    params, huge = ModelParams(q=2, beta=1.0, c=1.0), MAX_MC_SAMPLES + 1
+    with pytest.raises(BudgetExceededError, match=str(MAX_MC_SAMPLES)):
+        quenched_pressure_mc(params, 3, samples=huge, seed=0)
+    with pytest.raises(BudgetExceededError, match=str(MAX_MC_SAMPLES)):
+        quenched_pressure_exact(params, 3, mc_samples=huge)
+    with pytest.raises(BudgetExceededError, match=str(MAX_MC_SAMPLES)):
+        sum_rule_deficit(params, 3, 4, 3, mc_samples=huge)
 
 
 def test_superadditivity_small_grid(pressure_cache):
