@@ -47,12 +47,13 @@ import numpy as np
 from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
-from .replica import (_class_alias, _class_table, class_table_fits, factor_logs,
-                      g2 as rs_g2, profile_sum)
+from .replica import (_class_alias, _class_table, class_table_fits,
+                      degenerate_product_factor, factor_logs, g2 as rs_g2, profile_sum)
 from .util import BudgetExceededError, check_samples, child_seeds, logsumexp, philox
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
+DEGENERATE_PAIR_FACTOR = "degenerate pair factor; requires beta < inf or |t| < 1"
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def _g2_one_rsb(beta: float, c: float, q: int, t: float, m: float) -> float:
     hi = 1.0 + x * t * t
     lo = 1.0 - (q - 1) * x * t * t
     if lo <= 0.0:
-        raise ValueError("degenerate pair factor; requires beta < inf or |t| < 1")
+        raise ValueError(DEGENERATE_PAIR_FACTOR)
     inner = math.exp(m * math.log(lo)) / q + (1.0 - 1.0 / q) * math.exp(m * math.log(hi))
     return 0.5 * c / m * math.log(inner)
 
@@ -454,8 +455,12 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
         # on the leaves of the atom structure
         shared = None
         u = t if which == "g1" else t * t  # leaf-pattern agreement of a slot / a pair
-        log_other = math.log(1.0 - y * (1.0 - u) / q)
-        gap = math.log(1.0 - y * (u + (1.0 - u) / q)) - log_other
+        other, match = 1.0 - y * (1.0 - u) / q, 1.0 - y * (u + (1.0 - u) / q)
+        if min(other, match) <= 0.0:  # beta = inf with u = 1, or q = 2 with u = -1
+            raise (degenerate_product_factor(x_param(beta, q), t, q) if which == "g1"
+                   else ValueError(DEGENERATE_PAIR_FACTOR))
+        log_other = math.log(other)
+        gap = math.log(match) - log_other
     else:
         # leaves carry sampled spins; patterns (if any) live one level up
         if beta == math.inf:

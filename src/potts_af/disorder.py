@@ -15,10 +15,19 @@ C(P + M - 1, M) multisets of P = N(N-1)/2 pair counts) while that count
 fits exact_budget, by seeded Monte Carlo (multinomial draws over the P
 pairs) above it, and the M > M_max remainder certified through the
 per-edge bound |ln Z(M) - ln Z(0)| <= beta M: each extra edge multiplies
-every Gibbs weight by a factor in [e^-beta, 1].  ln Z sums over
-model.colour_classes.  The default exact_budget keeps M <= 20 exact at
-N = 4, M <= 9 at N = 5 and M <= 6 at N = 6.  N = 1 has no pairs, and
-p_1 = ln q - beta c/2 exactly.
+every Gibbs weight by a factor in [e^-beta, 1].  The default exact_budget
+keeps M <= 20 exact at N = 4, M <= 9 at N = 5 and M <= 6 at N = 6.
+N = 1 has no pairs, and p_1 = ln q - beta c/2 exactly.
+
+ln Z runs over model.colour_classes: one matrix product gives each
+class's energy E, an integer between 0 and the row's edge count, and
+ln Z = ln sum_classes multiplicity e^{-beta E}, with the multiplicities
+entering through a matrix-vector product.  While beta times the largest
+edge count stays below UNSHIFTED_EXPONENT (600) no weight can underflow
+and none is shifted; past it each row is shifted by its least energy,
+which is added back as beta E_min.  Z <= q^N cannot overflow.  Each
+quenched average writes the weights of every chunk of rows into one
+workspace allocated per call.
 
 The same conditioning evaluates the sum-rule deficit
 
@@ -67,6 +76,8 @@ DEFAULT_EXACT_BUDGET = 60_000
 DEFAULT_MC_SAMPLES = 4096
 M_MAX_CAP = 100_000
 CHUNK = 4096  # placement rows per kernel call
+# beta E above this would push e^{-beta E} towards underflow (e^-600 ~ 1e-261)
+UNSHIFTED_EXPONENT = 600.0
 
 
 @dataclass(frozen=True)
@@ -121,34 +132,64 @@ def edges_to_couplings(edges: np.ndarray, n: int) -> np.ndarray:
 # conditional enumeration engine
 # ---------------------------------------------------------------------------
 
-def _class_log_weights(rows: np.ndarray, n: int, q: int, beta: float) -> np.ndarray:
-    """(B, classes) ln(multiplicity e^{-beta H}) per row of P pair counts J_ij + J_ji."""
-    indicator, log_mult = colour_classes(n, q)
-    return log_mult - beta * (rows.astype(np.float64) @ indicator.T)
+def _workspace(n: int, q: int, size: int = CHUNK) -> np.ndarray:
+    """An uninitialised (size, classes) buffer for _class_weights."""
+    return np.empty((size, len(colour_classes(n, q)[1])))
 
 
-def _lnz_batch(rows: np.ndarray, n: int, q: int, beta: float) -> np.ndarray:
-    """ln Z without -beta tr J for a batch of pair-count rows, over colour classes."""
-    return logsumexp(_class_log_weights(rows, n, q, beta), axis=1)
+def _class_weights(rows: np.ndarray, n: int, q: int, beta: float,
+                   work: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | float]:
+    """(w, shift): w = e^{-beta E + shift} per (row, colour class), written
+    into work[:B], with E the class energies of each row of pair counts.
+
+    E is an integer between 0 and the row sum, so e^{-beta E} cannot
+    underflow while beta times the largest row sum stays below
+    UNSHIFTED_EXPONENT, and shift = 0.  Past that each row is shifted by
+    its least energy, shift = beta E_min.  The shift's row minimum and
+    subtraction would add about a fifth to a pressure benchmark pass, so
+    it is skipped where it is not needed.  A fresh buffer stands in for a
+    missing `work`.
+    """
+    indicator, _ = colour_classes(n, q)
+    w = (_workspace(n, q, len(rows)) if work is None else work)[:len(rows)]
+    np.matmul(rows.astype(np.float64, copy=False), indicator.T, out=w)
+    shift = 0.0
+    if beta * rows.sum(axis=1).max() > UNSHIFTED_EXPONENT:
+        e_min = w.min(axis=1, keepdims=True)
+        w -= e_min
+        shift = beta * e_min[:, 0]
+    w *= -beta
+    np.exp(w, out=w)
+    return w, shift
 
 
-def _overlap_moments(rows: np.ndarray, n: int, q: int, beta: float,
-                     r_max: int) -> np.ndarray:
+def _lnz_batch(rows: np.ndarray, n: int, q: int, beta: float,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """ln Z without -beta tr J for a batch of pair-count rows: the log of
+    the class weights times the class multiplicities.  Z <= q^N, so the
+    sum cannot overflow."""
+    w, shift = _class_weights(rows, n, q, beta, work)
+    return np.log(w @ np.exp(colour_classes(n, q)[1])) - shift
+
+
+def _overlap_moments(rows: np.ndarray, n: int, q: int, beta: float, r_max: int,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """[N^-2 sum_ij M_ij^R for R = 1..r_max] per pair-count row.
 
     M_ij = <delta(s_i, s_j)> is a sum over the colour classes; M_ii = 1
     and M is symmetric, so the sum is N + 2 sum_{i<j} M_ij^R.
     """
-    indicator, _ = colour_classes(n, q)
-    logw = _class_log_weights(rows, n, q, beta)
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))
-    m = indicator.T @ (w / w.sum(axis=1, keepdims=True)).T  # (P, B) pair overlaps
-    out = np.empty((rows.shape[0], r_max))
+    indicator, log_mult = colour_classes(n, q)
+    mult = np.exp(log_mult)
+    w, _ = _class_weights(rows, n, q, beta, work)
+    m = (indicator.T * mult) @ w.T  # (P, B) pair overlaps, once normalised by Z
+    m /= w @ mult
+    sums = np.empty((r_max, len(rows)))  # sum_{i<j} M_ij^R per R and row
     power = m.copy()
     for ridx in range(r_max):
-        out[:, ridx] = (n + 2.0 * power.sum(axis=0)) / (n * n)
+        np.sum(power, axis=0, out=sums[ridx])
         power *= m
-    return out
+    return ((n + 2.0 * sums) / (n * n)).T
 
 
 def _exact_placements(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +214,10 @@ def _conditional_average(n: int, m: int, per_j, samples: int,
     Returns (mean, sem, n_samples); sem = 0 on the exact path, taken while
     the C(P + M - 1, M) multisets fit exact_budget.  `per_j` maps a (B, P)
     batch of pair counts to a (B, ...) value array; it sees at most CHUNK
-    rows at a time, which caps peak memory.  Needs n >= 2.
+    rows at a time, which caps peak memory.  The callers' per_j write the
+    class weights of every chunk into one (CHUNK, classes) workspace
+    allocated once per call (_workspace), so a per_j must return fresh
+    arrays, never views of its workspace.  Needs n >= 2.
     """
     if comb(n * (n - 1) // 2 + m - 1, m) <= exact_budget:
         jrows, weights = _exact_placements(n, m)
@@ -223,7 +267,8 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     pmf = poisson_pmf_vector(m_max, lam)
     seeds = child_seeds(seed, m_max + 1)
 
-    per_j = lambda rows: _lnz_batch(rows, n, q, beta) / n
+    work = _workspace(n, q)
+    per_j = lambda rows: _lnz_batch(rows, n, q, beta, work) / n
 
     def eval_m(m: int):
         if m == 0:
@@ -250,9 +295,11 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
 
+    work = _workspace(n, q, min(2048, samples))
+
     def chunk_values(lo: int, chunk_seed: np.random.SeedSequence) -> np.ndarray:
         size = (min(2048, samples - lo), n * (n - 1) // 2)
-        return _lnz_batch(philox(chunk_seed).poisson(c / n, size=size), n, q, beta) / n
+        return _lnz_batch(philox(chunk_seed).poisson(c / n, size=size), n, q, beta, work) / n
 
     starts = range(0, samples, 2048)
     values = np.concatenate([chunk_values(lo, ss)
@@ -299,7 +346,8 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     rs = np.arange(1, r_max + 1)
     seeds = child_seeds(seed, m_max + 1)
 
-    per_j = lambda rows: _overlap_moments(rows, n, q, beta, r_max)
+    work = _workspace(n, q)
+    per_j = lambda rows: _overlap_moments(rows, n, q, beta, r_max, work)
     means, sems, used = map(np.array, zip(*(  # (m_max+1, r_max) moments per M
         _conditional_average(n, m, per_j, mc_samples, seeds[m], exact_budget)
         for m in range(m_max + 1))))

@@ -197,6 +197,11 @@ def _class_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return accept, alias, bounds
 
 
+def degenerate_product_factor(x: float, t: float, q: int) -> ValueError:
+    """The error for a g1 product factor that is not positive."""
+    return ValueError(f"degenerate product factor at x={x}, t={t}, q={q} (requires beta < inf)")
+
+
 def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
     """(ln A, ln B, max |ln|) for the g1 factors A = 1 - (q-1) x t, B = 1 + x t."""
     _check_t(t, q)
@@ -204,9 +209,7 @@ def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
     a = 1.0 - (q - 1) * x * t
     b = 1.0 + x * t
     if a <= 0.0 or b <= 0.0:
-        raise ValueError(
-            f"degenerate product factor at x={x}, t={t}, q={q} (requires beta < inf)"
-        )
+        raise degenerate_product_factor(x, t, q)
     return math.log(a), math.log(b), max(abs(math.log(a)), abs(math.log(b)))
 
 

@@ -319,6 +319,23 @@ def test_monte_carlo_needs_an_atom():
                   method="monte-carlo", n_atoms=0)
 
 
+@pytest.mark.parametrize("t", [1.0, -1.0])
+@pytest.mark.parametrize("spec", [rs_spec(), one_rsb_spec(0.5)], ids=["rs", "one_rsb"])
+def test_integrated_leaves_degenerate_at_infinite_beta(spec, t):
+    # at q = 2, beta = inf a leaf factor vanishes: G1's match factor at t = 1,
+    # its other factor at t = -1, and G2's match factor at both (u = t^2 = 1).
+    # Monte Carlo rejects them before any draw, worded as the closed forms.
+    params = ModelParams(q=2, beta=math.inf, c=1.0)
+    hier = symmetric_t_hierarchy(2, t)
+    for fn, message in ((cavity_g1, "degenerate product factor"),
+                        (cavity_g2, "degenerate pair factor")):
+        with pytest.raises(ValueError):
+            fn(params, 3, spec, hier, method="closed-form")
+        with pytest.raises(ValueError, match=message) as err:
+            fn(params, 3, spec, hier, samples=64, method="monte-carlo")
+        assert "beta < inf" in str(err.value)
+
+
 def test_integrated_leaves_at_infinite_beta_finite():
     params = ModelParams(q=2, beta=math.inf, c=1.0)
     for spec in (rs_spec(), one_rsb_spec(0.5)):

@@ -240,6 +240,9 @@ def test_cascade_infinite_beta_skips_pressure(tmp_path):
      "eps must be"),
     (["sum-rule", "--q", "2", "--beta", "1", "--c", "1", "--n", "2", "--eps", "nan"],
      "eps must be"),
+    (["cascade", "--q", "2", "--beta", "inf", "--c", "1", "--n", "3", "--m-list", "0,1",
+      "--hierarchy", "symmetric-t", "--t", "1", "--method", "monte-carlo"],
+     "degenerate product factor"),
 ])
 def test_bad_parameters_are_structured_errors(tmp_path, args, message):
     out = tmp_path / "bad.json"

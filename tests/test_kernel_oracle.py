@@ -21,12 +21,15 @@ import pytest
 from scipy.special import logsumexp
 
 from potts_af.disorder import (
+    CHUNK,
     DEFAULT_EXACT_BUDGET,
     M_MAX_CAP,
+    UNSHIFTED_EXPONENT,
     _conditional_average,
     _exact_placements,
     _lnz_batch,
     _overlap_moments,
+    _workspace,
     quenched_pressure_exact,
     quenched_pressure_mc,
     restricted_partition_balanced,
@@ -178,7 +181,8 @@ def test_exact_conditional_averages_match_unreduced_kernel(q, n, k_top):
         np.testing.assert_allclose(moments, expect, rtol=0, atol=TOL)
 
 
-@pytest.mark.parametrize("q, beta, c, n", [(2, 1.0, 2.0, 3), (3, 2.0, 4.0, 4), (3, 0.5, 1.0, 5)])
+@pytest.mark.parametrize("q, beta, c, n", [(2, 1.0, 2.0, 3), (3, 2.0, 4.0, 4), (3, 0.5, 1.0, 5),
+                                         (2, 40.0, 8.0, 4)])
 def test_mc_path_draws_unchanged(q, beta, c, n):
     # the Monte Carlo path draws the n(n-1)/2 pair sums as Poisson(c/n) and
     # adds the self-loop mean -beta c/2n; the unreduced kernel gives the
@@ -207,6 +211,53 @@ def test_mc_overlap_moments_draws_unchanged():
     np.testing.assert_allclose(mean, values.mean(axis=0), rtol=0, atol=TOL)
     np.testing.assert_allclose(sem, values.std(axis=0, ddof=1) / math.sqrt(samples),
                                rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n, q, m, beta", [(4, 2, 20, 40.0), (4, 3, 20, 60.0), (3, 2, 30, 50.0)])
+def test_shifted_kernel_matches_unreduced_kernel(n, q, m, beta):
+    # beta M > UNSHIFTED_EXPONENT, so the rows are shifted by their least energy
+    assert beta * m > UNSHIFTED_EXPONENT
+    jrows, weights = _exact_placements(n, m)
+    full = upper_couplings(jrows, n)
+    lnz_fn = lambda rows: _lnz_batch(rows, n, q, beta)
+    assert np.abs(lnz_fn(jrows) - old_lnz(full, n, q, beta)).max() <= TOL
+    mean, _, used = _conditional_average(n, m, lnz_fn, 8, np.random.SeedSequence(0),
+                                         DEFAULT_EXACT_BUDGET)
+    assert used == 0 and abs(mean - weights @ old_lnz(full, n, q, beta)) <= TOL
+    moments = _conditional_average(n, m, lambda rows: _overlap_moments(rows, n, q, beta, 20),
+                                   8, np.random.SeedSequence(0), DEFAULT_EXACT_BUDGET)[0]
+    np.testing.assert_allclose(moments, weights @ old_overlap_moments(full, n, q, beta, 20),
+                               rtol=0, atol=TOL)
+
+
+def test_shift_keeps_frustrated_rows_finite():
+    # every 2-colouring of a triangle with 10 edges per pair costs at least
+    # 10, and e^{-100 * 10} underflows without the shift
+    n, q, beta = 3, 2, 100.0
+    rows = np.array([[10, 10, 10], [0, 0, 30], [1, 2, 3]])
+    lnz = _lnz_batch(rows, n, q, beta)
+    assert lnz[0] == pytest.approx(math.log(6.0) - 1000.0, rel=1e-15)
+    assert np.abs(lnz - old_lnz(upper_couplings(rows, n), n, q, beta)).max() <= TOL
+    np.testing.assert_allclose(_overlap_moments(rows, n, q, beta, 5),
+                               old_overlap_moments(upper_couplings(rows, n), n, q, beta, 5),
+                               rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("exact_budget, samples", [(DEFAULT_EXACT_BUDGET, 8), (0, 9000)])
+def test_shared_workspace_matches_fresh_buffers(exact_budget, samples):
+    # 38 760 multisets span ten chunks and 9 000 draws three, the last ones
+    # partial; one workspace shared by every chunk leaks no stale rows
+    n, q, m, beta = 6, 3, 6, 1.3
+    assert math.ceil(math.comb(15 + m - 1, m) / CHUNK) == 10
+    work = _workspace(n, q)
+    for kernel in (lambda rows, buf: _lnz_batch(rows, n, q, beta, buf),
+                   lambda rows, buf: _overlap_moments(rows, n, q, beta, 20, buf)):
+        shared = _conditional_average(n, m, lambda rows: kernel(rows, work), samples,
+                                      np.random.SeedSequence(4), exact_budget)
+        fresh = _conditional_average(n, m, lambda rows: kernel(rows, np.full_like(work, np.nan)),
+                                     samples, np.random.SeedSequence(4), exact_budget)
+        assert shared[2] == fresh[2] == (0 if exact_budget else samples)
+        assert all(np.array_equal(a, b) for a, b in zip(shared[:2], fresh[:2]))
 
 
 @pytest.mark.parametrize("q, beta, c, n", [(2, 1.0, 2.0, 3), (3, 2.0, 4.0, 4)])
