@@ -37,12 +37,10 @@ from .disorder import (
     QuenchedEstimate,
     balanced_count,
     conditional_moments_balanced,
-    edges_to_couplings,
     quenched_pressure_exact,
     quenched_pressure_mc,
     restricted_partition_balanced,
     sample_couplings,
-    sample_edges_given_k,
     sum_rule_deficit,
 )
 from .model import (

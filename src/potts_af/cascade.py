@@ -47,13 +47,12 @@ import numpy as np
 from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
-from .replica import (_class_alias, _class_table, class_table_fits,
+from .replica import (DEGENERATE_PAIR_FACTOR, _class_alias, _class_table, class_table_fits,
                       degenerate_product_factor, factor_logs, g2 as rs_g2, profile_sum)
 from .util import BudgetExceededError, check_samples, child_seeds, logsumexp, philox
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
-DEGENERATE_PAIR_FACTOR = "degenerate pair factor; requires beta < inf or |t| < 1"
 
 
 @dataclass(frozen=True)

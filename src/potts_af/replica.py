@@ -50,6 +50,8 @@ PROFILE_BLOCK_CELLS = 2**15  # cap on t x colour x class cells in one block of t
 MAX_T_POINTS = 100_000  # cap on a scan grid, as on phase-diagram rows
 MAX_CLASS_ROWS = 1_000_000  # cap on colour-class rows; 0.84 M rows at q = 5 peak near 260 MB
 MAX_CLASS_Q = 170  # largest q whose q! is a finite float
+# 1 - (q-1) x t^2 vanishes only at beta = inf, |t| = 1 (x = 1/(q-1) there)
+DEGENERATE_PAIR_FACTOR = "degenerate pair factor; requires beta < inf or |t| < 1"
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def g2(beta: float, c: float, q: int, t: float) -> float:
     hi = 1.0 + x * t * t
     lo = 1.0 - (q - 1) * x * t * t
     if lo <= 0.0 or hi <= 0.0:
-        raise ValueError(f"log argument nonpositive at beta={beta}, q={q}, t={t}")
+        raise ValueError(DEGENERATE_PAIR_FACTOR)
     return 0.5 * c / q * ((q - 1) * math.log(hi) + math.log(lo))
 
 

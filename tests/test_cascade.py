@@ -23,7 +23,7 @@ from potts_af.cascade import (
     uniform_hierarchy,
 )
 from potts_af.model import ModelParams
-from potts_af.replica import g1 as rs_g1, g2 as rs_g2
+from potts_af.replica import DEGENERATE_PAIR_FACTOR, g1 as rs_g1, g2 as rs_g2
 from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, philox
 
 from conftest import combined_error
@@ -334,6 +334,17 @@ def test_integrated_leaves_degenerate_at_infinite_beta(spec, t):
         with pytest.raises(ValueError, match=message) as err:
             fn(params, 3, spec, hier, samples=64, method="monte-carlo")
         assert "beta < inf" in str(err.value)
+
+
+def test_degenerate_pair_factor_has_one_message():
+    # the RS and one-RSB closed forms and the Monte Carlo path reject the
+    # vanishing pair factor at beta = inf, t = 1 alike
+    params, hier = ModelParams(q=2, beta=math.inf, c=1.0), symmetric_t_hierarchy(2, 1.0)
+    for spec, method in ((rs_spec(), "closed-form"), (one_rsb_spec(0.5), "closed-form"),
+                         (rs_spec(), "monte-carlo")):
+        with pytest.raises(ValueError) as err:
+            cavity_g2(params, 3, spec, hier, samples=64, method=method)
+        assert str(err.value) == DEGENERATE_PAIR_FACTOR
 
 
 def test_integrated_leaves_at_infinite_beta_finite():

@@ -9,18 +9,17 @@ from scipy.stats import chi2_contingency
 
 from potts_af.bounds import annealed_pressure
 from potts_af.disorder import (
+    METHOD_EXACT,
     balanced_count,
     conditional_moments_balanced,
-    edges_to_couplings,
     quenched_pressure_exact,
     quenched_pressure_mc,
     restricted_partition_balanced,
     sample_couplings,
-    sample_edges_given_k,
     sum_rule_deficit,
 )
 from potts_af.model import ModelParams, log_partition
-from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, poisson_sf
+from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, philox, poisson_sf
 
 from conftest import combined_error
 
@@ -48,12 +47,23 @@ def test_sample_couplings_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
+def couplings_given_k(n: int, k: int, seed: int) -> np.ndarray:
+    """K iid uniform ordered cells of {0..n-1}^2, counted into a coupling matrix."""
+    edges = philox(seed).integers(0, n, size=(k, 2), dtype=np.int64)
+    J = np.zeros((n, n), dtype=np.int64)
+    np.add.at(J, (edges[:, 0], edges[:, 1]), 1)
+    return J
+
+
 def test_sample_edges_given_k():
-    assert sample_edges_given_k(3, 0, seed=0).shape == (0, 2)
-    edges = sample_edges_given_k(3, 50_000, seed=5)
-    freq = float(np.mean((edges[:, 0] == 0) & (edges[:, 1] == 0)))
+    # given their total K, the Poisson couplings are K iid uniform cells, so
+    # the share of one cell is a Bernoulli(1/n^2) mean over K edges
+    assert sample_couplings(3, 0.0, seed=0).sum() == 0
+    J = sample_couplings(3, 2 * 50_000 / 3, seed=5)
+    k = int(J.sum())
+    freq = J[0, 0] / k
     p = 1.0 / 9
-    assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / 50_000)
+    assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / k)
 
 
 def test_conditional_gibbs_factor_closed_form():
@@ -219,7 +229,7 @@ def test_conditional_law_equivalence():
                        for s in rng.integers(0, 2**31, size=draws // 10)])
     ks = rng.poisson(lam, size=draws // 10)
     via_edges = np.array([
-        edges_to_couplings(sample_edges_given_k(n, int(k), seed=int(s)), n).sum()
+        couplings_given_k(n, int(k), seed=int(s)).sum()
         for k, s in zip(ks, rng.integers(0, 2**31, size=draws // 10))
     ])
     hi = int(max(direct.max(), via_edges.max())) + 1
@@ -230,6 +240,17 @@ def test_conditional_law_equivalence():
     table = np.stack([h1[keep], h2[keep]])
     _, p_value, _, _ = chi2_contingency(table)
     assert p_value > 0.001
+
+
+def test_two_sites_exact_whatever_the_budget():
+    # at N = 2 there is one pair, so given M the couplings are a point mass
+    for est, exact in (
+            (quenched_pressure_exact(ModelParams(q=3, beta=0.5, c=4.0), 2, exact_budget=0),
+             quenched_pressure_exact(ModelParams(q=3, beta=0.5, c=4.0), 2)),
+            (sum_rule_deficit(ModelParams(q=2, beta=1.0, c=1.0), 2, 5, 4, exact_budget=0),
+             sum_rule_deficit(ModelParams(q=2, beta=1.0, c=1.0), 2, 5, 4))):
+        assert est.stat_error == 0.0 and est.samples == 0 and est.method == METHOD_EXACT
+        assert est == exact
 
 
 def test_sum_rule_trivial_cases():

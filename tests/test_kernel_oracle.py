@@ -8,6 +8,12 @@ edge count K.  The engine conditions on the pair-edge count M instead; of
 K uniform ordered cells, M ~ Binomial(K, 1 - 1/N) fall off the diagonal,
 so the K-conditional averages are Binomial mixtures of the M-conditional
 ones, less beta (K - M) for ln Z.
+
+The engine's exact path averages over site-relabelling orbit tables, not
+over the C(P + M - 1, M) pair-count multisets it enumerated before;
+multiset_placements keeps that enumeration as the oracle, and laws are
+compared after lumping each row to a complete canonical form, the least
+code over its N! relabellings.
 """
 
 from __future__ import annotations
@@ -20,14 +26,15 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from potts_af import disorder
 from potts_af.disorder import (
-    CHUNK,
     DEFAULT_EXACT_BUDGET,
     M_MAX_CAP,
     UNSHIFTED_EXPONENT,
     _conditional_average,
     _exact_placements,
     _lnz_batch,
+    _orbit_tables,
     _overlap_moments,
     _workspace,
     quenched_pressure_exact,
@@ -44,6 +51,7 @@ from potts_af.model import (
 from potts_af.util import (
     child_seeds,
     log_multinomial,
+    multinomial_table,
     multiset_permutations,
     philox,
     poisson_cutoff,
@@ -86,6 +94,35 @@ def old_exact_multisets(n_cells: int, k: int) -> tuple[np.ndarray, np.ndarray]:
             jrows[row, cell] = cnt
         logw[row] = log_multinomial(tuple(counts.values())) - log_cells
     return jrows, np.exp(logw)
+
+
+def multiset_placements(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(P + M - 1, M) pair-count multisets of M uniform pair edges, with
+    their multinomial probabilities: the engine's exact rows before orbits."""
+    p = n * (n - 1) // 2
+    counts, logw = multinomial_table(m, np.full(p, -math.log(p)))
+    return counts, np.exp(logw)
+
+
+def canonical(rows, n: int, base: int) -> np.ndarray:
+    """A complete site-relabelling invariant per pair-count row with entries
+    below base: the least base-`base` code over its n! relabellings."""
+    i, j = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    perms = np.array(list(itertools.permutations(range(n))))
+    relabel = pair[perms[:, i], perms[:, j]]  # (n!, P) pair read by each relabelling
+    rows = np.asarray(rows, dtype=np.int64)
+    assert rows.max(initial=0) < base and base ** len(i) < 2**63
+    place = base ** np.arange(len(i), dtype=np.int64)
+    return np.concatenate([(rows[lo:lo + 128, relabel] @ place).min(axis=1)
+                           for lo in range(0, len(rows), 128)])
+
+
+def lumped(rows: np.ndarray, weights, n: int, base: int) -> dict[int, float]:
+    """A law over pair-count rows, summed over each site-relabelling orbit."""
+    keys, inverse = np.unique(canonical(rows, n, base), return_inverse=True)
+    return dict(zip(keys.tolist(), np.bincount(inverse, weights=weights).tolist()))
 
 
 def random_couplings(n: int, seed: int) -> np.ndarray:
@@ -141,26 +178,85 @@ def test_colour_classes_cover_every_configuration(n, q, classes):
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 0), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_exact_placements_match_ordered_brute_force(n, k):
     # the pair-sum law of K uniform ordered cells, as a Binomial mixture over
-    # M of the engine's pair-count multisets
+    # M of the engine's orbit tables, both lumped by site-relabelling orbit
     p = n * (n - 1) // 2
-    thinned_law: dict[tuple, float] = {}
+    thinned_law: dict[int, float] = {}
     for m, w_m in thinned(n, k):
         if p == 0:  # no pairs: every edge is a self-loop
             rows, weights = np.zeros((1, 0), dtype=np.int64), np.ones(1)
         else:
             rows, weights = _exact_placements(n, m)
-            assert rows.shape == (math.comb(p + m - 1, m), p)
-            assert weights.sum() == pytest.approx(1.0, abs=TOL)
-        for row, w in zip(rows, weights):
-            thinned_law[tuple(row)] = thinned_law.get(tuple(row), 0.0) + w_m * w
-    brute: dict[tuple, float] = {}
+            assert abs(weights.sum() - 1.0) <= TOL and np.all(rows.sum(axis=1) == m)
+            # every row is a relabelling of a row of M - 1 edges plus one pair edge
+            if m:
+                parents, _ = _exact_placements(n, m - 1)
+                grown = (parents[:, None, :] + np.eye(p, dtype=np.int64)).reshape(-1, p)
+                assert np.isin(canonical(rows, n, k + 1), canonical(grown, n, k + 1)).all()
+        for key, w in lumped(rows, weights, n, k + 1).items():
+            thinned_law[key] = thinned_law.get(key, 0.0) + w_m * w
+    brute: dict[int, float] = {}
     for cells in itertools.product(range(n * n), repeat=k):
         ordered = np.bincount(np.asarray(cells, dtype=np.int64), minlength=n * n)
-        key = tuple(pair_sums(ordered.reshape(1, -1), n)[0])
+        key = int(canonical(pair_sums(ordered.reshape(1, -1), n), n, k + 1)[0])
         brute[key] = brute.get(key, 0.0) + float(n * n) ** -k
     assert brute.keys() == {key for key, w in thinned_law.items() if w > 0}
     for key, w in brute.items():
         assert abs(thinned_law[key] - w) <= TOL
+
+
+@pytest.mark.parametrize("n, m_top", [(3, 12), (4, 8), (5, 5), (6, 4)])
+def test_orbit_tables_lump_to_the_multiset_law(n, m_top):
+    # per M, the orbit table and the multiset enumeration put the same
+    # weight on every site-relabelling orbit
+    for m in range(m_top + 1):
+        rows, weights = _exact_placements(n, m)
+        assert len(rows) <= math.comb(n * (n - 1) // 2 + m - 1, m)
+        table = lumped(rows, weights, n, m + 1)
+        multisets = lumped(*multiset_placements(n, m), n, m + 1)
+        assert table.keys() == multisets.keys()
+        assert max(abs(table[key] - w) for key, w in multisets.items()) <= TOL
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n, m", [(4, 19), (5, 9), (6, 6), (3, 22)])
+def test_orbit_tables_match_multiset_enumeration(q, n, m):
+    # E[ln Z | M] and the overlap moments over the orbit table, against the
+    # multiset enumeration the engine ran before
+    beta = 1.3
+    rows, weights = multiset_placements(n, m)
+    for fn in (lambda rows: _lnz_batch(rows, n, q, beta),
+               lambda rows: _overlap_moments(rows, n, q, beta, 20)):
+        mean, _, used = _conditional_average(n, m, fn, 8, np.random.SeedSequence(0),
+                                             DEFAULT_EXACT_BUDGET)
+        expect = sum(np.tensordot(weights[i:i + 4096], fn(rows[i:i + 4096]), axes=1)
+                     for i in range(0, len(rows), 4096))
+        assert used == 0
+        np.testing.assert_allclose(mean, expect, rtol=TOL, atol=0)
+
+
+def test_orbit_tables_cached_per_n(monkeypatch):
+    # one table per N, grown in place; a smaller M builds nothing, and the
+    # shared arrays are read-only
+    grown = []
+    grow = disorder._grow_orbit_table
+    monkeypatch.setattr(disorder, "_grow_orbit_table",
+                        lambda *args: grown.append(args[0]) or grow(*args))
+    _orbit_tables.cache_clear()
+    tables = _orbit_tables(5)
+    rows, weights = _exact_placements(5, 4)
+    assert _orbit_tables(5) is tables and len(tables) == 5 and grown == [5] * 4
+    held = list(tables)
+    assert _exact_placements(5, 2) is held[2] and _exact_placements(5, 4)[0] is rows
+    assert len(grown) == 4
+    _exact_placements(5, 6)
+    assert len(tables) == 7 and all(a is b for a, b in zip(tables, held))
+    _exact_placements(4, 3)
+    assert _orbit_tables.cache_info().currsize == 2 and len(_orbit_tables(4)) == 4
+    assert len(grown) == 9 and len(tables) == 7
+    for rows, weights in tables + _orbit_tables(4):
+        assert not rows.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        tables[3][0][0, 0] = 1
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -244,11 +340,15 @@ def test_shift_keeps_frustrated_rows_finite():
 
 
 @pytest.mark.parametrize("exact_budget, samples", [(DEFAULT_EXACT_BUDGET, 8), (0, 9000)])
-def test_shared_workspace_matches_fresh_buffers(exact_budget, samples):
-    # 38 760 multisets span ten chunks and 9 000 draws three, the last ones
-    # partial; one workspace shared by every chunk leaks no stale rows
+def test_shared_workspace_matches_fresh_buffers(exact_budget, samples, monkeypatch):
+    # the orbit table, cut into 64-row chunks, and 9 000 draws span several
+    # chunks, the last ones partial; one workspace shared by every chunk
+    # leaks no stale rows
     n, q, m, beta = 6, 3, 6, 1.3
-    assert math.ceil(math.comb(15 + m - 1, m) / CHUNK) == 10
+    if exact_budget:
+        monkeypatch.setattr(disorder, "CHUNK", 64)
+    rows = len(_exact_placements(n, m)[0]) if exact_budget else samples
+    assert rows // disorder.CHUNK >= 2 and rows % disorder.CHUNK
     work = _workspace(n, q)
     for kernel in (lambda rows, buf: _lnz_batch(rows, n, q, beta, buf),
                    lambda rows, buf: _overlap_moments(rows, n, q, beta, 20, buf)):
