@@ -67,6 +67,7 @@ import numpy as np
 from .model import (
     DEFAULT_ENUM_BUDGET,
     ModelParams,
+    as_couplings,
     colour_classes,
     config_energies,
 )
@@ -289,8 +290,8 @@ def _check_system(name: str, n: int, q: int, beta: float, max_configs: float) ->
         raise ValueError(f"n must be >= 1, got {n}")
     if not beta < math.inf:
         raise ValueError(f"{name} requires finite beta")
-    if q**n > max_configs:
-        raise BudgetExceededError(f"q^n = {q**n} exceeds enumeration budget {max_configs}")
+    if int(q) ** n > max_configs:  # a numpy q ** n would wrap
+        raise BudgetExceededError(f"q^n = {int(q) ** n} exceeds enumeration budget {max_configs}")
 
 
 def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
@@ -381,7 +382,7 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     quad_points is kept for compatibility; it is validated (>= 3) and
     otherwise ignored.  tail_bound adds the geometric R > r_max remainder
     and the certified M cutoff error (k_tail_eps bounds its Poisson tail).
-    The colour classes enumerate q^n configurations, so q^n is held to
+    The colour classes number about q^n / q!, so q^n is held to
     DEFAULT_ENUM_BUDGET like the quenched pressures' default.
     """
     q, beta, c = params.q, params.beta, params.c
@@ -426,6 +427,8 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
 
 def balanced_count(n: int, q: int) -> int:
     """|[q]^(N,q)| = N! / ((N/q)!)^q."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     if n % q:
         raise ValueError(f"N = {n} is not divisible by q = {q}")
     return math.factorial(n) // math.factorial(n // q) ** q
@@ -436,20 +439,29 @@ def restricted_partition_balanced(J, beta: float, q: int,
     """ln of the balanced-sector partition function.
 
     Sums e^{-beta H} over configurations with exactly N/q sites of each
-    color.  At beta = inf this counts balanced proper colorings (zero
-    energy); returns -inf when none exist.
+    color.  The color transposition (0 s) maps the balanced
+    configurations with sigma_0 = 0 onto those with sigma_0 = s and keeps
+    H, so only sigma_0 = 0 is enumerated and ln Z = ln q + ln Z(sigma_0 =
+    0).  At beta = inf this counts balanced proper colorings (zero
+    energy); returns -inf when none exist.  max_states caps the sector
+    size N!/((N/q)!)^q.
     """
-    n = np.shape(J)[0]
+    J = as_couplings(J)
+    if not beta >= 0.0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    n = J.shape[0]
     states = balanced_count(n, q)
     if states > max_states:
         raise BudgetExceededError("balanced sector too large to enumerate")
-    cfg = np.fromiter(chain.from_iterable(multiset_permutations([n // q] * q)),
-                      dtype=np.int8, count=states * n).reshape(states, n)
+    rest = [n // q - 1] + [n // q] * (q - 1)  # colors of sites 1..N-1
+    cfg = np.zeros((states // q, n), dtype=np.int8)
+    cfg[:, 1:] = np.fromiter(chain.from_iterable(multiset_permutations(rest)),
+                             dtype=np.int8, count=cfg[:, 1:].size).reshape(len(cfg), n - 1)
     energies = config_energies(cfg, J)
     if beta == math.inf:
-        ground = int((energies == 0.0).sum())
+        ground = q * int((energies == 0.0).sum())
         return math.log(ground) if ground else -math.inf
-    return float(logsumexp(-beta * energies))
+    return math.log(q) + float(logsumexp(-beta * energies))
 
 
 def _balanced_pair_measures(n: int, q: int):

@@ -1,4 +1,4 @@
-"""Deterministic Potts-model primitives by exact enumeration.
+"""Deterministic Potts-model primitives on one coupling matrix.
 
 The Hamiltonian over N sites with q colors and a nonnegative integer
 coupling matrix J is
@@ -6,10 +6,14 @@ coupling matrix J is
     H(sigma, J) = sum_{i,j} J_ij * delta(sigma_i, sigma_j),
 
 summed over all ordered pairs including the diagonal (a self loop always
-pays J_ii).  Everything here enumerates the q^N configuration space
-exactly: partition function, Gibbs weights and entropy, replica
-expectations.  State-space size is guarded by an explicit budget; the
-default admits N <= 14 at q = 2 and N <= 9 at q = 3.
+pays J_ii).  H does not change when the colours are permuted, so ln Z,
+the pressure and the entropy are sums over the colour classes of [q]^N
+(class_representatives: one restricted-growth string per class, with
+its multiplicity), 2^(N-1) classes at q = 2 instead of 2^N
+configurations.  Gibbs weights, energies in counting order and replica
+expectations still enumerate all q^N configurations.  Either way the
+q^N state-space size is guarded by an explicit budget; the default
+admits N <= 14 at q = 2 and N <= 9 at q = 3.
 
 Configurations are indexed in mixed-radix counting order (site N-1 is the
 fastest digit).  Colors are 0-based throughout: sigma_i in {0, .., q-1}.
@@ -48,9 +52,14 @@ class ModelParams:
 
 
 def as_couplings(J) -> np.ndarray:
+    """Validate a coupling matrix: square, nonempty, finite and nonnegative."""
     arr = np.asarray(J)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("coupling matrix must be square")
+    if arr.shape[0] == 0:
+        raise ValueError("coupling matrix must have at least one site")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coupling matrix entries must be finite")
     if np.any(arr < 0):
         raise ValueError("coupling matrix entries must be >= 0")
     return arr
@@ -111,21 +120,38 @@ def config_energies(cfg: np.ndarray, J) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def colour_classes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pair indicator, log multiplicity) of the color-relabelling classes of [q]^n.
+def class_representatives(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, log multiplicity) of the colour-relabelling classes of [q]^n.
 
     H is invariant under color permutations, so a configuration sum runs
     over the restricted-growth strings (sigma_0 = 0, each sigma_i at most
     one above every earlier color); one using b colors stands for
-    q!/(q-b)! configurations.  q = 3 has 122 classes at n = 6 (of 729).
+    q!/(q-b)! configurations.  The strings are grown site by site, in
+    lexicographic order, as int8 rows of shape (classes, n); q = 3 has
+    122 classes at n = 6 (of 729).  Needs n >= 1 and q >= 1.
     """
-    cfg = config_block(n, q, 0, q**n)
-    top = np.maximum.accumulate(cfg, axis=1)
-    reps = cfg[(cfg[:, 0] == 0) & np.all(cfg[:, 1:] <= top[:, :-1] + 1, axis=1)]
+    reps = np.zeros((1, 1), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int64)  # highest color of each row so far
+    for _ in range(n - 1):
+        kids = np.minimum(top + 2, q)  # colors 0..top+1 may follow
+        parent = np.repeat(np.arange(len(reps)), kids)
+        color = np.arange(len(parent)) - np.repeat(np.cumsum(kids) - kids, kids)
+        reps = np.column_stack([reps[parent], color.astype(np.int8)])
+        top = np.maximum(top[parent], color)
+    log_mult = log_factorial(q) - log_factorial(q - 1 - top)
+    reps.flags.writeable = log_mult.flags.writeable = False  # shared by the cache
+    return reps, log_mult
+
+
+@lru_cache(maxsize=64)
+def colour_classes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pair indicator, log multiplicity) of the colour classes of [q]^n, the
+    disorder kernel's view of class_representatives: a float64 (classes,
+    n(n-1)/2) matrix of delta(sigma_i, sigma_j) over the pairs i < j."""
+    reps, log_mult = class_representatives(n, q)
     i, j = np.triu_indices(n, 1)
-    indicator = (reps[:, i] == reps[:, j]).astype(np.float64)  # (classes, n(n-1)/2)
-    log_mult = log_factorial(q) - log_factorial(q - 1 - reps.max(axis=1))
-    indicator.flags.writeable = log_mult.flags.writeable = False  # shared by the cache
+    indicator = (reps[:, i] == reps[:, j]).astype(np.float64)
+    indicator.flags.writeable = False  # shared by the cache
     return indicator, log_mult
 
 
@@ -137,9 +163,26 @@ def all_energies(J, q: int, max_configs: int = DEFAULT_ENUM_BUDGET) -> np.ndarra
     return config_energies(config_block(n, q, 0, q**n), J)
 
 
+def _class_energies(J, q: int, max_configs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, log multiplicity, representative) per colour class of J.
+
+    J and q are validated and the q^N budget is checked before any table
+    is built.  H comes from config_energies over the live pairs of J, so
+    no (classes, pairs) indicator is formed.
+    """
+    J = as_couplings(J)
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise ValueError(f"q must be an integer >= 1, got {q}")
+    q = int(q)  # a numpy q ** N would wrap
+    _check_budget(q ** J.shape[0], max_configs)
+    reps, log_mult = class_representatives(J.shape[0], q)
+    return config_energies(reps, J), log_mult, reps
+
+
 def log_partition(J, beta: float, q: int,
                   max_configs: int = DEFAULT_ENUM_BUDGET) -> float:
-    """ln Z(J) = ln sum_sigma exp(-beta H(sigma, J)), exhaustive.
+    """ln Z(J) = ln sum_sigma exp(-beta H(sigma, J)), summed over the colour
+    classes with their multiplicities.
 
     The sum is accumulated in log space against the running maximum, so
     beta up to ~50 does not underflow.  beta must be finite here; the
@@ -148,15 +191,14 @@ def log_partition(J, beta: float, q: int,
     """
     if not (0.0 <= beta < math.inf):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    energies = all_energies(J, q, max_configs)
-    return float(logsumexp(-beta * energies))
+    energies, log_mult, _ = _class_energies(J, q, max_configs)
+    return float(logsumexp(log_mult - beta * energies))
 
 
 def pressure_density(J, beta: float, q: int,
                      max_configs: int = DEFAULT_ENUM_BUDGET) -> float:
     """Finite-volume pressure ln Z / N."""
-    J = as_couplings(J)
-    return log_partition(J, beta, q, max_configs) / J.shape[0]
+    return log_partition(J, beta, q, max_configs) / np.shape(J)[0]
 
 
 def gibbs_weights(J, beta: float, q: int,
@@ -173,20 +215,27 @@ def gibbs_weights(J, beta: float, q: int,
 
 def entropy_density(J, beta: float, q: int,
                     max_configs: int = DEFAULT_ENUM_BUDGET) -> float:
-    """Gibbs entropy per site, -(1/N) sum_sigma w(sigma) ln w(sigma).
+    """Gibbs entropy per site, -(1/N) sum_sigma w(sigma) ln w(sigma), summed
+    over the colour classes with their multiplicities.
 
     Always >= 0.  At beta = inf the Gibbs measure is uniform on the
-    minimum-energy configurations, so the entropy is ln(#ground states)/N.
+    minimum-energy configurations, so the entropy is ln(#ground states)/N;
+    the count sums the integer multiplicities q!/(q-b)! of the
+    minimum-energy classes, exactly.
     """
-    J = as_couplings(J)
-    n = J.shape[0]
-    energies = all_energies(J, q, max_configs)
+    if not beta >= 0.0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    energies, log_mult, reps = _class_energies(J, q, max_configs)
+    n = reps.shape[1]
+    emin = energies.min()
     if beta == math.inf:
-        emin = energies.min()
-        return math.log(int((energies == emin).sum())) / n
-    shifted = -beta * (energies - energies.min())
-    logz_shifted = float(logsumexp(shifted))
-    w = np.exp(shifted - logz_shifted)
+        # ground classes by colors used, b - 1 = the highest color
+        per_b = np.bincount(reps.max(axis=1)[energies == emin], minlength=q)
+        ground = sum(int(k) * math.perm(q, b + 1) for b, k in enumerate(per_b))
+        return math.log(ground) / n
+    shifted = -beta * (energies - emin)
+    logz_shifted = float(logsumexp(shifted + log_mult))
+    w = np.exp(shifted + log_mult - logz_shifted)
     mean_shifted = float(np.dot(w, shifted))
     # s = beta*<E> + ln Z, written against the shifted energies so that the
     # two large terms cancel exactly in exact arithmetic.

@@ -14,19 +14,25 @@ over the C(P + M - 1, M) pair-count multisets it enumerated before;
 multiset_placements keeps that enumeration as the oracle, and laws are
 compared after lumping each row to a complete canonical form, the least
 code over its N! relabellings.
+
+The single-graph functions (log_partition, pressure_density,
+entropy_density) sum over the colour classes; their oracle below
+enumerates every configuration with config_block and an energy written
+out over the ordered site pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from potts_af import disorder
+from potts_af import disorder, model
 from potts_af.disorder import (
     DEFAULT_EXACT_BUDGET,
     M_MAX_CAP,
@@ -40,15 +46,20 @@ from potts_af.disorder import (
     quenched_pressure_exact,
     quenched_pressure_mc,
     restricted_partition_balanced,
+    sample_couplings,
 )
 from potts_af.model import (
     ModelParams,
+    class_representatives,
     colour_classes,
     config_block,
     config_energies,
+    entropy_density,
     log_partition,
+    pressure_density,
 )
 from potts_af.util import (
+    BudgetExceededError,
     child_seeds,
     log_multinomial,
     multinomial_table,
@@ -389,3 +400,189 @@ def test_balanced_energies_bit_identical():
         beta = 0.7
         assert abs(restricted_partition_balanced(J, beta, q)
                    - logsumexp(-beta * old)) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# single-graph quantities over colour classes
+# ---------------------------------------------------------------------------
+
+def old_colour_classes(n: int, q: int):
+    """Restricted-growth strings filtered from all q^n configurations, with
+    their pair indicator and log multiplicities: the table before the
+    strings were grown site by site."""
+    cfg = config_block(n, q, 0, q**n)
+    top = np.maximum.accumulate(cfg, axis=1)
+    reps = cfg[(cfg[:, 0] == 0) & np.all(cfg[:, 1:] <= top[:, :-1] + 1, axis=1)]
+    i, j = np.triu_indices(n, 1)
+    log_mult = np.array([math.lgamma(q + 1) - math.lgamma(q - b) for b in reps.max(axis=1)])
+    return reps, (reps[:, i] == reps[:, j]).astype(np.float64), log_mult
+
+
+def enumerated(J: np.ndarray, q: int) -> np.ndarray:
+    """H of every configuration in counting order, summed over the ordered pairs."""
+    n = J.shape[0]
+    cfg = config_block(n, q, 0, q**n)
+    same = cfg[:, :, None] == cfg[:, None, :]
+    return np.einsum("sij,ij->s", same, J.astype(np.float64))
+
+
+SINGLE_GRAPH_SIZES = ([(2, n) for n in range(1, 15)] + [(3, n) for n in range(1, 10)]
+                      + [(4, n) for n in range(1, 8)] + [(5, 4), (6, 3), (7, 2), (5, 1)])
+
+
+@pytest.mark.parametrize("q, n", SINGLE_GRAPH_SIZES)
+def test_class_representatives_match_the_filter(q, n):
+    reps, log_mult = class_representatives(n, q)
+    old_reps, old_indicator, old_log_mult = old_colour_classes(n, q)
+    assert reps.dtype == np.int8 and np.array_equal(reps, old_reps)
+    np.testing.assert_allclose(log_mult, old_log_mult, rtol=0, atol=TOL)
+    # the disorder kernel's indicator is derived from the same table, row for row
+    indicator, kernel_log_mult = colour_classes(n, q)
+    assert np.array_equal(indicator, old_indicator)
+    assert np.array_equal(kernel_log_mult, log_mult)
+    assert not reps.flags.writeable and not indicator.flags.writeable
+
+
+@pytest.mark.parametrize("q, n", SINGLE_GRAPH_SIZES)
+def test_single_graph_over_classes_matches_enumeration(q, n):
+    rng = np.random.default_rng(1000 * q + n)
+    integer = rng.poisson(2.0 / n, size=(n, n))  # self-loops included
+    dyadic = np.round(rng.exponential(0.5, size=(n, n)) * 64) / 64  # exact float sums
+    generic = rng.exponential(0.5, size=(n, n)) * (rng.random((n, n)) < 0.6)
+    for J in (integer, dyadic, generic):
+        energies = enumerated(J, q)
+        for beta in (0.0, 0.7, 40.0):
+            lnz = float(logsumexp(-beta * energies))
+            assert abs(log_partition(J, beta, q) - lnz) <= TOL
+            assert abs(pressure_density(J, beta, q) - lnz / n) <= TOL
+            # s = ln Z + beta <E>, against the least energy so that no large terms cancel
+            shifted = -beta * (energies - energies.min())
+            lnz_shifted = float(logsumexp(shifted))
+            entropy = (lnz_shifted - float(np.exp(shifted - lnz_shifted) @ shifted)) / n
+            assert abs(entropy_density(J, beta, q) - entropy) <= TOL
+        if J is not generic:  # exact energies, so the ground states tie exactly
+            ground = int((energies == energies.min()).sum())
+            assert entropy_density(J, math.inf, q) == math.log(ground) / n
+
+
+def test_ground_count_is_exact_integer_sum():
+    # no couplings: every configuration is a ground state, q^N of them
+    for q, n in [(2, 14), (3, 9), (7, 5)]:
+        assert entropy_density(np.zeros((n, n), dtype=int), math.inf, q) == math.log(q**n) / n
+    # a 4-cycle at q = 3: 18 proper colourings
+    J = np.zeros((4, 4), dtype=int)
+    J[[0, 1, 2, 3], [1, 2, 3, 0]] = 1
+    assert entropy_density(J, math.inf, 3) == math.log(18) / 4
+
+
+def test_single_graph_builds_no_pair_indicator():
+    # (2, 14): 8 192 classes x 91 pairs would be a 6 MB float table
+    n, q = 14, 2
+    J = sample_couplings(n, 4.0, 3)
+    table_bytes = len(class_representatives(n, q)[0]) * (n * (n - 1) // 2) * 8
+    before = colour_classes.cache_info()
+    tracemalloc.start()
+    try:
+        for beta in (1.0, math.inf):
+            entropy_density(J, beta, q)
+        pressure_density(J, 1.0, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert colour_classes.cache_info() == before
+    assert peak < 0.75 * table_bytes
+
+
+@pytest.mark.parametrize("fn", [log_partition, pressure_density, entropy_density])
+def test_budget_guard_builds_no_class_table(fn):
+    class_representatives.cache_clear()
+    colour_classes.cache_clear()  # its log multiplicities are class_representatives' arrays
+    with pytest.raises(BudgetExceededError):
+        fn(np.zeros((9, 9), dtype=int), 1.0, 3, max_configs=3**9 - 1)
+    info = class_representatives.cache_info()
+    assert info.currsize == 0 and info.misses == 0
+
+
+@pytest.mark.parametrize("fn", [log_partition, pressure_density, entropy_density])
+def test_budget_guard_with_numpy_q(fn, monkeypatch):
+    # np.int64(2) ** 64 wraps to 0; the budget must see 2^64.  A table built
+    # past the guard would have 2^63 rows, so building one fails the test.
+    assert fn(np.ones((4, 4)), 1.0, np.int64(3)) == fn(np.ones((4, 4)), 1.0, 3)
+    monkeypatch.setattr(model, "class_representatives",
+                        lambda n, q: pytest.fail(f"class table built at (N, q) = ({n}, {q})"))
+    with pytest.raises(BudgetExceededError):
+        fn(np.zeros((64, 64)), 1.0, np.int64(2))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda p: quenched_pressure_exact(p, 64),
+    lambda p: quenched_pressure_mc(p, 64, 4, 0),
+    lambda p: disorder.sum_rule_deficit(p, 64, 4, 3),
+], ids=["quenched_pressure_exact", "quenched_pressure_mc", "sum_rule_deficit"])
+def test_disorder_budget_guard_with_numpy_q(fn, monkeypatch):
+    monkeypatch.setattr(model, "class_representatives",
+                        lambda n, q: pytest.fail(f"class table built at (N, q) = ({n}, {q})"))
+    with pytest.raises(BudgetExceededError):
+        fn(ModelParams(np.int64(2), 1.0, 1.0))
+
+
+@pytest.mark.parametrize("fn", [log_partition, pressure_density, entropy_density])
+@pytest.mark.parametrize("J, beta", [
+    (np.zeros((0, 0)), 1.0),
+    (np.array([[0.0, math.nan], [0.0, 0.0]]), 1.0),
+    (np.array([[0.0, math.inf], [0.0, 0.0]]), 0.0),
+    (np.array([[math.inf]]), 1.0),
+])
+def test_single_graph_rejects_empty_and_nonfinite_couplings(fn, J, beta):
+    with pytest.raises(ValueError, match="coupling matrix"):
+        fn(J, beta, 2)
+
+
+@pytest.mark.parametrize("fn", [log_partition, pressure_density, entropy_density])
+@pytest.mark.parametrize("q", [0, 2.0, 2.5])
+def test_single_graph_rejects_non_integer_q(fn, q):
+    # 2.0 == 2 would otherwise share the integer class table's cache entry
+    class_representatives(3, 2)
+    with pytest.raises(ValueError, match="q must be an integer"):
+        fn(np.ones((3, 3)), 1.0, q)
+
+
+@pytest.mark.parametrize("beta", [math.nan, -0.5])
+def test_entropy_rejects_nan_and_negative_beta(beta):
+    with pytest.raises(ValueError, match="beta"):
+        entropy_density(np.ones((3, 3)), beta, 2)
+
+
+@pytest.mark.parametrize("J, beta, q, match", [
+    ([[0, -1], [-1, 0]], 1.0, 2, ">= 0"),
+    ([[0, 1, 0]], 1.0, 2, "square"),
+    ([[0, math.nan], [0, 0]], 1.0, 2, "finite"),
+    (np.zeros((0, 0)), 1.0, 2, "at least one site"),
+    ([[0, 1], [0, 0]], -1.0, 2, "beta"),
+    ([[0, 1], [0, 0]], math.nan, 2, "beta"),
+    (np.zeros((4, 4)), 1.0, 0, "q must be"),
+])
+def test_balanced_partition_validates_inputs(J, beta, q, match):
+    with pytest.raises(ValueError, match=match):
+        restricted_partition_balanced(J, beta, q)
+
+
+@pytest.mark.parametrize("n, q", [(1, 1), (4, 2), (6, 2), (6, 3), (9, 3), (8, 4)])
+def test_balanced_partition_fixes_the_first_site(n, q, monkeypatch):
+    # only the N!/((N/q)!)^q / q configurations with sigma_0 = 0 are enumerated
+    # and ln q is added back; the ground counts stay exact integers
+    rng = np.random.default_rng(n * q)
+    J = rng.poisson(2.0 / n, size=(n, n))
+    np.fill_diagonal(J, 0)
+    full = np.array(list(multiset_permutations([n // q] * q)), dtype=np.int8)
+    energies = config_energies(full, J)
+    seen = []
+    monkeypatch.setattr(disorder, "config_energies",
+                        lambda cfg, J: seen.append(cfg.copy()) or config_energies(cfg, J))
+    for beta in (0.0, 0.7, 40.0):
+        assert abs(restricted_partition_balanced(J, beta, q)
+                   - logsumexp(-beta * energies)) <= TOL
+    ground = int((energies == 0.0).sum())
+    expect = math.log(ground) if ground else -math.inf
+    assert restricted_partition_balanced(J, math.inf, q) == expect
+    assert all(len(cfg) == len(full) // q and not cfg[:, 0].any() for cfg in seen)
