@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 ROOT_ATOL = 1e-10  # absolute tolerance for every root find in this module
 BETA_SCAN_MAX = 500.0
 
@@ -53,7 +55,9 @@ class PhaseRegion:
 
 
 def _check_q(q: int) -> None:
-    if not isinstance(q, int) or q < 2:
+    # as in ModelParams; isinstance(q, numbers.Integral) is about 30x slower,
+    # and the root finds here check q at every step
+    if not isinstance(q, (int, np.integer)) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q}")
 
 

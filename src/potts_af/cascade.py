@@ -24,13 +24,13 @@ operations.  For G1 a site's factor depends on its slots' colour counts
 only through their class (the sorted count profile), so on uniform leaves
 each (leaf, site) draws its class with one uniform from a Walker alias
 table over the classes of its k slots (replica._class_alias, cached per
-q), and ln S is read from a per-class array.  A chain of q - 1 binomial
-draws of the colour counts serves the symmetric-t sampled leaves, which
-need colour identity, and any block whose class table would pass
-replica.MAX_CLASS_ROWS.  G2 draws matching pairs from their binomial laws.
-Each chunk of MC_CHUNK draws has its own child seed, and the block size
-(capped by MC_BLOCK_CELLS leaf x site x colour cells) depends only on the
-inputs, so results depend only on the inputs and the seed.  Sample counts
+q), and ln S is read from a per-class array.  Colour counts drawn with
+numpy's multinomial serve the symmetric-t sampled leaves, which need
+colour identity, and any block whose class table would not fit
+(replica.class_table_fits).  G2 draws matching pairs from their binomial
+laws.  Each chunk of MC_CHUNK draws has its own child seed, and the block
+size (capped by MC_BLOCK_CELLS leaf x site x colour cells) depends only on
+the inputs, so results depend only on the inputs and the seed.  Sample counts
 past util.MAX_MC_SAMPLES raise BudgetExceededError before anything is
 drawn.  Each level keeps n_atoms atoms; the mean share of normalizer mass
 beyond them, divided by n, is reported as bias_estimate.  It is an
@@ -225,10 +225,6 @@ def _kind(spec: CascadeSpec) -> str:
     return "generic"
 
 
-def _t_of(hier: SpinHierarchySpec) -> float:
-    return 0.0 if hier.kind == "uniform" else hier.t
-
-
 def _g2_one_rsb(beta: float, c: float, q: int, t: float, m: float) -> float:
     x = x_param(beta, q)
     hi = 1.0 + x * t * t
@@ -243,17 +239,13 @@ def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec
                  which: str, eps: float) -> tuple[float, float]:
     """Closed-form G1 or G2 value with certified truncation tail."""
     q, beta, c = params.q, params.beta, params.c
-    t = _t_of(hier)
+    t = hier.t
     kind = _kind(spec)
     y = -math.expm1(-beta)
     log_ann = math.log1p(-y / q)
     if kind == "annealed":
-        if t != 0.0:
-            raise ValueError("one-level cascades support the uniform hierarchy only")
         return (math.log(q) + c * log_ann, 0.0) if which == "g1" else (0.5 * c * log_ann, 0.0)
     if kind == "l1-generic":
-        if t != 0.0:
-            raise ValueError("one-level cascades support the uniform hierarchy only")
         m = spec.levels[0]
         if which == "g1":
             # W = (1/q) sum_s e^(-beta n_s), so e^(-beta k) <= W <= 1
@@ -323,24 +315,6 @@ def _block_log_weights(rng: np.random.Generator, ms: tuple[float, ...], outer: i
             frac_outer + frac_inner.mean(axis=1))
 
 
-def _multinomial(rng: np.random.Generator, n, probs: np.ndarray, shape) -> np.ndarray:
-    """Multinomial(n, probs) counts, colour axis first: (len(probs),) + shape.
-
-    Drawn as a chain of binomials: colour s takes Binomial(rest, p_s / (p_s
-    + ... + p_last)) of the slots the earlier colours left.  Colours come
-    first, where a log-sum-exp over them runs about 9x faster than over
-    Generator.multinomial's short trailing axis.
-    """
-    out = np.empty((len(probs),) + shape, dtype=np.int64)
-    rest = np.broadcast_to(n, shape)
-    for s in range(len(probs) - 1):
-        left = probs[s:].sum()
-        out[s] = rng.binomial(rest, min(1.0, probs[s] / left) if left > 0 else 0.0, size=shape)
-        rest = rest - out[s]
-    out[-1] = rest
-    return out
-
-
 class _ClassDraw:
     """ln S = ln sum_s exp(gap n_s) of uniformly coloured slots, drawn by colour class.
 
@@ -388,19 +362,20 @@ def _leaf_counts(rng: np.random.Generator, k: np.ndarray, q: int, t: float | Non
     for blocks whose class table would be too large.  Otherwise each outer
     node colours the slots with a uniform pattern and each leaf redraws a
     slot of pattern colour p from mu_{p,t}, so given the pattern counts n_p
-    the leaf counts are sum_p Multinomial(n_p, mu_{p,t}); this needs colour
-    identity, so it stays on the binomial chain.
+    the leaf counts are sum_p Multinomial(n_p, mu_{p,t}).
     """
     b, sites = k.shape
     slots, uniform = k[:, None, None, :], np.full(q, 1.0 / q)
     if t is None:
-        return _multinomial(rng, slots, uniform, (b, outer, inner, sites))
-    pattern = _multinomial(rng, slots, uniform, (b, outer, 1, sites))
-    counts = np.zeros((q, b, outer, inner, sites), dtype=np.int64)
-    for p in range(q):
-        mu = np.maximum((1.0 - t) / q + t * (np.arange(q) == p), 0.0)
-        counts += _multinomial(rng, pattern[p], mu, (b, outer, inner, sites))
-    return counts
+        counts = rng.multinomial(slots, uniform, size=(b, outer, inner, sites))
+    else:
+        pattern = rng.multinomial(slots, uniform, size=(b, outer, 1, sites))
+        mu = np.maximum((1.0 - t) / q + t * np.eye(q), 0.0)  # row p is mu_{p,t}
+        counts = sum(rng.multinomial(pattern[..., p], mu[p], size=(b, outer, inner, sites))
+                     for p in range(q))
+    # Generator.multinomial puts colours last; a contiguous colour-first copy
+    # lets the caller's log-sum-exp over colours run slab by slab
+    return np.ascontiguousarray(np.moveaxis(counts, -1, 0))
 
 
 def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | None,
@@ -420,19 +395,6 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
             + rng.binomial(pairs - in_pattern, off, size=(b, outer, inner)))
 
 
-def _colour_logsumexp(counts: np.ndarray, gap: float, work: np.ndarray) -> np.ndarray:
-    """logsumexp(gap * counts, axis=0), bit for bit, computed in `work`: one
-    workspace per call, not fresh block-sized temporaries, which the allocator
-    would map, page-fault in and unmap again on every block."""
-    a = np.multiply(counts, gap, out=work[:counts.size].reshape(counts.shape))
-    top = a.max(axis=0)
-    top[np.isinf(top)] = 0.0  # as in util.logsumexp
-    a -= top
-    np.exp(a, out=a)
-    with np.errstate(divide="ignore"):
-        return np.log(a.sum(axis=0)) + top
-
-
 def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
             samples: int, seed: int, n_atoms: int, which: str) -> QuenchedEstimate:
     """Mean over `samples` draws of (1/n) ln( sum_a w_a V_a / sum_a w_a ).
@@ -447,7 +409,7 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
         raise ValueError("need samples >= 2")
     check_samples(samples)
     q, beta, c = params.q, params.beta, params.c
-    t = _t_of(hier)
+    t = hier.t
     y = -math.expm1(-beta)
     if spec.last_to_one:
         # leaves integrate exactly against mu_{P,t}; uniform patterns sit
@@ -472,7 +434,6 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     # MC_BLOCK_CELLS (leaf, site, colour) cells, so values depend only on
     # the inputs and the seed
     block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (outer * inner * n * q)))
-    work = np.empty(block * outer * inner * n * q) if which == "g1" else None
     classes = _ClassDraw(q, gap) if which == "g1" and shared is None else None
     starts = range(0, samples, MC_CHUNK)
     vals, fracs = np.empty(samples), np.empty(samples)
@@ -487,7 +448,7 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
                     excess = classes.draw(rng, k, outer * inner)
                 else:
                     counts = _leaf_counts(rng, k, q, shared, outer, inner)
-                    excess = _colour_logsumexp(counts, gap, work).sum(axis=-1)
+                    excess = logsumexp(gap * counts, axis=0).sum(axis=-1)
             else:
                 k = rng.poisson(0.5 * c * n, size=(b, 1))
                 excess = gap * _leaf_matches(rng, k[:, 0], q, shared, outer, inner)
@@ -504,13 +465,6 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     )
 
 
-def _has_closed_form(spec: CascadeSpec, hier: SpinHierarchySpec) -> bool:
-    kind = _kind(spec)
-    if kind in ("annealed", "l1-generic"):
-        return hier.kind == "uniform"
-    return kind in ("rs", "one-rsb")
-
-
 def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
             samples: int, seed: int, which: str, method: str, n_atoms: int,
             eps: float) -> QuenchedEstimate:
@@ -523,7 +477,7 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
         # symmetric-t family only exists as a measure on measures
         raise ValueError("one-level cascades support the uniform hierarchy only")
     if method == "auto":
-        method = "closed-form" if _has_closed_form(spec, hier) else "monte-carlo"
+        method = "closed-form" if _kind(spec) != "generic" else "monte-carlo"
     if method == "closed-form":
         value, tail = _closed_form(params, spec, hier, which, eps)
         return QuenchedEstimate(value, 0.0, tail, 0, METHOD_EXACT)

@@ -1,8 +1,8 @@
 """Batch command-line surface emitting machine-readable JSON and CSV.
 
 All commands are deterministic for a fixed seed: stochastic work is keyed
-by explicit Philox streams and runs on one thread, so output files are
-byte-identical under any POTTS_AF_THREADS (validated, otherwise ignored).
+by explicit Philox streams and runs on one thread, so output files depend
+only on the arguments.
 Bad parameters end in the same structured error record.  Floats are
 serialized with 17 significant digits (round-trip exact); infinities
 become the literal string "inf"; NaN is never emitted — any NaN aborts
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, cascade, disorder, replica, second_moment
 from .model import DEFAULT_ENUM_BUDGET, ModelParams
-from .util import BudgetExceededError, worker_count
+from .util import BudgetExceededError
 
 SCHEMA = "potts-af/1"
 MAX_PHASE_ROWS = 100_000  # about 6 s of boundary curves
@@ -395,7 +395,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, TypeError, ValueError) as exc:
         config_problem = f"cannot read config: {exc}"
     args = parser.parse_args(argv)
-    worker_count()  # validate POTTS_AF_THREADS early
     try:
         if config_problem:
             raise ValueError(config_problem)

@@ -67,6 +67,7 @@ import numpy as np
 from .model import (
     DEFAULT_ENUM_BUDGET,
     ModelParams,
+    _check_budget,
     as_couplings,
     colour_classes,
     config_energies,
@@ -290,8 +291,7 @@ def _check_system(name: str, n: int, q: int, beta: float, max_configs: float) ->
         raise ValueError(f"n must be >= 1, got {n}")
     if not beta < math.inf:
         raise ValueError(f"{name} requires finite beta")
-    if int(q) ** n > max_configs:  # a numpy q ** n would wrap
-        raise BudgetExceededError(f"q^n = {int(q) ** n} exceeds enumeration budget {max_configs}")
+    _check_budget(q, n, max_configs)
 
 
 def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,

@@ -89,11 +89,19 @@ def hamiltonian(sigma, J) -> float | int:
     return int(total) if np.issubdtype(J.dtype, np.integer) else float(total)
 
 
-def _check_budget(n_states: int, max_configs: int) -> None:
+def _check_budget(q: int, n: int, max_configs: float) -> int:
+    """q^n, the number of configurations, after checking q and the budget.
+
+    The power is taken on int(q): a numpy q ** n would wrap.
+    """
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise ValueError(f"q must be an integer >= 1, got {q}")
+    n_states = int(q) ** n
     if n_states > max_configs:
         raise BudgetExceededError(
-            f"enumerating {n_states} configurations exceeds budget {max_configs}"
+            f"enumerating {n_states} configurations exceeds enumeration budget {max_configs}"
         )
+    return n_states
 
 
 def config_block(n: int, q: int, lo: int, hi: int) -> np.ndarray:
@@ -159,8 +167,7 @@ def all_energies(J, q: int, max_configs: int = DEFAULT_ENUM_BUDGET) -> np.ndarra
     """Energies of all q^N configurations, in counting order."""
     J = as_couplings(J)
     n = J.shape[0]
-    _check_budget(q**n, max_configs)
-    return config_energies(config_block(n, q, 0, q**n), J)
+    return config_energies(config_block(n, q, 0, _check_budget(q, n, max_configs)), J)
 
 
 def _class_energies(J, q: int, max_configs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,11 +178,8 @@ def _class_energies(J, q: int, max_configs: int) -> tuple[np.ndarray, np.ndarray
     no (classes, pairs) indicator is formed.
     """
     J = as_couplings(J)
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"q must be an integer >= 1, got {q}")
-    q = int(q)  # a numpy q ** N would wrap
-    _check_budget(q ** J.shape[0], max_configs)
-    reps, log_mult = class_representatives(J.shape[0], q)
+    _check_budget(q, J.shape[0], max_configs)
+    reps, log_mult = class_representatives(J.shape[0], int(q))
     return config_energies(reps, J), log_mult, reps
 
 
@@ -266,9 +270,9 @@ def gibbs_replica_expectation(J, beta: float, q: int, n_replicas: int, f,
     n = J.shape[0]
     if n_replicas < 1:
         raise ValueError("need at least one replica")
-    _check_budget(q ** (n * n_replicas), max_configs)
+    _check_budget(q, n * n_replicas, max_configs)
     w = gibbs_weights(J, beta, q, max_configs)
-    n_states = q**n
+    n_states = len(w)
     configs = config_block(n, q, 0, n_states)
     total = 0.0
     for combo in product(range(n_states), repeat=n_replicas):

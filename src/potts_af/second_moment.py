@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import annealed_pressure, beta_1, beta_rs_loc, x_param
+from .bounds import annealed_pressure, beta_1, x_param
 from .replica import MAX_T_POINTS
 from .util import BudgetExceededError
 
@@ -277,6 +277,4 @@ def ising_gap(beta: float, c: float, theta: float) -> float:
 
 def beta_star_certified(c: float, q: int) -> float:
     """Certified annealed-region boundary: exact for q = 2, a lower bound else."""
-    if q == 2:
-        return beta_rs_loc(c, 2)
     return beta_1(c, q)

@@ -11,7 +11,6 @@ arithmetic, so importing the package loads no scipy.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,22 +33,6 @@ def check_samples(samples: int) -> None:
     allocated or any seed is split."""
     if samples > MAX_MC_SAMPLES:
         raise BudgetExceededError(f"{samples} Monte Carlo samples exceed {MAX_MC_SAMPLES}")
-
-
-def worker_count() -> int:
-    """Validated POTTS_AF_THREADS (default 1).
-
-    All work runs on one thread, so the value never affects results; it is
-    still validated so that a malformed setting is reported.
-    """
-    raw = os.environ.get("POTTS_AF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"POTTS_AF_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"POTTS_AF_THREADS must be >= 1, got {n}")
-    return n
 
 
 def philox(seed: int | np.random.SeedSequence) -> np.random.Generator:

@@ -139,3 +139,15 @@ def test_invalid_inputs():
         x_param(1.0, 1)
     with pytest.raises(ValueError):
         beta_rs_loc(-2.0, 2)
+
+
+def test_numpy_integer_q_is_accepted():
+    # ModelParams takes a numpy integer q, so the closed forms must too
+    curves = [lambda q: annealed_pressure(1.0, 2.0, q), lambda q: x_param(1.0, q),
+              thresholds, lambda q: beta_rs_loc(9.0, q), lambda q: beta_1(30.0, q),
+              lambda q: beta_ent(9.0, q), lambda q: classify(1.0, 9.0, q)]
+    for q in (2, 3):
+        for curve in curves:
+            assert curve(np.int64(q)) == curve(q)
+    with pytest.raises(ValueError, match="q must be an integer"):
+        annealed_pressure(1.0, 1.0, 2.0)

@@ -354,3 +354,12 @@ def test_integrated_leaves_at_infinite_beta_finite():
             est = fn(params, 3, spec, symmetric_t_hierarchy(2, 0.4), samples=64, seed=2,
                      method="monte-carlo", n_atoms=64)
             assert math.isfinite(est.value) and math.isfinite(est.stat_error)
+
+
+@pytest.mark.parametrize("spec", [annealed_spec(), rs_spec(), one_rsb_spec(0.5)],
+                         ids=["annealed", "rs", "one-rsb"])
+def test_numpy_integer_q_is_accepted(spec):
+    # ModelParams and the hierarchy take a numpy integer q, so the bound must too
+    numpy_q, python_q = (rsb_upper_bound(ModelParams(q, 1.0, 1.0), 3, spec, uniform_hierarchy(q))
+                         for q in (np.int64(2), 2))
+    assert numpy_q == python_q

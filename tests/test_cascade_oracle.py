@@ -23,7 +23,6 @@ from potts_af.cascade import (
     _leaf_counts,
     _block_log_weights,
     _leaf_matches,
-    _t_of,
     _tree,
     annealed_spec,
     cavity_g1,
@@ -122,7 +121,7 @@ class _CascadeDraw:
 
 def _mc_g1_draw(params, n, spec, hier, rng, n_atoms):
     q, beta, c = params.q, params.beta, params.c
-    t = _t_of(hier)
+    t = hier.t
     y = -math.expm1(-beta)
     draw = _CascadeDraw(spec, rng, n_atoms)
     k_per_site = rng.poisson(c, size=n)
@@ -149,7 +148,7 @@ def _mc_g1_draw(params, n, spec, hier, rng, n_atoms):
 
 def _mc_g2_draw(params, n, spec, hier, rng, n_atoms):
     q, beta, c = params.q, params.beta, params.c
-    t = _t_of(hier)
+    t = hier.t
     y = -math.expm1(-beta)
     draw = _CascadeDraw(spec, rng, n_atoms)
     k_pairs = int(rng.poisson(0.5 * c * n))

@@ -50,11 +50,14 @@ from potts_af.disorder import (
 )
 from potts_af.model import (
     ModelParams,
+    all_energies,
     class_representatives,
     colour_classes,
     config_block,
     config_energies,
     entropy_density,
+    gibbs_replica_expectation,
+    gibbs_weights,
     log_partition,
     pressure_density,
 )
@@ -503,7 +506,14 @@ def test_budget_guard_builds_no_class_table(fn):
     assert info.currsize == 0 and info.misses == 0
 
 
-@pytest.mark.parametrize("fn", [log_partition, pressure_density, entropy_density])
+@pytest.mark.parametrize("fn", [
+    log_partition, pressure_density, entropy_density,
+    # the counting-order enumerations, as (J, beta, q) -> comparable value
+    pytest.param(lambda J, beta, q: tuple(all_energies(J, q)), id="all_energies"),
+    pytest.param(lambda J, beta, q: tuple(gibbs_weights(J, beta, q)), id="gibbs_weights"),
+    pytest.param(lambda J, beta, q: gibbs_replica_expectation(J, beta, q, 1, np.sum),
+                 id="gibbs_replica_expectation"),
+])
 def test_budget_guard_with_numpy_q(fn, monkeypatch):
     # np.int64(2) ** 64 wraps to 0; the budget must see 2^64.  A table built
     # past the guard would have 2^63 rows, so building one fails the test.
