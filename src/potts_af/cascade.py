@@ -6,8 +6,9 @@ sums of unit exponentials.  The multiplier stability property — resorting
 {X_k xi_k} has the law of {c xi_k} with c = E[X^m]^(1/m) — is what makes
 cavity functionals over cascade trial states computable level by level:
 each level integrates out through a fractional moment of order m_level,
-the m -> 0 outer limit turns into a plain average of the log, and the
-m -> 1 inner limit into a plain conditional expectation.
+the m -> 0 outer limit (a first level 0) turns into a plain average of
+the log, and the m -> 1 inner limit (a last level 1) into a plain
+conditional expectation.
 
 Hierarchies supported on the spin side (finitely supported measures on
 measures): the uniform hierarchy, and the symmetric one-color family
@@ -15,9 +16,10 @@ mu_{s,t}(r) = t d(r,s) + (1-t)/q with the color s refreshed per branch
 slot.  Closed forms exist for the trivial one-level state (annealed), the
 replica-symmetric limit (two levels, m1 -> 0, m2 -> 1), the one-level
 generic-m state with uniform spins, and the one-step RSB state (three
-levels, middle m free).  Every configuration can also be evaluated by
-direct Monte Carlo over truncated cascades; closed-form and MC paths are
-independent and cross-validate each other.
+levels, middle m free): each G2 is one replica.pair_sum, each G1 one
+replica.profile_sum.  Every configuration can also be evaluated by direct
+Monte Carlo over truncated cascades with its own factors; closed-form and
+MC paths are independent and cross-validate each other.
 
 The Monte Carlo engine draws a block of cascades per set of array
 operations.  For G1 a site's factor depends on its slots' colour counts
@@ -48,8 +50,8 @@ from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
 from .replica import (DEGENERATE_PAIR_FACTOR, _class_alias, _class_table, class_table_fits,
-                      degenerate_product_factor, factor_logs, g2 as rs_g2, profile_sum)
-from .util import BudgetExceededError, check_samples, child_seeds, logsumexp, philox
+                      degenerate_product_factor, factor_logs, pair_logs, pair_sum, profile_sum)
+from .util import check_samples, child_seeds, logsumexp, philox
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -57,58 +59,54 @@ MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draw
 
 @dataclass(frozen=True)
 class CascadeSpec:
-    """Tree depth and level parameters 0 < m_1 < ... < m_L < 1.
+    """Tree depth and level parameters 0 <= m_1 < ... < m_L <= 1, L <= 3.
 
-    Endpoint limits are explicit flags, never tiny numeric stand-ins:
-    first_to_zero marks m_1 -> 0 (levels[0] must be the sentinel 0.0) and
-    last_to_one marks m_L -> 1 (levels[-1] must be the sentinel 1.0).
+    The endpoints stand for limits, never for tiny numeric stand-ins:
+    m_1 = 0 is the outer limit m_1 -> 0 (first_to_zero) and m_L = 1 the
+    inner limit m_L -> 1 (last_to_one).  Only the levels strictly inside
+    (0, 1) keep atoms.
     """
 
     levels: tuple[float, ...]
-    first_to_zero: bool = False
-    last_to_one: bool = False
 
     def __post_init__(self):
         ls = tuple(float(m) for m in self.levels)
         object.__setattr__(self, "levels", ls)
         if not 1 <= len(ls) <= 3:
             raise ValueError("cascade depth must be 1, 2 or 3")
-        if self.first_to_zero and ls[0] != 0.0:
-            raise ValueError("first_to_zero requires levels[0] == 0.0")
-        if self.last_to_one and ls[-1] != 1.0:
-            raise ValueError("last_to_one requires levels[-1] == 1.0")
+        if not all(0.0 <= m <= 1.0 for m in ls):
+            raise ValueError(f"levels {ls} must lie in [0, 1]")
         if any(b <= a for a, b in zip(ls, ls[1:])):
             raise ValueError("levels must be strictly increasing")
-        for i, m in enumerate(ls):
-            limit = (i == 0 and self.first_to_zero) or (i == len(ls) - 1 and self.last_to_one)
-            if not limit and not (0.0 < m < 1.0):
-                raise ValueError(f"interior level m = {m} must lie in (0, 1)")
 
     @property
     def depth(self) -> int:
         return len(self.levels)
 
     @property
+    def first_to_zero(self) -> bool:
+        return self.levels[0] == 0.0
+
+    @property
+    def last_to_one(self) -> bool:
+        return self.levels[-1] == 1.0
+
+    @property
     def atom_levels(self) -> tuple[float, ...]:
-        """Levels that keep actual atoms after resolving the limit flags."""
-        ms = list(self.levels)
-        if self.last_to_one:
-            ms = ms[:-1]
-        if self.first_to_zero:
-            ms = ms[1:]
-        return tuple(ms)
+        """Levels that keep actual atoms: those strictly inside (0, 1)."""
+        return tuple(m for m in self.levels if 0.0 < m < 1.0)
 
 
 def annealed_spec() -> CascadeSpec:
-    return CascadeSpec((1.0,), last_to_one=True)
+    return CascadeSpec((1.0,))
 
 
 def rs_spec() -> CascadeSpec:
-    return CascadeSpec((0.0, 1.0), first_to_zero=True, last_to_one=True)
+    return CascadeSpec((0.0, 1.0))
 
 
 def one_rsb_spec(m: float) -> CascadeSpec:
-    return CascadeSpec((0.0, m, 1.0), first_to_zero=True, last_to_one=True)
+    return CascadeSpec((0.0, m, 1.0))
 
 
 @dataclass(frozen=True)
@@ -218,21 +216,9 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
 def _kind(spec: CascadeSpec) -> str:
     if spec.depth == 1:
         return "annealed" if spec.last_to_one else "l1-generic"
-    if spec.depth == 2 and spec.first_to_zero and spec.last_to_one:
-        return "rs"
-    if spec.depth == 3 and spec.first_to_zero and spec.last_to_one:
-        return "one-rsb"
+    if spec.first_to_zero and spec.last_to_one:
+        return "rs" if spec.depth == 2 else "one-rsb"
     return "generic"
-
-
-def _g2_one_rsb(beta: float, c: float, q: int, t: float, m: float) -> float:
-    x = x_param(beta, q)
-    hi = 1.0 + x * t * t
-    lo = 1.0 - (q - 1) * x * t * t
-    if lo <= 0.0:
-        raise ValueError(DEGENERATE_PAIR_FACTOR)
-    inner = math.exp(m * math.log(lo)) / q + (1.0 - 1.0 / q) * math.exp(m * math.log(hi))
-    return 0.5 * c / m * math.log(inner)
 
 
 def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec,
@@ -241,34 +227,24 @@ def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec
     q, beta, c = params.q, params.beta, params.c
     t = hier.t
     kind = _kind(spec)
-    y = -math.expm1(-beta)
-    log_ann = math.log1p(-y / q)
-    if kind == "annealed":
-        return (math.log(q) + c * log_ann, 0.0) if which == "g1" else (0.5 * c * log_ann, 0.0)
-    if kind == "l1-generic":
+    log_ann = math.log1p(math.expm1(-beta) / q)
+    if kind in ("annealed", "l1-generic"):
         m = spec.levels[0]
-        if which == "g1":
-            # W = (1/q) sum_s e^(-beta n_s), so e^(-beta k) <= W <= 1
-            val, tail, _ = profile_sum(c, q, -beta, 0.0, m, beta, eps)
-            return math.log(q) + val, tail
-        if m == 0.0:
-            # the m -> 0 limit of (1/m) ln(1 - (1 - e^(-m beta))/q) is -beta/q,
-            # the limit convention profile_sum uses for G1
-            if math.isinf(beta) and c > 0.0:
-                raise BudgetExceededError("the m -> 0 limit of G2 diverges at beta = inf")
-            return (-0.5 * c * beta / q if c > 0.0 else 0.0), 0.0
-        ym = -math.expm1(-m * beta)
-        return 0.5 * c / m * math.log1p(-ym / q), 0.0
+        if which == "g2":
+            # V = e^(-beta) on a matching pair, 1 otherwise
+            return pair_sum(c, q, -beta, 0.0, m), 0.0
+        if kind == "annealed":
+            return math.log(q) + c * log_ann, 0.0
+        # W = (1/q) sum_s e^(-beta n_s), so e^(-beta k) <= W <= 1
+        val, tail, _ = profile_sum(c, q, -beta, 0.0, m, beta, eps)
+        return math.log(q) + val, tail
     if kind in ("rs", "one-rsb"):
-        m = spec.levels[1] if kind == "one-rsb" else 0.0  # RS: the m -> 0 limit
+        m = spec.levels[-2]  # the level above the integrated leaves; RS: the m -> 0 limit
         if which == "g1":
             log_a, log_b, mag = factor_logs(beta, q, t)
             val, tail, _ = profile_sum(c, q, log_a, log_b, m, mag, eps)
             return math.log(q) + c * log_ann + val, tail
-        g2 = 0.0
-        if t != 0.0:
-            g2 = rs_g2(beta, c, q, t) if kind == "rs" else _g2_one_rsb(beta, c, q, t, m)
-        return 0.5 * c * log_ann + g2, 0.0
+        return 0.5 * c * log_ann + pair_sum(c, q, *pair_logs(beta, q, t), m), 0.0
     raise ValueError(f"no closed form for cascade {spec} with hierarchy {hier.kind}")
 
 
@@ -281,13 +257,13 @@ def _tree(spec: CascadeSpec, n_atoms: int) -> tuple[int, int]:
     ms = spec.atom_levels
     if len(ms) > 2:
         raise ValueError("Monte Carlo supports at most two unresolved atom levels")
+    if ms and n_atoms < 1:
+        raise ValueError("n_atoms must be >= 1")
     if len(ms) == 2:
         # nested truncation: ~sqrt(n_atoms) atoms per level keeps the
         # leaf count comparable to the one-level case
         side = max(16, int(round(math.sqrt(n_atoms))))
         return side, side
-    if ms and n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
     return 1, n_atoms if ms else 1
 
 

@@ -239,9 +239,7 @@ def cmd_cascade(args) -> dict | None:
     _require(args, "beta", "c")
     params = ModelParams(q=args.q, beta=args.beta, c=args.c)
     ms = [float(v) for v in args.m_list.split(",")]
-    spec = cascade.CascadeSpec(
-        tuple(ms), first_to_zero=(ms[0] == 0.0), last_to_one=(ms[-1] == 1.0)
-    )
+    spec = cascade.CascadeSpec(tuple(ms))
     if args.hierarchy == "uniform":
         hier = cascade.uniform_hierarchy(args.q)
     else:

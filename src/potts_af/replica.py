@@ -72,13 +72,7 @@ def _check_t(t: float, q: int) -> None:
 
 
 def g2(beta: float, c: float, q: int, t: float) -> float:
-    _check_t(t, q)
-    x = x_param(beta, q)
-    hi = 1.0 + x * t * t
-    lo = 1.0 - (q - 1) * x * t * t
-    if lo <= 0.0 or hi <= 0.0:
-        raise ValueError(DEGENERATE_PAIR_FACTOR)
-    return 0.5 * c / q * ((q - 1) * math.log(hi) + math.log(lo))
+    return pair_sum(c, q, *pair_logs(beta, q, t), 0.0)
 
 
 def class_rows(k_top: int, q: int) -> float:
@@ -213,6 +207,35 @@ def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
     if a <= 0.0 or b <= 0.0:
         raise degenerate_product_factor(x, t, q)
     return math.log(a), math.log(b), max(abs(math.log(a)), abs(math.log(b)))
+
+
+def pair_logs(beta: float, q: int, t: float) -> tuple[float, float]:
+    """(ln lo, ln hi) for the g2 pair factors lo = 1 - (q-1) x t^2, taken by
+    a matching pair, and hi = 1 + x t^2."""
+    _check_t(t, q)
+    x = x_param(beta, q)
+    hi = 1.0 + x * t * t
+    lo = 1.0 - (q - 1) * x * t * t
+    if lo <= 0.0 or hi <= 0.0:
+        raise ValueError(DEGENERATE_PAIR_FACTOR)
+    return math.log(lo), math.log(hi)
+
+
+def pair_sum(c: float, q: int, log_match: float, log_other: float, m: float) -> float:
+    """(c/2m) ln E[V^m] for the pair factor V = e^log_match with probability
+    1/q (a matching pair) and e^log_other otherwise, log_match <= log_other.
+
+    m = 0 stands for the limit (c/2) E[ln V], as in profile_sum; at
+    log_match = -inf (beta = inf) it is 0 for c = 0 and diverges otherwise.
+    """
+    if m == 0.0:
+        if log_match == -math.inf:
+            if c > 0.0:
+                raise BudgetExceededError("the m -> 0 limit of G2 diverges at beta = inf")
+            return 0.0
+        return 0.5 * c / q * ((q - 1) * log_other + log_match)
+    # E[V^m] = e^(m log_other) (1 + (e^(m (log_match - log_other)) - 1) / q)
+    return 0.5 * c * (log_other + math.log1p(math.expm1(m * (log_match - log_other)) / q) / m)
 
 
 def profile_sum(c: float, q: int, log_a, log_b, m: float, mag, eps: float):

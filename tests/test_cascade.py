@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from potts_af.bounds import annealed_pressure
+from potts_af.bounds import annealed_pressure, x_param
 from potts_af.cascade import (
     CascadeSpec,
     SpinHierarchySpec,
@@ -32,14 +33,26 @@ from conftest import combined_error
 def test_cascade_spec_validation():
     with pytest.raises(ValueError):
         CascadeSpec((0.5, 0.3))  # not increasing
-    with pytest.raises(ValueError):
-        CascadeSpec((0.5,), first_to_zero=True)  # sentinel mismatch
+    for levels in ((math.nan,), (-0.1, 0.5), (0.5, 1.5)):
+        with pytest.raises(ValueError):
+            CascadeSpec(levels)  # outside [0, 1]
     with pytest.raises(ValueError):
         CascadeSpec((0.2, 0.4, 0.6, 0.8))  # too deep
     spec = one_rsb_spec(0.5)
     assert spec.depth == 3 and spec.atom_levels == (0.5,)
     assert rs_spec().atom_levels == ()
     assert CascadeSpec((0.3, 0.7)).atom_levels == (0.3, 0.7)
+
+
+def test_cascade_spec_reads_limits_from_levels():
+    assert CascadeSpec((1.0,)) == annealed_spec()
+    assert CascadeSpec((0.0, 1.0)) == rs_spec()
+    assert CascadeSpec((0.0, 0.5, 1.0)) == one_rsb_spec(0.5)
+    spec = CascadeSpec((0.0, 0.4))
+    assert spec.first_to_zero and not spec.last_to_one and spec.atom_levels == (0.4,)
+    assert not annealed_spec().first_to_zero and annealed_spec().last_to_one
+    with pytest.raises(TypeError):
+        CascadeSpec((0.0, 1.0), first_to_zero=True)
 
 
 def test_hierarchy_validation():
@@ -295,10 +308,10 @@ def test_sampled_leaves_at_infinite_beta_rejected(monkeypatch, spec, hier):
 
 
 def test_l1_g2_at_m_zero_is_the_limit():
-    # G2 of CascadeSpec((0,), first_to_zero) is the m -> 0 limit -c beta / (2q)
+    # G2 of CascadeSpec((0,)) is the m -> 0 limit -c beta / (2q)
     q, beta, c = 2, 1.0, 2.0
     params = ModelParams(q=q, beta=beta, c=c)
-    limit = cavity_g2(params, 3, CascadeSpec((0.0,), first_to_zero=True), uniform_hierarchy(q))
+    limit = cavity_g2(params, 3, CascadeSpec((0.0,)), uniform_hierarchy(q))
     assert limit.value == -c * beta / (2 * q) and limit.tail_bound == 0.0
     near = cavity_g2(params, 3, CascadeSpec((1e-6,)), uniform_hierarchy(q))
     assert near.value == pytest.approx(limit.value, abs=1e-6)
@@ -306,7 +319,7 @@ def test_l1_g2_at_m_zero_is_the_limit():
 
 def test_l1_at_m_zero_and_infinite_beta_raises_on_both_sides():
     params = ModelParams(q=2, beta=math.inf, c=2.0)
-    spec = CascadeSpec((0.0,), first_to_zero=True)
+    spec = CascadeSpec((0.0,))
     for fn in (cavity_g1, cavity_g2):
         with pytest.raises(BudgetExceededError):
             fn(params, 3, spec, uniform_hierarchy(2))
@@ -314,9 +327,55 @@ def test_l1_at_m_zero_and_infinite_beta_raises_on_both_sides():
 
 def test_monte_carlo_needs_an_atom():
     params = ModelParams(q=2, beta=1.0, c=1.0)
-    with pytest.raises(ValueError, match="n_atoms"):
-        cavity_g1(params, 3, CascadeSpec((0.5,)), uniform_hierarchy(2), samples=8,
-                  method="monte-carlo", n_atoms=0)
+    for levels in ((0.5,), (0.3, 0.7)):
+        for n_atoms in (0, -4):
+            with pytest.raises(ValueError, match="n_atoms"):
+                cavity_g1(params, 3, CascadeSpec(levels), uniform_hierarchy(2), samples=8,
+                          method="monte-carlo", n_atoms=n_atoms)
+
+
+def test_generic_spec_has_no_closed_form():
+    params = ModelParams(q=2, beta=1.0, c=1.0)
+    for fn in (cavity_g1, cavity_g2):
+        with pytest.raises(ValueError, match="no closed form"):
+            fn(params, 3, CascadeSpec((0.3, 0.7)), uniform_hierarchy(2), method="closed-form")
+
+
+def _one_rsb_g2_oracle(beta, c, q, t, m):
+    """One-step RSB G2 written out: (c/2) ln(1 - y/q) + (c/2m) ln E[V^m]."""
+    x = x_param(beta, q)
+    hi = 1.0 + x * t * t
+    lo = 1.0 - (q - 1) * x * t * t
+    if lo <= 0.0:
+        raise ValueError(DEGENERATE_PAIR_FACTOR)
+    inner = math.exp(m * math.log(lo)) / q + (1.0 - 1.0 / q) * math.exp(m * math.log(hi))
+    return 0.5 * c * math.log1p(math.expm1(-beta) / q) + 0.5 * c / m * math.log(inner)
+
+
+def _l1_g2_oracle(beta, c, q, m):
+    """One-level G2 written out: (c/2m) ln(1 - (1 - e^(-m beta))/q)."""
+    return 0.5 * c / m * math.log1p(math.expm1(-m * beta) / q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_g2_closed_forms_match_written_out_oracles(q):
+    ts = np.linspace(-1.0 / (q - 1), 1.0, 9)
+    for beta, c, m in itertools.product((0.0, 0.4, 1.0, 3.0, math.inf), (0.5, 4.0, 12.0),
+                                        (0.1, 0.25, 0.5, 0.75, 0.9)):
+        params = ModelParams(q=q, beta=beta, c=c)
+        l1 = cavity_g2(params, 3, CascadeSpec((m,)), uniform_hierarchy(q))
+        assert l1.value == pytest.approx(_l1_g2_oracle(beta, c, q, m), rel=0, abs=1e-13)
+        for t in ts.tolist():
+            hier = symmetric_t_hierarchy(q, t)
+            try:
+                expect = _one_rsb_g2_oracle(beta, c, q, t, m)
+            except ValueError:
+                with pytest.raises(ValueError) as err:
+                    cavity_g2(params, 3, one_rsb_spec(m), hier)
+                assert str(err.value) == DEGENERATE_PAIR_FACTOR
+                continue
+            got = cavity_g2(params, 3, one_rsb_spec(m), hier).value
+            assert got == pytest.approx(expect, rel=0, abs=1e-13), (beta, c, m, t)
 
 
 @pytest.mark.parametrize("t", [1.0, -1.0])

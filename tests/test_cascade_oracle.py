@@ -186,15 +186,15 @@ def old_mc(params, n, spec, hier, samples, seed, n_atoms, which) -> QuenchedEsti
 BRANCHES = {
     "0 levels, leaves integrated, t > 0": (rs_spec(), 2, 0.5),
     "0 levels, leaves integrated, uniform": (annealed_spec(), 3, None),
-    "0 levels, leaves sampled, uniform": (CascadeSpec((0.0,), first_to_zero=True), 2, None),
+    "0 levels, leaves sampled, uniform": (CascadeSpec((0.0,)), 2, None),
     "1 level, leaves sampled, uniform": (CascadeSpec((0.5,)), 3, None),
     "1 level, leaves integrated, t < 0": (one_rsb_spec(0.5), 3, -0.4),
-    "1 level, leaves sampled, t > 0": (CascadeSpec((0.0, 0.5), first_to_zero=True), 2, 0.6),
-    "1 level, leaves sampled, t < 0": (CascadeSpec((0.0, 0.4), first_to_zero=True), 3, -0.45),
+    "1 level, leaves sampled, t > 0": (CascadeSpec((0.0, 0.5)), 2, 0.6),
+    "1 level, leaves sampled, t < 0": (CascadeSpec((0.0, 0.4)), 3, -0.45),
     "2 levels, leaves sampled, uniform": (CascadeSpec((0.3, 0.7)), 2, None),
     "2 levels, leaves sampled, t > 0": (CascadeSpec((0.3, 0.7)), 2, 0.5),
     "2 levels, leaves sampled, t < 0": (CascadeSpec((0.3, 0.7)), 3, -0.4),
-    "2 levels, leaves integrated, t > 0": (CascadeSpec((0.3, 0.7, 1.0), last_to_one=True), 3, 0.4),
+    "2 levels, leaves integrated, t > 0": (CascadeSpec((0.3, 0.7, 1.0)), 3, 0.4),
 }
 
 
