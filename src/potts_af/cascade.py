@@ -29,14 +29,19 @@ table over the classes of its k slots (replica._class_alias, cached per
 q), and ln S is read from a per-class array.  Colour counts drawn with
 numpy's multinomial serve the symmetric-t sampled leaves, which need
 colour identity, and any block whose class table would not fit
-(replica.class_table_fits).  G2 draws matching pairs from their binomial
-laws.  Each chunk of MC_CHUNK draws has its own child seed, and the block
-size (capped by MC_BLOCK_CELLS leaf x site x colour cells) depends only on
-the inputs, so results depend only on the inputs and the seed.  Sample counts
-past util.MAX_MC_SAMPLES raise BudgetExceededError before anything is
-drawn.  Each level keeps n_atoms atoms; the mean share of normalizer mass
-beyond them, divided by n, is reported as bias_estimate.  It is an
-estimate, not a bound, so it stays out of the certified tail_bound.
+(replica.class_table_fits).  On uniform leaves G2 draws each leaf's
+matching pairs, Binomial(K, 1/q), the same way, with one uniform from the
+alias table of K (replica._binomial_alias, cached per q); _alias_draw is
+the one alias sampler of both.  numpy's binomial serves the symmetric-t
+sampled leaves and any K whose tables would not fit
+(replica.binomial_table_fits).  Each chunk of MC_CHUNK draws has its own
+child seed, and the block size (capped by MC_BLOCK_CELLS leaf x site x
+colour cells) depends only on the inputs, so results depend only on the
+inputs and the seed.  Sample counts past util.MAX_MC_SAMPLES raise
+BudgetExceededError before anything is drawn.  Each level keeps n_atoms
+atoms; the mean share of normalizer mass beyond them, divided by n, is
+reported as bias_estimate.  It is an estimate, not a bound, so it stays
+out of the certified tail_bound.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ import numpy as np
 from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
-from .replica import (DEGENERATE_PAIR_FACTOR, _class_alias, _class_table, class_table_fits,
-                      degenerate_product_factor, factor_logs, pair_logs, pair_sum, profile_sum)
+from .replica import (DEGENERATE_PAIR_FACTOR, _binomial_alias, _class_alias, _class_table,
+                      binomial_table_fits, class_table_fits, degenerate_product_factor,
+                      factor_logs, pair_logs, pair_sum, profile_sum)
 from .util import check_samples, child_seeds, logsumexp, philox
 
 MC_CHUNK = 64  # draws per child seed stream
@@ -291,6 +297,20 @@ def _block_log_weights(rng: np.random.Generator, ms: tuple[float, ...], outer: i
             frac_outer + frac_inner.mean(axis=1))
 
 
+def _alias_draw(rng: np.random.Generator, table: tuple[np.ndarray, np.ndarray, np.ndarray],
+                k: np.ndarray, leaves: int) -> np.ndarray:
+    """Rows (*k.shape, leaves) drawn from alias tables laid out as
+    replica._class_alias, one uniform each: x uniform below the row count of
+    k picks row bounds[k] + floor(x), kept while frac(x) < accept[row] and
+    replaced by alias[row] otherwise."""
+    accept, alias, bounds = table
+    first = bounds[k][..., None]
+    x = rng.random((*k.shape, leaves)) * (bounds[k + 1][..., None] - first)
+    j = x.astype(np.int64)  # a uniform is below 1 in steps of 2^-53, so x < the row count
+    row = first + j
+    return np.where(x - j < accept[row], row, alias[row])
+
+
 class _ClassDraw:
     """ln S = ln sum_s exp(gap n_s) of uniformly coloured slots, drawn by colour class.
 
@@ -312,17 +332,13 @@ class _ClassDraw:
         if k_max > self.top and class_table_fits(k_max, self.q):
             counts = _class_table(k_max, self.q)[0][:, self.log_s.size:]
             self.log_s = np.concatenate([self.log_s, logsumexp(counts * self.gap, axis=0)])
-            self.accept, self.alias, bounds = _class_alias(k_max, self.q)
-            self.first, self.classes = bounds[:-1], np.diff(bounds)
+            self.table = _class_alias(k_max, self.q)
             self.top = k_max
         return k_max <= self.top
 
     def rows(self, rng: np.random.Generator, k: np.ndarray, leaves: int) -> np.ndarray:
         """Class rows (b, sites, leaves) of k[b, site] slots at each leaf."""
-        x = rng.random((*k.shape, leaves)) * self.classes[k][..., None]
-        j = x.astype(np.int64)  # a uniform is below 1 in steps of 2^-53, so x < classes
-        row = self.first[k][..., None] + j
-        return np.where(x - j < self.accept[row], row, self.alias[row])
+        return _alias_draw(rng, self.table, k, leaves)
 
     def draw(self, rng: np.random.Generator, k: np.ndarray, leaves: int) -> np.ndarray:
         """sum_site ln S per leaf, (b, leaves), for k[b, site] slots at each leaf."""
@@ -358,12 +374,20 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
                   outer: int, inner: int) -> np.ndarray:
     """Matching pairs (b, outer, inner) among k[b] pairs per leaf.
 
-    t is None: Binomial(K, 1/q).  Otherwise m ~ Binomial(K, 1/q) pairs
+    t is None: Binomial(K, 1/q), drawn with one uniform per leaf from the
+    cached alias tables replica._binomial_alias, or with numpy's binomial
+    when the tables of the block's largest K would not fit
+    (replica.binomial_table_fits).  Otherwise m ~ Binomial(K, 1/q) pairs
     match in the outer node's pattern, and a leaf pair matches with
     probability t^2 + (1 - t^2)/q given a pattern match, (1 - t^2)/q not.
     """
     b, pairs = len(k), k[:, None, None]
     if t is None:
+        k_max = int(k.max())
+        if binomial_table_fits(k_max):
+            table = _binomial_alias(k_max, q)
+            matches = _alias_draw(rng, table, k, outer * inner) - table[2][k][:, None]
+            return matches.reshape(b, outer, inner)
         return rng.binomial(pairs, 1.0 / q, size=(b, outer, inner))
     in_pattern = rng.binomial(pairs, 1.0 / q, size=(b, outer, 1))
     off = (1.0 - t * t) / q

@@ -12,11 +12,12 @@ on M:
 
 with the inner expectation evaluated exactly while the C(P + M - 1, M)
 multisets of P = N(N-1)/2 pair counts fit exact_budget, by seeded Monte
-Carlo (multinomial draws over the P pairs) above it, and the M > M_max
-remainder certified through the per-edge bound |ln Z(M) - ln Z(0)| <=
-beta M: each extra edge multiplies every Gibbs weight by a factor in
-[e^-beta, 1].  The default exact_budget keeps M <= 20 exact at N = 4,
-M <= 9 at N = 5 and M <= 6 at N = 6.  A stratum with a single multiset
+Carlo above it (M uniform pair indices per sample, counted into the P
+pairs; numpy's multinomial past 8P edges, see _placements), and the
+M > M_max remainder certified through the per-edge bound
+|ln Z(M) - ln Z(0)| <= beta M: each extra edge multiplies every Gibbs
+weight by a factor in [e^-beta, 1].  The default exact_budget keeps
+M <= 20 exact at N = 4, M <= 9 at N = 5 and M <= 6 at N = 6.  A stratum with a single multiset
 (P = 1, or M = 0) is a point mass and exact whatever the budget.  N = 1
 has no pairs, and p_1 = ln q - beta c/2 exactly.
 
@@ -251,11 +252,32 @@ def _exact_placements(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         return tables[m]
 
 
+def _placements(rng: np.random.Generator, p: int, m: np.ndarray) -> np.ndarray:
+    """(rows, P) counts of m[row] uniform pair edges over P pairs.
+
+    A row of at most 8P edges draws its pair indices, offset by row * P,
+    and all such rows are counted by one bincount: a bounded uniform costs
+    a fraction of a step of numpy's binomial chain over the pairs.  Past 8P
+    counting stops winning and its memory would grow with M, so those rows
+    keep Generator.multinomial, O(P) per row.
+    """
+    short = m <= 8 * p
+    m_short = m[short]
+    pairs = rng.integers(0, p, size=int(m_short.sum()))
+    pairs += np.repeat(np.arange(0, m_short.size * p, p), m_short)
+    counts = np.bincount(pairs, minlength=m_short.size * p).reshape(-1, p)
+    if short.all():
+        return counts
+    rows = np.empty((len(m), p), dtype=counts.dtype)
+    rows[short] = counts
+    rows[~short] = rng.multinomial(m[~short], np.full(p, 1.0 / p))
+    return rows
+
+
 def _mc_placements(n: int, m: int, samples: int,
                    seed: np.random.SeedSequence) -> np.ndarray:
     """M uniform pair edges per sample, as counts over the P pairs."""
-    p = n * (n - 1) // 2
-    return philox(seed).multinomial(m, np.full(p, 1.0 / p), size=samples)
+    return _placements(philox(seed), n * (n - 1) // 2, np.full(samples, m))
 
 
 def _conditional_average(n: int, m: int, per_j, samples: int,
@@ -286,6 +308,15 @@ def _conditional_average(n: int, m: int, per_j, samples: int,
     return mean, sem, samples
 
 
+def _check_strata(mc_samples: int, least: int, exact_budget: int) -> None:
+    """Validate the per-stratum sample count and the exact budget."""
+    if mc_samples < least:
+        raise ValueError(f"mc_samples must be >= {least}, got {mc_samples}")
+    if exact_budget < 0:
+        raise ValueError(f"exact_budget must be >= 0, got {exact_budget}")
+    check_samples(mc_samples)
+
+
 def _check_system(name: str, n: int, q: int, beta: float, max_configs: float) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -309,7 +340,7 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     q, beta, c = params.q, params.beta, params.c
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    check_samples(mc_samples)
+    _check_strata(mc_samples, 1, exact_budget)
     _check_system("quenched_pressure_exact", n, q, beta, max_configs)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
@@ -340,7 +371,13 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
 def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
                          max_configs: int = DEFAULT_ENUM_BUDGET) -> QuenchedEstimate:
     """Plain Monte Carlo over iid pair sums J_ij + J_ji ~ Poisson(c/N), with
-    -beta tr J/N replaced by its mean -beta c/2N."""
+    -beta tr J/N replaced by its mean -beta c/2N.
+
+    Each sample draws its pair-edge count M ~ Poisson(c(N-1)/2) and places
+    the M edges on uniform pairs (_placements): by Poisson splitting that
+    is the law of the P iid Poisson(c/N) pair sums, at one Poisson and M
+    uniforms per sample instead of P Poissons.
+    """
     q, beta, c = params.q, params.beta, params.c
     if samples < 2:
         raise ValueError("need samples >= 2 for a standard error")
@@ -352,8 +389,9 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     work = _workspace(n, q, min(2048, samples))
 
     def chunk_values(lo: int, chunk_seed: np.random.SeedSequence) -> np.ndarray:
-        size = (min(2048, samples - lo), n * (n - 1) // 2)
-        return _lnz_batch(philox(chunk_seed).poisson(c / n, size=size), n, q, beta, work) / n
+        rng = philox(chunk_seed)
+        m = rng.poisson(c * (n - 1) / 2.0, size=min(2048, samples - lo))
+        return _lnz_batch(_placements(rng, n * (n - 1) // 2, m), n, q, beta, work) / n
 
     starts = range(0, samples, 2048)
     values = np.concatenate([chunk_values(lo, ss)
@@ -388,7 +426,7 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     q, beta, c = params.q, params.beta, params.c
     if r_max < 1 or quad_points < 3:
         raise ValueError("need r_max >= 1 and quad_points >= 3")
-    check_samples(mc_samples)
+    _check_strata(mc_samples, 2, exact_budget)
     _check_system("sum_rule_deficit", n, q, beta, DEFAULT_ENUM_BUDGET)
     y = -math.expm1(-beta)
     if c == 0.0 or beta == 0.0 or n == 1:

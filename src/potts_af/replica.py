@@ -26,7 +26,8 @@ the grid.  The class table itself is capped at MAX_CLASS_ROWS rows and at
 q <= MAX_CLASS_Q, past which BudgetExceededError is raised before it is
 allocated.  scan_rs_bound makes one such call for every t != 0.  The
 cascade Monte Carlo draws classes from Walker alias tables built from the
-same class weights (_class_alias) and cached beside them.
+same class weights (_class_alias) and cached beside them, and its G2 leaf
+matches from the alias tables of Binomial(k, 1/q) (_binomial_alias).
 
 Both corrections vanish at t = 0; their t^4 coefficients are
 -(1/4)(q-1) c^2 x^4 and -(1/4)(q-1) c x^2, so the symmetric point goes
@@ -177,6 +178,16 @@ def _alias_fill(p: np.ndarray, accept: np.ndarray, alias: np.ndarray, base: int)
     alias[heavy[:-1]] = base + heavy[1:]
 
 
+def _alias_tables(logw: np.ndarray,
+                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(accept, alias, bounds): one Walker alias table per run
+    bounds[k]:bounds[k + 1] of the log probabilities logw."""
+    accept, alias = np.ones(len(logw)), np.arange(len(logw))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        _alias_fill(np.exp(logw[lo:hi]), accept[lo:hi], alias[lo:hi], lo)
+    return accept, alias, bounds
+
+
 @_largest_per_q
 def _class_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alias tables over the colour classes of k uniform slots, k <= k_top.
@@ -186,11 +197,28 @@ def _class_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     take alias[row] otherwise: the result is class r with probability
     exp(logw[r]).  Returns (accept, alias, bounds).
     """
-    logw, bounds = _class_table(k_top, q)[2:]
-    accept, alias = np.ones(len(logw)), np.arange(len(logw))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        _alias_fill(np.exp(logw[lo:hi]), accept[lo:hi], alias[lo:hi], lo)
-    return accept, alias, bounds
+    return _alias_tables(*_class_table(k_top, q)[2:])
+
+
+def binomial_table_fits(k_top: int) -> bool:
+    """Whether _binomial_alias(k_top, q) can be built: its (k_top + 1)(k_top + 2)/2
+    rows are at most MAX_CLASS_ROWS."""
+    return (k_top + 1) * (k_top + 2) // 2 <= MAX_CLASS_ROWS
+
+
+@_largest_per_q
+def _binomial_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alias tables of Binomial(k, 1/q) for every k <= k_top, laid out like
+    _class_alias: j successes of k sit at row bounds[k] + j, with
+    bounds[k] = k(k + 1)/2; callers check binomial_table_fits first.  Returns
+    (accept, alias, bounds)."""
+    ks = np.arange(k_top + 2)
+    bounds = ks * (ks + 1) // 2
+    k = np.repeat(ks[:-1], ks[1:])
+    j = np.arange(bounds[-1]) - bounds[k]
+    logw = (log_factorial(k) - log_factorial(j) - log_factorial(k - j)
+            - j * math.log(q) + (k - j) * math.log1p(-1.0 / q))
+    return _alias_tables(logw, bounds)
 
 
 def degenerate_product_factor(x: float, t: float, q: int) -> ValueError:

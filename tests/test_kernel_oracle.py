@@ -163,6 +163,22 @@ def thinned(n: int, k: int):
     return [(m, math.comb(k, m) * p**m * (1.0 - p) ** (k - m)) for m in range(k + 1)]
 
 
+def uniform_pair_counts(rng: np.random.Generator, p: int, m) -> np.ndarray:
+    """The engine's Monte Carlo placements, written out: one integers call
+    gives the pair of every edge of the rows with at most 8P edges, row
+    after row, and one multinomial call then fills the longer rows."""
+    m = np.asarray(m)
+    short = m <= 8 * p
+    pairs = iter(rng.integers(0, p, size=int(m[short].sum())).tolist())
+    rows = np.zeros((len(m), p), dtype=np.int64)
+    for r in np.flatnonzero(short):
+        for _ in range(m[r]):
+            rows[r, next(pairs)] += 1
+    if not short.all():
+        rows[~short] = rng.multinomial(m[~short], np.full(p, 1.0 / p))
+    return rows
+
+
 def pair_average(n: int, m: int, per_j):
     """E[f | M = m] by the engine; with no pairs (n = 1) the only row is empty."""
     if n == 1:
@@ -294,15 +310,17 @@ def test_exact_conditional_averages_match_unreduced_kernel(q, n, k_top):
 @pytest.mark.parametrize("q, beta, c, n", [(2, 1.0, 2.0, 3), (3, 2.0, 4.0, 4), (3, 0.5, 1.0, 5),
                                          (2, 40.0, 8.0, 4)])
 def test_mc_path_draws_unchanged(q, beta, c, n):
-    # the Monte Carlo path draws the n(n-1)/2 pair sums as Poisson(c/n) and
-    # adds the self-loop mean -beta c/2n; the unreduced kernel gives the
-    # same value on the same draws
+    # the Monte Carlo path draws a pair-edge count M ~ Poisson(c(n-1)/2) per
+    # sample, places the M edges on uniform pairs and adds the self-loop mean
+    # -beta c/2n; the unreduced kernel gives the same value on the same draws
     params = ModelParams(q=q, beta=beta, c=c)
     samples, seed = 3000, 11
     chunks = [(i, min(i + 2048, samples)) for i in range(0, samples, 2048)]
     parts = []
     for (lo, hi), ss in zip(chunks, child_seeds(seed, len(chunks))):
-        draws = philox(ss).poisson(c / n, size=(hi - lo, n * (n - 1) // 2))
+        rng = philox(ss)
+        edges = rng.poisson(c * (n - 1) / 2.0, size=hi - lo)
+        draws = uniform_pair_counts(rng, n * (n - 1) // 2, edges)
         parts.append(old_lnz(upper_couplings(draws, n), n, q, beta) / n)
     values = np.concatenate(parts)
     est = quenched_pressure_mc(params, n, samples, seed)
@@ -313,7 +331,7 @@ def test_mc_path_draws_unchanged(q, beta, c, n):
 def test_mc_overlap_moments_draws_unchanged():
     n, q, beta, k, samples = 4, 3, 1.0, 9, 500
     seed = np.random.SeedSequence(21)
-    draws = philox(seed).multinomial(k, np.full(6, 1.0 / 6), size=samples)  # over P = 6 pairs
+    draws = uniform_pair_counts(philox(seed), 6, np.full(samples, k))  # over P = 6 pairs
     values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20)
     mean, sem, used = _conditional_average(
         n, k, lambda rows: _overlap_moments(rows, n, q, beta, 20), samples, seed, 0)
@@ -386,7 +404,7 @@ def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n):
     value = pmf[0] * math.log(q) + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n)
     for m in range(1, m_max + 1):
         budget = max(256, min(8 * mc_samples, int(4 * mc_samples * pmf[m]) + 1))
-        draws = philox(seeds[m]).multinomial(m, np.full(p, 1.0 / p), size=budget)
+        draws = uniform_pair_counts(philox(seeds[m]), p, np.full(budget, m))
         value += pmf[m] * float(old_lnz(upper_couplings(draws, n), n, q, beta).mean()) / n
     est = quenched_pressure_exact(params, n, eps=eps, seed=seed, mc_samples=mc_samples,
                                   exact_budget=0)
