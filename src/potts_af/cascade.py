@@ -22,13 +22,22 @@ Monte Carlo over truncated cascades with its own factors; closed-form and
 MC paths are independent and cross-validate each other.
 
 The Monte Carlo engine draws a block of cascades per set of array
-operations.  For G1 a site's factor depends on its slots' colour counts
-only through their class (the sorted count profile), so on uniform leaves
-each (leaf, site) draws its class with one uniform from a Walker alias
-table over the classes of its k slots (replica._class_alias, cached per
-q), and ln S is read from a per-class array.  Colour counts drawn with
-numpy's multinomial serve the symmetric-t sampled leaves, which need
-colour identity, and any block whose class table would not fit
+operations, for G1, for G2 or for both in one coupled pass.  The coupled
+pass, behind cavity_terms and rsb_upper_bound, runs G1 and G2 on one
+stream over the same cascade weights, and thins G2's pair count from
+G1's slots: K ~ Binomial(sum_i k_i, 1/2) with k_i ~ Poisson(c) has G2's
+Poisson(cn/2) law.  Each term keeps its law, G1 - G2 varies less than
+with independent draws, and the bound's stat_error is the paired one,
+the standard error of the per-draw differences.  cavity_g1 and cavity_g2
+called alone draw their own terms only.
+
+For G1 a site's factor depends on its slots' colour counts only through
+their class (the sorted count profile), so on uniform leaves each (leaf,
+site) draws its class with one uniform from a Walker alias table over the
+classes of its k slots (replica._class_alias, cached per q), and ln S is
+read from a per-class array.  Colour counts drawn with numpy's
+multinomial serve the symmetric-t sampled leaves, which need colour
+identity, and any block whose class table would not fit
 (replica.class_table_fits).  On uniform leaves G2 draws each leaf's
 matching pairs, Binomial(K, 1/q), the same way, with one uniform from the
 alias table of K (replica._binomial_alias, cached per q); _alias_draw is
@@ -38,10 +47,11 @@ sampled leaves and any K whose tables would not fit
 child seed, and the block size (capped by MC_BLOCK_CELLS leaf x site x
 colour cells) depends only on the inputs, so results depend only on the
 inputs and the seed.  Sample counts past util.MAX_MC_SAMPLES raise
-BudgetExceededError before anything is drawn.  Each level keeps n_atoms
-atoms; the mean share of normalizer mass beyond them, divided by n, is
-reported as bias_estimate.  It is an estimate, not a bound, so it stays
-out of the certified tail_bound.
+BudgetExceededError, and Poisson means past util.POISSON_MEAN_MAX raise
+ValueError, before anything is drawn.  Each level keeps n_atoms atoms;
+the mean share of normalizer mass beyond them, divided by n, is reported
+as bias_estimate.  It is an estimate, not a bound, so it stays out of the
+certified tail_bound.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from .model import ModelParams
 from .replica import (DEGENERATE_PAIR_FACTOR, _binomial_alias, _class_alias, _class_table,
                       binomial_table_fits, class_table_fits, degenerate_product_factor,
                       factor_logs, pair_logs, pair_sum, profile_sum)
-from .util import check_samples, child_seeds, logsumexp, philox
+from .util import check_poisson_mean, check_samples, child_seeds, logsumexp, philox
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -395,79 +405,96 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
             + rng.binomial(pairs - in_pattern, off, size=(b, outer, inner)))
 
 
-def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
-            samples: int, seed: int, n_atoms: int, which: str) -> QuenchedEstimate:
-    """Mean over `samples` draws of (1/n) ln( sum_a w_a V_a / sum_a w_a ).
-
-    For G1, ln V_a = sum_i ln S_i over the n cavity sites, with S_i =
-    sum_s exp(n_s log_match + (k_i - n_s) log_other) over the colour
-    counts n_s of site i's k_i slots; for G2, ln V_a = M log_match +
-    (K - M) log_other for M matching pairs out of K.  Below, gap =
-    log_match - log_other.
-    """
-    if samples < 2:
-        raise ValueError("need samples >= 2")
-    check_samples(samples)
-    q, beta, c = params.q, params.beta, params.c
-    t = hier.t
-    y = -math.expm1(-beta)
+def _term_setup(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec,
+                which: str) -> tuple[float | None, float, float]:
+    """(shared, gap, log_other) of term `which`: the pattern parameter the
+    leaves redraw from (None for uniform), and the leaf factor's log-ratio
+    gap = log_match - log_other and log_other."""
+    q, beta, t = params.q, params.beta, hier.t
     if spec.last_to_one:
         # leaves integrate exactly against mu_{P,t}; uniform patterns sit
         # on the leaves of the atom structure
-        shared = None
+        y = -math.expm1(-beta)
         u = t if which == "g1" else t * t  # leaf-pattern agreement of a slot / a pair
         other, match = 1.0 - y * (1.0 - u) / q, 1.0 - y * (u + (1.0 - u) / q)
         if min(other, match) <= 0.0:  # beta = inf with u = 1, or q = 2 with u = -1
             raise (degenerate_product_factor(x_param(beta, q), t, q) if which == "g1"
                    else ValueError(DEGENERATE_PAIR_FACTOR))
         log_other = math.log(other)
-        gap = math.log(match) - log_other
-    else:
-        # leaves carry sampled spins; patterns (if any) live one level up
-        if beta == math.inf:
-            raise ValueError("Monte Carlo over sampled leaf spins requires finite beta")
-        shared = t if hier.kind == "symmetric-t" else None
-        gap, log_other = -beta, 0.0
+        return None, math.log(match) - log_other, log_other
+    # leaves carry sampled spins; patterns (if any) live one level up
+    if beta == math.inf:
+        raise ValueError("Monte Carlo over sampled leaf spins requires finite beta")
+    return (t if hier.kind == "symmetric-t" else None), -beta, 0.0
+
+
+def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
+            samples: int, seed: int, n_atoms: int,
+            terms: tuple[str, ...]) -> tuple[np.ndarray, float]:
+    """Per-draw values (1/n) ln( sum_a w_a V_a / sum_a w_a ), one row per term
+    of `terms` ("g1", "g2" or both, in that order), and the bias estimate.
+
+    For G1, ln V_a = sum_i ln S_i over the n cavity sites, with S_i =
+    sum_s exp(n_s log_match + (k_i - n_s) log_other) over the colour
+    counts n_s of site i's k_i ~ Poisson(c) slots; for G2, ln V_a =
+    M log_match + (K - M) log_other for M matching pairs out of K ~
+    Poisson(cn/2).  Below, gap = log_match - log_other.  Both terms of a
+    draw share its cascade weights, and G2 thins its K from G1's slots:
+    K ~ Binomial(sum_i k_i, 1/2) has the Poisson(cn/2) law, since sum_i k_i
+    ~ Poisson(cn).  Each term keeps its own law, and G1 - G2 varies less
+    than with independent draws.  G2 alone draws its K ~ Poisson(cn/2).
+    """
+    if samples < 2:
+        raise ValueError("need samples >= 2")
+    check_samples(samples)
+    setups = [_term_setup(params, spec, hier, which) for which in terms]
+    q, c = params.q, params.c
+    # G1 sums its n Poisson(c) slot counts in int64; G2 alone draws Poisson(cn/2)
+    check_poisson_mean(c * n if "g1" in terms else 0.5 * c * n, c)
     outer, inner = _tree(spec, n_atoms)
 
     # one stream per chunk of MC_CHUNK draws, drawn in blocks of at most
     # MC_BLOCK_CELLS (leaf, site, colour) cells, so values depend only on
     # the inputs and the seed
     block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (outer * inner * n * q)))
-    classes = _ClassDraw(q, gap) if which == "g1" and shared is None else None
+    classes = _ClassDraw(q, setups[0][1]) if terms[0] == "g1" and setups[0][0] is None else None
     starts = range(0, samples, MC_CHUNK)
-    vals, fracs = np.empty(samples), np.empty(samples)
+    vals, fracs = np.empty((len(terms), samples)), np.empty(samples)
     for lo, chunk_seed in zip(starts, child_seeds(seed, len(starts))):
         rng = philox(chunk_seed)
         for a in range(lo, min(lo + MC_CHUNK, samples), block):
             b = min(block, lo + MC_CHUNK - a, samples - a)
             log_w, fracs[a:a + b] = _block_log_weights(rng, spec.atom_levels, outer, inner, b)
-            if which == "g1":
-                k = rng.poisson(c, size=(b, n))
-                if classes is not None and classes.covers(int(k.max())):
-                    excess = classes.draw(rng, k, outer * inner)
+            norm = logsumexp(log_w, axis=1)
+            slots = None
+            for row, (which, (shared, gap, log_other)) in enumerate(zip(terms, setups)):
+                if which == "g1":
+                    k = rng.poisson(c, size=(b, n))
+                    if classes is not None and classes.covers(int(k.max())):
+                        excess = classes.draw(rng, k, outer * inner)
+                    else:
+                        counts = _leaf_counts(rng, k, q, shared, outer, inner)
+                        excess = logsumexp(gap * counts, axis=0).sum(axis=-1)
+                    total = slots = k.sum(axis=1)
                 else:
-                    counts = _leaf_counts(rng, k, q, shared, outer, inner)
-                    excess = logsumexp(gap * counts, axis=0).sum(axis=-1)
-            else:
-                k = rng.poisson(0.5 * c * n, size=(b, 1))
-                excess = gap * _leaf_matches(rng, k[:, 0], q, shared, outer, inner)
-            leaf = excess.reshape(b, -1) + log_other * k.sum(axis=1, keepdims=True)
-            vals[a:a + b] = logsumexp(log_w + leaf, axis=1) - logsumexp(log_w, axis=1)
+                    total = (rng.poisson(0.5 * c * n, size=b) if slots is None
+                             else rng.binomial(slots, 0.5))
+                    excess = gap * _leaf_matches(rng, total, q, shared, outer, inner)
+                leaf = excess.reshape(b, -1) + log_other * total[:, None]
+                vals[row, a:a + b] = logsumexp(log_w + leaf, axis=1) - norm
     vals /= n
-    return QuenchedEstimate(
-        value=float(vals.mean()),
-        stat_error=float(vals.std(ddof=1) / math.sqrt(samples)),
-        tail_bound=0.0,
-        samples=samples,
-        method=METHOD_MC,
-        bias_estimate=float(fracs.mean() / n),
-    )
+    return vals, float(fracs.mean() / n)
+
+
+def _sem(vals: np.ndarray) -> float:
+    return float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
-            samples: int, seed: int, which: str, method: str, n_atoms: int,
-            eps: float) -> QuenchedEstimate:
+            samples: int, seed: int, terms: tuple[str, ...], method: str, n_atoms: int,
+            eps: float) -> tuple[list[QuenchedEstimate], np.ndarray | None]:
+    """Estimates of `terms`, and by Monte Carlo their per-draw values (None
+    for closed forms)."""
     if hier.q != params.q:
         raise ValueError("hierarchy q does not match model q")
     if n < 1:
@@ -479,10 +506,15 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     if method == "auto":
         method = "closed-form" if _kind(spec) != "generic" else "monte-carlo"
     if method == "closed-form":
-        value, tail = _closed_form(params, spec, hier, which, eps)
-        return QuenchedEstimate(value, 0.0, tail, 0, METHOD_EXACT)
+        ests = []
+        for which in terms:
+            value, tail = _closed_form(params, spec, hier, which, eps)
+            ests.append(QuenchedEstimate(value, 0.0, tail, 0, METHOD_EXACT))
+        return ests, None
     if method == "monte-carlo":
-        return _run_mc(params, n, spec, hier, samples, seed, n_atoms, which)
+        vals, bias = _run_mc(params, n, spec, hier, samples, seed, n_atoms, terms)
+        return [QuenchedEstimate(float(v.mean()), _sem(v), 0.0, samples, METHOD_MC,
+                                 bias_estimate=bias) for v in vals], vals
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -490,27 +522,39 @@ def cavity_g1(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarch
               samples: int = 4096, seed: int = 0, method: str = "auto",
               n_atoms: int = 1024, eps: float = 1e-10) -> QuenchedEstimate:
     """Interaction term G1 of the cavity field functional."""
-    return _cavity(params, n, spec, hier, samples, seed, "g1", method, n_atoms, eps)
+    return _cavity(params, n, spec, hier, samples, seed, ("g1",), method, n_atoms, eps)[0][0]
 
 
 def cavity_g2(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
               samples: int = 4096, seed: int = 0, method: str = "auto",
               n_atoms: int = 1024, eps: float = 1e-10) -> QuenchedEstimate:
     """Self-energy term G2 of the cavity field functional."""
-    return _cavity(params, n, spec, hier, samples, seed, "g2", method, n_atoms, eps)
+    return _cavity(params, n, spec, hier, samples, seed, ("g2",), method, n_atoms, eps)[0][0]
 
 
 def cavity_terms(params: ModelParams, n: int, spec: CascadeSpec,
                  hier: SpinHierarchySpec, samples: int = 4096, seed: int = 0,
-                 method: str = "auto", n_atoms: int = 1024,
-                 eps: float = 1e-10) -> tuple[QuenchedEstimate, QuenchedEstimate]:
-    """(G1, G2) of one bound, on two independent streams split from `seed`."""
-    s1, s2 = child_seeds(seed, 2)
-    e1 = _cavity(params, n, spec, hier, samples, int(s1.generate_state(1)[0]),
-                 "g1", method, n_atoms, eps)
-    e2 = _cavity(params, n, spec, hier, samples, int(s2.generate_state(1)[0]),
-                 "g2", method, n_atoms, eps)
-    return e1, e2
+                 method: str = "auto", n_atoms: int = 1024, eps: float = 1e-10
+                 ) -> tuple[QuenchedEstimate, QuenchedEstimate, QuenchedEstimate]:
+    """(G1, G2, G1 - G2) of one trial state.
+
+    By Monte Carlo both terms come from one pass over `seed` that shares
+    each draw's cascade weights and thins G2's pair count from G1's slots
+    (_run_mc), so the bound's stat_error is the standard error of the
+    per-draw differences G1 - G2: it counts the covariance of the terms.
+    Its bias_estimate is the sum of the two terms' estimates.
+    """
+    (e1, e2), vals = _cavity(params, n, spec, hier, samples, seed, ("g1", "g2"), method,
+                             n_atoms, eps)
+    bound = QuenchedEstimate(
+        value=e1.value - e2.value,
+        stat_error=0.0 if vals is None else _sem(vals[0] - vals[1]),
+        tail_bound=e1.tail_bound + e2.tail_bound,
+        samples=e1.samples,
+        method=e1.method,
+        bias_estimate=e1.bias_estimate + e2.bias_estimate,
+    )
+    return e1, e2, bound
 
 
 def rsb_upper_bound(params: ModelParams, n: int, spec: CascadeSpec,
@@ -518,12 +562,4 @@ def rsb_upper_bound(params: ModelParams, n: int, spec: CascadeSpec,
                     method: str = "auto", n_atoms: int = 1024,
                     eps: float = 1e-10) -> QuenchedEstimate:
     """G1 - G2: an upper bound on p_N for every admissible trial state."""
-    e1, e2 = cavity_terms(params, n, spec, hier, samples, seed, method, n_atoms, eps)
-    return QuenchedEstimate(
-        value=e1.value - e2.value,
-        stat_error=math.hypot(e1.stat_error, e2.stat_error),
-        tail_bound=e1.tail_bound + e2.tail_bound,
-        samples=max(e1.samples, e2.samples),
-        method=METHOD_MC if METHOD_MC in (e1.method, e2.method) else METHOD_EXACT,
-        bias_estimate=e1.bias_estimate + e2.bias_estimate,
-    )
+    return cavity_terms(params, n, spec, hier, samples, seed, method, n_atoms, eps)[2]

@@ -244,9 +244,8 @@ def cmd_cascade(args) -> dict | None:
         hier = cascade.uniform_hierarchy(args.q)
     else:
         hier = cascade.symmetric_t_hierarchy(args.q, args.t)
-    g1e, g2e = cascade.cavity_terms(params, args.n, spec, hier, samples=args.samples,
-                                    seed=args.seed, method=args.method)
-    bound = g1e.value - g2e.value
+    g1e, g2e, bound = cascade.cavity_terms(params, args.n, spec, hier, samples=args.samples,
+                                           seed=args.seed, method=args.method)
     payload = {
         "schema": SCHEMA,
         "command": "cascade",
@@ -261,15 +260,15 @@ def cmd_cascade(args) -> dict | None:
         "seed": args.seed,
         "g1": _estimate_dict(g1e),
         "g2": _estimate_dict(g2e),
-        "bound": bound,
-        "bound_stat_error": math.hypot(g1e.stat_error, g2e.stat_error),
+        "bound": bound.value,
+        "bound_stat_error": bound.stat_error,
         "annealed_pressure": bounds.annealed_pressure(args.beta, args.c, args.q),
     }
     if args.beta < math.inf and args.q**args.n <= DEFAULT_ENUM_BUDGET:
         p_n = disorder.quenched_pressure_exact(params, args.n, eps=args.eps,
                                                seed=args.seed + 2)
         payload["quenched_pressure"] = _estimate_dict(p_n)
-        payload["bound_minus_pressure"] = bound - p_n.value
+        payload["bound_minus_pressure"] = bound.value - p_n.value
     write_json(args.out, payload)
     return payload
 

@@ -75,6 +75,7 @@ from .model import (
 )
 from .util import (
     BudgetExceededError,
+    check_poisson_mean,
     check_samples,
     child_seeds,
     log_multinomial,
@@ -130,6 +131,7 @@ def sample_couplings(n: int, c: float, seed: int) -> np.ndarray:
         raise ValueError("need n >= 1 and c >= 0")
     if c == 0.0:
         return np.zeros((n, n), dtype=np.int64)
+    check_poisson_mean(c / (2.0 * n), c)
     return philox(seed).poisson(c / (2.0 * n), size=(n, n)).astype(np.int64)
 
 
@@ -385,6 +387,7 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     _check_system("quenched_pressure_mc", n, q, beta, max_configs)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
+    check_poisson_mean(c * (n - 1) / 2.0, c)
 
     work = _workspace(n, q, min(2048, samples))
 

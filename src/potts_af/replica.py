@@ -91,8 +91,10 @@ def class_rows(k_top: int, q: int) -> float:
 
 def class_table_fits(k_top: int, q: int) -> bool:
     """Whether _class_table(k_top, q) can be built: at most MAX_CLASS_ROWS
-    rows, and q! (in the class weights) finite as a float."""
-    return q <= MAX_CLASS_Q and class_rows(k_top, q) <= MAX_CLASS_ROWS
+    rows, and q! (in the class weights) finite as a float.  Every k <= k_top
+    has a class, so a k_top past MAX_CLASS_ROWS fails before class_rows
+    allocates its k_top + 1 counts."""
+    return q <= MAX_CLASS_Q and k_top < MAX_CLASS_ROWS and class_rows(k_top, q) <= MAX_CLASS_ROWS
 
 
 def _largest_per_q(build):

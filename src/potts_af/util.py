@@ -35,6 +35,19 @@ def check_samples(samples: int) -> None:
         raise BudgetExceededError(f"{samples} Monte Carlo samples exceed {MAX_MC_SAMPLES}")
 
 
+# The largest mean numpy's Poisson sampler accepts: the int64 maximum less
+# ten of its square roots, about 9.22e18.
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max))
+
+
+def check_poisson_mean(lam: float, c: float) -> None:
+    """Raise ValueError, naming the connectivity c, when a Poisson mean lam
+    drawn from c is past POISSON_MEAN_MAX."""
+    if lam > POISSON_MEAN_MAX:
+        raise ValueError(f"c = {c!r} needs a Poisson mean of {lam:.4g}, past the limit "
+                         f"{POISSON_MEAN_MAX:.4g} of numpy's Poisson sampler")
+
+
 def philox(seed: int | np.random.SeedSequence) -> np.random.Generator:
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(ss))

@@ -307,6 +307,28 @@ def test_sampled_leaves_at_infinite_beta_rejected(monkeypatch, spec, hier):
             fn(params, 3, spec, hier, samples=64, method="monte-carlo")
 
 
+@pytest.mark.parametrize("fn", [cavity_g1, cavity_g2, rsb_upper_bound])
+def test_poisson_mean_past_numpy_limit_rejected(monkeypatch, fn):
+    # numpy's own "lam value too large" names no argument; the check names c
+    # and comes before any draw
+    def no_draws(seed):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr("potts_af.cascade.philox", no_draws)
+    params = ModelParams(q=2, beta=1.0, c=1e19)
+    with pytest.raises(ValueError, match=r"c = 1e\+19 needs .* past the limit 9\.223e\+18"):
+        fn(params, 3, CascadeSpec((0.5,)), uniform_hierarchy(2), samples=64,
+           method="monte-carlo")
+
+
+@pytest.mark.parametrize("fn", [cavity_g1, cavity_g2, rsb_upper_bound])
+def test_poisson_mean_below_numpy_limit_returns(fn):
+    # 1e18 slots per site: no class table fits, and sizing one allocates nothing
+    est = fn(ModelParams(q=2, beta=1.0, c=1e18), 3, CascadeSpec((0.5,)), uniform_hierarchy(2),
+             samples=8, method="monte-carlo", n_atoms=16)
+    assert math.isfinite(est.value) and math.isfinite(est.stat_error)
+
+
 def test_l1_g2_at_m_zero_is_the_limit():
     # G2 of CascadeSpec((0,)) is the m -> 0 limit -c beta / (2q)
     q, beta, c = 2, 1.0, 2.0

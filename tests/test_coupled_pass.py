@@ -1,0 +1,141 @@
+"""The coupled Monte Carlo pass behind cavity_terms and rsb_upper_bound.
+
+One pass draws G1 and G2 over the same cascade weights, and G2 thins its
+pair count from G1's slots: K ~ Binomial(sum_i k_i, 1/2) with k_i ~
+Poisson(c), which is Poisson(cn/2).  Each term keeps its law, so each
+coupled term agrees with its uncoupled estimate; the bound's stat_error is
+the standard error of the per-draw differences, and the positive
+covariance of the terms puts it below the quadrature sum of their errors.
+cavity_g1 and cavity_g2 called alone keep their own draw order.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from scipy.stats import chisquare, poisson
+
+from potts_af import cascade
+from potts_af.cascade import (
+    CascadeSpec,
+    annealed_spec,
+    cavity_g1,
+    cavity_g2,
+    cavity_terms,
+    one_rsb_spec,
+    rs_spec,
+    rsb_upper_bound,
+    symmetric_t_hierarchy,
+    uniform_hierarchy,
+)
+from potts_af.disorder import METHOD_MC
+from potts_af.model import ModelParams
+
+BENCH = ModelParams(q=2, beta=1.0, c=4.0)
+# the benchmark's bound configurations at N = 5, then the engine's other
+# branches: sampled leaves with a shared pattern, and two atom levels
+CONFIGS = {
+    "l1": (BENCH, CascadeSpec((0.5,)), uniform_hierarchy(2)),
+    "rs": (BENCH, rs_spec(), symmetric_t_hierarchy(2, -0.8)),
+    "one_rsb": (BENCH, one_rsb_spec(0.5), symmetric_t_hierarchy(2, 0.5)),
+    "sampled, t > 0": (ModelParams(q=3, beta=1.0, c=2.0), CascadeSpec((0.0, 0.5)),
+                       symmetric_t_hierarchy(3, 0.4)),
+    "two levels": (ModelParams(q=2, beta=1.0, c=2.0), CascadeSpec((0.3, 0.7)),
+                   uniform_hierarchy(2)),
+}
+N, SAMPLES, ATOMS = 5, 300, 256
+
+
+def test_thinned_pair_count_has_the_poisson_law(monkeypatch):
+    # record the pair counts the coupled pass hands to the G2 match draw
+    seen = []
+    draw = cascade._leaf_matches
+
+    def record(rng, k, *args):
+        seen.append(k.copy())
+        return draw(rng, k, *args)
+
+    monkeypatch.setattr(cascade, "_leaf_matches", record)
+    c, n, samples = 2.0, 3, 6000
+    cavity_terms(ModelParams(q=2, beta=1.0, c=c), n, annealed_spec(), uniform_hierarchy(2),
+                 samples=samples, seed=21, method="monte-carlo")
+    k = np.concatenate(seen)
+    lam = 0.5 * c * n
+    assert len(k) == samples
+    assert abs(k.mean() - lam) <= 5 * math.sqrt(lam / samples)
+    # a Poisson sample variance has variance (mu_4 - sigma^4) / S = (lam + 2 lam^2) / S
+    assert abs(k.var(ddof=1) - lam) <= 5 * math.sqrt((lam + 2 * lam * lam) / samples)
+    # chi-square over the counts 0..top - 1 and one tail bin, each expecting >= 20 draws
+    top = int(poisson.isf(20 / samples, lam))
+    observed = np.append(np.bincount(np.minimum(k, top), minlength=top + 1)[:top],
+                         np.count_nonzero(k >= top))
+    expected = samples * np.append(poisson.pmf(np.arange(top), lam), poisson.sf(top - 1, lam))
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_coupled_terms_match_uncoupled_estimates(config):
+    params, spec, hier = CONFIGS[config]
+    kw = dict(samples=SAMPLES, method="monte-carlo", n_atoms=ATOMS)
+    e1, e2, _ = cavity_terms(params, N, spec, hier, seed=31, **kw)
+    for coupled, alone in ((e1, cavity_g1(params, N, spec, hier, seed=32, **kw)),
+                           (e2, cavity_g2(params, N, spec, hier, seed=33, **kw))):
+        assert coupled.method == METHOD_MC and coupled.samples == SAMPLES
+        assert coupled.bias_estimate > 0 or not spec.atom_levels
+        # both sides share the truncation, so their bias is the same
+        assert abs(coupled.value - alone.value) <= 5 * math.hypot(coupled.stat_error,
+                                                                  alone.stat_error)
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_bound_error_is_the_paired_standard_error(config):
+    params, spec, hier = CONFIGS[config]
+    vals, bias = cascade._run_mc(params, N, spec, hier, SAMPLES, 41, ATOMS, ("g1", "g2"))
+    cov = np.cov(vals)
+    e1, e2, bound = cavity_terms(params, N, spec, hier, samples=SAMPLES, seed=41,
+                                 method="monte-carlo", n_atoms=ATOMS)
+    assert e1.value == float(vals[0].mean()) and e2.value == float(vals[1].mean())
+    assert e1.stat_error == pytest.approx(math.sqrt(cov[0, 0] / SAMPLES), rel=1e-12)
+    assert e2.stat_error == pytest.approx(math.sqrt(cov[1, 1] / SAMPLES), rel=1e-12)
+    paired = math.sqrt((cov[0, 0] + cov[1, 1] - 2 * cov[0, 1]) / SAMPLES)
+    assert bound.stat_error == pytest.approx(paired, rel=1e-12)
+    assert bound.stat_error < math.hypot(e1.stat_error, e2.stat_error)
+    assert bound.value == e1.value - e2.value
+    assert bound.bias_estimate == e1.bias_estimate + e2.bias_estimate == 2 * bias
+    assert bound == rsb_upper_bound(params, N, spec, hier, samples=SAMPLES, seed=41,
+                                    method="monte-carlo", n_atoms=ATOMS)
+
+
+# (value, stat_error, bias_estimate) of cavity_g1 and cavity_g2 alone at
+# c = 2, beta = 1, n = 3, 150 samples, seed 17, 64 atoms, as drawn before
+# the coupled pass existed; the terms alone still draw in that order
+SEEDED = {
+    "uniform, sampled leaves": (CascadeSpec((0.5,)), 2, None, (
+        (-0.08471552965395593, 0.028733836576175783, 0.003923325075888158),
+        (-0.40694247952907175, 0.02585982974698154, 0.003923325075888158))),
+    "uniform, integrated leaves": (annealed_spec(), 3, None, (
+        (0.6237998695509935, 0.015853175267410435, 0.0),
+        (-0.21821390247353625, 0.011300932874000883, 0.0))),
+    "symmetric-t, sampled leaves": (CascadeSpec((0.0, 0.5)), 2, 0.6, (
+        (-0.0939029842121574, 0.027942312960834416, 0.003923325075888158),
+        (-0.411710544228379, 0.026473611727632004, 0.003923325075888158))),
+    "symmetric-t, integrated leaves": (one_rsb_spec(0.5), 3, -0.4, (
+        (0.6569258569439947, 0.014857636915905416, 0.0037377772082567164),
+        (-0.2315480261400773, 0.011897498404866714, 0.0037499131358202))),
+    "two levels, sampled leaves": (CascadeSpec((0.3, 0.7)), 2, None, (
+        (-0.06140996844039386, 0.027246940601107793, 0.062019016664092895),
+        (-0.39416442036004573, 0.02263902952193215, 0.06224061109550413))),
+}
+
+
+@pytest.mark.parametrize("case", list(SEEDED))
+def test_terms_alone_keep_their_seeded_values(case):
+    spec, q, t, expect = SEEDED[case]
+    hier = uniform_hierarchy(q) if t is None else symmetric_t_hierarchy(q, t)
+    params = ModelParams(q=q, beta=1.0, c=2.0)
+    for fn, (value, stat_error, bias) in zip((cavity_g1, cavity_g2), expect):
+        est = fn(params, 3, spec, hier, samples=150, seed=17, method="monte-carlo",
+                 n_atoms=64)
+        assert (est.value, est.stat_error, est.bias_estimate) == (value, stat_error, bias)

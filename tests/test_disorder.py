@@ -41,6 +41,17 @@ def test_sample_couplings_moments():
     assert abs(entries.var() - lam) <= 4 * lam * math.sqrt(2.0 / draws) + 0.05 * lam
 
 
+def test_poisson_mean_past_numpy_limit_is_a_structured_error():
+    # numpy's own "lam value too large" names no argument; the guard names c
+    limit = r"c = 1e\+\d\d needs a Poisson mean of .* past the limit 9\.223e\+18"
+    with pytest.raises(ValueError, match=limit):
+        quenched_pressure_mc(ModelParams(q=2, beta=1.0, c=1e19), 4, 64, seed=0)
+    with pytest.raises(ValueError, match=limit):
+        sample_couplings(2, 1e20, seed=0)
+    below = quenched_pressure_mc(ModelParams(q=2, beta=1.0, c=1e18), 4, 64, seed=0)
+    assert math.isfinite(below.value) and math.isfinite(below.stat_error)
+
+
 def test_sample_couplings_reproducible():
     a = sample_couplings(5, 3.0, seed=42)
     b = sample_couplings(5, 3.0, seed=42)
