@@ -26,10 +26,30 @@ operations, for G1, for G2 or for both in one coupled pass.  The coupled
 pass, behind cavity_terms and rsb_upper_bound, runs G1 and G2 on one
 stream over the same cascade weights, and thins G2's pair count from
 G1's slots: K ~ Binomial(sum_i k_i, 1/2) with k_i ~ Poisson(c) has G2's
-Poisson(cn/2) law.  Each term keeps its law, G1 - G2 varies less than
-with independent draws, and the bound's stat_error is the paired one,
-the standard error of the per-draw differences.  cavity_g1 and cavity_g2
-called alone draw their own terms only.
+Poisson(cn/2) law.  Each term keeps its law, and G1 - G2 varies less
+than with independent draws.  cavity_g1 and cavity_g2 called alone draw
+their own terms only.
+
+Every Monte Carlo estimate subtracts control variates: per-draw columns,
+built from values the pass already holds, whose means are known to be
+exactly 0.  They are each term's count minus its Poisson mean (sum_i k_i
+- cn for G1, K - cn/2 for G2) and, on trees with more than one leaf, each
+term's cascade-weighted leaf deviation from its conditional mean given
+the counts: sum_a w^_a ln S_a - sum_i mu(k_i) for G1, with w^ the
+normalised cascade weights and mu(k) the class mean of ln S (0 for a
+block whose class table would not fit), and gap (sum_a w^_a M_a - K/q)
+for G2, since every leaf's colour counts are Multinomial(k, 1/q) and its
+matches Binomial(K, 1/q) on their own.  A one-leaf tree gets no leaf
+columns: they would replace the sampled leaf by its conditional mean and
+turn the Monte Carlo into the closed form it is meant to check.  The
+coefficients are fitted by least squares on the odd draws for the even
+ones and the other way round, so no draw's correction depends on the
+draw itself and every estimate stays exactly unbiased.  All terms use the
+same columns, so the bound's value is G1 - G2 of the estimates, and its
+stat_error is the standard error of the adjusted per-draw differences.
+A stat_error never reads below the rounding of its adjusted values,
+eps (ceil(log2 S) + 2) mean(|d| + |X beta|) over S draws: a term the
+counts explain completely, as K does the annealed G2, leaves only that.
 
 For G1 a site's factor depends on its slots' colour counts only through
 their class (the sorted count profile), so on uniform leaves each (leaf,
@@ -283,28 +303,33 @@ def _tree(spec: CascadeSpec, n_atoms: int) -> tuple[int, int]:
     return 1, n_atoms if ms else 1
 
 
-def _pd_log_atoms(rng: np.random.Generator, m: float, shape) -> tuple[np.ndarray, np.ndarray]:
-    """ln of the largest shape[-1] PD(m) atoms per row, and each row's tail fraction.
+def _pd_log_atoms(rng: np.random.Generator, m: float,
+                  shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ln of the largest shape[-1] PD(m) atoms per row, ln of each row's sum,
+    and each row's tail fraction.
 
     ln xi_k = -ln(Gamma_k) / m as in sample_pd_atoms; the fraction is
     tail / (tail + sum_k xi_k) with the same conditional-mean tail.
     """
     log_xi = np.log(np.cumsum(rng.exponential(1.0, size=shape), axis=-1)) / -m
     log_tail = math.log(m / (1.0 - m)) + (1.0 - m) * log_xi[..., -1]
-    return log_xi, np.exp(log_tail - np.logaddexp(log_tail, logsumexp(log_xi, axis=-1)))
+    log_sum = logsumexp(log_xi, axis=-1)
+    return log_xi, log_sum, np.exp(log_tail - np.logaddexp(log_tail, log_sum))
 
 
 def _block_log_weights(rng: np.random.Generator, ms: tuple[float, ...], outer: int,
-                       inner: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(b, leaves) cascade log-weights and (b,) normalizer tail fractions."""
+                       inner: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(b, leaves) cascade log-weights, their (b,) log normalizers and (b,)
+    normalizer tail fractions."""
     if not ms:
-        return np.zeros((b, 1)), np.zeros(b)
+        log_w = np.zeros((b, 1))
+        return log_w, logsumexp(log_w, axis=1), np.zeros(b)
     if len(ms) == 1:
         return _pd_log_atoms(rng, ms[0], (b, inner))
-    log_outer, frac_outer = _pd_log_atoms(rng, ms[0], (b, outer))
-    log_inner, frac_inner = _pd_log_atoms(rng, ms[1], (b, outer, inner))
-    return ((log_outer[:, :, None] + log_inner).reshape(b, -1),
-            frac_outer + frac_inner.mean(axis=1))
+    log_outer, _, frac_outer = _pd_log_atoms(rng, ms[0], (b, outer))
+    log_inner, _, frac_inner = _pd_log_atoms(rng, ms[1], (b, outer, inner))
+    log_w = (log_outer[:, :, None] + log_inner).reshape(b, -1)
+    return log_w, logsumexp(log_w, axis=1), frac_outer + frac_inner.mean(axis=1)
 
 
 def _alias_draw(rng: np.random.Generator, table: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -326,22 +351,28 @@ class _ClassDraw:
 
     S depends on the counts n_s only through their class (the sorted
     profile), so one uniform per (leaf, site) picks the class of its k slots
-    from replica._class_alias, and ln S is read from a per-class array.  The
-    tables cover k <= top; top grows to the largest k seen while
-    replica.class_table_fits allows, and ln S is extended over the new
-    classes only.
+    from replica._class_alias, and ln S is read from a per-class array;
+    mean_log_s[k] = sum_class p(class) ln S(class) is its exact mean over
+    the classes of k slots.  The tables cover k <= top; top grows to the
+    largest k seen while replica.class_table_fits allows, and ln S and its
+    mean are extended over the new classes only.
     """
 
     def __init__(self, q: int, gap: float):
         self.q, self.gap, self.top = q, gap, -1
-        self.log_s = np.empty(0)
+        self.log_s, self.mean_log_s = np.empty(0), np.empty(0)
 
     def covers(self, k_max: int) -> bool:
         """Whether draws for k <= k_max can be served, growing the tables if
         they can be built."""
         if k_max > self.top and class_table_fits(k_max, self.q):
-            counts = _class_table(k_max, self.q)[0][:, self.log_s.size:]
-            self.log_s = np.concatenate([self.log_s, logsumexp(counts * self.gap, axis=0)])
+            counts, _, logw, bounds = _class_table(k_max, self.q)
+            old = self.log_s.size
+            log_s = logsumexp(counts[:, old:] * self.gap, axis=0)
+            # every k has a class, so each run of the new k is non-empty
+            mean = np.add.reduceat(np.exp(logw[old:]) * log_s, bounds[self.top + 1:-1] - old)
+            self.log_s = np.concatenate([self.log_s, log_s])
+            self.mean_log_s = np.concatenate([self.mean_log_s, mean])
             self.table = _class_alias(k_max, self.q)
             self.top = k_max
         return k_max <= self.top
@@ -430,9 +461,10 @@ def _term_setup(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec,
 
 def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
             samples: int, seed: int, n_atoms: int,
-            terms: tuple[str, ...]) -> tuple[np.ndarray, float]:
+            terms: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-draw values (1/n) ln( sum_a w_a V_a / sum_a w_a ), one row per term
-    of `terms` ("g1", "g2" or both, in that order), and the bias estimate.
+    of `terms` ("g1", "g2" or both, in that order), per-draw control columns
+    of mean exactly 0, and the bias estimate.
 
     For G1, ln V_a = sum_i ln S_i over the n cavity sites, with S_i =
     sum_s exp(n_s log_match + (k_i - n_s) log_other) over the colour
@@ -443,6 +475,15 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     K ~ Binomial(sum_i k_i, 1/2) has the Poisson(cn/2) law, since sum_i k_i
     ~ Poisson(cn).  Each term keeps its own law, and G1 - G2 varies less
     than with independent draws.  G2 alone draws its K ~ Poisson(cn/2).
+
+    The control columns, one array row each, are first each term's count
+    minus its Poisson mean, sum_i k_i - cn for G1 and K - cn/2 for G2, and
+    then, on trees with more than one leaf, each term's leaf deviation
+    weighted by the normalised cascade weights w^_a = w_a / sum_b w_b:
+    sum_a w^_a (ln V_a - log_other sum_i k_i) - sum_i mu(k_i) for G1, with
+    mu the class mean of ln S (_ClassDraw.mean_log_s; the column is 0 for a
+    block whose class table would not fit), and gap (sum_a w^_a M_a - K/q)
+    for G2.
     """
     if samples < 2:
         raise ValueError("need samples >= 2")
@@ -452,49 +493,93 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     # G1 sums its n Poisson(c) slot counts in int64; G2 alone draws Poisson(cn/2)
     check_poisson_mean(c * n if "g1" in terms else 0.5 * c * n, c)
     outer, inner = _tree(spec, n_atoms)
+    leaves = outer * inner
+    count_means = {"g1": c * n, "g2": 0.5 * c * n}
 
     # one stream per chunk of MC_CHUNK draws, drawn in blocks of at most
     # MC_BLOCK_CELLS (leaf, site, colour) cells, so values depend only on
     # the inputs and the seed
-    block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (outer * inner * n * q)))
-    classes = _ClassDraw(q, setups[0][1]) if terms[0] == "g1" and setups[0][0] is None else None
+    block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (leaves * n * q)))
+    classes = _ClassDraw(q, setups[0][1]) if terms[0] == "g1" else None
     starts = range(0, samples, MC_CHUNK)
     vals, fracs = np.empty((len(terms), samples)), np.empty(samples)
+    controls = np.zeros((len(terms) * (2 if leaves > 1 else 1), samples))
     for lo, chunk_seed in zip(starts, child_seeds(seed, len(starts))):
         rng = philox(chunk_seed)
         for a in range(lo, min(lo + MC_CHUNK, samples), block):
             b = min(block, lo + MC_CHUNK - a, samples - a)
-            log_w, fracs[a:a + b] = _block_log_weights(rng, spec.atom_levels, outer, inner, b)
-            norm = logsumexp(log_w, axis=1)
+            draws = slice(a, a + b)
+            log_w, norm, fracs[draws] = _block_log_weights(rng, spec.atom_levels, outer,
+                                                           inner, b)
+            if leaves > 1:
+                w_hat = np.exp(log_w - norm[:, None])
             slots = None
             for row, (which, (shared, gap, log_other)) in enumerate(zip(terms, setups)):
                 if which == "g1":
                     k = rng.poisson(c, size=(b, n))
-                    if classes is not None and classes.covers(int(k.max())):
-                        excess = classes.draw(rng, k, outer * inner)
+                    fits = classes.covers(int(k.max()))
+                    if fits and shared is None:
+                        excess = classes.draw(rng, k, leaves)
                     else:
                         counts = _leaf_counts(rng, k, q, shared, outer, inner)
-                        excess = logsumexp(gap * counts, axis=0).sum(axis=-1)
+                        excess = logsumexp(gap * counts, axis=0).sum(axis=-1).reshape(b, -1)
                     total = slots = k.sum(axis=1)
+                    centre = classes.mean_log_s[k].sum(axis=1) if fits else None
                 else:
                     total = (rng.poisson(0.5 * c * n, size=b) if slots is None
                              else rng.binomial(slots, 0.5))
-                    excess = gap * _leaf_matches(rng, total, q, shared, outer, inner)
-                leaf = excess.reshape(b, -1) + log_other * total[:, None]
-                vals[row, a:a + b] = logsumexp(log_w + leaf, axis=1) - norm
+                    matches = _leaf_matches(rng, total, q, shared, outer, inner)
+                    excess = gap * matches.reshape(b, -1)
+                    centre = gap * total / q
+                leaf = excess + log_other * total[:, None]
+                vals[row, draws] = logsumexp(log_w + leaf, axis=1) - norm
+                controls[row, draws] = total - count_means[which]
+                if leaves > 1 and centre is not None:
+                    controls[len(terms) + row, draws] = (w_hat * excess).sum(axis=1) - centre
     vals /= n
-    return vals, float(fracs.mean() / n)
+    return vals, controls, float(fracs.mean() / n)
 
 
-def _sem(vals: np.ndarray) -> float:
-    return float(vals.std(ddof=1) / math.sqrt(len(vals)))
+def _controlled(rows: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors of per-draw `rows` after subtracting the
+    zero-mean `controls` (one array row per control) at cross-fitted
+    coefficients.
+
+    The coefficients applied to the even draws are fitted by least squares,
+    with an intercept, on the odd draws, and the other way round.  No draw's
+    coefficients depend on the draw itself, so each adjusted mean is
+    exactly unbiased.  The standard error never reads below the rounding of
+    the adjusted values (_rounding).
+    """
+    fit = np.empty_like(rows)
+    for half in (0, 1):
+        x, y = controls[:, 1 - half::2], rows[:, 1 - half::2]
+        coef = np.linalg.lstsq((x - x.mean(axis=1, keepdims=True)).T,
+                               (y - y.mean(axis=1, keepdims=True)).T, rcond=None)[0]
+        fit[:, half::2] = coef.T @ controls[:, half::2]
+    adjusted = rows - fit
+    sem = adjusted.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])
+    return adjusted.mean(axis=1), np.maximum(sem, _rounding(rows, fit))
+
+
+def _rounding(rows: np.ndarray, fit: np.ndarray) -> np.ndarray:
+    """Rounding error of the means of rows - fit over S draws, per row:
+    eps (ceil(log2 S) + 2) mean(|d| + |X beta|) over the raw values d and
+    their corrections X beta.  Controls that explain a row completely, as
+    K does the annealed G2, leave only this."""
+    steps = math.ceil(math.log2(rows.shape[1])) + 2
+    return np.finfo(float).eps * steps * (np.abs(rows) + np.abs(fit)).mean(axis=1)
 
 
 def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
             samples: int, seed: int, terms: tuple[str, ...], method: str, n_atoms: int,
-            eps: float) -> tuple[list[QuenchedEstimate], np.ndarray | None]:
-    """Estimates of `terms`, and by Monte Carlo their per-draw values (None
-    for closed forms)."""
+            eps: float) -> list[QuenchedEstimate]:
+    """Estimates of `terms`, and after them, for the coupled Monte Carlo pass,
+    that of the per-draw differences G1 - G2.
+
+    Every Monte Carlo estimate subtracts the same control columns of
+    _run_mc at cross-fitted coefficients (_controlled).
+    """
     if hier.q != params.q:
         raise ValueError("hierarchy q does not match model q")
     if n < 1:
@@ -510,11 +595,14 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
         for which in terms:
             value, tail = _closed_form(params, spec, hier, which, eps)
             ests.append(QuenchedEstimate(value, 0.0, tail, 0, METHOD_EXACT))
-        return ests, None
+        return ests
     if method == "monte-carlo":
-        vals, bias = _run_mc(params, n, spec, hier, samples, seed, n_atoms, terms)
-        return [QuenchedEstimate(float(v.mean()), _sem(v), 0.0, samples, METHOD_MC,
-                                 bias_estimate=bias) for v in vals], vals
+        vals, controls, bias = _run_mc(params, n, spec, hier, samples, seed, n_atoms, terms)
+        if len(terms) == 2:
+            vals = np.vstack([vals, vals[0] - vals[1]])
+        means, errors = _controlled(vals, controls)
+        return [QuenchedEstimate(float(v), float(e), 0.0, samples, METHOD_MC,
+                                 bias_estimate=bias) for v, e in zip(means, errors)]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -522,14 +610,14 @@ def cavity_g1(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarch
               samples: int = 4096, seed: int = 0, method: str = "auto",
               n_atoms: int = 1024, eps: float = 1e-10) -> QuenchedEstimate:
     """Interaction term G1 of the cavity field functional."""
-    return _cavity(params, n, spec, hier, samples, seed, ("g1",), method, n_atoms, eps)[0][0]
+    return _cavity(params, n, spec, hier, samples, seed, ("g1",), method, n_atoms, eps)[0]
 
 
 def cavity_g2(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
               samples: int = 4096, seed: int = 0, method: str = "auto",
               n_atoms: int = 1024, eps: float = 1e-10) -> QuenchedEstimate:
     """Self-energy term G2 of the cavity field functional."""
-    return _cavity(params, n, spec, hier, samples, seed, ("g2",), method, n_atoms, eps)[0][0]
+    return _cavity(params, n, spec, hier, samples, seed, ("g2",), method, n_atoms, eps)[0]
 
 
 def cavity_terms(params: ModelParams, n: int, spec: CascadeSpec,
@@ -540,15 +628,17 @@ def cavity_terms(params: ModelParams, n: int, spec: CascadeSpec,
 
     By Monte Carlo both terms come from one pass over `seed` that shares
     each draw's cascade weights and thins G2's pair count from G1's slots
-    (_run_mc), so the bound's stat_error is the standard error of the
-    per-draw differences G1 - G2: it counts the covariance of the terms.
-    Its bias_estimate is the sum of the two terms' estimates.
+    (_run_mc), and every estimate subtracts the same cross-fitted control
+    variates, so the bound's value is e1.value - e2.value and its stat_error
+    is the standard error of the adjusted per-draw differences G1 - G2: it
+    counts the covariance of the terms.  Its bias_estimate is the sum of the
+    two terms' estimates.
     """
-    (e1, e2), vals = _cavity(params, n, spec, hier, samples, seed, ("g1", "g2"), method,
-                             n_atoms, eps)
+    e1, e2, *paired = _cavity(params, n, spec, hier, samples, seed, ("g1", "g2"), method,
+                              n_atoms, eps)
     bound = QuenchedEstimate(
         value=e1.value - e2.value,
-        stat_error=0.0 if vals is None else _sem(vals[0] - vals[1]),
+        stat_error=paired[0].stat_error if paired else 0.0,
         tail_bound=e1.tail_bound + e2.tail_bound,
         samples=e1.samples,
         method=e1.method,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from potts_af import cascade
+from potts_af import cascade, util
 from potts_af.cascade import (
     CascadeSpec,
     _leaf_counts,
@@ -221,11 +221,13 @@ def test_block_engine_matches_per_draw_oracle(branch, which):
 @pytest.mark.parametrize("levels", [(0.1,), (0.5,), (0.9,), (0.3, 0.7), (0.5, 0.6)])
 def test_block_weights_match_per_draw_atoms(levels):
     # a block of one draw consumes the exponentials in the per-draw order, so
-    # it gives the same leaf weights and tail fraction, leaf for leaf
+    # it gives the same leaf weights and tail fraction, leaf for leaf; the
+    # returned normalizer is the engine's own log-sum-exp of the weights
     spec = CascadeSpec(levels)
     for seed in range(3):
         old = _CascadeDraw(spec, philox(seed), 200)
-        log_w, frac = _block_log_weights(philox(seed), levels, *_tree(spec, 200), 1)
+        log_w, norm, frac = _block_log_weights(philox(seed), levels, *_tree(spec, 200), 1)
+        assert np.array_equal(norm, util.logsumexp(log_w, axis=1))
         np.testing.assert_allclose(log_w[0], old.log_weights, rtol=1e-12, atol=1e-12)
         assert frac[0] == pytest.approx(old.tail_fraction, rel=1e-12)
 

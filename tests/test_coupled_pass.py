@@ -3,10 +3,11 @@
 One pass draws G1 and G2 over the same cascade weights, and G2 thins its
 pair count from G1's slots: K ~ Binomial(sum_i k_i, 1/2) with k_i ~
 Poisson(c), which is Poisson(cn/2).  Each term keeps its law, so each
-coupled term agrees with its uncoupled estimate; the bound's stat_error is
-the standard error of the per-draw differences, and the positive
-covariance of the terms puts it below the quadrature sum of their errors.
-cavity_g1 and cavity_g2 called alone keep their own draw order.
+coupled term agrees with its uncoupled estimate.  Every estimate subtracts
+the pass's zero-mean control columns at cross-fitted coefficients; the
+bound's stat_error is the standard error of the adjusted per-draw
+differences, below the raw paired one.  cavity_g1 and cavity_g2 called
+alone keep their own draw order, which the raw rows of _run_mc pin.
 """
 
 from __future__ import annotations
@@ -89,28 +90,47 @@ def test_coupled_terms_match_uncoupled_estimates(config):
                                                                   alone.stat_error)
 
 
+def _cross_fit(rows: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """rows minus the controls at coefficients fitted, with an intercept
+    column, on the other parity of draws."""
+    adjusted = rows.copy()
+    for half in (0, 1):
+        fit_on = np.column_stack([np.ones(controls[:, 1 - half::2].shape[1]),
+                                  controls[:, 1 - half::2].T])
+        coef = np.linalg.lstsq(fit_on, rows[:, 1 - half::2].T, rcond=None)[0][1:]
+        adjusted[:, half::2] -= coef.T @ controls[:, half::2]
+    return adjusted
+
+
+def _sem(rows: np.ndarray) -> np.ndarray:
+    return rows.std(axis=-1, ddof=1) / math.sqrt(rows.shape[-1])
+
+
 @pytest.mark.parametrize("config", list(CONFIGS))
 def test_bound_error_is_the_paired_standard_error(config):
     params, spec, hier = CONFIGS[config]
-    vals, bias = cascade._run_mc(params, N, spec, hier, SAMPLES, 41, ATOMS, ("g1", "g2"))
-    cov = np.cov(vals)
+    vals, controls, bias = cascade._run_mc(params, N, spec, hier, SAMPLES, 41, ATOMS,
+                                           ("g1", "g2"))
+    assert controls.shape == ((4 if spec.atom_levels else 2), SAMPLES)
     e1, e2, bound = cavity_terms(params, N, spec, hier, samples=SAMPLES, seed=41,
                                  method="monte-carlo", n_atoms=ATOMS)
-    assert e1.value == float(vals[0].mean()) and e2.value == float(vals[1].mean())
-    assert e1.stat_error == pytest.approx(math.sqrt(cov[0, 0] / SAMPLES), rel=1e-12)
-    assert e2.stat_error == pytest.approx(math.sqrt(cov[1, 1] / SAMPLES), rel=1e-12)
-    paired = math.sqrt((cov[0, 0] + cov[1, 1] - 2 * cov[0, 1]) / SAMPLES)
-    assert bound.stat_error == pytest.approx(paired, rel=1e-12)
-    assert bound.stat_error < math.hypot(e1.stat_error, e2.stat_error)
+    adjusted = _cross_fit(vals, controls)
+    for est, row in zip((e1, e2), adjusted):
+        assert est.value == pytest.approx(row.mean(), rel=0, abs=1e-12)
+        assert est.stat_error == pytest.approx(_sem(row), rel=1e-9)
+    assert bound.stat_error == pytest.approx(_sem(adjusted[0] - adjusted[1]), rel=1e-9)
+    # the coupling puts the raw paired error below the quadrature sum of the
+    # terms' raw errors, and the controls put the bound's error below both
+    assert bound.stat_error < _sem(vals[0] - vals[1]) < math.hypot(*_sem(vals))
     assert bound.value == e1.value - e2.value
     assert bound.bias_estimate == e1.bias_estimate + e2.bias_estimate == 2 * bias
     assert bound == rsb_upper_bound(params, N, spec, hier, samples=SAMPLES, seed=41,
                                     method="monte-carlo", n_atoms=ATOMS)
 
 
-# (value, stat_error, bias_estimate) of cavity_g1 and cavity_g2 alone at
-# c = 2, beta = 1, n = 3, 150 samples, seed 17, 64 atoms, as drawn before
-# the coupled pass existed; the terms alone still draw in that order
+# mean, standard error and bias estimate of the raw per-draw values of G1
+# and G2 alone at c = 2, beta = 1, n = 3, 150 samples, seed 17, 64 atoms, as
+# drawn before the coupled pass existed; the terms alone still draw in that order
 SEEDED = {
     "uniform, sampled leaves": (CascadeSpec((0.5,)), 2, None, (
         (-0.08471552965395593, 0.028733836576175783, 0.003923325075888158),
@@ -135,7 +155,6 @@ def test_terms_alone_keep_their_seeded_values(case):
     spec, q, t, expect = SEEDED[case]
     hier = uniform_hierarchy(q) if t is None else symmetric_t_hierarchy(q, t)
     params = ModelParams(q=q, beta=1.0, c=2.0)
-    for fn, (value, stat_error, bias) in zip((cavity_g1, cavity_g2), expect):
-        est = fn(params, 3, spec, hier, samples=150, seed=17, method="monte-carlo",
-                 n_atoms=64)
-        assert (est.value, est.stat_error, est.bias_estimate) == (value, stat_error, bias)
+    for which, (value, stat_error, bias) in zip(("g1", "g2"), expect):
+        (row,), _, raw_bias = cascade._run_mc(params, 3, spec, hier, 150, 17, 64, (which,))
+        assert (float(row.mean()), float(_sem(row)), raw_bias) == (value, stat_error, bias)
