@@ -84,9 +84,9 @@ import numpy as np
 from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
-from .replica import (DEGENERATE_PAIR_FACTOR, _binomial_alias, _class_alias, _class_table,
-                      binomial_table_fits, class_table_fits, degenerate_product_factor,
-                      factor_logs, pair_logs, pair_sum, profile_sum)
+from .replica import (DEGENERATE_PAIR_FACTOR, _alias_picks, _binomial_alias, _class_alias,
+                      _class_table, binomial_table_fits, class_table_fits,
+                      degenerate_product_factor, factor_logs, pair_logs, pair_sum, profile_sum)
 from .util import check_poisson_mean, check_samples, child_seeds, logsumexp, philox
 
 MC_CHUNK = 64  # draws per child seed stream
@@ -334,28 +334,35 @@ def _block_log_weights(rng: np.random.Generator, ms: tuple[float, ...], outer: i
 
 def _alias_draw(rng: np.random.Generator, table: tuple[np.ndarray, np.ndarray, np.ndarray],
                 k: np.ndarray, leaves: int) -> np.ndarray:
-    """Rows (*k.shape, leaves) drawn from alias tables laid out as
-    replica._class_alias, one uniform each: x uniform below the row count of
-    k picks row bounds[k] + floor(x), kept while frac(x) < accept[row] and
-    replaced by alias[row] otherwise."""
-    accept, alias, bounds = table
+    """Values (*k.shape, leaves) drawn from alias tables (accept, pick,
+    bounds) laid out as replica._class_alias, one uniform each: x uniform
+    below the row count of k picks row bounds[k] + floor(x), kept while
+    frac(x) < accept[row] and replaced by its alias otherwise.  pick holds
+    the value of each row's alias and of the row itself side by side
+    (replica._alias_picks), so one gather reads the drawn value."""
+    accept, pick, bounds = table
     first = bounds[k][..., None]
-    x = rng.random((*k.shape, leaves)) * (bounds[k + 1][..., None] - first)
-    j = x.astype(np.int64)  # a uniform is below 1 in steps of 2^-53, so x < the row count
-    row = first + j
-    return np.where(x - j < accept[row], row, alias[row])
+    x = rng.random((*k.shape, leaves))
+    x *= bounds[k + 1][..., None] - first
+    row = x.astype(np.int64)  # a uniform is below 1 in steps of 2^-53, so x < the row count
+    x -= row
+    row += first
+    keep = x < accept[row]
+    row *= 2
+    row += keep
+    return pick[row]
 
 
 class _ClassDraw:
     """ln S = ln sum_s exp(gap n_s) of uniformly coloured slots, drawn by colour class.
 
     S depends on the counts n_s only through their class (the sorted
-    profile), so one uniform per (leaf, site) picks the class of its k slots
-    from replica._class_alias, and ln S is read from a per-class array;
-    mean_log_s[k] = sum_class p(class) ln S(class) is its exact mean over
-    the classes of k slots.  The tables cover k <= top; top grows to the
-    largest k seen while replica.class_table_fits allows, and ln S and its
-    mean are extended over the new classes only.
+    profile), so one uniform per (leaf, site) draws the class of its k slots
+    from replica._class_alias, whose table carries ln S of each outcome
+    (replica._alias_picks); mean_log_s[k] = sum_class p(class) ln S(class)
+    is its exact mean over the classes of k slots.  The tables cover
+    k <= top; top grows to the largest k seen while replica.class_table_fits
+    allows, and ln S and its mean are extended over the new classes only.
     """
 
     def __init__(self, q: int, gap: float):
@@ -373,17 +380,14 @@ class _ClassDraw:
             mean = np.add.reduceat(np.exp(logw[old:]) * log_s, bounds[self.top + 1:-1] - old)
             self.log_s = np.concatenate([self.log_s, log_s])
             self.mean_log_s = np.concatenate([self.mean_log_s, mean])
-            self.table = _class_alias(k_max, self.q)
+            accept, alias, bounds = _class_alias(k_max, self.q)
+            self.table = accept, _alias_picks(alias, self.log_s), bounds
             self.top = k_max
         return k_max <= self.top
 
-    def rows(self, rng: np.random.Generator, k: np.ndarray, leaves: int) -> np.ndarray:
-        """Class rows (b, sites, leaves) of k[b, site] slots at each leaf."""
-        return _alias_draw(rng, self.table, k, leaves)
-
     def draw(self, rng: np.random.Generator, k: np.ndarray, leaves: int) -> np.ndarray:
         """sum_site ln S per leaf, (b, leaves), for k[b, site] slots at each leaf."""
-        return self.log_s[self.rows(rng, k, leaves)].sum(axis=1)
+        return _alias_draw(rng, self.table, k, leaves).sum(axis=1)
 
 
 def _leaf_counts(rng: np.random.Generator, k: np.ndarray, q: int, t: float | None,
@@ -426,9 +430,8 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
     if t is None:
         k_max = int(k.max())
         if binomial_table_fits(k_max):
-            table = _binomial_alias(k_max, q)
-            matches = _alias_draw(rng, table, k, outer * inner) - table[2][k][:, None]
-            return matches.reshape(b, outer, inner)
+            return _alias_draw(rng, _binomial_alias(k_max, q), k, outer * inner).reshape(
+                b, outer, inner)
         return rng.binomial(pairs, 1.0 / q, size=(b, outer, inner))
     in_pattern = rng.binomial(pairs, 1.0 / q, size=(b, outer, 1))
     off = (1.0 - t * t) / q

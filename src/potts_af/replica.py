@@ -27,7 +27,8 @@ q <= MAX_CLASS_Q, past which BudgetExceededError is raised before it is
 allocated.  scan_rs_bound makes one such call for every t != 0.  The
 cascade Monte Carlo draws classes from Walker alias tables built from the
 same class weights (_class_alias) and cached beside them, and its G2 leaf
-matches from the alias tables of Binomial(k, 1/q) (_binomial_alias).
+matches from the alias tables of Binomial(k, 1/q) (_binomial_alias), which
+carry the match count of each outcome (_alias_picks).
 
 Both corrections vanish at t = 0; their t^4 coefficients are
 -(1/4)(q-1) c^2 x^4 and -(1/4)(q-1) c x^2, so the symmetric point goes
@@ -100,9 +101,9 @@ def class_table_fits(k_top: int, q: int) -> bool:
 def _largest_per_q(build):
     """Keep only the largest tables built per q and serve smaller k_top as
     prefix views of them.  `build` returns per-row arrays (rows on the last
-    axis) and then the run boundaries of k; classes are sorted by k, and a
-    row depends only on its own k, so the rows of k <= k_top are a bit-exact
-    prefix."""
+    axis, each row's entries side by side when it has several) and then the
+    run boundaries of k; classes are sorted by k, and a row depends only on
+    its own k, so the rows of k <= k_top are a bit-exact prefix."""
     held = {}
 
     def table(k_top: int, q: int):
@@ -110,8 +111,8 @@ def _largest_per_q(build):
             held.pop(q, None)  # free the old table first, so the new one can reuse its memory
             held[q] = (k_top, build(k_top, q))
         *rows, bounds = held[q][1]
-        n = bounds[k_top + 1]
-        return (*(a[..., :n] for a in rows), bounds[:k_top + 2])
+        n, total = bounds[k_top + 1], bounds[-1]
+        return (*(a[..., :n * (a.shape[-1] // total)] for a in rows), bounds[:k_top + 2])
 
     return update_wrapper(table, build)
 
@@ -190,6 +191,14 @@ def _alias_tables(logw: np.ndarray,
     return accept, alias, bounds
 
 
+def _alias_picks(alias: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The values an alias table draws, two per row side by side: pick[2r]
+    is the value of alias[r] and pick[2r + 1] that of row r itself, so a
+    draw that keeps row r reads pick[2r + 1] and one that takes its alias
+    pick[2r]."""
+    return np.column_stack([values[alias], values]).reshape(-1)
+
+
 @_largest_per_q
 def _class_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alias tables over the colour classes of k uniform slots, k <= k_top.
@@ -213,14 +222,17 @@ def _binomial_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Alias tables of Binomial(k, 1/q) for every k <= k_top, laid out like
     _class_alias: j successes of k sit at row bounds[k] + j, with
     bounds[k] = k(k + 1)/2; callers check binomial_table_fits first.  Returns
-    (accept, alias, bounds)."""
+    (accept, pick, bounds), with pick the success counts j of each row's
+    alias and of the row itself (_alias_picks).  An alias stays inside its
+    own run of k, so the prefix of k <= k_top carries its own picks."""
     ks = np.arange(k_top + 2)
     bounds = ks * (ks + 1) // 2
     k = np.repeat(ks[:-1], ks[1:])
     j = np.arange(bounds[-1]) - bounds[k]
     logw = (log_factorial(k) - log_factorial(j) - log_factorial(k - j)
             - j * math.log(q) + (k - j) * math.log1p(-1.0 / q))
-    return _alias_tables(logw, bounds)
+    accept, alias, _ = _alias_tables(logw, bounds)
+    return accept, _alias_picks(alias, j), bounds
 
 
 def degenerate_product_factor(x: float, t: float, q: int) -> ValueError:

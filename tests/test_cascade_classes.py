@@ -96,11 +96,16 @@ def test_class_draws_match_per_slot_counting(q, k):
     rng = philox([q, k, 31])
     sampler = _ClassDraw(q, GAP)
     assert sampler.covers(k)
-    new_rows = sampler.rows(rng, np.full((draws, 1), k), 1).reshape(-1)
-    new_log_s = sampler.log_s[new_rows]
+    new_log_s = sampler.draw(rng, np.full((draws, 1), k), 1).reshape(-1)
     old_rows, old_log_s = _per_slot_classes(rng, q, k, draws)
     bounds = _class_table(k, q)[3]
-    assert np.all((new_rows >= bounds[k]) & (new_rows < bounds[k + 1]))
+    # the draws carry ln S, which tells the classes of k apart: read their rows back
+    run = sampler.log_s[bounds[k]:bounds[k + 1]]
+    assert np.unique(run).size == run.size
+    order = np.argsort(run)
+    new_rows = order[np.minimum(np.searchsorted(run, new_log_s, sorter=order), run.size - 1)]
+    np.testing.assert_array_equal(run[new_rows], new_log_s)
+    new_rows += bounds[k]
     for r in range(bounds[k], bounds[k + 1]):
         f_new, f_old = np.mean(new_rows == r), np.mean(old_rows == r)
         pooled = 0.5 * (f_new + f_old)

@@ -159,14 +159,18 @@ def test_negative_exact_budget_rejected(no_draws, estimator):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_binomial_alias_tables_reproduce_binomial_probabilities(q):
-    accept, alias, bounds = _binomial_alias(60, q)
+    accept, pick, bounds = _binomial_alias(60, q)
+    assert pick.size == 2 * accept.size
     for k in range(61):
         lo, hi = bounds[k], bounds[k + 1]
         assert hi - lo == k + 1
         assert np.all((accept[lo:hi] >= 0.0) & (accept[lo:hi] <= 1.0))
-        assert np.all((alias[lo:hi] >= lo) & (alias[lo:hi] < hi))
+        # row lo + j carries its own match count j, then the count of its alias
+        np.testing.assert_array_equal(pick[2 * lo + 1:2 * hi:2], np.arange(k + 1))
+        alias = pick[2 * lo:2 * hi:2]
+        assert np.all((alias >= 0) & (alias <= k))
         mass = accept[lo:hi].copy()
-        np.add.at(mass, alias[lo:hi] - lo, 1.0 - accept[lo:hi])
+        np.add.at(mass, alias, 1.0 - accept[lo:hi])
         pmf = [math.comb(k, j) * q**-j * (1 - 1 / q) ** (k - j) for j in range(k + 1)]
         np.testing.assert_allclose(mass / (k + 1), pmf, rtol=0, atol=1e-12)
 
