@@ -54,21 +54,26 @@ counts explain completely, as K does the annealed G2, leaves only that.
 For G1 a site's factor depends on its slots' colour counts only through
 their class (the sorted count profile), so on uniform leaves each (leaf,
 site) draws its class with one uniform from a Walker alias table over the
-classes of its k slots (replica._class_alias, cached per q), and ln S is
-read from a per-class array.  Colour counts drawn with numpy's
-multinomial serve the symmetric-t sampled leaves, which need colour
-identity, and any block whose class table would not fit
-(replica.class_table_fits).  On uniform leaves G2 draws each leaf's
-matching pairs, Binomial(K, 1/q), the same way, with one uniform from the
-alias table of K (replica._binomial_alias, cached per q); _alias_draw is
-the one alias sampler of both.  numpy's binomial serves the symmetric-t
-sampled leaves and any K whose tables would not fit
-(replica.binomial_table_fits).  Each chunk of MC_CHUNK draws has its own
-child seed, and the block size (capped by MC_BLOCK_CELLS leaf x site x
-colour cells) depends only on the inputs, so results depend only on the
-inputs and the seed.  Sample counts past util.MAX_MC_SAMPLES raise
-BudgetExceededError, and Poisson means past util.POISSON_MEAN_MAX raise
-ValueError, before anything is drawn.  Each level keeps n_atoms atoms;
+classes of its k slots (replica._class_alias, cached per q).  Colour
+counts drawn with numpy's multinomial serve the symmetric-t sampled
+leaves, which need colour identity, and any block whose class table would
+not fit (replica.class_table_fits).  On uniform leaves G2 draws each
+leaf's matching pairs, Binomial(K, 1/q), the same way, with one uniform
+from the alias table of K (replica._binomial_alias, cached per q).
+_alias_draw is the one alias sampler of both, and it draws values, not
+rows: each table carries the value of every row and of its alias side by
+side (replica._alias_picks), ln S for G1, built when its class table
+grows, and the match count for G2, so one gather reads the drawn value.
+numpy's binomial serves the symmetric-t sampled leaves and any K whose
+tables would not fit (replica.binomial_table_fits).  Each chunk of
+MC_CHUNK draws has its own child seed and its own util.stream, and the
+block size (capped by MC_BLOCK_CELLS leaf x site x colour cells) depends
+only on the inputs, so results depend only on the inputs and the seed.
+Sample counts past util.MAX_MC_SAMPLES and draws of more than
+MAX_DRAW_CELLS leaf x site x colour cells raise BudgetExceededError, an
+n_atoms that is not an integer >= 1 and Poisson means past
+util.POISSON_MEAN_MAX raise ValueError, all before anything is drawn.
+Each level keeps n_atoms atoms;
 the mean share of normalizer mass beyond them, divided by n, is reported
 as bias_estimate.  It is an estimate, not a bound, so it stays out of the
 certified tail_bound.
@@ -87,10 +92,12 @@ from .model import ModelParams
 from .replica import (DEGENERATE_PAIR_FACTOR, _alias_picks, _binomial_alias, _class_alias,
                       _class_table, binomial_table_fits, class_table_fits,
                       degenerate_product_factor, factor_logs, pair_logs, pair_sum, profile_sum)
-from .util import check_poisson_mean, check_samples, child_seeds, logsumexp, philox
+from .util import (BudgetExceededError, check_poisson_mean, check_samples, child_seeds,
+                   logsumexp, stream)
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
+MAX_DRAW_CELLS = 2**24  # cap on leaf x site x colour cells of one draw: 128 MiB per float64 array
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,12 @@ def symmetric_t_hierarchy(q: int, t: float) -> SpinHierarchySpec:
     return SpinHierarchySpec("symmetric-t", q, t)
 
 
+def _check_atoms(n_atoms) -> None:
+    """Raise ValueError unless n_atoms is an integer >= 1; a bool is not."""
+    if isinstance(n_atoms, bool) or not isinstance(n_atoms, (int, np.integer)) or n_atoms < 1:
+        raise ValueError(f"n_atoms must be an integer >= 1, got {n_atoms!r}")
+
+
 @dataclass(frozen=True)
 class AtomSet:
     """Descending PD atoms plus the expected mass beyond the truncation."""
@@ -190,9 +203,8 @@ def sample_pd_atoms(m: float, n_atoms: int, seed) -> AtomSet:
     """
     if not (0.0 < m < 1.0):
         raise ValueError(f"PD level m must lie in (0, 1), got {m}")
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else philox(seed)
+    _check_atoms(n_atoms)
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     atoms = rng.standard_exponential(n_atoms)  # arrivals, then atoms, in one buffer
     np.cumsum(atoms, out=atoms)
     np.power(atoms, -1.0 / m, out=atoms)
@@ -224,7 +236,7 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     if draws < 10:
         raise ValueError("need at least 10 draws per sample")
     c_ref = math.exp(0.5 * m * sigma * sigma) * scale_mismatch
-    rng = philox(seed)
+    rng = stream(seed)
     mult_top = np.empty((draws, top))
     ref_top = np.empty((draws, top))
     for d in range(draws):
@@ -293,12 +305,13 @@ def _tree(spec: CascadeSpec, n_atoms: int) -> tuple[int, int]:
     ms = spec.atom_levels
     if len(ms) > 2:
         raise ValueError("Monte Carlo supports at most two unresolved atom levels")
-    if ms and n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
+    _check_atoms(n_atoms)
+    n_atoms = int(n_atoms)  # a numpy integer would wrap in the products below
     if len(ms) == 2:
-        # nested truncation: ~sqrt(n_atoms) atoms per level keeps the
-        # leaf count comparable to the one-level case
-        side = max(16, int(round(math.sqrt(n_atoms))))
+        # nested truncation: ~sqrt(n_atoms) atoms per level keeps the leaf
+        # count comparable to the one-level case; the nearest integer to
+        # sqrt(n_atoms), in integers, so no n_atoms overflows a float
+        side = max(16, (math.isqrt(4 * n_atoms) + 1) // 2)
         return side, side
     return 1, n_atoms if ms else 1
 
@@ -497,6 +510,9 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     check_poisson_mean(c * n if "g1" in terms else 0.5 * c * n, c)
     outer, inner = _tree(spec, n_atoms)
     leaves = outer * inner
+    if leaves * n * q > MAX_DRAW_CELLS:
+        raise BudgetExceededError(f"{leaves} leaves x {n} sites x {q} colours exceed "
+                                  f"{MAX_DRAW_CELLS} cells per draw")
     count_means = {"g1": c * n, "g2": 0.5 * c * n}
 
     # one stream per chunk of MC_CHUNK draws, drawn in blocks of at most
@@ -508,7 +524,7 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     vals, fracs = np.empty((len(terms), samples)), np.empty(samples)
     controls = np.zeros((len(terms) * (2 if leaves > 1 else 1), samples))
     for lo, chunk_seed in zip(starts, child_seeds(seed, len(starts))):
-        rng = philox(chunk_seed)
+        rng = stream(chunk_seed)
         for a in range(lo, min(lo + MC_CHUNK, samples), block):
             b = min(block, lo + MC_CHUNK - a, samples - a)
             draws = slice(a, a + b)

@@ -82,7 +82,7 @@ from .util import (
     logsumexp,
     multinomial_table,
     multiset_permutations,
-    philox,
+    stream,
     poisson_cutoff,
     poisson_pmf_vector,
     poisson_sf,
@@ -132,7 +132,7 @@ def sample_couplings(n: int, c: float, seed: int) -> np.ndarray:
     if c == 0.0:
         return np.zeros((n, n), dtype=np.int64)
     check_poisson_mean(c / (2.0 * n), c)
-    return philox(seed).poisson(c / (2.0 * n), size=(n, n)).astype(np.int64)
+    return stream(seed).poisson(c / (2.0 * n), size=(n, n)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def _placements(rng: np.random.Generator, p: int, m: np.ndarray) -> np.ndarray:
 def _mc_placements(n: int, m: int, samples: int,
                    seed: np.random.SeedSequence) -> np.ndarray:
     """M uniform pair edges per sample, as counts over the P pairs."""
-    return _placements(philox(seed), n * (n - 1) // 2, np.full(samples, m))
+    return _placements(stream(seed), n * (n - 1) // 2, np.full(samples, m))
 
 
 def _conditional_average(n: int, m: int, per_j, samples: int,
@@ -392,7 +392,7 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     work = _workspace(n, q, min(2048, samples))
 
     def chunk_values(lo: int, chunk_seed: np.random.SeedSequence) -> np.ndarray:
-        rng = philox(chunk_seed)
+        rng = stream(chunk_seed)
         m = rng.poisson(c * (n - 1) / 2.0, size=min(2048, samples - lo))
         return _lnz_batch(_placements(rng, n * (n - 1) // 2, m), n, q, beta, work) / n
 

@@ -1,9 +1,9 @@
 """Shared numerical plumbing: Poisson weights and tails, log-factorials,
 seeded RNG streams, cutoffs, log-sum-exp.
 
-Every stochastic routine in the package draws from a counter-based Philox
-generator keyed by an explicit integer seed and runs serially, so results
-depend only on the seed.  Poisson weights and multinomials read a table of
+Every stochastic routine in the package draws from an SFC64 generator
+(stream) keyed by an explicit integer seed, or by a child of one
+(child_seeds), and runs serially, so results depend only on the seed.  Poisson weights and multinomials read a table of
 ln k! built with math.lgamma, and Poisson tails are summed in plain float
 arithmetic, so importing the package loads no scipy.
 """
@@ -22,9 +22,10 @@ class BudgetExceededError(RuntimeError):
 
 # Cap on a Monte Carlo sample count: 100 times the largest count the tests,
 # the acceptance criteria and the benchmark use (10 000 draws; a quenched
-# pressure stratum takes at most 8 x 4 096).  At the cap a cascade run at
-# 2 048 leaves already takes half an hour (about 2 ms a draw), and near 10^8
-# draws its per-draw arrays alone would outgrow a 1 GiB address space.
+# pressure stratum takes at most 8 x 4 096).  At the cap a cascade bound at
+# 2 048 leaves, 5 sites and q = 2 already takes about six minutes (0.35 to
+# 0.37 ms a draw on one core of a 2-core Xeon), and near 10^8 draws its
+# per-draw arrays alone would outgrow a 1 GiB address space.
 MAX_MC_SAMPLES = 1_000_000
 
 
@@ -48,9 +49,11 @@ def check_poisson_mean(lam: float, c: float) -> None:
                          f"{POISSON_MEAN_MAX:.4g} of numpy's Poisson sampler")
 
 
-def philox(seed: int | np.random.SeedSequence) -> np.random.Generator:
+def stream(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """The package's generator: SFC64 keyed by SeedSequence(seed), or by a
+    SeedSequence itself, such as a child from child_seeds."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:

@@ -20,7 +20,7 @@ from scipy.stats import kstest
 
 import potts_af as pa
 from potts_af.model import ModelParams
-from potts_af.util import philox
+from potts_af.util import stream
 
 from conftest import combined_error
 
@@ -173,7 +173,7 @@ def test_criterion_08_cascade_recovery():
 
 def test_criterion_09_pd_sampler_laws():
     # Frechet law of the top atom at 1e5 draws, m in {0.3, 0.7}
-    rng = philox(2025)
+    rng = stream(2025)
     min_p = 1.0
     for m in (0.3, 0.7):
         top = np.array([pa.sample_pd_atoms(m, 1, rng).atoms[0] for _ in range(100_000)])

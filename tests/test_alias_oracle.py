@@ -19,7 +19,7 @@ import pytest
 
 from potts_af.cascade import _alias_draw, _ClassDraw, _leaf_matches
 from potts_af.replica import _alias_tables, _binomial_alias, _class_alias
-from potts_af.util import log_factorial, philox
+from potts_af.util import log_factorial, stream
 
 LEAVES = 6
 
@@ -35,7 +35,7 @@ def reference_draw(rng, accept, alias, bounds, values, k, leaves):
 
 def slot_counts(seed, shape):
     """Poisson slot counts with k = 0 in the first cell."""
-    k = philox(seed).poisson(3.0, size=shape)
+    k = stream(seed).poisson(3.0, size=shape)
     k.flat[0] = 0
     return k
 
@@ -46,10 +46,10 @@ def test_class_draws_read_the_reference_values(q):
     sampler = _ClassDraw(q, -0.73)
     assert sampler.covers(int(k.max()))
     accept, alias, bounds = _class_alias(sampler.top, q)
-    new = _alias_draw(philox([q, 2]), sampler.table, k, LEAVES)
-    old = reference_draw(philox([q, 2]), accept, alias, bounds, sampler.log_s, k, LEAVES)
+    new = _alias_draw(stream([q, 2]), sampler.table, k, LEAVES)
+    old = reference_draw(stream([q, 2]), accept, alias, bounds, sampler.log_s, k, LEAVES)
     np.testing.assert_array_equal(new, old)
-    np.testing.assert_array_equal(sampler.draw(philox([q, 2]), k, LEAVES), old.sum(axis=1))
+    np.testing.assert_array_equal(sampler.draw(stream([q, 2]), k, LEAVES), old.sum(axis=1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -67,8 +67,8 @@ def test_binomial_draws_read_the_reference_values(q):
     table = _binomial_alias(k_top, q)
     np.testing.assert_array_equal(table[0], accept)
     np.testing.assert_array_equal(table[2], bounds)
-    new = _alias_draw(philox([q, 4]), table, k, LEAVES)
-    old = reference_draw(philox([q, 4]), accept, alias, bounds, j, k, LEAVES)
+    new = _alias_draw(stream([q, 4]), table, k, LEAVES)
+    old = reference_draw(stream([q, 4]), accept, alias, bounds, j, k, LEAVES)
     np.testing.assert_array_equal(new, old)
-    matches = _leaf_matches(philox([q, 4]), k, q, None, 2, LEAVES // 2)
+    matches = _leaf_matches(stream([q, 4]), k, q, None, 2, LEAVES // 2)
     np.testing.assert_array_equal(matches.reshape(len(k), -1), old)

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from potts_af import cascade
 from potts_af.bounds import annealed_pressure, x_param
 from potts_af.cascade import (
     CascadeSpec,
@@ -25,7 +26,7 @@ from potts_af.cascade import (
 )
 from potts_af.model import ModelParams
 from potts_af.replica import DEGENERATE_PAIR_FACTOR, g1 as rs_g1, g2 as rs_g2
-from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, philox
+from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, stream
 
 from conftest import combined_error
 
@@ -64,7 +65,7 @@ def test_hierarchy_validation():
 
 
 def test_pd_atoms_descending_positive():
-    rng = philox(99)
+    rng = stream(99)
     for m in (0.2, 0.5, 0.8):
         a = sample_pd_atoms(m, 500, rng)
         assert np.all(np.diff(a.atoms) <= 0)
@@ -76,7 +77,7 @@ def test_pd_atoms_descending_positive():
                                                (0.37, 1, 4)])
 def test_pd_atoms_bit_identical_to_the_one_line_formula(m, n_atoms, seed):
     atoms = sample_pd_atoms(m, n_atoms, seed)
-    expect = np.cumsum(philox(seed).exponential(1.0, size=n_atoms)) ** (-1.0 / m)
+    expect = np.cumsum(stream(seed).exponential(1.0, size=n_atoms)) ** (-1.0 / m)
     assert [float.hex(x) for x in atoms.atoms.tolist()] == [float.hex(x) for x in expect.tolist()]
     tail = (m / (1.0 - m)) * expect[-1] ** (1.0 - m)
     assert float.hex(atoms.tail_mass_bound) == float.hex(float(tail))
@@ -104,7 +105,7 @@ def test_pd_atoms_invalid_m():
 def test_pd_top_atom_frechet_law():
     # P(xi_1 <= a) = exp(-a^-m): void probability of (a, inf)
     m, draws = 0.5, 30_000
-    rng = philox(7)
+    rng = stream(7)
     top = rng.exponential(1.0, size=draws) ** (-1.0 / m)
     res = kstest(top, lambda a: np.exp(-a ** (-m)))
     assert res.pvalue > 0.001
@@ -120,7 +121,7 @@ def test_pd_laplace_functional():
     m, p, lam = 0.5, 1.0, 1.0
     integral, _ = quad(lambda x: x ** (-m / p) * math.exp(-x), 0.0, 50.0)
     target = math.exp(-(lam ** (m / p)) * integral)
-    rng = philox(31)
+    rng = stream(31)
     draws, n_atoms = 4000, 3000
     vals = np.empty(draws)
     tails = np.empty(draws)
@@ -300,7 +301,7 @@ def test_sampled_leaves_at_infinite_beta_rejected(monkeypatch, spec, hier):
     def no_draws(seed):
         raise AssertionError("drew samples")
 
-    monkeypatch.setattr("potts_af.cascade.philox", no_draws)
+    monkeypatch.setattr("potts_af.cascade.stream", no_draws)
     params = ModelParams(q=2, beta=math.inf, c=1.0)
     for fn in (cavity_g1, cavity_g2):
         with pytest.raises(ValueError, match="finite beta"):
@@ -314,7 +315,7 @@ def test_poisson_mean_past_numpy_limit_rejected(monkeypatch, fn):
     def no_draws(seed):
         raise AssertionError("drew samples")
 
-    monkeypatch.setattr("potts_af.cascade.philox", no_draws)
+    monkeypatch.setattr("potts_af.cascade.stream", no_draws)
     params = ModelParams(q=2, beta=1.0, c=1e19)
     with pytest.raises(ValueError, match=r"c = 1e\+19 needs .* past the limit 9\.223e\+18"):
         fn(params, 3, CascadeSpec((0.5,)), uniform_hierarchy(2), samples=64,
@@ -354,6 +355,53 @@ def test_monte_carlo_needs_an_atom():
             with pytest.raises(ValueError, match="n_atoms"):
                 cavity_g1(params, 3, CascadeSpec(levels), uniform_hierarchy(2), samples=8,
                           method="monte-carlo", n_atoms=n_atoms)
+
+
+def _refuse_draws(seed):
+    raise AssertionError("drew samples")
+
+
+@pytest.mark.parametrize("n_atoms", [2.5, 3.0, True, np.bool_(True), "8", None, 0, -4])
+def test_n_atoms_must_be_an_integer_of_at_least_one(monkeypatch, n_atoms):
+    # unchecked, a float fails inside numpy on one atom level and is rounded on two
+    monkeypatch.setattr("potts_af.cascade.stream", _refuse_draws)
+    with pytest.raises(ValueError, match="n_atoms"):
+        sample_pd_atoms(0.5, n_atoms, 3)
+    params = ModelParams(q=2, beta=1.0, c=1.0)
+    for levels in ((1.0,), (0.5,), (0.3, 0.7)):
+        with pytest.raises(ValueError, match="n_atoms"):
+            rsb_upper_bound(params, 3, CascadeSpec(levels), uniform_hierarchy(2), samples=8,
+                            method="monte-carlo", n_atoms=n_atoms)
+
+
+def test_numpy_integer_n_atoms_accepted():
+    atoms, expect = sample_pd_atoms(0.5, np.int32(40), 3), sample_pd_atoms(0.5, 40, 3)
+    np.testing.assert_array_equal(atoms.atoms, expect.atoms)
+    assert atoms.tail_mass_bound == expect.tail_mass_bound
+    params = ModelParams(q=2, beta=1.0, c=1.0)
+    for levels in ((0.5,), (0.3, 0.7)):
+        args = (params, 3, CascadeSpec(levels), uniform_hierarchy(2), 8, 5, "monte-carlo")
+        assert rsb_upper_bound(*args, n_atoms=np.int64(300)) == rsb_upper_bound(*args,
+                                                                                n_atoms=300)
+
+
+@pytest.mark.parametrize("levels, n_atoms, n, over", [
+    ((0.5,), cascade.MAX_DRAW_CELLS // 6, 3, False),  # exactly the cap at q = 2
+    ((0.5,), cascade.MAX_DRAW_CELLS // 6 + 1, 3, True),
+    ((0.3, 0.7), 4096**2 // 2, 1, False),  # 2 896^2 leaves
+    ((0.3, 0.7), 4097**2, 1, True),
+    ((0.3, 0.7), 10**400, 1, True),  # past any float
+    ((1.0,), 10**400, 2**23, False),  # no atom level: one leaf whatever n_atoms
+    ((1.0,), 1, 2**23 + 1, True),
+])
+def test_cells_per_draw_capped_before_any_draw(monkeypatch, levels, n_atoms, n, over):
+    # a refused generator shows that nothing was drawn or allocated per draw
+    # on either side of the cap
+    monkeypatch.setattr("potts_af.cascade.stream", _refuse_draws)
+    params = ModelParams(q=2, beta=1.0, c=1.0)
+    with pytest.raises(BudgetExceededError if over else AssertionError):
+        rsb_upper_bound(params, n, CascadeSpec(levels), uniform_hierarchy(2), samples=8,
+                        method="monte-carlo", n_atoms=n_atoms)
 
 
 def test_generic_spec_has_no_closed_form():

@@ -27,7 +27,7 @@ from potts_af.cascade import (
 )
 from potts_af.model import ModelParams
 from potts_af.replica import _class_alias, _class_table, class_rows, class_table_fits
-from potts_af.util import BudgetExceededError, philox
+from potts_af.util import BudgetExceededError, stream
 
 GAP = -0.73
 
@@ -93,7 +93,7 @@ def _per_slot_classes(rng, q, k, draws):
 @pytest.mark.parametrize("k", [0, 1, 5, 12])
 def test_class_draws_match_per_slot_counting(q, k):
     draws = 20_000
-    rng = philox([q, k, 31])
+    rng = stream([q, k, 31])
     sampler = _ClassDraw(q, GAP)
     assert sampler.covers(k)
     new_log_s = sampler.draw(rng, np.full((draws, 1), k), 1).reshape(-1)

@@ -35,7 +35,7 @@ from potts_af.cascade import (
 )
 from potts_af.disorder import METHOD_MC, QuenchedEstimate
 from potts_af.model import ModelParams
-from potts_af.util import child_seeds, philox
+from potts_af.util import child_seeds, stream
 
 MC_CHUNK = 64
 
@@ -176,7 +176,7 @@ def old_mc(params, n, spec, hier, samples, seed, n_atoms, which) -> QuenchedEsti
     vals = np.empty(samples)
     tails = np.empty(samples)
     for (lo, hi), chunk_seed in zip(chunks, child_seeds(seed, len(chunks))):
-        rng = philox(chunk_seed)
+        rng = stream(chunk_seed)
         for i in range(lo, hi):
             vals[i], tails[i] = draw_fn(params, n, spec, hier, rng, n_atoms)
     return QuenchedEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples)),
@@ -225,8 +225,8 @@ def test_block_weights_match_per_draw_atoms(levels):
     # returned normalizer is the engine's own log-sum-exp of the weights
     spec = CascadeSpec(levels)
     for seed in range(3):
-        old = _CascadeDraw(spec, philox(seed), 200)
-        log_w, norm, frac = _block_log_weights(philox(seed), levels, *_tree(spec, 200), 1)
+        old = _CascadeDraw(spec, stream(seed), 200)
+        log_w, norm, frac = _block_log_weights(stream(seed), levels, *_tree(spec, 200), 1)
         assert np.array_equal(norm, util.logsumexp(log_w, axis=1))
         np.testing.assert_allclose(log_w[0], old.log_weights, rtol=1e-12, atol=1e-12)
         assert frac[0] == pytest.approx(old.tail_fraction, rel=1e-12)
@@ -251,7 +251,7 @@ def _assert_same_law(new: np.ndarray, old: np.ndarray, sigmas: float = 5.0):
 def test_count_draws_match_per_slot_counting(q, t):
     # two leaves under one outer node: the joint law carries the shared pattern
     draws, slots = 20_000, 5
-    rng = philox([q, 0 if t is None else int(100 * t) + 200])
+    rng = stream([q, 0 if t is None else int(100 * t) + 200])
     new = _leaf_counts(rng, np.full((draws, 1), slots), q, t, 1, 2)  # (q, draws, 1, 2, 1)
     new = np.moveaxis(new[:, :, 0, :, 0], 0, -1).reshape(draws, 2 * q)
     if t is None:
@@ -267,7 +267,7 @@ def test_count_draws_match_per_slot_counting(q, t):
 @pytest.mark.parametrize("q, t", [(2, None), (3, None), (2, 0.6), (3, -0.5)])
 def test_match_draws_match_per_pair_counting(q, t):
     draws, pairs = 20_000, 6
-    rng = philox([q, 7, 0 if t is None else int(100 * t) + 200])
+    rng = stream([q, 7, 0 if t is None else int(100 * t) + 200])
     new = _leaf_matches(rng, np.full(draws, pairs), q, t, 1, 2).reshape(draws, 2)
     if t is None:
         hits = rng.random((draws, 2, pairs)) < 1.0 / q

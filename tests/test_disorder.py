@@ -19,7 +19,7 @@ from potts_af.disorder import (
     sum_rule_deficit,
 )
 from potts_af.model import ModelParams, log_partition
-from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, philox, poisson_sf
+from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, poisson_sf, stream
 
 from conftest import combined_error
 
@@ -60,7 +60,7 @@ def test_sample_couplings_reproducible():
 
 def couplings_given_k(n: int, k: int, seed: int) -> np.ndarray:
     """K iid uniform ordered cells of {0..n-1}^2, counted into a coupling matrix."""
-    edges = philox(seed).integers(0, n, size=(k, 2), dtype=np.int64)
+    edges = stream(seed).integers(0, n, size=(k, 2), dtype=np.int64)
     J = np.zeros((n, n), dtype=np.int64)
     np.add.at(J, (edges[:, 0], edges[:, 1]), 1)
     return J

@@ -67,10 +67,10 @@ from potts_af.util import (
     log_multinomial,
     multinomial_table,
     multiset_permutations,
-    philox,
     poisson_cutoff,
     poisson_pmf_vector,
     poisson_sf,
+    stream,
 )
 
 TOL = 1e-12
@@ -318,7 +318,7 @@ def test_mc_path_draws_unchanged(q, beta, c, n):
     chunks = [(i, min(i + 2048, samples)) for i in range(0, samples, 2048)]
     parts = []
     for (lo, hi), ss in zip(chunks, child_seeds(seed, len(chunks))):
-        rng = philox(ss)
+        rng = stream(ss)
         edges = rng.poisson(c * (n - 1) / 2.0, size=hi - lo)
         draws = uniform_pair_counts(rng, n * (n - 1) // 2, edges)
         parts.append(old_lnz(upper_couplings(draws, n), n, q, beta) / n)
@@ -331,7 +331,7 @@ def test_mc_path_draws_unchanged(q, beta, c, n):
 def test_mc_overlap_moments_draws_unchanged():
     n, q, beta, k, samples = 4, 3, 1.0, 9, 500
     seed = np.random.SeedSequence(21)
-    draws = uniform_pair_counts(philox(seed), 6, np.full(samples, k))  # over P = 6 pairs
+    draws = uniform_pair_counts(stream(seed), 6, np.full(samples, k))  # over P = 6 pairs
     values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20)
     mean, sem, used = _conditional_average(
         n, k, lambda rows: _overlap_moments(rows, n, q, beta, 20), samples, seed, 0)
@@ -404,7 +404,7 @@ def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n):
     value = pmf[0] * math.log(q) + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n)
     for m in range(1, m_max + 1):
         budget = max(256, min(8 * mc_samples, int(4 * mc_samples * pmf[m]) + 1))
-        draws = uniform_pair_counts(philox(seeds[m]), p, np.full(budget, m))
+        draws = uniform_pair_counts(stream(seeds[m]), p, np.full(budget, m))
         value += pmf[m] * float(old_lnz(upper_couplings(draws, n), n, q, beta).mean()) / n
     est = quenched_pressure_exact(params, n, eps=eps, seed=seed, mc_samples=mc_samples,
                                   exact_budget=0)

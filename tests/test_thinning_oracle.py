@@ -32,10 +32,10 @@ from potts_af.model import ModelParams
 from potts_af.util import (
     child_seeds,
     multinomial_table,
-    philox,
     poisson_cutoff,
     poisson_pmf_vector,
     poisson_sf,
+    stream,
 )
 
 TOL = 1e-12
@@ -61,7 +61,7 @@ def k_average(n: int, k: int, per_row, samples: int, seed):
         mean = sum(np.tensordot(weights[i:i + CHUNK], per_row(rows[i:i + CHUNK]), axes=1)
                    for i in range(0, len(rows), CHUNK))
         return mean, np.zeros_like(mean), 0
-    rows = fold(philox(seed).multinomial(k, np.full(n * n, 1.0 / (n * n)), size=samples), n)
+    rows = fold(stream(seed).multinomial(k, np.full(n * n, 1.0 / (n * n)), size=samples), n)
     vals = np.concatenate([per_row(rows[i:i + CHUNK]) for i in range(0, samples, CHUNK)])
     return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(samples), samples
 
@@ -110,7 +110,7 @@ def k_sum_rule(q: int, beta: float, c: float, n: int, r_max: int, seed: int,
 
 def k_plain_mc(q: int, beta: float, c: float, n: int, samples: int, seed: int):
     """(value, stat_error) of plain Monte Carlo over all N^2 Poisson(c/2N) entries."""
-    draws = philox(seed).poisson(c / (2.0 * n), size=(samples, n * n))
+    draws = stream(seed).poisson(c / (2.0 * n), size=(samples, n * n))
     values = k_lnz(fold(draws, n), n, q, beta) / n
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
 

@@ -27,7 +27,7 @@ from potts_af.disorder import (_placements, quenched_pressure_exact, quenched_pr
                                sum_rule_deficit)
 from potts_af.model import ModelParams
 from potts_af.replica import _binomial_alias, binomial_table_fits
-from potts_af.util import philox
+from potts_af.util import stream
 
 DRAWS = 20_000
 
@@ -54,7 +54,7 @@ def assert_same_law(new: np.ndarray, old: np.ndarray, sigmas: float = 5.0):
                                   (10, 130)])
 def test_placements_match_multinomial(p, m):
     # 8P edges is the last row length counted from indices; 8P + 1 takes the chain
-    rng = philox([p, m, 41])
+    rng = stream([p, m, 41])
     new = _placements(rng, p, np.full(DRAWS, m))
     assert new.shape == (DRAWS, p) and np.all(new.sum(axis=1) == m)
     assert_same_law(new, rng.multinomial(m, np.full(p, 1.0 / p), size=DRAWS))
@@ -62,7 +62,7 @@ def test_placements_match_multinomial(p, m):
 
 def test_mixed_batch_matches_multinomial_row_by_row():
     p, lengths = 4, np.array([0, 3, 32, 33, 70])  # 8P = 32: two rows counted, two chained
-    rng = philox(43)
+    rng = stream(43)
     m = np.tile(lengths, DRAWS)
     new = _placements(rng, p, m)
     assert np.all(new.sum(axis=1) == m)
@@ -88,7 +88,7 @@ class _NoLongIndexDraws:
 
 def test_long_rows_draw_no_edge_indices():
     p, m = 6, np.array([5, 10**12, 48, 10**9, 0])
-    rows = _placements(_NoLongIndexDraws(philox(3), 5 + 48), p, m)
+    rows = _placements(_NoLongIndexDraws(stream(3), 5 + 48), p, m)
     np.testing.assert_array_equal(rows.sum(axis=1), m)
     assert rows[1].min() > 10**11  # a 10^12-edge row is spread over every pair
 
@@ -106,7 +106,7 @@ def test_pressure_mc_rows_are_iid_poisson_pair_sums(monkeypatch):
     quenched_pressure_mc(ModelParams(q=q, beta=beta, c=c), n, samples, seed=9)
     new = np.concatenate(seen)
     assert new.shape == (samples, n * (n - 1) // 2)
-    assert_same_law(new, philox(10).poisson(c / n, size=new.shape))
+    assert_same_law(new, stream(10).poisson(c / n, size=new.shape))
 
 
 def test_pressure_mc_at_huge_c_is_finite_and_quick():
@@ -125,7 +125,7 @@ def no_draws(monkeypatch):
     def refuse(*args):
         raise AssertionError("drew or split seeds before checking inputs")
 
-    monkeypatch.setattr(disorder, "philox", refuse)
+    monkeypatch.setattr(disorder, "stream", refuse)
     monkeypatch.setattr(disorder, "child_seeds", refuse)
 
 
@@ -178,7 +178,7 @@ def test_binomial_alias_tables_reproduce_binomial_probabilities(q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_alias_matches_follow_the_binomial_law(q):
     # varying K per draw, two leaves per draw: the leaves are independent given K
-    rng = philox([q, 47])
+    rng = stream([q, 47])
     k = rng.poisson(6.0, size=DRAWS)
     new = _leaf_matches(rng, k, q, None, 1, 2).reshape(DRAWS, 2)
     old = rng.binomial(k[:, None], 1.0 / q, size=(DRAWS, 2))
@@ -202,8 +202,8 @@ def test_oversized_binomial_table_takes_numpy_binomial(monkeypatch):
 
 def test_capped_tables_draw_the_same_law(monkeypatch):
     q, k = 3, np.full(DRAWS, 10)
-    alias = _leaf_matches(philox(5), k, q, None, 1, 2).reshape(DRAWS, 2)
+    alias = _leaf_matches(stream(5), k, q, None, 1, 2).reshape(DRAWS, 2)
     monkeypatch.setattr(replica, "MAX_CLASS_ROWS", 10 * 11 // 2)  # k <= 9 fits, 10 does not
     monkeypatch.setattr(cascade, "_binomial_alias", None)
-    chained = _leaf_matches(philox(6), k, q, None, 1, 2).reshape(DRAWS, 2)
+    chained = _leaf_matches(stream(6), k, q, None, 1, 2).reshape(DRAWS, 2)
     assert_same_law(alias, chained)

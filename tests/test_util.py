@@ -14,12 +14,14 @@ from scipy.special import logsumexp as scipy_logsumexp
 import potts_af.util as util
 from potts_af.util import (
     BudgetExceededError,
+    child_seeds,
     log_factorial,
     logsumexp,
     multinomial_table,
     poisson_cutoff,
     poisson_pmf_vector,
     poisson_sf,
+    stream,
 )
 
 
@@ -167,3 +169,17 @@ def test_log_factorial_matches_lgamma_across_regrowth(monkeypatch):
     assert log_factorial(np.arange(0)).shape == (0,)
     with pytest.raises(ValueError):
         log_factorial(-1)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
+def test_stream_depends_only_on_the_seed(seed):
+    # seeded outputs, the CLI's included, rest on this: an int seed and its
+    # SeedSequence give one stream, and every child seed its own
+    draws = stream(seed).random(64)
+    assert isinstance(stream(seed).bit_generator, np.random.SFC64)
+    np.testing.assert_array_equal(stream(np.random.SeedSequence(seed)).random(64), draws)
+    np.testing.assert_array_equal(stream(seed).random(64), draws)
+    children = [stream(child).random(64) for child in child_seeds(seed, 4)]
+    np.testing.assert_array_equal(stream(child_seeds(seed, 4)[2]).random(64), children[2])
+    streams = [draws] + children
+    assert all(not np.array_equal(a, b) for a, b in itertools.combinations(streams, 2))
