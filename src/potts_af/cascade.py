@@ -73,10 +73,9 @@ Sample counts past util.MAX_MC_SAMPLES and draws of more than
 MAX_DRAW_CELLS leaf x site x colour cells raise BudgetExceededError, an
 n_atoms that is not an integer >= 1 and Poisson means past
 util.POISSON_MEAN_MAX raise ValueError, all before anything is drawn.
-Each level keeps n_atoms atoms;
-the mean share of normalizer mass beyond them, divided by n, is reported
-as bias_estimate.  It is an estimate, not a bound, so it stays out of the
-certified tail_bound.
+Each level keeps n_atoms atoms; the mean share of normalizer mass beyond
+them, divided by n, is reported as bias_estimate.  It is an estimate, not
+a bound, so it stays out of the certified tail_bound.
 """
 
 from __future__ import annotations

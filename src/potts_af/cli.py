@@ -1,8 +1,8 @@
 """Batch command-line surface emitting machine-readable JSON and CSV.
 
 All commands are deterministic for a fixed seed: stochastic work is keyed
-by explicit SFC64 streams (util.stream) and runs on one thread, so output files depend
-only on the arguments.
+by explicit SFC64 streams (util.stream) and runs on one thread, so output
+files depend only on the arguments.
 Bad parameters end in the same structured error record.  Floats are
 serialized with 17 significant digits (round-trip exact); infinities
 become the literal string "inf"; NaN is never emitted — any NaN aborts

@@ -82,10 +82,10 @@ from .util import (
     logsumexp,
     multinomial_table,
     multiset_permutations,
-    stream,
     poisson_cutoff,
     poisson_pmf_vector,
     poisson_sf,
+    stream,
 )
 
 METHOD_EXACT = "exact-conditional"

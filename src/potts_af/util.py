@@ -3,9 +3,10 @@ seeded RNG streams, cutoffs, log-sum-exp.
 
 Every stochastic routine in the package draws from an SFC64 generator
 (stream) keyed by an explicit integer seed, or by a child of one
-(child_seeds), and runs serially, so results depend only on the seed.  Poisson weights and multinomials read a table of
-ln k! built with math.lgamma, and Poisson tails are summed in plain float
-arithmetic, so importing the package loads no scipy.
+(child_seeds), and runs serially, so results depend only on the seed.
+Poisson weights and multinomials read a table of ln k! built with
+math.lgamma, and Poisson tails are summed in plain float arithmetic, so
+importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ class BudgetExceededError(RuntimeError):
 # Cap on a Monte Carlo sample count: 100 times the largest count the tests,
 # the acceptance criteria and the benchmark use (10 000 draws; a quenched
 # pressure stratum takes at most 8 x 4 096).  At the cap a cascade bound at
-# 2 048 leaves, 5 sites and q = 2 already takes about six minutes (0.35 to
-# 0.37 ms a draw on one core of a 2-core Xeon), and near 10^8 draws its
+# 2 048 leaves, 5 sites and q = 2 already takes about seven minutes (0.35
+# to 0.42 ms a draw on one core of a 2-core Xeon), and near 10^8 draws its
 # per-draw arrays alone would outgrow a 1 GiB address space.
 MAX_MC_SAMPLES = 1_000_000
 
