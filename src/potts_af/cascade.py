@@ -13,13 +13,14 @@ conditional expectation.
 Hierarchies supported on the spin side (finitely supported measures on
 measures): the uniform hierarchy, and the symmetric one-color family
 mu_{s,t}(r) = t d(r,s) + (1-t)/q with the color s refreshed per branch
-slot.  Closed forms exist for the trivial one-level state (annealed), the
-replica-symmetric limit (two levels, m1 -> 0, m2 -> 1), the one-level
-generic-m state with uniform spins, and the one-step RSB state (three
-levels, middle m free): each G2 is one replica.pair_sum, each G1 one
-replica.profile_sum.  Every configuration can also be evaluated by direct
-Monte Carlo over truncated cascades with its own factors; closed-form and
-MC paths are independent and cross-validate each other.
+slot.  One rule gives every closed form: by multiplier stability, leaf
+factors X iid across the atom leaves integrate out at the innermost atom
+level m alone, E ln sum_a w_a X_a - E ln sum_a w_a = (1/m) ln E[X^m].
+That is m = levels[-2] for integrated leaves (a last level 1; annealed at
+depth 1) and m = levels[-1] for uniform sampled leaves (_closed_level).
+G2 is one replica.pair_sum and G1 one replica.profile_sum of the factors
+of _leaf_factors, which the Monte Carlo engine draws too.  Symmetric-t
+sampled leaves share their atom's pattern: no closed form, Monte Carlo only.
 
 The Monte Carlo engine draws a block of cascades per set of array
 operations, for G1, for G2 or for both in one coupled pass.  The coupled
@@ -70,8 +71,9 @@ MC_CHUNK draws has its own child seed and its own util.stream, and the
 block size (capped by MC_BLOCK_CELLS leaf x site x colour cells) depends
 only on the inputs, so results depend only on the inputs and the seed.
 Sample counts past util.MAX_MC_SAMPLES and draws of more than
-MAX_DRAW_CELLS leaf x site x colour cells raise BudgetExceededError, an
-n_atoms that is not an integer >= 1 and Poisson means past
+MAX_DRAW_CELLS leaf x site x colour cells (or atoms, in sample_pd_atoms
+and stability_test) raise BudgetExceededError; an n, samples or n_atoms
+that is not an integer, a bool or too small, and Poisson means past
 util.POISSON_MEAN_MAX raise ValueError, all before anything is drawn.
 Each level keeps n_atoms atoms; the mean share of normalizer mass beyond
 them, divided by n, is reported as bias_estimate.  It is an estimate, not
@@ -85,18 +87,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import x_param
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
-from .replica import (DEGENERATE_PAIR_FACTOR, _alias_picks, _binomial_alias, _class_alias,
-                      _class_table, binomial_table_fits, class_table_fits,
-                      degenerate_product_factor, factor_logs, pair_logs, pair_sum, profile_sum)
+from .replica import (_alias_picks, _binomial_alias, _class_alias, _class_table,
+                      binomial_table_fits, class_table_fits, factor_logs, pair_logs, pair_sum,
+                      profile_sum)
 from .util import (BudgetExceededError, check_poisson_mean, check_samples, child_seeds,
                    logsumexp, stream)
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
 MAX_DRAW_CELLS = 2**24  # cap on leaf x site x colour cells of one draw: 128 MiB per float64 array
+FINITE_BETA = "sampled leaf spins require finite beta"
 
 
 @dataclass(frozen=True)
@@ -178,10 +180,17 @@ def symmetric_t_hierarchy(q: int, t: float) -> SpinHierarchySpec:
     return SpinHierarchySpec("symmetric-t", q, t)
 
 
-def _check_atoms(n_atoms) -> None:
-    """Raise ValueError unless n_atoms is an integer >= 1; a bool is not."""
-    if isinstance(n_atoms, bool) or not isinstance(n_atoms, (int, np.integer)) or n_atoms < 1:
-        raise ValueError(f"n_atoms must be an integer >= 1, got {n_atoms!r}")
+def _check_int(name: str, value, low: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= low; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_pd_atoms(n_atoms) -> None:
+    """_check_int for n_atoms, and BudgetExceededError past MAX_DRAW_CELLS atoms."""
+    _check_int("n_atoms", n_atoms)
+    if n_atoms > MAX_DRAW_CELLS:
+        raise BudgetExceededError(f"{n_atoms} atoms exceed {MAX_DRAW_CELLS} per draw")
 
 
 @dataclass(frozen=True)
@@ -202,7 +211,7 @@ def sample_pd_atoms(m: float, n_atoms: int, seed) -> AtomSet:
     """
     if not (0.0 < m < 1.0):
         raise ValueError(f"PD level m must lie in (0, 1), got {m}")
-    _check_atoms(n_atoms)
+    _check_pd_atoms(n_atoms)
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     atoms = rng.standard_exponential(n_atoms)  # arrivals, then atoms, in one buffer
     np.cumsum(atoms, out=atoms)
@@ -232,8 +241,9 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     """
     from scipy.stats import ks_2samp  # deferred: scipy.stats dominates import time
 
-    if draws < 10:
-        raise ValueError("need at least 10 draws per sample")
+    _check_int("draws", draws, 10)
+    check_samples(draws)
+    _check_pd_atoms(n_atoms)
     c_ref = math.exp(0.5 * m * sigma * sigma) * scale_mismatch
     rng = stream(seed)
     mult_top = np.empty((draws, top))
@@ -260,39 +270,47 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
 # closed-form cavity functionals
 # ---------------------------------------------------------------------------
 
-def _kind(spec: CascadeSpec) -> str:
-    if spec.depth == 1:
-        return "annealed" if spec.last_to_one else "l1-generic"
-    if spec.first_to_zero and spec.last_to_one:
-        return "rs" if spec.depth == 2 else "one-rsb"
-    return "generic"
+def _leaf_factors(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec,
+                  which: str) -> tuple[float | None, float, float, float]:
+    """(shared, log_match, log_other, log_ann) of term `which`: a slot (G1)
+    or pair (G2) contributes e^log_ann and e^log_match if its colours match,
+    e^log_other if not; the leaves redraw their colours from pattern
+    parameter shared (None: uniformly).  Integrated leaves (last level 1)
+    take replica.factor_logs or pair_logs; sampled ones e^-beta per match."""
+    beta, q = params.beta, params.q
+    if spec.last_to_one:
+        logs = factor_logs(beta, q, hier.t) if which == "g1" else pair_logs(beta, q, hier.t)
+        return None, logs[0], logs[1], math.log1p(math.expm1(-beta) / q)
+    return (hier.t if hier.kind == "symmetric-t" else None), -beta, 0.0, 0.0
+
+
+def _closed_level(spec: CascadeSpec, hier: SpinHierarchySpec) -> float | None:
+    """The level m of the closed form, or None: the innermost atom level
+    below which the leaf factors are iid (module docstring).  A depth-1
+    tree has factors 1, and any m serves."""
+    if spec.last_to_one:
+        return spec.levels[-2] if spec.depth > 1 else 1.0
+    return spec.levels[-1] if hier.kind == "uniform" else None
 
 
 def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec,
                  which: str, eps: float) -> tuple[float, float]:
-    """Closed-form G1 or G2 value with certified truncation tail."""
-    q, beta, c = params.q, params.beta, params.c
-    t = hier.t
-    kind = _kind(spec)
-    log_ann = math.log1p(math.expm1(-beta) / q)
-    if kind in ("annealed", "l1-generic"):
-        m = spec.levels[0]
-        if which == "g2":
-            # V = e^(-beta) on a matching pair, 1 otherwise
-            return pair_sum(c, q, -beta, 0.0, m), 0.0
-        if kind == "annealed":
-            return math.log(q) + c * log_ann, 0.0
-        # W = (1/q) sum_s e^(-beta n_s), so e^(-beta k) <= W <= 1
-        val, tail, _ = profile_sum(c, q, -beta, 0.0, m, beta, eps)
-        return math.log(q) + val, tail
-    if kind in ("rs", "one-rsb"):
-        m = spec.levels[-2]  # the level above the integrated leaves; RS: the m -> 0 limit
-        if which == "g1":
-            log_a, log_b, mag = factor_logs(beta, q, t)
-            val, tail, _ = profile_sum(c, q, log_a, log_b, m, mag, eps)
-            return math.log(q) + c * log_ann + val, tail
-        return 0.5 * c * log_ann + pair_sum(c, q, *pair_logs(beta, q, t), m), 0.0
-    raise ValueError(f"no closed form for cascade {spec} with hierarchy {hier.kind}")
+    """Closed-form G1 or G2 value with certified truncation tail: one
+    replica.profile_sum or pair_sum of the leaf factor at _closed_level."""
+    m = _closed_level(spec, hier)
+    if m is None:
+        raise ValueError(f"no closed form for cascade {spec} with hierarchy {hier.kind}")
+    q, c = params.q, params.c
+    _, log_match, log_other, log_ann = _leaf_factors(params, spec, hier, which)
+    if which == "g2":
+        return 0.5 * c * log_ann + pair_sum(c, q, log_match, log_other, m), 0.0
+    mag = max(abs(log_match), abs(log_other))
+    if mag == math.inf and c > 0.0:  # sampled leaves at beta = inf bound no k-term
+        if m == 0.0:
+            raise BudgetExceededError("the m -> 0 limit of G1 diverges at beta = inf")
+        raise ValueError(FINITE_BETA)
+    val, tail, _ = profile_sum(c, q, log_match, log_other, m, mag, eps)
+    return math.log(q) + c * log_ann + val, tail
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +322,7 @@ def _tree(spec: CascadeSpec, n_atoms: int) -> tuple[int, int]:
     ms = spec.atom_levels
     if len(ms) > 2:
         raise ValueError("Monte Carlo supports at most two unresolved atom levels")
-    _check_atoms(n_atoms)
+    _check_int("n_atoms", n_atoms)
     n_atoms = int(n_atoms)  # a numpy integer would wrap in the products below
     if len(ms) == 2:
         # nested truncation: ~sqrt(n_atoms) atoms per level keeps the leaf
@@ -451,29 +469,6 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
             + rng.binomial(pairs - in_pattern, off, size=(b, outer, inner)))
 
 
-def _term_setup(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec,
-                which: str) -> tuple[float | None, float, float]:
-    """(shared, gap, log_other) of term `which`: the pattern parameter the
-    leaves redraw from (None for uniform), and the leaf factor's log-ratio
-    gap = log_match - log_other and log_other."""
-    q, beta, t = params.q, params.beta, hier.t
-    if spec.last_to_one:
-        # leaves integrate exactly against mu_{P,t}; uniform patterns sit
-        # on the leaves of the atom structure
-        y = -math.expm1(-beta)
-        u = t if which == "g1" else t * t  # leaf-pattern agreement of a slot / a pair
-        other, match = 1.0 - y * (1.0 - u) / q, 1.0 - y * (u + (1.0 - u) / q)
-        if min(other, match) <= 0.0:  # beta = inf with u = 1, or q = 2 with u = -1
-            raise (degenerate_product_factor(x_param(beta, q), t, q) if which == "g1"
-                   else ValueError(DEGENERATE_PAIR_FACTOR))
-        log_other = math.log(other)
-        return None, math.log(match) - log_other, log_other
-    # leaves carry sampled spins; patterns (if any) live one level up
-    if beta == math.inf:
-        raise ValueError("Monte Carlo over sampled leaf spins requires finite beta")
-    return (t if hier.kind == "symmetric-t" else None), -beta, 0.0
-
-
 def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
             samples: int, seed: int, n_atoms: int,
             terms: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, float]:
@@ -485,7 +480,8 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     sum_s exp(n_s log_match + (k_i - n_s) log_other) over the colour
     counts n_s of site i's k_i ~ Poisson(c) slots; for G2, ln V_a =
     M log_match + (K - M) log_other for M matching pairs out of K ~
-    Poisson(cn/2).  Below, gap = log_match - log_other.  Both terms of a
+    Poisson(cn/2).  The factors are _leaf_factors', log_ann folded into
+    both logs, and below gap = log_match - log_other.  Both terms of a
     draw share its cascade weights, and G2 thins its K from G1's slots:
     K ~ Binomial(sum_i k_i, 1/2) has the Poisson(cn/2) law, since sum_i k_i
     ~ Poisson(cn).  Each term keeps its own law, and G1 - G2 varies less
@@ -500,10 +496,12 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     block whose class table would not fit), and gap (sum_a w^_a M_a - K/q)
     for G2.
     """
-    if samples < 2:
-        raise ValueError("need samples >= 2")
     check_samples(samples)
-    setups = [_term_setup(params, spec, hier, which) for which in terms]
+    if not spec.last_to_one and params.beta == math.inf:  # -beta * 0 is NaN
+        raise ValueError(FINITE_BETA)
+    # per term (shared, gap, log_other), log_ann folded into log_other
+    setups = [(shared, match - other, other + ann) for shared, match, other, ann in
+              (_leaf_factors(params, spec, hier, which) for which in terms)]
     q, c = params.q, params.c
     # G1 sums its n Poisson(c) slot counts in int64; G2 alone draws Poisson(cn/2)
     check_poisson_mean(c * n if "g1" in terms else 0.5 * c * n, c)
@@ -600,14 +598,15 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     """
     if hier.q != params.q:
         raise ValueError("hierarchy q does not match model q")
-    if n < 1:
-        raise ValueError("cavity size n must be >= 1")
+    _check_int("n", n)
     if spec.depth == 1 and hier.kind != "uniform":
         # a one-level tree carries a single fixed spin measure; the
         # symmetric-t family only exists as a measure on measures
         raise ValueError("one-level cascades support the uniform hierarchy only")
     if method == "auto":
-        method = "closed-form" if _kind(spec) != "generic" else "monte-carlo"
+        method = "closed-form" if _closed_level(spec, hier) is not None else "monte-carlo"
+    _check_int("samples", samples, 2 if method == "monte-carlo" else 0)
+    n = int(n)  # a numpy integer would wrap in the cell count
     if method == "closed-form":
         ests = []
         for which in terms:

@@ -24,6 +24,7 @@ from potts_af.cascade import (
     symmetric_t_hierarchy,
     uniform_hierarchy,
 )
+from potts_af.disorder import METHOD_EXACT, METHOD_MC
 from potts_af.model import ModelParams
 from potts_af.replica import DEGENERATE_PAIR_FACTOR, g1 as rs_g1, g2 as rs_g2
 from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, stream
@@ -374,6 +375,53 @@ def test_n_atoms_must_be_an_integer_of_at_least_one(monkeypatch, n_atoms):
                             method="monte-carlo", n_atoms=n_atoms)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, np.bool_(True), "8", None])
+@pytest.mark.parametrize("name", ["n", "samples"])
+def test_n_and_samples_must_be_integers(monkeypatch, name, bad):
+    # unchecked, the closed form took n = 2.5 silently and Monte Carlo ended
+    # in numpy's TypeError, which names no argument
+    monkeypatch.setattr("potts_af.cascade.stream", _refuse_draws)
+    params = ModelParams(q=2, beta=1.0, c=1.0)
+    args = dict(n=3, samples=8)
+    args[name] = bad
+    for levels, method in (((0.0, 1.0), "closed-form"), ((0.5,), "monte-carlo"),
+                           ((0.3, 0.7), "monte-carlo")):
+        with pytest.raises(ValueError, match=name):
+            rsb_upper_bound(params, args["n"], CascadeSpec(levels), uniform_hierarchy(2),
+                            samples=args["samples"], method=method, n_atoms=16)
+
+
+def test_numpy_integer_n_and_samples_accepted():
+    params = ModelParams(q=2, beta=1.0, c=1.0)
+    for levels, method in (((0.0, 1.0), "closed-form"), ((0.5,), "monte-carlo")):
+        spec = CascadeSpec(levels)
+        expect = rsb_upper_bound(params, 3, spec, uniform_hierarchy(2), 8, 5, method, 16)
+        assert rsb_upper_bound(params, np.int64(3), spec, uniform_hierarchy(2), np.int32(8), 5,
+                               method, 16) == expect
+
+
+def test_pd_atom_counts_capped_before_any_draw(monkeypatch):
+    # 10^15 atoms used to ask numpy for 7.11 PiB and end in a MemoryError
+    monkeypatch.setattr("potts_af.cascade.stream", _refuse_draws)
+    for n_atoms in (cascade.MAX_DRAW_CELLS + 1, 10**15):
+        with pytest.raises(BudgetExceededError):
+            sample_pd_atoms(0.5, n_atoms, 1)
+        with pytest.raises(BudgetExceededError):
+            stability_test(0.5, n_atoms, 100, 1)
+    with pytest.raises(AssertionError):  # the cap itself is accepted
+        sample_pd_atoms(0.5, cascade.MAX_DRAW_CELLS, 1)
+
+
+@pytest.mark.parametrize("draws, error", [(MAX_MC_SAMPLES + 1, BudgetExceededError),
+                                          (10**12, BudgetExceededError), (9, ValueError),
+                                          (12.5, ValueError), (True, ValueError),
+                                          ("100", ValueError)])
+def test_stability_draws_checked_before_any_draw(monkeypatch, draws, error):
+    monkeypatch.setattr("potts_af.cascade.stream", _refuse_draws)
+    with pytest.raises(error, match="draws|samples"):
+        stability_test(0.5, 100, draws, 1)
+
+
 def test_numpy_integer_n_atoms_accepted():
     atoms, expect = sample_pd_atoms(0.5, np.int32(40), 3), sample_pd_atoms(0.5, 40, 3)
     np.testing.assert_array_equal(atoms.atoms, expect.atoms)
@@ -405,10 +453,71 @@ def test_cells_per_draw_capped_before_any_draw(monkeypatch, levels, n_atoms, n, 
 
 
 def test_generic_spec_has_no_closed_form():
+    # symmetric-t sampled leaves share their atom's pattern: the only specs
+    # whose leaf factors are not iid across the atom leaves
     params = ModelParams(q=2, beta=1.0, c=1.0)
-    for fn in (cavity_g1, cavity_g2):
-        with pytest.raises(ValueError, match="no closed form"):
-            fn(params, 3, CascadeSpec((0.3, 0.7)), uniform_hierarchy(2), method="closed-form")
+    for levels in ((0.3, 0.7), (0.0, 0.5), (0.2, 0.5, 0.8), (0.0, 0.4, 0.8)):
+        for fn in (cavity_g1, cavity_g2):
+            with pytest.raises(ValueError, match="no closed form"):
+                fn(params, 3, CascadeSpec(levels), symmetric_t_hierarchy(2, 0.5),
+                   method="closed-form")
+
+
+# every depth, both endpoints, and at most the two atom levels Monte Carlo supports
+ROUTING_LEVELS = [(0.0,), (0.4,), (1.0,), (0.0, 0.5), (0.3, 0.7), (0.0, 1.0), (0.4, 1.0),
+                  (0.0, 0.4, 0.8), (0.0, 0.5, 1.0), (0.3, 0.6, 1.0)]
+
+
+@pytest.mark.parametrize("hier", [uniform_hierarchy(2), symmetric_t_hierarchy(2, 0.5),
+                                  symmetric_t_hierarchy(3, -0.3)], ids=lambda h: f"{h.kind}-{h.q}")
+def test_auto_samples_only_where_no_closed_level(hier):
+    params = ModelParams(q=hier.q, beta=1.0, c=1.0)
+    for levels in ROUTING_LEVELS:
+        spec = CascadeSpec(levels)
+        if spec.depth == 1 and hier.kind != "uniform":
+            continue  # one-level trees carry the uniform hierarchy only
+        closed = cascade._closed_level(spec, hier) is not None
+        assert closed == (spec.last_to_one or hier.kind == "uniform")
+        for est in cascade.cavity_terms(params, 3, spec, hier, samples=16, n_atoms=16):
+            assert (est.method == METHOD_EXACT) == closed
+            assert (est.samples == 0) == closed
+
+
+# (levels, q, t): t None is the uniform hierarchy
+RULE_CASES = [((0.4, 1.0), 2, 0.5), ((0.6, 1.0), 3, -0.4), ((0.3, 0.6, 1.0), 2, -0.7),
+              ((0.2, 0.5, 1.0), 3, 0.5), ((0.0, 0.6), 2, None), ((0.3, 0.7), 3, None),
+              ((0.5, 1.0), 2, None)]
+
+
+@pytest.mark.parametrize("levels, q, t", RULE_CASES)
+def test_closed_level_rule_matches_monte_carlo(levels, q, t):
+    # the closed forms the one rule adds, against the coupled Monte Carlo pass
+    hier = uniform_hierarchy(q) if t is None else symmetric_t_hierarchy(q, t)
+    params = ModelParams(q=q, beta=1.0, c=2.0)
+    spec = CascadeSpec(levels)
+    closed = cascade.cavity_terms(params, 2, spec, hier)
+    mc = cascade.cavity_terms(params, 2, spec, hier, samples=2000, seed=31,
+                              method="monte-carlo", n_atoms=1024)
+    for cf, est in zip(closed[:2], mc[:2]):
+        assert cf.method == METHOD_EXACT and est.method == METHOD_MC
+        budget = 4 * est.stat_error + 3 * est.bias_estimate + cf.tail_bound
+        assert abs(est.value - cf.value) <= budget
+
+
+@pytest.mark.parametrize("levels", [(0.5,), (0.3, 0.7), (0.0, 0.6)])
+def test_g1_sampled_leaves_at_infinite_beta_rejected_before_any_sum(monkeypatch, levels):
+    # the closed form would gallop the Poisson cutoff to K_SUM_CAP for nothing
+    def no_sum(*args):
+        raise AssertionError("searched a Poisson truncation")
+
+    monkeypatch.setattr("potts_af.cascade.profile_sum", no_sum)
+    spec, hier = CascadeSpec(levels), uniform_hierarchy(2)
+    with pytest.raises(ValueError, match="finite beta"):
+        cavity_g1(ModelParams(q=2, beta=math.inf, c=1.0), 3, spec, hier)
+    assert math.isfinite(cavity_g2(ModelParams(q=2, beta=math.inf, c=1.0), 3, spec, hier).value)
+    monkeypatch.undo()  # with no slots every leaf factor is 1
+    assert cavity_g1(ModelParams(q=2, beta=math.inf, c=0.0), 3, spec, hier,
+                     method="closed-form").value == math.log(2)
 
 
 def _one_rsb_g2_oracle(beta, c, q, t, m):

@@ -137,7 +137,7 @@ SEEDED = {
         (-0.08006367553153053, 0.026987532003363183, 0.0033228508788780402),
         (-0.4458738469197033, 0.0286802486166754, 0.0033228508788780402))),
     "uniform, integrated leaves": (annealed_spec(), 3, None, (
-        (0.6280064026107243, 0.014855174759145662, 0.0),
+        (0.6280064026107243, 0.014855174759145664, 0.0),
         (-0.24187565093452207, 0.010982415326325533, 0.0))),
     "symmetric-t, sampled leaves": (CascadeSpec((0.0, 0.5)), 2, 0.6, (
         (-0.06521454091371043, 0.027321091403648932, 0.0033228508788780402),
