@@ -61,13 +61,22 @@ def _check_q(q: int) -> None:
         raise ValueError(f"q must be an integer >= 2, got {q}")
 
 
-def annealed_pressure(beta: float, c: float, q: int) -> float:
-    """P(beta, c) = ln q + (c/2) ln(1 - (1 - e^-beta)/q).  beta = inf allowed."""
+def _check_state(beta: float, c: float, q: int) -> None:
     _check_q(q)
     if not beta >= 0 or not c >= 0:
         raise ValueError("beta and c must be >= 0")
+
+
+def annealed_pressure(beta: float, c: float, q: int) -> float:
+    """P(beta, c) = ln q + (c/2) ln(1 - (1 - e^-beta)/q).  beta = inf allowed."""
+    _check_state(beta, c, q)
+    return _pressure(beta, c, q, math.log(q))
+
+
+def _pressure(beta: float, c: float, q: int, log_q: float) -> float:
+    """annealed_pressure without its checks, given ln q."""
     y = 1.0 if beta == math.inf else -math.expm1(-beta)
-    return math.log(q) + 0.5 * c * math.log1p(-y / q)
+    return log_q + 0.5 * c * math.log1p(-y / q)
 
 
 def x_param(beta: float, q: int) -> float:
@@ -118,10 +127,17 @@ def beta_1(c: float, q: int) -> float:
 
 def annealed_entropy(beta: float, c: float, q: int) -> float:
     """Entropy of the annealed pressure, s_ann = P - beta dP/dbeta."""
+    _check_state(beta, c, q)
+    return _entropy(beta, c, q, math.log(q))
+
+
+def _entropy(beta: float, c: float, q: int, log_q: float) -> float:
+    """annealed_entropy without its checks, given ln q: the kernel of the
+    root find in beta_ent, which checks (c, q) once."""
     if beta == math.inf:
-        return annealed_pressure(math.inf, c, q)
+        return _pressure(beta, c, q, log_q)
     u = math.exp(-beta)
-    return annealed_pressure(beta, c, q) + 0.5 * beta * c * u / (q - 1.0 + u)
+    return _pressure(beta, c, q, log_q) + 0.5 * beta * c * u / (q - 1.0 + u)
 
 
 def beta_ent(c: float, q: int) -> float:
@@ -137,9 +153,10 @@ def beta_ent(c: float, q: int) -> float:
         raise ValueError("c must be >= 0")
     if c <= thresholds(q).c_ent:
         return math.inf
+    log_q = math.log(q)
     lo = 0.0
     hi = 1e-3
-    while annealed_entropy(hi, c, q) > 0.0:
+    while _entropy(hi, c, q, log_q) > 0.0:
         lo = hi
         hi *= 1.5
         if hi > BETA_SCAN_MAX:
@@ -149,7 +166,7 @@ def beta_ent(c: float, q: int) -> float:
             )
     while hi - lo > ROOT_ATOL:
         mid = 0.5 * (lo + hi)
-        if annealed_entropy(mid, c, q) > 0.0:
+        if _entropy(mid, c, q, log_q) > 0.0:
             lo = mid
         else:
             hi = mid

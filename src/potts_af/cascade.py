@@ -244,6 +244,9 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     _check_int("draws", draws, 10)
     check_samples(draws)
     _check_pd_atoms(n_atoms)
+    _check_int("top", top)
+    if top > n_atoms:
+        raise ValueError(f"top must be at most n_atoms = {n_atoms}, got {top}")
     c_ref = math.exp(0.5 * m * sigma * sigma) * scale_mismatch
     rng = stream(seed)
     mult_top = np.empty((draws, top))

@@ -18,11 +18,21 @@ Poisson k-sum is truncated with a certified tail using
 |ln W| <= k max(|ln A|, |ln B|).  The same profile sum at a cascade level
 m, (1/m) ln E_tau[W^m], gives the RSB functionals in the cascade module.
 
-profile_sum takes the factors of a whole t grid at once.  Each t keeps its
-own truncation order k_max and tail; one pass over the classes of every
-k <= k_max serves a block of t, and a block holds at most
-PROFILE_BLOCK_CELLS (t, colour, class) cells, so memory does not grow with
-the grid.  The class table itself is capped at MAX_CLASS_ROWS rows and at
+profile_sum takes the factors of a whole t grid at once.  With
+d = ln A - ln B and n_ref the largest count of a class when d >= 0, its
+smallest when d < 0,
+
+    ln W = k ln B + n_ref d - ln q + ln(1 + sum_{s != ref} e^{(n_s - n_ref) d}),
+
+where no exponent is positive.  The last term depends on the class only
+through its gap pattern, the counts less their smallest, so it is computed
+once per (t, pattern) and gathered to the classes (_gap_table: 1 981
+patterns for 6 166 classes at q = 4, k <= 38).  Each t keeps its own
+truncation order k_max and tail, read from one run of Poisson tails
+between the orders of the smallest and the largest |ln|; one pass over the
+classes of every k <= k_max serves a block of t, and a block holds at most
+PROFILE_BLOCK_CELLS (t, class) cells, so memory does not grow with the
+grid.  The class table itself is capped at MAX_CLASS_ROWS rows and at
 q <= MAX_CLASS_Q, past which BudgetExceededError is raised before it is
 allocated.  scan_rs_bound makes one such call for every t != 0.  The
 cascade Monte Carlo draws classes from Walker alias tables built from the
@@ -44,11 +54,11 @@ from functools import cache, update_wrapper
 import numpy as np
 
 from .bounds import annealed_pressure, x_param
-from .util import (BudgetExceededError, log_factorial, logsumexp, poisson_cutoff,
+from .util import (BudgetExceededError, log_factorial, poisson_cutoff,
                    poisson_pmf_vector, poisson_sf)
 
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
-PROFILE_BLOCK_CELLS = 2**15  # cap on t x colour x class cells in one block of the profile sum
+PROFILE_BLOCK_CELLS = 2**14  # cap on (t, colour class) cells in one block of the profile sum
 MAX_T_POINTS = 100_000  # cap on a scan grid, as on phase-diagram rows
 MAX_CLASS_ROWS = 1_000_000  # cap on colour-class rows; 0.84 M rows at q = 5 peak near 260 MB
 MAX_CLASS_Q = 170  # largest q whose q! is a finite float
@@ -98,21 +108,30 @@ def class_table_fits(k_top: int, q: int) -> bool:
     return q <= MAX_CLASS_Q and k_top < MAX_CLASS_ROWS and class_rows(k_top, q) <= MAX_CLASS_ROWS
 
 
+def _prefix(table: tuple, k_top: int) -> tuple:
+    """Per-row arrays and run boundaries of k, cut to the rows of k <= k_top."""
+    *rows, bounds = table
+    n, total = bounds[k_top + 1], bounds[-1]
+    return (*(a[..., :n * (a.shape[-1] // total)] for a in rows), bounds[:k_top + 2])
+
+
 def _largest_per_q(build):
     """Keep only the largest tables built per q and serve smaller k_top as
     prefix views of them.  `build` returns per-row arrays (rows on the last
     axis, each row's entries side by side when it has several) and then the
-    run boundaries of k; classes are sorted by k, and a row depends only on
-    its own k, so the rows of k <= k_top are a bit-exact prefix."""
+    run boundaries of k, or a tuple of such groups, one per kind of row;
+    rows are sorted by k, and a row depends only on its own k, so the rows
+    of k <= k_top are a bit-exact prefix."""
     held = {}
 
     def table(k_top: int, q: int):
         if q not in held or held[q][0] < k_top:
             held.pop(q, None)  # free the old table first, so the new one can reuse its memory
             held[q] = (k_top, build(k_top, q))
-        *rows, bounds = held[q][1]
-        n, total = bounds[k_top + 1], bounds[-1]
-        return (*(a[..., :n * (a.shape[-1] // total)] for a in rows), bounds[:k_top + 2])
+        built = held[q][1]
+        if isinstance(built[0], tuple):
+            return tuple(_prefix(group, k_top) for group in built)
+        return _prefix(built, k_top)
 
     return update_wrapper(table, build)
 
@@ -152,6 +171,38 @@ def _class_table(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
             + np.log(float(math.factorial(q)) / run.prod(axis=1)))
     bounds = np.searchsorted(slots, np.arange(k_top + 2))
     return np.ascontiguousarray(counts.T), slots, logw, bounds
+
+
+@_largest_per_q
+def _gap_table(k_top: int, q: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
+                                             tuple[np.ndarray, np.ndarray]]:
+    """Gap patterns of the colour classes of k <= k_top.
+
+    The gap pattern of a class is its count profile less its smallest count.
+    Patterns are numbered in order of first appearance in _class_table,
+    which is at their class of smallest count 0, so those of k <= k_top are
+    a prefix.  Returns ((pattern, ref, bounds), (gaps, pattern_bounds)):
+    per class of _class_table its pattern and ref = (n_max, n_min) as
+    floats, with its bounds; per pattern gaps[:, 0] = n_max - n_s for the
+    colours s after the largest and gaps[:, 1] = n_s - n_min for those
+    before the smallest, shape (q - 1, 2, patterns), with pattern_bounds the
+    runs of the patterns first seen at each k.
+    """
+    counts, slots, _, bounds = _class_table(k_top, q)
+    least = counts[-1]
+    # Within a k, _class_table orders classes by their counts read from the
+    # smallest up, so the classes of smallest count j run in the order of the
+    # patterns of k - q j: a class's pattern is its place in its run plus
+    # the patterns first seen below k - q j.
+    first = np.flatnonzero(least == 0)
+    pattern_bounds = np.searchsorted(slots[first], np.arange(k_top + 2))
+    row = np.arange(slots.size)
+    new_run = (np.diff(slots, prepend=-1) != 0) | (np.diff(least, prepend=-1) != 0)
+    start = np.maximum.accumulate(np.where(new_run, row, 0))
+    pattern = pattern_bounds[slots - q * least] + (row - start)
+    rep = counts[:, first].astype(np.float64)
+    gaps = np.stack([rep[0] - rep[1:], rep[:-1]], axis=1)
+    return (pattern, counts[[0, -1]].astype(np.float64), bounds), (gaps, pattern_bounds)
 
 
 def _alias_fill(p: np.ndarray, accept: np.ndarray, alias: np.ndarray, base: int) -> None:
@@ -296,37 +347,64 @@ def profile_sum(c: float, q: int, log_a, log_b, m: float, mag, eps: float):
     k_max = np.zeros(mag.size, dtype=np.int64)
     # c = 0 or mag = 0 gives W_k = 1 for every profile that carries weight
     live = np.flatnonzero(mag != 0.0) if c != 0.0 else np.arange(0)
-    sf = cache(lambda k: poisson_sf(k, c))  # the t share most of their probes
-    for i, size in zip(live, mag[live].tolist()):
-        k_tail = lambda k: size * c * sf(k)
-        k_max[i] = poisson_cutoff(k_tail, eps, K_SUM_CAP)
-        tail[i] = k_tail(int(k_max[i]))
     if live.size:
+        # every t's bound size c P(K >= k) meets eps between the orders of
+        # the smallest and the largest size; one run of tails serves them all
+        sizes = mag[live]
+        sf = cache(lambda k: poisson_sf(k, c))  # the two searches share most probes
+
+        def cutoff(size: float) -> int:
+            return poisson_cutoff(lambda k: size * c * sf(k), eps, K_SUM_CAP)
+
+        small, large = sizes.min().item(), sizes.max().item()  # a NaN size stays, and fails its search
+        k_hi = cutoff(large)
+        k_lo = k_hi if small == large else cutoff(small)
+        scaled = sizes * c
+        for k in range(k_hi, k_lo - 1, -1):  # ends at each t's first k that meets eps
+            bound = scaled * sf(k)
+            met = bound <= eps
+            k_max[live[met]], tail[live[met]] = k, bound[met]
+
         top = int(k_max.max())
         pmf = poisson_pmf_vector(top, c)
-        all_counts, all_slots, all_logw, bounds = _class_table(top, q)
-        block = max(1, PROFILE_BLOCK_CELLS // (q * all_slots.size))
+        _, all_slots, all_logw, bounds = _class_table(top, q)
+        (all_pattern, all_ref, _), (all_gaps, pattern_bounds) = _gap_table(top, q)
+        weight = np.exp(all_logw)
+        block = max(1, PROFILE_BLOCK_CELLS // all_slots.size)
         # blocks of similar k_max, longest sums first
         live = live[np.argsort(-k_max[live], kind="stable")]
         for lo in range(0, live.size, block):
             rows = live[lo:lo + block]
             ends = k_max[rows]
-            # classes are sorted by k, so those of k <= ends[0] are a prefix
+            # classes and patterns are sorted by k, so those of k <= ends[0] are prefixes
             starts, n = bounds[:ends[0] + 1], bounds[ends[0] + 1]
-            counts, slots, logw = all_counts[:, :n], all_slots[:n], all_logw[:n]
-            a, b = log_a[rows, None, None], log_b[rows, None, None]
+            slots, logw, pattern = all_slots[:n], all_logw[:n], all_pattern[:n]
+            d = log_a[rows] - log_b[rows]
+            side = (d < 0.0).astype(np.intp)  # 0: n_ref is the largest count, 1: the smallest
+            # ln(1 + sum_{s != ref} e^{(n_s - n_ref) d}) - ln q per (t, gap pattern);
+            # np.take keeps the gathers C-ordered, and the work arrays are
+            # reused in place, since fresh pages for each cost more than the sums
+            gaps = np.take(all_gaps[:, :, :pattern_bounds[ends[0] + 1]], side, axis=1)
+            gaps *= -np.abs(d)[:, None]
+            spread = np.exp(gaps, out=gaps).sum(axis=0)
+            spread = np.log1p(spread, out=spread) - math.log(q)
             # ln W per (t, colour class), then one term per (t, k)
-            log_w = logsumexp(counts * a + (slots - counts) * b, axis=1) - math.log(q)
+            log_w = np.take(spread, pattern, axis=1)
+            part = all_ref[side, :n]
+            log_w += np.multiply(part, d[:, None], out=part)
+            log_w += np.multiply(slots, log_b[rows, None], out=part)
             if m == 0.0:
-                terms = np.add.reduceat(np.exp(logw) * log_w, starts, axis=1)
+                terms = np.add.reduceat(np.multiply(weight[:n], log_w, out=part), starts, axis=1)
             else:
-                y = logw + m * log_w
-                peak = np.maximum.reduceat(y, starts, axis=1)
-                terms = (np.log(np.add.reduceat(np.exp(y - peak[:, slots]), starts, axis=1))
-                         + peak) / m
+                log_w *= m
+                log_w += logw  # ln of each class's weight times W^m
+                peak = np.maximum.reduceat(log_w, starts, axis=1)
+                part = np.exp(np.subtract(log_w, np.take(peak, slots, axis=1), out=part), out=part)
+                terms = (np.log(np.add.reduceat(part, starts, axis=1)) + peak) / m
             # the k-sum in order, stopped at each t's own k_max
             partial = np.cumsum(pmf[:ends[0] + 1] * terms, axis=1)
             value[rows] = partial[np.arange(rows.size), ends]
+            del gaps, spread, log_w, part  # free them before the next block takes its own
     if not shape:
         return float(value[0]), float(tail[0]), int(k_max[0])
     return value.reshape(shape), tail.reshape(shape), k_max.reshape(shape)
@@ -349,14 +427,21 @@ def _rs_evaluations(beta: float, c: float, q: int, ts, eps: float) -> list[RsEva
     out = [RsEvaluation(g1=0.0, g2=0.0, gap=0.0, rs_bound=pressure,
                         k_truncation=0, tail_bound=0.0)] * len(ts)
     moving = [i for i, t in enumerate(ts) if t != 0.0]
-    terms = [(*factor_logs(beta, q, float(ts[i])), g2(beta, c, q, float(ts[i]))) for i in moving]
-    log_a, log_b, mag, val2 = np.array(terms, dtype=np.float64).reshape(-1, 4).T
+    # factor_logs and pair_logs for every t at once, with math.log on the same values
+    x = x_param(beta, q)
+    t = np.array([ts[i] for i in moving], dtype=np.float64)
+    a, b = 1.0 - (q - 1) * x * t, 1.0 + x * t
+    hi, lo = 1.0 + x * t * t, 1.0 - (q - 1) * x * t * t
+    if not np.all((-1.0 / (q - 1) <= t) & (t <= 1.0) & (a > 0.0) & (b > 0.0) & (lo > 0.0)):
+        for tt in t.tolist():  # raises the error of the first bad t
+            factor_logs(beta, q, tt), pair_logs(beta, q, tt)
+    log_a, log_b = (np.array(list(map(math.log, v.tolist())), dtype=np.float64) for v in (a, b))
+    mag = np.maximum(np.abs(log_a), np.abs(log_b))
+    val2 = [pair_sum(c, q, math.log(u), math.log(v), 0.0) for u, v in zip(lo.tolist(), hi.tolist())]
     val1, tail, k_max = profile_sum(c, q, log_a, log_b, 0.0, mag, eps)
-    for j, i in enumerate(moving):
-        gap = float(val1[j] - val2[j])
-        out[i] = RsEvaluation(g1=float(val1[j]), g2=float(val2[j]), gap=gap,
-                              rs_bound=pressure + gap, k_truncation=int(k_max[j]),
-                              tail_bound=float(tail[j]))
+    for i, v1, v2, k, tb in zip(moving, val1.tolist(), val2, k_max.tolist(), tail.tolist()):
+        out[i] = RsEvaluation(g1=v1, g2=v2, gap=v1 - v2, rs_bound=pressure + (v1 - v2),
+                              k_truncation=k, tail_bound=tb)
     return out
 
 

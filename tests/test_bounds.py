@@ -90,6 +90,28 @@ def test_beta_ent_monotone_in_c():
         assert all(b <= a + 1e-12 for a, b in zip(roots, roots[1:]))
 
 
+def checked_beta_ent(c: float, q: int) -> float:
+    """The bisection of beta_ent on the checked, public annealed_entropy."""
+    if c <= thresholds(q).c_ent:
+        return math.inf
+    lo, hi = 0.0, 1e-3
+    while annealed_entropy(hi, c, q) > 0.0:
+        lo, hi = hi, 1.5 * hi
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if annealed_entropy(mid, c, q) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_beta_ent_bit_equal_to_checked_bisection(q):
+    for c in np.linspace(0.5, 80.0, 41):
+        assert beta_ent(float(c), q) == checked_beta_ent(float(c), q)
+
+
 def test_beta_ent_above_rs_loc_for_q2():
     # entropy positivity must not undercut the exact q=2 boundary
     for c in (1.5, 4.0, 9.0, 25.0):
@@ -135,6 +157,9 @@ def test_classify_bracket_order_q2():
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         annealed_pressure(-1.0, 1.0, 2)
+    for beta, c, q in [(-1.0, 1.0, 2), (1.0, -1.0, 2), (1.0, 1.0, 1)]:
+        with pytest.raises(ValueError):
+            annealed_entropy(beta, c, q)
     with pytest.raises(ValueError):
         x_param(1.0, 1)
     with pytest.raises(ValueError):

@@ -422,6 +422,14 @@ def test_stability_draws_checked_before_any_draw(monkeypatch, draws, error):
         stability_test(0.5, 100, draws, 1)
 
 
+@pytest.mark.parametrize("top", [0, -2, 11, 2.5, True])
+def test_stability_top_checked_before_any_draw(monkeypatch, top):
+    # these ended in numpy errors that did not name the argument
+    monkeypatch.setattr("potts_af.cascade.stream", _refuse_draws)
+    with pytest.raises(ValueError, match="top"):
+        stability_test(0.5, 10, 100, 1, top=top)
+
+
 def test_numpy_integer_n_atoms_accepted():
     atoms, expect = sample_pd_atoms(0.5, np.int32(40), 3), sample_pd_atoms(0.5, 40, 3)
     np.testing.assert_array_equal(atoms.atoms, expect.atoms)
