@@ -45,7 +45,7 @@ from .util import BudgetExceededError
 
 CERTIFIED_TOL = 1e-9
 GRID_POINTS = 401
-ZOOM_STEPS = 64  # zoom points on each side of the best point; the bracket shrinks 64x a round
+ZOOM_STEPS = 64  # coarse grids only: zoom points a side; each round refines the spacing 64x
 MAX_CELLS = 1 << 14  # cap on t-cells examined by one certification
 
 
@@ -225,17 +225,89 @@ def _certify(slope: float, c: float, q: int, edges: np.ndarray) -> bool:
     return True
 
 
+def _profile_slope(t: float, slope: float, c: float, q: int) -> float:
+    """g'(t) = w* (c slope (t-1) / (1 + alpha w*) - E'(t) / q^2), by the envelope theorem.
+
+    w* is `_profile`'s argmax and E'(t) = ln(t (q-1) / (q-t)), so g' is 0
+    where w* = 0 and infinite at t = 0 and t = q.  A scalar twin of
+    `_profile`: it only steers the root search, whose candidates
+    `_profile` evaluates.
+    """
+    alpha, rest = slope * (t - 1.0) ** 2, q - t
+    ent = ((t * math.log(t) if t > 0 else 0.0)
+           + (rest * math.log1p((1.0 - t) / (q - 1.0)) if rest > 0 else 0.0))
+    num, den = c * (q * q * alpha) - 2.0 * ent, 2.0 * ent * alpha
+    w = float(q) if num >= q * den else min(num / den, q) if num > 0 else 0.0
+    if w == 0.0:
+        return 0.0
+    d_ent = math.log(t * (q - 1.0) / rest) if 0 < t < q else math.copysign(math.inf, t - 1.0)
+    return w * (c * slope * (t - 1.0) / (1.0 + alpha * w) - d_ent / (q * q))
+
+
+def _close_bracket(near: float, f_near: float, far: float, f_far: float,
+                   slope: float, c: float, q: int) -> tuple[float, float]:
+    """Close a cell on which g rises from `near` onto a root of g', to a width <= 5e-14 q.
+
+    f_near > 0 >= f_far are g' times the sign of far - near; either may be
+    infinite, and then, or when the false-position point leaves the cell,
+    the Illinois step is a bisection.  g' = 0 (w* = 0, g flat) counts as
+    past the root.
+    """
+    sign, side = math.copysign(1.0, far - near), 0
+    for _ in range(200):  # bisection alone needs at most 36 steps from q / 400
+        if abs(far - near) <= 5e-14 * q:
+            break
+        m = 0.5 * (near + far)
+        if 0.0 < f_near - f_far < math.inf:
+            m_false = (far * f_near - near * f_far) / (f_near - f_far)
+            m = m_false if min(near, far) < m_false < max(near, far) else m
+        fm = sign * _profile_slope(m, slope, c, q)
+        if fm > 0:
+            near, f_near, f_far, side = m, fm, 0.5 * f_far if side > 0 else f_far, 1
+        else:
+            far, f_far, f_near, side = m, fm, 0.5 * f_near if side < 0 else f_near, -1
+    return near, far
+
+
+def _local_candidates(pts: np.ndarray, i: int, slope: float, c: float, q: int) -> list[float]:
+    """pts[i] and the ends of the closed brackets on roots of g' beside it.
+
+    g rises into the neighbour cell on the side of g'(pts[i]); if g' keeps
+    its sign over that cell, the far end is the candidate.  g' = 0 at the
+    best point means t = 1, where g'' has the sign of c x^2 - 1: when that
+    is positive, g rises into both cells and both are searched.
+    """
+    t = float(pts[i])
+    d = _profile_slope(t, slope, c, q)
+    if d != 0.0:
+        signs, f_near = [math.copysign(1.0, d)], abs(d)
+    elif t == 1.0 and c * slope * q * (q - 1.0) > 1.0:
+        signs, f_near = [-1.0, 1.0], math.inf
+    else:
+        return [t]
+    cand = [t]
+    for sign in signs:
+        far = float(pts[i + int(sign)])
+        f_far = sign * _profile_slope(far, slope, c, q)
+        cand += [far] if f_far > 0 else _close_bracket(t, f_near, far, f_far, slope, c, q)
+    return cand
+
+
 def optimize(beta: float, c: float, q: int,
              grid_points: int = GRID_POINTS) -> SecondMomentResult:
     """Maximize Phi2 - 2P over (k, t) in [0, q]^2.
 
     k is eliminated in closed form; the exact profile g(t) = max_k gap is
     scanned on grid_points (at most MAX_T_POINTS) points of [0, q] plus
-    t = 1, then zoomed around the best point to a bracket below 1e-13 q.
-    Ties go to the lowest k, then the lowest t, so the symmetric zero gives
-    t* = 1, k* = 0 exactly.
+    t = 1.  A grid coarser than GRID_POINTS is first zoomed around its best
+    point to that spacing.  Beside the best point, a bracketed root of the
+    analytic g' is closed to a width of 5e-14 q (`_local_candidates`),
+    and the best of that point and the bracket ends is returned.  Ties go to
+    the lowest k, then the lowest t, so the symmetric zero gives t* = 1,
+    k* = 0 exactly.
     certified proves (up to rounding) gap <= CERTIFIED_TOL on the whole
     square by branch and bound over t-cells, run only if max_gap is too.
+    Every field is a plain Python float or bool.
     """
     _check_c(c)
     if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
@@ -243,17 +315,23 @@ def optimize(beta: float, c: float, q: int,
     if grid_points > MAX_T_POINTS:
         raise BudgetExceededError(f"t grid of {grid_points} points exceeds {MAX_T_POINTS}")
     slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
-    ts = np.union1d(np.linspace(0.0, q, grid_points), [1.0])
-    pts, h = ts, q / (grid_points - 1)
-    steps = np.arange(-ZOOM_STEPS, ZOOM_STEPS + 1) / ZOOM_STEPS
-    while True:
+
+    def best(pts):
         u, g = _profile(slope * (pts - 1.0) ** 2, _row_entropy(pts, q), c, q, float(q))
         i = int(np.lexsort((pts, -u, -g))[0])  # ties: largest u (lowest k), then lowest t
-        if h <= 5e-14 * q:
-            break
-        pts, h = np.clip(pts[i] + h * steps, 0.0, q), h / ZOOM_STEPS  # keeps pts[i] exactly
-    certified = g[i] <= CERTIFIED_TOL and _certify(slope, c, q, ts)
-    return SecondMomentResult(float(pts[i]), q - float(u[i]), float(g[i]), bool(certified))
+        return i, float(u[i]), float(g[i])
+
+    ts = np.union1d(np.linspace(0.0, q, grid_points), [1.0])
+    pts, h = ts, q / (grid_points - 1)
+    i = best(pts)[0]
+    steps = np.arange(-ZOOM_STEPS, ZOOM_STEPS + 1) / ZOOM_STEPS
+    while h > q / (GRID_POINTS - 1):
+        pts, h = np.unique(np.clip(pts[i] + h * steps, 0.0, q)), h / ZOOM_STEPS
+        i = best(pts)[0]
+    cand = np.unique(_local_candidates(pts, i, slope, c, q))
+    j, u, g = best(cand)
+    certified = g <= CERTIFIED_TOL and _certify(slope, c, q, ts)
+    return SecondMomentResult(float(cand[j]), float(q - u), g, bool(certified))
 
 
 def ising_gap(beta: float, c: float, theta: float) -> float:

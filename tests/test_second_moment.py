@@ -214,6 +214,15 @@ def test_smallest_and_numpy_grids_accepted():
         assert not res.certified
 
 
+def test_result_fields_are_plain_python_values():
+    # numpy scalars in, plain floats and bools out, inside and outside the gate
+    for q in (np.int64(3), np.int32(4), 3):
+        for beta, c in ((math.inf, 1.0), (math.inf, 27.0), (np.float64(1.0), np.float64(2.0))):
+            res = optimize(beta, c, q)
+            fields = (res.t_star, res.k_star, res.max_gap, res.certified)
+            assert [type(v) for v in fields] == [float, float, float, bool], (q, beta, c, res)
+
+
 def test_symmetric_point_ties_resolve_to_lowest_k():
     # at beta = 0 or c = 0 the gap is <= 0 everywhere and 0 on the t = 1 line
     for beta, c in ((0.0, 11.0), (1.0, 0.0), (math.inf, 0.0)):

@@ -1,10 +1,15 @@
-"""The closed-form-k, branch-and-bound optimizer against the 2-D grid search.
+"""The closed-form-k, branch-and-bound optimizer against two older searches.
 
-The oracle below is the optimizer second_moment used before k was
+The grid oracle is the optimizer second_moment used before k was
 eliminated: a dense (k, t) grid, then three rounds of alternating
 golden-section refinement from the best grid point, with "certified"
 meaning only that the refined maximum is <= CERTIFIED_TOL.  Its gap
 function is the scalar closed form of that version.
+
+The zoom oracle is the t search that preceded the bracketed root of g':
+the same 402-point scan, then rounds of 129 points around the best point,
+each 64 times finer, down to a spacing below 5e-14 q, with the same tie
+rule and the same branch-and-bound certificate.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ from potts_af.bounds import x_param
 from potts_af.second_moment import (
     CERTIFIED_TOL,
     _certify,
+    _local_candidates,
     _profile,
     _row_entropy,
+    in_guaranteed_region,
     optimize,
     phi2_kt_gap,
 )
@@ -86,6 +93,22 @@ def oracle_optimize(beta, c, q, grid_points=401):
                                       max(0.0, t_best - dk), min(float(q), t_best + dk))
     gap_best = max(gap_best, gap_ref)
     return gap_best, gap_best <= CERTIFIED_TOL
+
+
+def zoom_optimize(beta, c, q, grid_points=401):
+    """(t*, k*, max_gap, certified) of the scan plus six 129-point zoom rounds."""
+    slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
+    ts = np.union1d(np.linspace(0.0, q, grid_points), [1.0])
+    pts, h = ts, q / (grid_points - 1)
+    steps = np.arange(-64, 65) / 64
+    while True:
+        u, g = _profile(slope * (pts - 1.0) ** 2, _row_entropy(pts, q), c, q, float(q))
+        i = int(np.lexsort((pts, -u, -g))[0])
+        if h <= 5e-14 * q:
+            break
+        pts, h = np.clip(pts[i] + h * steps, 0.0, q), h / 64
+    certified = g[i] <= CERTIFIED_TOL and _certify(slope, c, q, ts)
+    return float(pts[i]), q - float(u[i]), float(g[i]), bool(certified)
 
 
 def _gate_c(beta, q, fraction):
@@ -156,3 +179,63 @@ def test_certify_is_sound_on_random_cells():
             checked += 1
             assert gaps.max() <= CERTIFIED_TOL, (q, beta, c, lo, hi, gaps.max())
     assert checked > 100
+
+
+def _assert_matches_zoom(beta, c, q):
+    res = optimize(beta, c, q)
+    t_zoom, _, gap_zoom, certified_zoom = zoom_optimize(beta, c, q)
+    assert abs(res.max_gap - gap_zoom) <= 1e-13, (q, beta, c, res, gap_zoom)
+    assert res.certified == certified_zoom, (q, beta, c, res, certified_zoom)
+    if in_guaranteed_region(beta, c, q):
+        assert abs(res.t_star - 1.0) <= 1e-9, (q, beta, c, res)
+    return res, t_zoom
+
+
+def test_root_search_matches_the_zoom_oracle():
+    # seeded (q, beta, c) with c from 0 to three times the gate, beta = 0 and c = 0 included
+    rng = np.random.default_rng(21)
+    betas = (0.0, 0.3, 1.0, 2.5, math.inf)
+    inside = 0
+    for n in range(2_000):
+        q = int(rng.integers(2, 7))
+        beta = betas[n % 5] if n % 10 else float(rng.uniform(0.0, 20.0))
+        if n % 25 == 0:
+            c = 0.0
+        elif beta == 0.0:
+            c = float(rng.uniform(0.0, 100.0))
+        else:
+            c = _gate_c(beta, q, float(rng.uniform(0.0, 3.0)))
+        inside += in_guaranteed_region(beta, c, q)
+        _assert_matches_zoom(beta, c, q)
+    assert 500 < inside < 1_500
+
+
+@pytest.mark.parametrize("q, beta, c, end", [
+    (5, 0.3, 575.277, 5.0),  # maxima in the last cell, where g'(q) = -inf
+    (6, math.inf, 43.3573, 6.0),
+    (6, 2.5, 54.6542, 6.0),
+    (2, math.inf, 10.0, 0.0),  # in the first cell, where g'(0) = +inf
+    (2, math.inf, 40.0, 0.0),  # at t = 0 itself, up to rounding
+])
+def test_maxima_at_the_ends_of_the_domain(q, beta, c, end):
+    res, t_zoom = _assert_matches_zoom(beta, c, q)
+    assert abs(res.t_star - end) < q / 400 and abs(t_zoom - end) < q / 400
+    assert abs(res.t_star - t_zoom) <= 1e-7, (res, t_zoom)
+
+
+@pytest.mark.parametrize("beta", [1.0, math.inf])
+@pytest.mark.parametrize("excess", [1e-6, 3.2e-6])
+def test_maxima_inside_the_cells_beside_t_one(beta, excess):
+    # just past c x^2 = 1 at q = 2, t = 1 is a local minimum of g, and the
+    # two mirror-image maxima lie inside the cells beside it, where every
+    # scan point has g = 0 and g' = 0; both cells are searched
+    q = 2
+    c = (1.0 + excess) / x_param(beta, q) ** 2
+    res, _ = _assert_matches_zoom(beta, c, q)
+    assert res.max_gap > 1e-13 and 0 < abs(res.t_star - 1.0) < q / 400
+    slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
+    ts = np.union1d(np.linspace(0.0, q, 401), [1.0])
+    cand = np.array(_local_candidates(ts, int(np.searchsorted(ts, 1.0)), slope, c, q))
+    g = _profile(slope * (cand - 1.0) ** 2, _row_entropy(cand, q), c, q, float(q))[1]
+    for side in (cand < 1.0, cand > 1.0):
+        assert g[side].max() == pytest.approx(res.max_gap, abs=1e-13)
