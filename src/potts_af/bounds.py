@@ -61,6 +61,11 @@ def _check_q(q: int) -> None:
         raise ValueError(f"q must be an integer >= 2, got {q}")
 
 
+def _check_c(c: float) -> None:
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be finite and >= 0, got {c}")
+
+
 def _check_state(beta: float, c: float, q: int) -> None:
     _check_q(q)
     if not beta >= 0 or not c >= 0:

@@ -23,13 +23,12 @@ of _leaf_factors, which the Monte Carlo engine draws too.  Symmetric-t
 sampled leaves share their atom's pattern: no closed form, Monte Carlo only.
 
 The Monte Carlo engine draws a block of cascades per set of array
-operations, for G1, for G2 or for both in one coupled pass.  The coupled
-pass, behind cavity_terms and rsb_upper_bound, runs G1 and G2 on one
-stream over the same cascade weights, and thins G2's pair count from
-G1's slots: K ~ Binomial(sum_i k_i, 1/2) with k_i ~ Poisson(c) has G2's
-Poisson(cn/2) law.  Each term keeps its law, and G1 - G2 varies less
-than with independent draws.  cavity_g1 and cavity_g2 called alone draw
-their own terms only.
+operations, in one coupled pass behind every estimate: it runs G1 and G2
+on one stream over the same cascade weights, and thins G2's pair count
+from G1's slots: K ~ Binomial(sum_i k_i, 1/2) with k_i ~ Poisson(c) has
+G2's Poisson(cn/2) law.  Each term keeps its law, and G1 - G2 varies
+less than with independent draws.  cavity_g1 and cavity_g2 by Monte Carlo
+return that pass's G1 and G2, equal to those of cavity_terms.
 
 Every Monte Carlo estimate subtracts control variates: per-draw columns,
 built from values the pass already holds, whose means are known to be
@@ -247,6 +246,12 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     _check_int("top", top)
     if top > n_atoms:
         raise ValueError(f"top must be at most n_atoms = {n_atoms}, got {top}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not (math.isfinite(scale_mismatch) and scale_mismatch > 0):
+        raise ValueError(f"scale_mismatch must be finite and > 0, got {scale_mismatch}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     c_ref = math.exp(0.5 * m * sigma * sigma) * scale_mismatch
     rng = stream(seed)
     mult_top = np.empty((draws, top))
@@ -473,22 +478,21 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
 
 
 def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
-            samples: int, seed: int, n_atoms: int,
-            terms: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-draw values (1/n) ln( sum_a w_a V_a / sum_a w_a ), one row per term
-    of `terms` ("g1", "g2" or both, in that order), per-draw control columns
-    of mean exactly 0, and the bias estimate.
+            samples: int, seed: int, n_atoms: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-draw values (1/n) ln( sum_a w_a V_a / sum_a w_a ), row 0 for G1 and
+    row 1 for G2, per-draw control columns of mean exactly 0, and the bias
+    estimate.
 
     For G1, ln V_a = sum_i ln S_i over the n cavity sites, with S_i =
     sum_s exp(n_s log_match + (k_i - n_s) log_other) over the colour
     counts n_s of site i's k_i ~ Poisson(c) slots; for G2, ln V_a =
-    M log_match + (K - M) log_other for M matching pairs out of K ~
-    Poisson(cn/2).  The factors are _leaf_factors', log_ann folded into
-    both logs, and below gap = log_match - log_other.  Both terms of a
-    draw share its cascade weights, and G2 thins its K from G1's slots:
-    K ~ Binomial(sum_i k_i, 1/2) has the Poisson(cn/2) law, since sum_i k_i
-    ~ Poisson(cn).  Each term keeps its own law, and G1 - G2 varies less
-    than with independent draws.  G2 alone draws its K ~ Poisson(cn/2).
+    M log_match + (K - M) log_other for M matching pairs out of K pairs.
+    The factors are _leaf_factors', log_ann folded into both logs, and
+    below gap = log_match - log_other.  Both terms of a draw share its
+    cascade weights, and G2 thins its K from G1's slots: K ~
+    Binomial(sum_i k_i, 1/2) has the Poisson(cn/2) law, since sum_i k_i ~
+    Poisson(cn).  Each term keeps its own law, and G1 - G2 varies less
+    than with independent draws.
 
     The control columns, one array row each, are first each term's count
     minus its Poisson mean, sum_i k_i - cn for G1 and K - cn/2 for G2, and
@@ -502,27 +506,28 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     check_samples(samples)
     if not spec.last_to_one and params.beta == math.inf:  # -beta * 0 is NaN
         raise ValueError(FINITE_BETA)
-    # per term (shared, gap, log_other), log_ann folded into log_other
-    setups = [(shared, match - other, other + ann) for shared, match, other, ann in
-              (_leaf_factors(params, spec, hier, which) for which in terms)]
     q, c = params.q, params.c
-    # G1 sums its n Poisson(c) slot counts in int64; G2 alone draws Poisson(cn/2)
-    check_poisson_mean(c * n if "g1" in terms else 0.5 * c * n, c)
+    # per term (gap, log_other), log_ann folded into log_other; both terms
+    # redraw their leaves from the same pattern parameter `shared`
+    factors = [_leaf_factors(params, spec, hier, which) for which in ("g1", "g2")]
+    shared = factors[0][0]
+    (gap1, other1), (gap2, other2) = ((match - other, other + ann)
+                                      for _, match, other, ann in factors)
+    check_poisson_mean(c * n, c)  # the n Poisson(c) slot counts are summed in int64
     outer, inner = _tree(spec, n_atoms)
     leaves = outer * inner
     if leaves * n * q > MAX_DRAW_CELLS:
         raise BudgetExceededError(f"{leaves} leaves x {n} sites x {q} colours exceed "
                                   f"{MAX_DRAW_CELLS} cells per draw")
-    count_means = {"g1": c * n, "g2": 0.5 * c * n}
 
     # one stream per chunk of MC_CHUNK draws, drawn in blocks of at most
     # MC_BLOCK_CELLS (leaf, site, colour) cells, so values depend only on
     # the inputs and the seed
     block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (leaves * n * q)))
-    classes = _ClassDraw(q, setups[0][1]) if terms[0] == "g1" else None
+    classes = _ClassDraw(q, gap1)
     starts = range(0, samples, MC_CHUNK)
-    vals, fracs = np.empty((len(terms), samples)), np.empty(samples)
-    controls = np.zeros((len(terms) * (2 if leaves > 1 else 1), samples))
+    vals, fracs = np.empty((2, samples)), np.empty(samples)
+    controls = np.zeros((4 if leaves > 1 else 2, samples))
     for lo, chunk_seed in zip(starts, child_seeds(seed, len(starts))):
         rng = stream(chunk_seed)
         for a in range(lo, min(lo + MC_CHUNK, samples), block):
@@ -532,29 +537,25 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
                                                            inner, b)
             if leaves > 1:
                 w_hat = np.exp(log_w - norm[:, None])
-            slots = None
-            for row, (which, (shared, gap, log_other)) in enumerate(zip(terms, setups)):
-                if which == "g1":
-                    k = rng.poisson(c, size=(b, n))
-                    fits = classes.covers(int(k.max()))
-                    if fits and shared is None:
-                        excess = classes.draw(rng, k, leaves)
-                    else:
-                        counts = _leaf_counts(rng, k, q, shared, outer, inner)
-                        excess = logsumexp(gap * counts, axis=0).sum(axis=-1).reshape(b, -1)
-                    total = slots = k.sum(axis=1)
-                    centre = classes.mean_log_s[k].sum(axis=1) if fits else None
-                else:
-                    total = (rng.poisson(0.5 * c * n, size=b) if slots is None
-                             else rng.binomial(slots, 0.5))
-                    matches = _leaf_matches(rng, total, q, shared, outer, inner)
-                    excess = gap * matches.reshape(b, -1)
-                    centre = gap * total / q
+            k = rng.poisson(c, size=(b, n))
+            fits = classes.covers(int(k.max()))
+            if fits and shared is None:
+                excess1 = classes.draw(rng, k, leaves)
+            else:
+                counts = _leaf_counts(rng, k, q, shared, outer, inner)
+                excess1 = logsumexp(gap1 * counts, axis=0).sum(axis=-1).reshape(b, -1)
+            slots = k.sum(axis=1)
+            pairs = rng.binomial(slots, 0.5)
+            excess2 = gap2 * _leaf_matches(rng, pairs, q, shared, outer, inner).reshape(b, -1)
+            for row, (total, mean, excess, log_other, centre) in enumerate((
+                    (slots, c * n, excess1, other1,
+                     classes.mean_log_s[k].sum(axis=1) if fits else None),
+                    (pairs, 0.5 * c * n, excess2, other2, gap2 * pairs / q))):
                 leaf = excess + log_other * total[:, None]
                 vals[row, draws] = logsumexp(log_w + leaf, axis=1) - norm
-                controls[row, draws] = total - count_means[which]
+                controls[row, draws] = total - mean
                 if leaves > 1 and centre is not None:
-                    controls[len(terms) + row, draws] = (w_hat * excess).sum(axis=1) - centre
+                    controls[2 + row, draws] = (w_hat * excess).sum(axis=1) - centre
     vals /= n
     return vals, controls, float(fracs.mean() / n)
 
@@ -593,11 +594,14 @@ def _rounding(rows: np.ndarray, fit: np.ndarray) -> np.ndarray:
 def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
             samples: int, seed: int, terms: tuple[str, ...], method: str, n_atoms: int,
             eps: float) -> list[QuenchedEstimate]:
-    """Estimates of `terms`, and after them, for the coupled Monte Carlo pass,
-    that of the per-draw differences G1 - G2.
+    """Estimates of `terms` ("g1", "g2" or both, in that order), and after
+    them, by Monte Carlo, that of the per-draw differences G1 - G2.
 
-    Every Monte Carlo estimate subtracts the same control columns of
-    _run_mc at cross-fitted coefficients (_controlled).
+    Closed forms are per term, so one term stays finite where only the
+    other fails.  Monte Carlo checks the requested terms' leaf factors
+    first, so a degenerate one raises its own message, then runs the one
+    coupled pass of _run_mc and subtracts its control columns at
+    cross-fitted coefficients (_controlled).
     """
     if hier.q != params.q:
         raise ValueError("hierarchy q does not match model q")
@@ -617,12 +621,13 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
             ests.append(QuenchedEstimate(value, 0.0, tail, 0, METHOD_EXACT))
         return ests
     if method == "monte-carlo":
-        vals, controls, bias = _run_mc(params, n, spec, hier, samples, seed, n_atoms, terms)
-        if len(terms) == 2:
-            vals = np.vstack([vals, vals[0] - vals[1]])
-        means, errors = _controlled(vals, controls)
-        return [QuenchedEstimate(float(v), float(e), 0.0, samples, METHOD_MC,
+        for which in terms:
+            _leaf_factors(params, spec, hier, which)
+        vals, controls, bias = _run_mc(params, n, spec, hier, samples, seed, n_atoms)
+        means, errors = _controlled(np.vstack([vals, vals[0] - vals[1]]), controls)
+        ests = [QuenchedEstimate(float(v), float(e), 0.0, samples, METHOD_MC,
                                  bias_estimate=bias) for v, e in zip(means, errors)]
+        return [ests[("g1", "g2").index(which)] for which in terms] + ests[2:]
     raise ValueError(f"unknown method {method!r}")
 
 

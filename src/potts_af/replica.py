@@ -53,7 +53,7 @@ from functools import cache, update_wrapper
 
 import numpy as np
 
-from .bounds import annealed_pressure, x_param
+from .bounds import _check_c, annealed_pressure, x_param
 from .util import (BudgetExceededError, log_factorial, poisson_cutoff,
                    poisson_pmf_vector, poisson_sf)
 
@@ -84,6 +84,7 @@ def _check_t(t: float, q: int) -> None:
 
 
 def g2(beta: float, c: float, q: int, t: float) -> float:
+    _check_c(c)
     return pair_sum(c, q, *pair_logs(beta, q, t), 0.0)
 
 
@@ -416,6 +417,7 @@ def g1(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> tuple[flo
 
     Returns (value, tail) where tail bounds the dropped k > k_max mass.
     """
+    _check_c(c)
     log_a, log_b, mag = factor_logs(beta, q, t)
     value, tail, _ = profile_sum(c, q, log_a, log_b, 0.0, mag, eps)
     return value, tail

@@ -34,18 +34,14 @@ effective zero-temperature connectivity x^2 q^2 c stays below 2 q ln q.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import annealed_pressure, beta_1, x_param
-from .replica import MAX_T_POINTS
-from .util import BudgetExceededError
+from .bounds import _check_c, annealed_pressure, beta_1, x_param
 
 CERTIFIED_TOL = 1e-9
 GRID_POINTS = 401
-ZOOM_STEPS = 64  # coarse grids only: zoom points a side; each round refines the spacing 64x
 MAX_CELLS = 1 << 14  # cap on t-cells examined by one certification
 
 
@@ -130,11 +126,6 @@ def mu_kt(q: int, k: float, t: float) -> OverlapMeasure:
     mass[kk:, 0] = t / q**2
     mass[kk:, 1:] = (q - t) / (q - 1.0) / q**2
     return OverlapMeasure(mass)
-
-
-def _check_c(c: float) -> None:
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"c must be finite and >= 0, got {c}")
 
 
 def _row_entropy(t, q: int):
@@ -293,27 +284,20 @@ def _local_candidates(pts: np.ndarray, i: int, slope: float, c: float, q: int) -
     return cand
 
 
-def optimize(beta: float, c: float, q: int,
-             grid_points: int = GRID_POINTS) -> SecondMomentResult:
+def optimize(beta: float, c: float, q: int) -> SecondMomentResult:
     """Maximize Phi2 - 2P over (k, t) in [0, q]^2.
 
     k is eliminated in closed form; the exact profile g(t) = max_k gap is
-    scanned on grid_points (at most MAX_T_POINTS) points of [0, q] plus
-    t = 1.  A grid coarser than GRID_POINTS is first zoomed around its best
-    point to that spacing.  Beside the best point, a bracketed root of the
-    analytic g' is closed to a width of 5e-14 q (`_local_candidates`),
-    and the best of that point and the bracket ends is returned.  Ties go to
-    the lowest k, then the lowest t, so the symmetric zero gives t* = 1,
-    k* = 0 exactly.
+    scanned on GRID_POINTS points of [0, q] plus t = 1.  Beside the best
+    point, a bracketed root of the analytic g' is closed to a width of
+    5e-14 q (`_local_candidates`), and the best of that point and the
+    bracket ends is returned.  Ties go to the lowest k, then the lowest t,
+    so the symmetric zero gives t* = 1, k* = 0 exactly.
     certified proves (up to rounding) gap <= CERTIFIED_TOL on the whole
     square by branch and bound over t-cells, run only if max_gap is too.
     Every field is a plain Python float or bool.
     """
     _check_c(c)
-    if not (isinstance(grid_points, numbers.Integral) and grid_points >= 2):
-        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points!r}")
-    if grid_points > MAX_T_POINTS:
-        raise BudgetExceededError(f"t grid of {grid_points} points exceeds {MAX_T_POINTS}")
     slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
 
     def best(pts):
@@ -321,14 +305,8 @@ def optimize(beta: float, c: float, q: int,
         i = int(np.lexsort((pts, -u, -g))[0])  # ties: largest u (lowest k), then lowest t
         return i, float(u[i]), float(g[i])
 
-    ts = np.union1d(np.linspace(0.0, q, grid_points), [1.0])
-    pts, h = ts, q / (grid_points - 1)
-    i = best(pts)[0]
-    steps = np.arange(-ZOOM_STEPS, ZOOM_STEPS + 1) / ZOOM_STEPS
-    while h > q / (GRID_POINTS - 1):
-        pts, h = np.unique(np.clip(pts[i] + h * steps, 0.0, q)), h / ZOOM_STEPS
-        i = best(pts)[0]
-    cand = np.unique(_local_candidates(pts, i, slope, c, q))
+    ts = np.union1d(np.linspace(0.0, q, GRID_POINTS), [1.0])
+    cand = np.unique(_local_candidates(ts, best(ts)[0], slope, c, q))
     j, u, g = best(cand)
     certified = g <= CERTIFIED_TOL and _certify(slope, c, q, ts)
     return SecondMomentResult(float(cand[j]), float(q - u), g, bool(certified))

@@ -422,6 +422,19 @@ def test_stability_draws_checked_before_any_draw(monkeypatch, draws, error):
         stability_test(0.5, 100, draws, 1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("sigma", math.nan), ("sigma", math.inf), ("sigma", -0.5),
+    ("scale_mismatch", math.nan), ("scale_mismatch", math.inf), ("scale_mismatch", 0.0),
+    ("scale_mismatch", -1.0), ("alpha", 2.0), ("alpha", 1.0), ("alpha", 0.0),
+    ("alpha", math.nan)])
+def test_stability_floats_checked_before_any_draw(monkeypatch, name, value):
+    # these returned NaN fields, scaled the reference by a negative sigma, or
+    # read every p-value as a failure
+    monkeypatch.setattr("potts_af.cascade.stream", _refuse_draws)
+    with pytest.raises(ValueError, match=name):
+        stability_test(0.5, 100, 100, 1, **{name: value})
+
+
 @pytest.mark.parametrize("top", [0, -2, 11, 2.5, True])
 def test_stability_top_checked_before_any_draw(monkeypatch, top):
     # these ended in numpy errors that did not name the argument

@@ -37,7 +37,7 @@ ALL = {**CONFIGS, "annealed": (BENCH, annealed_spec(), uniform_hierarchy(2))}
 def test_control_columns_have_mean_zero(config):
     params, spec, hier = ALL[config]
     draws = 20_000
-    _, controls, _ = cascade._run_mc(params, 3, spec, hier, draws, 61, 32, ("g1", "g2"))
+    _, controls, _ = cascade._run_mc(params, 3, spec, hier, draws, 61, 32)
     assert controls.shape == ((4 if spec.atom_levels else 2), draws)
     se = controls.std(axis=1, ddof=1) / math.sqrt(draws)
     assert np.all(se > 0)
@@ -58,7 +58,7 @@ def test_controlled_bound_matches_the_raw_mean(config):
     # no closed form here: the adjustment may only move the bound within the
     # raw mean's error, which bounds that of the mean correction
     params, spec, hier = ALL[config]
-    vals, _, _ = cascade._run_mc(params, N, spec, hier, 1000, 63, ATOMS, ("g1", "g2"))
+    vals, _, _ = cascade._run_mc(params, N, spec, hier, 1000, 63, ATOMS)
     diff = vals[0] - vals[1]
     raw_error = diff.std(ddof=1) / math.sqrt(len(diff))
     bound = rsb_upper_bound(params, N, spec, hier, samples=1000, seed=63,
@@ -99,9 +99,8 @@ def test_annealed_g2_needs_the_rounding_floor(monkeypatch):
 @pytest.mark.parametrize("config", ["rs", "annealed"])
 def test_one_leaf_trees_have_no_leaf_columns(config):
     params, spec, hier = ALL[config]
-    for terms in (("g1",), ("g2",), ("g1", "g2")):
-        _, controls, _ = cascade._run_mc(params, 3, spec, hier, 50, 64, ATOMS, terms)
-        assert controls.shape == (len(terms), 50)
+    _, controls, _ = cascade._run_mc(params, 3, spec, hier, 50, 64, ATOMS)
+    assert controls.shape == (2, 50)
     if config == "rs":
         # the sampled leaf keeps its variance: the estimate is no closed form
         assert cavity_g2(params, 3, spec, hier, samples=400, seed=64,
@@ -127,10 +126,10 @@ def test_leaf_column_is_zero_without_a_class_table(monkeypatch, config):
     params, spec, hier = ALL[config]
     args = (params, N, spec, hier)
     kw = dict(samples=1000, seed=66, method="monte-carlo", n_atoms=ATOMS)
-    _, controls, _ = cascade._run_mc(*args, 200, 66, ATOMS, ("g1", "g2"))
+    _, controls, _ = cascade._run_mc(*args, 200, 66, ATOMS)
     assert np.all(controls[2] != 0)
     monkeypatch.setattr(cascade, "class_table_fits", lambda k_top, q: False)
-    _, controls, _ = cascade._run_mc(*args, 200, 66, ATOMS, ("g1", "g2"))
+    _, controls, _ = cascade._run_mc(*args, 200, 66, ATOMS)
     assert np.all(controls[2] == 0) and np.all(controls[3] != 0)
     closed = rsb_upper_bound(*args, method="closed-form")
     mc = rsb_upper_bound(*args, **kw)

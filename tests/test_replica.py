@@ -51,6 +51,14 @@ def test_g2_domain_errors():
         g2(1.0, 1.0, 3, 1.2)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_g1_and_g2_reject_bad_connectivity(c):
+    # g2 returned NaN or a number, and g1 raised a math domain error
+    for fn in (g1, g2):
+        with pytest.raises(ValueError, match="c must be finite"):
+            fn(1.0, c, 2, 0.3)
+
+
 def test_g2_nonpositive():
     for q in (2, 3, 4):
         for t in t_grid(q, 31):
