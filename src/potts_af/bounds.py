@@ -5,7 +5,9 @@ pressure, the temperature parameter x, the three connectivity thresholds,
 the beta-boundary curves, and a region classifier.  Inverse temperature
 beta = math.inf is a legitimate value for all curves (several take the
 value infinity on whole parameter ranges), so plain float infinity is used
-throughout and is handled explicitly at the endpoints.
+throughout; e^-inf = 0 gives the formulas their beta = inf values exactly,
+and only the entropy (beta e^-beta = inf * 0 there) takes its limit.
+Arguments follow util's rules: q an integer >= 2, beta >= 0, c finite.
 
 Sign convention for the entropy curve: the per-site Gibbs entropy is
 s = p - beta * dp/dbeta (so s = ln q at beta = 0).  Applied to the
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .util import check_beta, check_c, check_q, check_state
 
 ROOT_ATOL = 1e-10  # absolute tolerance for every root find in this module
 BETA_SCAN_MAX = 500.0
@@ -54,49 +56,28 @@ class PhaseRegion:
     beta_upper: float
 
 
-def _check_q(q: int) -> None:
-    # as in ModelParams; isinstance(q, numbers.Integral) is about 30x slower,
-    # and the root finds here check q at every step
-    if not isinstance(q, (int, np.integer)) or q < 2:
-        raise ValueError(f"q must be an integer >= 2, got {q}")
-
-
-def _check_c(c: float) -> None:
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"c must be finite and >= 0, got {c}")
-
-
-def _check_state(beta: float, c: float, q: int) -> None:
-    _check_q(q)
-    if not beta >= 0 or not c >= 0:
-        raise ValueError("beta and c must be >= 0")
-
-
 def annealed_pressure(beta: float, c: float, q: int) -> float:
     """P(beta, c) = ln q + (c/2) ln(1 - (1 - e^-beta)/q).  beta = inf allowed."""
-    _check_state(beta, c, q)
+    check_state(beta, c, q)
     return _pressure(beta, c, q, math.log(q))
 
 
 def _pressure(beta: float, c: float, q: int, log_q: float) -> float:
     """annealed_pressure without its checks, given ln q."""
-    y = 1.0 if beta == math.inf else -math.expm1(-beta)
+    y = -math.expm1(-beta)
     return log_q + 0.5 * c * math.log1p(-y / q)
 
 
 def x_param(beta: float, q: int) -> float:
     """x(beta, q) = (1 - e^-beta)/(q - 1 + e^-beta), in [0, 1/(q-1)]."""
-    _check_q(q)
-    if not beta >= 0:
-        raise ValueError("beta must be >= 0")
-    if beta == math.inf:
-        return 1.0 / (q - 1)
+    check_q(q)
+    check_beta(beta)
     u = math.exp(-beta)
     return (1.0 - u) / (q - 1.0 + u)
 
 
 def thresholds(q: int) -> PhaseThresholds:
-    _check_q(q)
+    check_q(q)
     return PhaseThresholds(
         c_rs_loc=float((q - 1) ** 2),
         c_ent=2.0 * math.log(q) / abs(math.log1p(-1.0 / q)),
@@ -106,9 +87,8 @@ def thresholds(q: int) -> PhaseThresholds:
 
 def beta_rs_loc(c: float, q: int) -> float:
     """Local-instability boundary: inf for c <= (q-1)^2, else -ln(1 - q/(1+sqrt(c)))."""
-    _check_q(q)
-    if not c >= 0:
-        raise ValueError("c must be >= 0")
+    check_q(q)
+    check_c(c)
     if c <= (q - 1) ** 2:
         return math.inf
     return -math.log1p(-q / (1.0 + math.sqrt(c)))
@@ -120,9 +100,8 @@ def beta_1(c: float, q: int) -> float:
     For q = 2 this collapses onto beta_rs_loc(c, 2); for q > 2 it is inf
     up to c_1(q) = 2q ln q and the displayed closed form beyond.
     """
-    _check_q(q)
-    if not c >= 0:
-        raise ValueError("c must be >= 0")
+    check_q(q)
+    check_c(c)
     if q == 2:
         return beta_rs_loc(c, 2)
     if c <= 2.0 * q * math.log(q):
@@ -132,7 +111,7 @@ def beta_1(c: float, q: int) -> float:
 
 def annealed_entropy(beta: float, c: float, q: int) -> float:
     """Entropy of the annealed pressure, s_ann = P - beta dP/dbeta."""
-    _check_state(beta, c, q)
+    check_state(beta, c, q)
     return _entropy(beta, c, q, math.log(q))
 
 
@@ -153,9 +132,8 @@ def beta_ent(c: float, q: int) -> float:
     limit ln q - (c/2)|ln(1 - 1/q)| is negative, i.e. iff c > c_ent(q).
     Bracketing scan with multiplicative steps, then bisection to 1e-10.
     """
-    _check_q(q)
-    if not c >= 0:
-        raise ValueError("c must be >= 0")
+    check_q(q)
+    check_c(c)
     if c <= thresholds(q).c_ent:
         return math.inf
     log_q = math.log(q)
@@ -187,6 +165,7 @@ def classify(beta: float, c: float, q: int) -> PhaseRegion:
     overlap, which can happen for q > 2 where the lower curve is not
     comparable to the upper ones.
     """
+    check_beta(beta)
     lower = beta_1(c, q)
     upper = min(beta_rs_loc(c, q), beta_ent(c, q))
     if beta <= lower:

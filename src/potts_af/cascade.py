@@ -88,11 +88,11 @@ import numpy as np
 
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
 from .model import ModelParams
-from .replica import (_alias_picks, _binomial_alias, _class_alias, _class_table,
+from .replica import (_alias_picks, _binomial_alias, _check_t, _class_alias, _class_table,
                       binomial_table_fits, class_table_fits, factor_logs, pair_logs, pair_sum,
                       profile_sum)
-from .util import (BudgetExceededError, check_poisson_mean, check_samples, child_seeds,
-                   logsumexp, stream)
+from .util import (BudgetExceededError, check_int, check_poisson_mean, check_q, check_samples,
+                   check_tol, child_seeds, logsumexp, stream)
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -163,12 +163,10 @@ class SpinHierarchySpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "symmetric-t"):
             raise ValueError(f"unknown hierarchy kind {self.kind!r}")
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
+        check_q(self.q)
         if self.kind == "uniform" and self.t != 0.0:
             raise ValueError("uniform hierarchy has no t parameter")
-        if not (-1.0 / (self.q - 1) <= self.t <= 1.0):
-            raise ValueError(f"t = {self.t} outside [-1/(q-1), 1]")
+        _check_t(self.t, self.q)
 
 
 def uniform_hierarchy(q: int) -> SpinHierarchySpec:
@@ -179,15 +177,9 @@ def symmetric_t_hierarchy(q: int, t: float) -> SpinHierarchySpec:
     return SpinHierarchySpec("symmetric-t", q, t)
 
 
-def _check_int(name: str, value, low: int = 1) -> None:
-    """Raise ValueError unless value is an integer >= low; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _check_pd_atoms(n_atoms) -> None:
-    """_check_int for n_atoms, and BudgetExceededError past MAX_DRAW_CELLS atoms."""
-    _check_int("n_atoms", n_atoms)
+    """check_int for n_atoms, and BudgetExceededError past MAX_DRAW_CELLS atoms."""
+    check_int("n_atoms", n_atoms)
     if n_atoms > MAX_DRAW_CELLS:
         raise BudgetExceededError(f"{n_atoms} atoms exceed {MAX_DRAW_CELLS} per draw")
 
@@ -240,10 +232,10 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     """
     from scipy.stats import ks_2samp  # deferred: scipy.stats dominates import time
 
-    _check_int("draws", draws, 10)
+    check_int("draws", draws, 10)
     check_samples(draws)
     _check_pd_atoms(n_atoms)
-    _check_int("top", top)
+    check_int("top", top)
     if top > n_atoms:
         raise ValueError(f"top must be at most n_atoms = {n_atoms}, got {top}")
     if not (math.isfinite(sigma) and sigma >= 0):
@@ -330,7 +322,7 @@ def _tree(spec: CascadeSpec, n_atoms: int) -> tuple[int, int]:
     ms = spec.atom_levels
     if len(ms) > 2:
         raise ValueError("Monte Carlo supports at most two unresolved atom levels")
-    _check_int("n_atoms", n_atoms)
+    check_int("n_atoms", n_atoms)
     n_atoms = int(n_atoms)  # a numpy integer would wrap in the products below
     if len(ms) == 2:
         # nested truncation: ~sqrt(n_atoms) atoms per level keeps the leaf
@@ -605,14 +597,15 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     """
     if hier.q != params.q:
         raise ValueError("hierarchy q does not match model q")
-    _check_int("n", n)
+    check_int("n", n)
+    check_tol("eps", eps)
     if spec.depth == 1 and hier.kind != "uniform":
         # a one-level tree carries a single fixed spin measure; the
         # symmetric-t family only exists as a measure on measures
         raise ValueError("one-level cascades support the uniform hierarchy only")
     if method == "auto":
         method = "closed-form" if _closed_level(spec, hier) is not None else "monte-carlo"
-    _check_int("samples", samples, 2 if method == "monte-carlo" else 0)
+    check_int("samples", samples, 2 if method == "monte-carlo" else 0)
     n = int(n)  # a numpy integer would wrap in the cell count
     if method == "closed-form":
         ests = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, cascade, disorder, replica, second_moment
 from .model import DEFAULT_ENUM_BUDGET, ModelParams
-from .util import BudgetExceededError
+from .util import BudgetExceededError, check_c
 
 SCHEMA = "potts-af/1"
 MAX_PHASE_ROWS = 100_000  # about 6 s of boundary curves
@@ -104,8 +104,8 @@ def _estimate_dict(est: disorder.QuenchedEstimate) -> dict:
 
 def cmd_phase_diagram(args) -> dict | None:
     q = args.q
-    if not (math.isfinite(args.c_min) and math.isfinite(args.c_max)):
-        raise ValueError("c-min and c-max must be finite")
+    check_c(args.c_min, "c-min")
+    check_c(args.c_max, "c-max")
     if not args.c_step > 0:
         raise ValueError(f"c-step must be > 0, got {args.c_step}")
     if not args.c_min <= args.c_max:

@@ -65,28 +65,12 @@ from threading import Lock
 
 import numpy as np
 
-from .model import (
-    DEFAULT_ENUM_BUDGET,
-    ModelParams,
-    _check_budget,
-    as_couplings,
-    colour_classes,
-    config_energies,
-)
-from .util import (
-    BudgetExceededError,
-    check_poisson_mean,
-    check_samples,
-    child_seeds,
-    log_multinomial,
-    logsumexp,
-    multinomial_table,
-    multiset_permutations,
-    poisson_cutoff,
-    poisson_pmf_vector,
-    poisson_sf,
-    stream,
-)
+from .model import (DEFAULT_ENUM_BUDGET, ModelParams, _check_budget, _check_finite_beta,
+                    as_couplings, colour_classes, config_energies)
+from .util import (BudgetExceededError, check_beta, check_c, check_int, check_poisson_mean,
+                   check_q, check_samples, check_tol, child_seeds, log_multinomial, logsumexp,
+                   multinomial_table, multiset_permutations, poisson_cutoff, poisson_pmf_vector,
+                   poisson_sf, stream)
 
 METHOD_EXACT = "exact-conditional"
 METHOD_MC = "monte-carlo"
@@ -121,14 +105,14 @@ class QuenchedEstimate:
     def __post_init__(self):
         if self.stat_error < 0 or self.tail_bound < 0 or self.bias_estimate < 0:
             raise ValueError("error fields must be nonnegative")
-        if self.method == METHOD_MC and self.samples < 1:
-            raise ValueError("monte-carlo estimates need samples >= 1")
+        if self.method == METHOD_MC:
+            check_int("samples", self.samples)
 
 
 def sample_couplings(n: int, c: float, seed: int) -> np.ndarray:
     """N x N iid Poisson(c/2N) couplings, reproducible from the seed."""
-    if n < 1 or c < 0:
-        raise ValueError("need n >= 1 and c >= 0")
+    check_int("n", n)
+    check_c(c)
     if c == 0.0:
         return np.zeros((n, n), dtype=np.int64)
     check_poisson_mean(c / (2.0 * n), c)
@@ -312,18 +296,14 @@ def _conditional_average(n: int, m: int, per_j, samples: int,
 
 def _check_strata(mc_samples: int, least: int, exact_budget: int) -> None:
     """Validate the per-stratum sample count and the exact budget."""
-    if mc_samples < least:
-        raise ValueError(f"mc_samples must be >= {least}, got {mc_samples}")
-    if exact_budget < 0:
-        raise ValueError(f"exact_budget must be >= 0, got {exact_budget}")
+    check_int("mc_samples", mc_samples, least)
+    check_int("exact_budget", exact_budget, 0)
     check_samples(mc_samples)
 
 
 def _check_system(name: str, n: int, q: int, beta: float, max_configs: float) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not beta < math.inf:
-        raise ValueError(f"{name} requires finite beta")
+    check_int("n", n)
+    _check_finite_beta(name, beta)
     _check_budget(q, n, max_configs)
 
 
@@ -340,8 +320,7 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     by tail_bound = (beta/N) E[M 1{M > M_max}].
     """
     q, beta, c = params.q, params.beta, params.c
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_tol("eps", eps)
     _check_strata(mc_samples, 1, exact_budget)
     _check_system("quenched_pressure_exact", n, q, beta, max_configs)
     if c == 0.0 or beta == 0.0 or n == 1:
@@ -381,8 +360,7 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     uniforms per sample instead of P Poissons.
     """
     q, beta, c = params.q, params.beta, params.c
-    if samples < 2:
-        raise ValueError("need samples >= 2 for a standard error")
+    check_int("samples", samples, 2)  # two for a standard error
     check_samples(samples)
     _check_system("quenched_pressure_mc", n, q, beta, max_configs)
     if c == 0.0 or beta == 0.0 or n == 1:
@@ -427,8 +405,9 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     DEFAULT_ENUM_BUDGET like the quenched pressures' default.
     """
     q, beta, c = params.q, params.beta, params.c
-    if r_max < 1 or quad_points < 3:
-        raise ValueError("need r_max >= 1 and quad_points >= 3")
+    check_int("r_max", r_max)
+    check_int("quad_points", quad_points, 3)
+    check_tol("k_tail_eps", k_tail_eps)
     _check_strata(mc_samples, 2, exact_budget)
     _check_system("sum_rule_deficit", n, q, beta, DEFAULT_ENUM_BUDGET)
     y = -math.expm1(-beta)
@@ -468,8 +447,8 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
 
 def balanced_count(n: int, q: int) -> int:
     """|[q]^(N,q)| = N! / ((N/q)!)^q."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    check_int("n", n)
+    check_q(q, 1)
     if n % q:
         raise ValueError(f"N = {n} is not divisible by q = {q}")
     return math.factorial(n) // math.factorial(n // q) ** q
@@ -488,8 +467,7 @@ def restricted_partition_balanced(J, beta: float, q: int,
     size N!/((N/q)!)^q.
     """
     J = as_couplings(J)
-    if not beta >= 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    check_beta(beta)
     n = J.shape[0]
     states = balanced_count(n, q)
     if states > max_states:
@@ -529,9 +507,9 @@ def conditional_moments_balanced(n: int, q: int, beta: float, k: int,
     times exp(K w(beta, q, mu)) with
     w = ln(1 - 2(1-e^-beta)/q + (1-e^-beta)^2 sum mu^2).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    y = 1.0 if beta == math.inf else -math.expm1(-beta)
+    check_int("k", k, 0)
+    check_beta(beta)
+    y = -math.expm1(-beta)
     first = balanced_count(n, q) * (1.0 - y / q) ** k
     second = 0.0
     for tables_seen, flat in enumerate(_balanced_pair_measures(n, q)):

@@ -28,7 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from .util import BudgetExceededError, log_factorial, logsumexp
+from .util import (BudgetExceededError, check_beta, check_int, check_q, check_state,
+                   log_factorial, logsumexp)
 
 # q^N cap: admits 2^14 and 3^9, the stated per-q defaults.
 DEFAULT_ENUM_BUDGET = 20_000
@@ -43,12 +44,7 @@ class ModelParams:
     c: float
 
     def __post_init__(self):
-        if not isinstance(self.q, (int, np.integer)) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not (0.0 <= self.c < math.inf):
-            raise ValueError(f"c must be finite and >= 0, got {self.c}")
+        check_state(self.beta, self.c, self.q)
 
 
 def as_couplings(J) -> np.ndarray:
@@ -89,13 +85,19 @@ def hamiltonian(sigma, J) -> float | int:
     return int(total) if np.issubdtype(J.dtype, np.integer) else float(total)
 
 
+def _check_finite_beta(name: str, beta: float) -> None:
+    """check_beta, then ValueError at beta = inf, where `name` has no value."""
+    check_beta(beta)
+    if beta == math.inf:
+        raise ValueError(f"{name} requires finite beta")
+
+
 def _check_budget(q: int, n: int, max_configs: float) -> int:
     """q^n, the number of configurations, after checking q and the budget.
 
     The power is taken on int(q): a numpy q ** n would wrap.
     """
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"q must be an integer >= 1, got {q}")
+    check_q(q, 1)
     n_states = int(q) ** n
     if n_states > max_configs:
         raise BudgetExceededError(
@@ -193,8 +195,7 @@ def log_partition(J, beta: float, q: int,
     beta = inf limit is only meaningful for entropy_density and for the
     balanced restricted counting in the disorder module.
     """
-    if not (0.0 <= beta < math.inf):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    _check_finite_beta("log_partition", beta)
     energies, log_mult, _ = _class_energies(J, q, max_configs)
     return float(logsumexp(log_mult - beta * energies))
 
@@ -208,8 +209,7 @@ def pressure_density(J, beta: float, q: int,
 def gibbs_weights(J, beta: float, q: int,
                   max_configs: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """Boltzmann-Gibbs probabilities of all q^N configurations."""
-    if not (0.0 <= beta < math.inf):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    _check_finite_beta("gibbs_weights", beta)
     energies = all_energies(J, q, max_configs)
     w = -beta * energies
     w -= w.max()
@@ -227,8 +227,7 @@ def entropy_density(J, beta: float, q: int,
     the count sums the integer multiplicities q!/(q-b)! of the
     minimum-energy classes, exactly.
     """
-    if not beta >= 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    check_beta(beta)
     energies, log_mult, reps = _class_energies(J, q, max_configs)
     n = reps.shape[1]
     emin = energies.min()
@@ -268,8 +267,7 @@ def gibbs_replica_expectation(J, beta: float, q: int, n_replicas: int, f,
     """
     J = as_couplings(J)
     n = J.shape[0]
-    if n_replicas < 1:
-        raise ValueError("need at least one replica")
+    check_int("n_replicas", n_replicas)
     _check_budget(q, n * n_replicas, max_configs)
     w = gibbs_weights(J, beta, q, max_configs)
     n_states = len(w)

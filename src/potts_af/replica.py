@@ -53,9 +53,9 @@ from functools import cache, update_wrapper
 
 import numpy as np
 
-from .bounds import _check_c, annealed_pressure, x_param
-from .util import (BudgetExceededError, log_factorial, poisson_cutoff,
-                   poisson_pmf_vector, poisson_sf)
+from .bounds import annealed_pressure, x_param
+from .util import (BudgetExceededError, check_c, check_int, check_q, check_state, check_tol,
+                   log_factorial, poisson_cutoff, poisson_pmf_vector, poisson_sf)
 
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
 PROFILE_BLOCK_CELLS = 2**14  # cap on (t, colour class) cells in one block of the profile sum
@@ -84,7 +84,7 @@ def _check_t(t: float, q: int) -> None:
 
 
 def g2(beta: float, c: float, q: int, t: float) -> float:
-    _check_c(c)
+    check_c(c)
     return pair_sum(c, q, *pair_logs(beta, q, t), 0.0)
 
 
@@ -289,8 +289,8 @@ def _binomial_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
     """(ln A, ln B, max |ln|) for the g1 factors A = 1 - (q-1) x t, B = 1 + x t."""
-    _check_t(t, q)
     x = x_param(beta, q)
+    _check_t(t, q)
     a = 1.0 - (q - 1) * x * t
     b = 1.0 + x * t
     if a <= 0.0 or b <= 0.0:
@@ -302,8 +302,8 @@ def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
 def pair_logs(beta: float, q: int, t: float) -> tuple[float, float]:
     """(ln lo, ln hi) for the g2 pair factors lo = 1 - (q-1) x t^2, taken by
     a matching pair, and hi = 1 + x t^2."""
-    _check_t(t, q)
     x = x_param(beta, q)
+    _check_t(t, q)
     hi = 1.0 + x * t * t
     lo = 1.0 - (q - 1) * x * t * t
     if lo <= 0.0 or hi <= 0.0:
@@ -340,8 +340,7 @@ def profile_sum(c: float, q: int, log_a, log_b, m: float, mag, eps: float):
     entry keeps its own k_max and tail, and the results are arrays of that
     shape.  Scalars give scalars.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_tol("eps", eps)
     shape = np.shape(mag)
     log_a, log_b, mag = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (log_a, log_b, mag))
     value, tail = np.zeros(mag.size), np.zeros(mag.size)
@@ -417,7 +416,7 @@ def g1(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> tuple[flo
 
     Returns (value, tail) where tail bounds the dropped k > k_max mass.
     """
-    _check_c(c)
+    check_c(c)
     log_a, log_b, mag = factor_logs(beta, q, t)
     value, tail, _ = profile_sum(c, q, log_a, log_b, 0.0, mag, eps)
     return value, tail
@@ -454,16 +453,15 @@ def rs_bound(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> RsE
 
 def instability(beta: float, c: float, q: int) -> bool:
     """True iff c x(beta, q)^2 > 1: the symmetric RS point is locally unstable."""
-    if not c >= 0:
-        raise ValueError("c must be >= 0")
+    check_c(c)
     return c * x_param(beta, q) ** 2 > 1.0
 
 
 def t_grid(q: int, points: int = 201) -> np.ndarray:
     """Uniform scan grid of at most MAX_T_POINTS points on the ansatz domain
     [-1/(q-1), 1]."""
-    if q < 2 or points < 1:
-        raise ValueError(f"need q >= 2 and at least one t point, got q={q}, points={points}")
+    check_q(q)
+    check_int("points", points)
     if points > MAX_T_POINTS:
         raise BudgetExceededError(f"t grid of {points} points exceeds {MAX_T_POINTS}")
     return np.linspace(-1.0 / (q - 1), 1.0, points)
@@ -486,6 +484,8 @@ def quartic_coefficients(beta: float, c: float, q: int, h: float = 0.05,
     that.  References are the closed forms -(1/4)(q-1) c^2 x^4 and
     -(1/4)(q-1) c x^2.
     """
+    check_state(beta, c, q)
+    check_tol("eps", eps)
     if eps > 1e-10:
         raise ValueError("quartic extraction requires g1 eps <= 1e-10")
     x = x_param(beta, q)

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_c, annealed_pressure, beta_1, x_param
+from .bounds import annealed_pressure, beta_1, x_param
+from .util import check_beta, check_c, check_q
 
 CERTIFIED_TOL = 1e-9
 GRID_POINTS = 401
@@ -55,8 +56,8 @@ class OverlapMeasure:
         m = np.asarray(self.mass, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("overlap measure must be a square array")
-        if np.any(m < -1e-15):
-            raise ValueError("overlap measure entries must be >= 0")
+        if not np.all(np.isfinite(m) & (m >= -1e-15)):
+            raise ValueError("overlap measure entries must be finite and >= 0")
         if abs(m.sum() - 1.0) > 1e-12:
             raise ValueError("overlap measure must sum to 1")
         object.__setattr__(self, "mass", m)
@@ -83,20 +84,18 @@ class SecondMomentResult:
 
 
 def uniform_overlap(q: int) -> OverlapMeasure:
+    check_q(q)
     return OverlapMeasure(np.full((q, q), 1.0 / q**2))
-
-
-def _y(beta: float) -> float:
-    if not beta >= 0:
-        raise ValueError("beta must be >= 0")
-    return 1.0 if beta == math.inf else -math.expm1(-beta)
 
 
 def phi2(beta: float, kappa: float, q: int, mu: OverlapMeasure) -> float:
     """Entropy plus energy of a pair-overlap measure; beta = inf allowed."""
+    check_q(q)
+    check_beta(beta)
+    check_c(kappa, "kappa")
     if mu.q != q:
         raise ValueError(f"measure is on [{mu.q}]^2, expected [{q}]^2")
-    y = _y(beta)
+    y = -math.expm1(-beta)
     m = mu.mass
     nz = m[m > 0]
     entropy = -float(np.dot(nz, np.log(nz)))
@@ -111,6 +110,7 @@ def mu_kt(q: int, k: float, t: float) -> OverlapMeasure:
     Non-integer k does not define a measure (k enters Phi2_kt as a real
     parameter only), so it is rejected here.
     """
+    check_q(q)
     if not (0 <= t <= q):
         raise ValueError(f"t must lie in [0, {q}], got {t}")
     if not (0 <= k <= q):
@@ -137,7 +137,7 @@ def _row_entropy(t, q: int):
 
 def phi2_kt_gap(beta: float, c: float, q: int, k: float, t: float) -> float:
     """Phi2(beta, c, q, k, t) - 2 P(beta, c), computed without cancellation."""
-    _check_c(c)
+    check_c(c)
     if not (0 <= t <= q) or not (0 <= k <= q):
         raise ValueError(f"(k, t) must lie in [0, {q}]^2, got ({k}, {t})")
     x = x_param(beta, q)
@@ -161,6 +161,9 @@ def rescale(beta: float, q: int, c: float, k: float) -> tuple[float, float]:
     holds for every t; at beta = inf the map is the identity.
     """
     lam = rescale_multiplier(beta, q)
+    check_c(c)
+    if not 0 <= k <= q:
+        raise ValueError(f"k must lie in [0, {q}], got {k}")
     return lam * c, q - lam * (q - k)
 
 
@@ -171,6 +174,7 @@ def rescale_multiplier(beta: float, q: int) -> float:
 
 def zero_t_connectivity(beta: float, c: float, q: int) -> float:
     """Effective connectivity x^2 q^2 c gating the guaranteed t* = 1 region."""
+    check_c(c)
     return x_param(beta, q) ** 2 * q * q * c
 
 
@@ -297,7 +301,7 @@ def optimize(beta: float, c: float, q: int) -> SecondMomentResult:
     square by branch and bound over t-cells, run only if max_gap is too.
     Every field is a plain Python float or bool.
     """
-    _check_c(c)
+    check_c(c)
     slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
 
     def best(pts):
@@ -320,6 +324,7 @@ def ising_gap(beta: float, c: float, theta: float) -> float:
     the symmetric point is 4 (c x^2 - 1), so theta = 1/2 goes unstable
     exactly on the beta_rs_loc(c, 2) boundary.
     """
+    check_c(c)
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     x = x_param(beta, 2)

@@ -1,5 +1,9 @@
-"""Shared numerical plumbing: Poisson weights and tails, log-factorials,
-seeded RNG streams, cutoffs, log-sum-exp.
+"""Shared numerical plumbing: argument rules, Poisson weights and tails,
+log-factorials, seeded RNG streams, cutoffs, log-sum-exp.
+
+The argument rules (check_q, check_beta, check_c, check_int, check_tol)
+are stated here once; every public entry point calls them before any
+search, table build or draw, and each raises ValueError naming the argument.
 
 Every stochastic routine in the package draws from an SFC64 generator
 (stream) keyed by an explicit integer seed, or by a child of one
@@ -28,6 +32,42 @@ class BudgetExceededError(RuntimeError):
 # to 0.42 ms a draw on one core of a 2-core Xeon), and near 10^8 draws its
 # per-draw arrays alone would outgrow a 1 GiB address space.
 MAX_MC_SAMPLES = 1_000_000
+
+
+def check_int(name: str, value, low: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= low; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_q(q, low: int = 2) -> None:
+    """q colours: an integer >= 2, or >= 1 in the balanced sector."""
+    check_int("q", q, low)
+
+
+def check_beta(beta: float) -> None:
+    """beta >= 0, math.inf allowed; NaN fails."""
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+
+
+def check_c(c: float, name: str = "c") -> None:
+    """A connectivity (c, or phi2's kappa): finite and >= 0."""
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {c}")
+
+
+def check_state(beta: float, c: float, q) -> None:
+    """The rules of one model triple (beta, c, q)."""
+    check_q(q)
+    check_beta(beta)
+    check_c(c)
+
+
+def check_tol(name: str, value: float) -> None:
+    """A tolerance or truncation target: > 0; NaN fails."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 def check_samples(samples: int) -> None:

@@ -231,8 +231,8 @@ def test_cascade_infinite_beta_skips_pressure(tmp_path):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["rs-scan", "--q", "2", "--beta", "1", "--c", "4", "--t-points", "0"], "t point"),
-    (["rs-scan", "--q", "1", "--beta", "1", "--c", "4"], "q >= 2"),
+    (["rs-scan", "--q", "2", "--beta", "1", "--c", "4", "--t-points", "0"], "points must be"),
+    (["rs-scan", "--q", "1", "--beta", "1", "--c", "4"], "q must be an integer >= 2"),
     (["pressure", "--q", "2", "--beta", "1", "--c", "2", "--n", "0"], "n must be"),
     (["pressure", "--q", "2", "--beta", "1", "--c", "2", "--n", "0", "--method", "mc"],
      "n must be"),
@@ -243,6 +243,7 @@ def test_cascade_infinite_beta_skips_pressure(tmp_path):
     (["cascade", "--q", "2", "--beta", "inf", "--c", "1", "--n", "3", "--m-list", "0,1",
       "--hierarchy", "symmetric-t", "--t", "1", "--method", "monte-carlo"],
      "degenerate product factor"),
+    (["rs-scan", "--q", "2", "--beta", "1", "--c", "inf"], "c must be finite"),
 ])
 def test_bad_parameters_are_structured_errors(tmp_path, args, message):
     out = tmp_path / "bad.json"

@@ -134,13 +134,13 @@ PARAMS = ModelParams(q=2, beta=1.0, c=4.0)
 
 @pytest.mark.parametrize("mc_samples", [1, 0, -5])
 def test_sum_rule_rejects_fewer_than_two_samples(no_draws, mc_samples):
-    with pytest.raises(ValueError, match="mc_samples must be >= 2"):
+    with pytest.raises(ValueError, match="mc_samples must be an integer >= 2"):
         sum_rule_deficit(PARAMS, 6, r_max=4, quad_points=3, mc_samples=mc_samples)
 
 
 @pytest.mark.parametrize("mc_samples", [0, -3])
 def test_quenched_pressure_rejects_fewer_than_one_sample(no_draws, mc_samples):
-    with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+    with pytest.raises(ValueError, match="mc_samples must be an integer >= 1"):
         quenched_pressure_exact(PARAMS, 6, eps=2e-4, mc_samples=mc_samples)
 
 
@@ -149,7 +149,7 @@ def test_quenched_pressure_rejects_fewer_than_one_sample(no_draws, mc_samples):
     lambda budget: sum_rule_deficit(PARAMS, 5, 4, 3, exact_budget=budget),
 ], ids=["quenched_pressure_exact", "sum_rule_deficit"])
 def test_negative_exact_budget_rejected(no_draws, estimator):
-    with pytest.raises(ValueError, match="exact_budget must be >= 0"):
+    with pytest.raises(ValueError, match="exact_budget must be an integer >= 0"):
         estimator(-1)
 
 
