@@ -105,9 +105,8 @@ class CascadeSpec:
     """Tree depth and level parameters 0 <= m_1 < ... < m_L <= 1, L <= 3.
 
     The endpoints stand for limits, never for tiny numeric stand-ins:
-    m_1 = 0 is the outer limit m_1 -> 0 (first_to_zero) and m_L = 1 the
-    inner limit m_L -> 1 (last_to_one).  Only the levels strictly inside
-    (0, 1) keep atoms.
+    m_1 = 0 is the outer limit m_1 -> 0 and m_L = 1 the inner limit m_L -> 1
+    (last_to_one).  Only the levels strictly inside (0, 1) keep atoms.
     """
 
     levels: tuple[float, ...]
@@ -125,10 +124,6 @@ class CascadeSpec:
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    @property
-    def first_to_zero(self) -> bool:
-        return self.levels[0] == 0.0
 
     @property
     def last_to_one(self) -> bool:
@@ -230,8 +225,6 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     scale_mismatch * c * xi of fresh draws; scale_mismatch != 1 is the
     deliberate power check and should fail.
     """
-    from scipy.stats import ks_2samp  # deferred: scipy.stats dominates import time
-
     check_int("draws", draws, 10)
     check_samples(draws)
     _check_pd_atoms(n_atoms)
@@ -244,6 +237,8 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
         raise ValueError(f"scale_mismatch must be finite and > 0, got {scale_mismatch}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    from scipy.stats import ks_2samp  # deferred: scipy.stats dominates import time
+
     c_ref = math.exp(0.5 * m * sigma * sigma) * scale_mismatch
     rng = stream(seed)
     mult_top = np.empty((draws, top))
@@ -304,12 +299,11 @@ def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec
     _, log_match, log_other, log_ann = _leaf_factors(params, spec, hier, which)
     if which == "g2":
         return 0.5 * c * log_ann + pair_sum(c, q, log_match, log_other, m), 0.0
-    mag = max(abs(log_match), abs(log_other))
-    if mag == math.inf and c > 0.0:  # sampled leaves at beta = inf bound no k-term
+    if log_match == -math.inf and c > 0.0:  # sampled leaves at beta = inf bound no k-term
         if m == 0.0:
             raise BudgetExceededError("the m -> 0 limit of G1 diverges at beta = inf")
         raise ValueError(FINITE_BETA)
-    val, tail, _ = profile_sum(c, q, log_match, log_other, m, mag, eps)
+    val, tail, _ = profile_sum(c, q, log_match, log_other, m, eps)
     return math.log(q) + c * log_ann + val, tail
 
 

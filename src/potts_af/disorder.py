@@ -65,8 +65,8 @@ from threading import Lock
 
 import numpy as np
 
-from .model import (DEFAULT_ENUM_BUDGET, ModelParams, _check_budget, _check_finite_beta,
-                    as_couplings, colour_classes, config_energies)
+from .model import (ModelParams, _check_budget, _check_finite_beta, as_couplings, colour_classes,
+                    config_energies)
 from .util import (BudgetExceededError, check_beta, check_c, check_int, check_poisson_mean,
                    check_q, check_samples, check_tol, child_seeds, log_multinomial, logsumexp,
                    multinomial_table, multiset_permutations, poisson_cutoff, poisson_pmf_vector,
@@ -78,6 +78,8 @@ METHOD_MC = "monte-carlo"
 # pair-count multisets per M kept exact while C(P+M-1, M) stays below this
 DEFAULT_EXACT_BUDGET = 60_000
 DEFAULT_MC_SAMPLES = 4096
+# cap on the balanced sector's states and on its doubly balanced pair measures
+BALANCED_BUDGET = 500_000
 M_MAX_CAP = 100_000
 CHUNK = 4096  # placement rows per kernel call
 # beta E above this would push e^{-beta E} towards underflow (e^-600 ~ 1e-261)
@@ -260,12 +262,6 @@ def _placements(rng: np.random.Generator, p: int, m: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _mc_placements(n: int, m: int, samples: int,
-                   seed: np.random.SeedSequence) -> np.ndarray:
-    """M uniform pair edges per sample, as counts over the P pairs."""
-    return _placements(stream(seed), n * (n - 1) // 2, np.full(samples, m))
-
-
 def _conditional_average(n: int, m: int, per_j, samples: int,
                          seed: np.random.SeedSequence, exact_budget: int):
     """E[f(J) | M = m] with f vectorized over pair-count row batches.
@@ -287,7 +283,7 @@ def _conditional_average(n: int, m: int, per_j, samples: int,
         mean = sum(np.tensordot(weights[i:i + CHUNK], per_j(jrows[i:i + CHUNK]), axes=1)
                    for i in range(0, len(jrows), CHUNK))
         return mean, np.zeros_like(mean), 0
-    jrows = _mc_placements(n, m, samples, seed)
+    jrows = _placements(stream(seed), n * (n - 1) // 2, np.full(samples, m))
     vals = np.concatenate([per_j(jrows[i:i + CHUNK]) for i in range(0, samples, CHUNK)])
     mean = vals.mean(axis=0)
     sem = vals.std(axis=0, ddof=1) / math.sqrt(samples)
@@ -301,16 +297,15 @@ def _check_strata(mc_samples: int, least: int, exact_budget: int) -> None:
     check_samples(mc_samples)
 
 
-def _check_system(name: str, n: int, q: int, beta: float, max_configs: float) -> None:
+def _check_system(name: str, n: int, q: int, beta: float) -> None:
     check_int("n", n)
     _check_finite_beta(name, beta)
-    _check_budget(q, n, max_configs)
+    _check_budget(q, n)
 
 
 def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
                             seed: int = 0, mc_samples: int = DEFAULT_MC_SAMPLES,
-                            exact_budget: int = DEFAULT_EXACT_BUDGET,
-                            max_configs: int = DEFAULT_ENUM_BUDGET) -> QuenchedEstimate:
+                            exact_budget: int = DEFAULT_EXACT_BUDGET) -> QuenchedEstimate:
     """p_N(beta, c) by pair-edge-count conditioning with a certified tail.
 
     The self-loops contribute -beta c/2N exactly.  Exact averages over
@@ -322,7 +317,7 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     q, beta, c = params.q, params.beta, params.c
     check_tol("eps", eps)
     _check_strata(mc_samples, 1, exact_budget)
-    _check_system("quenched_pressure_exact", n, q, beta, max_configs)
+    _check_system("quenched_pressure_exact", n, q, beta)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
 
@@ -349,8 +344,7 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     return QuenchedEstimate(value, stat, m_tail(m_max), int(used.sum()), METHOD_EXACT)
 
 
-def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
-                         max_configs: int = DEFAULT_ENUM_BUDGET) -> QuenchedEstimate:
+def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -> QuenchedEstimate:
     """Plain Monte Carlo over iid pair sums J_ij + J_ji ~ Poisson(c/N), with
     -beta tr J/N replaced by its mean -beta c/2N.
 
@@ -362,7 +356,7 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int,
     q, beta, c = params.q, params.beta, params.c
     check_int("samples", samples, 2)  # two for a standard error
     check_samples(samples)
-    _check_system("quenched_pressure_mc", n, q, beta, max_configs)
+    _check_system("quenched_pressure_mc", n, q, beta)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
     check_poisson_mean(c * (n - 1) / 2.0, c)
@@ -402,14 +396,14 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     otherwise ignored.  tail_bound adds the geometric R > r_max remainder
     and the certified M cutoff error (k_tail_eps bounds its Poisson tail).
     The colour classes number about q^n / q!, so q^n is held to
-    DEFAULT_ENUM_BUDGET like the quenched pressures' default.
+    model.DEFAULT_ENUM_BUDGET, as in the quenched pressures.
     """
     q, beta, c = params.q, params.beta, params.c
     check_int("r_max", r_max)
     check_int("quad_points", quad_points, 3)
     check_tol("k_tail_eps", k_tail_eps)
     _check_strata(mc_samples, 2, exact_budget)
-    _check_system("sum_rule_deficit", n, q, beta, DEFAULT_ENUM_BUDGET)
+    _check_system("sum_rule_deficit", n, q, beta)
     y = -math.expm1(-beta)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(0.5 * c * (beta + math.log1p(-y / q)), 0.0, 0.0, 0, METHOD_EXACT)
@@ -454,8 +448,7 @@ def balanced_count(n: int, q: int) -> int:
     return math.factorial(n) // math.factorial(n // q) ** q
 
 
-def restricted_partition_balanced(J, beta: float, q: int,
-                                  max_states: int = 500_000) -> float:
+def restricted_partition_balanced(J, beta: float, q: int) -> float:
     """ln of the balanced-sector partition function.
 
     Sums e^{-beta H} over configurations with exactly N/q sites of each
@@ -463,14 +456,14 @@ def restricted_partition_balanced(J, beta: float, q: int,
     configurations with sigma_0 = 0 onto those with sigma_0 = s and keeps
     H, so only sigma_0 = 0 is enumerated and ln Z = ln q + ln Z(sigma_0 =
     0).  At beta = inf this counts balanced proper colorings (zero
-    energy); returns -inf when none exist.  max_states caps the sector
-    size N!/((N/q)!)^q.
+    energy); returns -inf when none exist.  BALANCED_BUDGET, read at call
+    time, caps the sector size N!/((N/q)!)^q.
     """
     J = as_couplings(J)
     check_beta(beta)
     n = J.shape[0]
     states = balanced_count(n, q)
-    if states > max_states:
+    if states > BALANCED_BUDGET:
         raise BudgetExceededError("balanced sector too large to enumerate")
     rest = [n // q - 1] + [n // q] * (q - 1)  # colors of sites 1..N-1
     cfg = np.zeros((states // q, n), dtype=np.int8)
@@ -498,14 +491,16 @@ def _balanced_pair_measures(n: int, q: int):
     yield from tables(np.full(q, n // q), q)
 
 
-def conditional_moments_balanced(n: int, q: int, beta: float, k: int,
-                                 max_tables: int = 500_000) -> tuple[float, float]:
+def conditional_moments_balanced(n: int, q: int, beta: float, k: int) -> tuple[float, float]:
     """Exact E[Z~ | K] and E[Z~^2 | K] for the balanced partition function.
 
     First moment: |balanced| (1 - (1-e^-beta)/q)^K.  Second moment: sum
     over integer doubly balanced pair measures mu of the multinomial count
     times exp(K w(beta, q, mu)) with
-    w = ln(1 - 2(1-e^-beta)/q + (1-e^-beta)^2 sum mu^2).
+    w = ln(1 - 2(1-e^-beta)/q + (1-e^-beta)^2 sum mu^2).  The log's argument
+    is 0 only at q = 1, beta = inf, where every edge is monochromatic: then
+    Z~ = 0 for K >= 1, and K w reads 0 at K = 0.  BALANCED_BUDGET, read at
+    call time, caps the number of pair measures.
     """
     check_int("k", k, 0)
     check_beta(beta)
@@ -513,11 +508,12 @@ def conditional_moments_balanced(n: int, q: int, beta: float, k: int,
     first = balanced_count(n, q) * (1.0 - y / q) ** k
     second = 0.0
     for tables_seen, flat in enumerate(_balanced_pair_measures(n, q)):
-        if tables_seen >= max_tables:
+        if tables_seen >= BALANCED_BUDGET:
             raise BudgetExceededError(
-                f"more than {max_tables} balanced pair measures at n = {n}, q = {q}"
+                f"more than {BALANCED_BUDGET} balanced pair measures at n = {n}, q = {q}"
             )
         mu_sq = sum((cell / n) ** 2 for cell in flat)
-        w = math.log(1.0 - 2.0 * y / q + y * y * mu_sq)
-        second += math.exp(log_multinomial(flat) + k * w)
+        base = 1.0 - 2.0 * y / q + y * y * mu_sq
+        k_w = k * math.log(base) if base > 0.0 else (-math.inf if k else 0.0)
+        second += math.exp(log_multinomial(flat) + k_w)
     return first, second

@@ -12,8 +12,8 @@ the pressure and the entropy are sums over the colour classes of [q]^N
 its multiplicity), 2^(N-1) classes at q = 2 instead of 2^N
 configurations.  Gibbs weights, energies in counting order and replica
 expectations still enumerate all q^N configurations.  Either way the
-q^N state-space size is guarded by an explicit budget; the default
-admits N <= 14 at q = 2 and N <= 9 at q = 3.
+q^N state-space size is held to DEFAULT_ENUM_BUDGET, read at call time,
+which admits N <= 14 at q = 2 and N <= 9 at q = 3.
 
 Configurations are indexed in mixed-radix counting order (site N-1 is the
 fastest digit).  Colors are 0-based throughout: sigma_i in {0, .., q-1}.
@@ -92,16 +92,17 @@ def _check_finite_beta(name: str, beta: float) -> None:
         raise ValueError(f"{name} requires finite beta")
 
 
-def _check_budget(q: int, n: int, max_configs: float) -> int:
-    """q^n, the number of configurations, after checking q and the budget.
+def _check_budget(q: int, n: int) -> int:
+    """q^n, the number of configurations, after checking q and DEFAULT_ENUM_BUDGET.
 
     The power is taken on int(q): a numpy q ** n would wrap.
     """
     check_q(q, 1)
     n_states = int(q) ** n
-    if n_states > max_configs:
+    if n_states > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"enumerating {n_states} configurations exceeds enumeration budget {max_configs}"
+            f"enumerating {n_states} configurations exceeds enumeration budget "
+            f"{DEFAULT_ENUM_BUDGET}"
         )
     return n_states
 
@@ -165,14 +166,14 @@ def colour_classes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return indicator, log_mult
 
 
-def all_energies(J, q: int, max_configs: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+def all_energies(J, q: int) -> np.ndarray:
     """Energies of all q^N configurations, in counting order."""
     J = as_couplings(J)
     n = J.shape[0]
-    return config_energies(config_block(n, q, 0, _check_budget(q, n, max_configs)), J)
+    return config_energies(config_block(n, q, 0, _check_budget(q, n)), J)
 
 
-def _class_energies(J, q: int, max_configs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _class_energies(J, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H, log multiplicity, representative) per colour class of J.
 
     J and q are validated and the q^N budget is checked before any table
@@ -180,13 +181,12 @@ def _class_energies(J, q: int, max_configs: int) -> tuple[np.ndarray, np.ndarray
     no (classes, pairs) indicator is formed.
     """
     J = as_couplings(J)
-    _check_budget(q, J.shape[0], max_configs)
+    _check_budget(q, J.shape[0])
     reps, log_mult = class_representatives(J.shape[0], int(q))
     return config_energies(reps, J), log_mult, reps
 
 
-def log_partition(J, beta: float, q: int,
-                  max_configs: int = DEFAULT_ENUM_BUDGET) -> float:
+def log_partition(J, beta: float, q: int) -> float:
     """ln Z(J) = ln sum_sigma exp(-beta H(sigma, J)), summed over the colour
     classes with their multiplicities.
 
@@ -196,29 +196,26 @@ def log_partition(J, beta: float, q: int,
     balanced restricted counting in the disorder module.
     """
     _check_finite_beta("log_partition", beta)
-    energies, log_mult, _ = _class_energies(J, q, max_configs)
+    energies, log_mult, _ = _class_energies(J, q)
     return float(logsumexp(log_mult - beta * energies))
 
 
-def pressure_density(J, beta: float, q: int,
-                     max_configs: int = DEFAULT_ENUM_BUDGET) -> float:
+def pressure_density(J, beta: float, q: int) -> float:
     """Finite-volume pressure ln Z / N."""
-    return log_partition(J, beta, q, max_configs) / np.shape(J)[0]
+    return log_partition(J, beta, q) / np.shape(J)[0]
 
 
-def gibbs_weights(J, beta: float, q: int,
-                  max_configs: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+def gibbs_weights(J, beta: float, q: int) -> np.ndarray:
     """Boltzmann-Gibbs probabilities of all q^N configurations."""
     _check_finite_beta("gibbs_weights", beta)
-    energies = all_energies(J, q, max_configs)
+    energies = all_energies(J, q)
     w = -beta * energies
     w -= w.max()
     w = np.exp(w)
     return w / w.sum()
 
 
-def entropy_density(J, beta: float, q: int,
-                    max_configs: int = DEFAULT_ENUM_BUDGET) -> float:
+def entropy_density(J, beta: float, q: int) -> float:
     """Gibbs entropy per site, -(1/N) sum_sigma w(sigma) ln w(sigma), summed
     over the colour classes with their multiplicities.
 
@@ -228,7 +225,7 @@ def entropy_density(J, beta: float, q: int,
     minimum-energy classes, exactly.
     """
     check_beta(beta)
-    energies, log_mult, reps = _class_energies(J, q, max_configs)
+    energies, log_mult, reps = _class_energies(J, q)
     n = reps.shape[1]
     emin = energies.min()
     if beta == math.inf:
@@ -257,19 +254,18 @@ def empirical_measure(replicas, s) -> float:
     return float(hits.mean())
 
 
-def gibbs_replica_expectation(J, beta: float, q: int, n_replicas: int, f,
-                              max_configs: int = DEFAULT_ENUM_BUDGET) -> float:
+def gibbs_replica_expectation(J, beta: float, q: int, n_replicas: int, f) -> float:
     """<f> under the R-fold product Gibbs measure, by full enumeration.
 
     f maps an (R, N) replica bundle to a real.  The product state space has
-    q^(N*R) terms and is budget-guarded; pass a factorized f through R = 1
-    calls when that blows up.
+    q^(N*R) terms and is held to DEFAULT_ENUM_BUDGET; pass a factorized f
+    through R = 1 calls when that blows up.
     """
     J = as_couplings(J)
     n = J.shape[0]
     check_int("n_replicas", n_replicas)
-    _check_budget(q, n * n_replicas, max_configs)
-    w = gibbs_weights(J, beta, q, max_configs)
+    _check_budget(q, n * n_replicas)
+    w = gibbs_weights(J, beta, q)
     n_states = len(w)
     configs = config_block(n, q, 0, n_states)
     total = 0.0

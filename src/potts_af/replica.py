@@ -287,8 +287,8 @@ def _binomial_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return accept, _alias_picks(alias, j), bounds
 
 
-def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
-    """(ln A, ln B, max |ln|) for the g1 factors A = 1 - (q-1) x t, B = 1 + x t."""
+def factor_logs(beta: float, q: int, t: float) -> tuple[float, float]:
+    """(ln A, ln B) for the g1 factors A = 1 - (q-1) x t, B = 1 + x t."""
     x = x_param(beta, q)
     _check_t(t, q)
     a = 1.0 - (q - 1) * x * t
@@ -296,7 +296,7 @@ def factor_logs(beta: float, q: int, t: float) -> tuple[float, float, float]:
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"degenerate product factor at x={x}, t={t}, q={q} "
                          "(requires beta < inf)")
-    return math.log(a), math.log(b), max(abs(math.log(a)), abs(math.log(b)))
+    return math.log(a), math.log(b)
 
 
 def pair_logs(beta: float, q: int, t: float) -> tuple[float, float]:
@@ -328,21 +328,22 @@ def pair_sum(c: float, q: int, log_match: float, log_other: float, m: float) -> 
     return 0.5 * c * (log_other + math.log1p(math.expm1(m * (log_match - log_other)) / q) / m)
 
 
-def profile_sum(c: float, q: int, log_a, log_b, m: float, mag, eps: float):
+def profile_sum(c: float, q: int, log_a, log_b, m: float, eps: float):
     """sum_k pi_c(k) (1/m) ln E_tau[W_k^m] with a certified Poisson tail.
 
     W_k = (1/q) sum_s A^{n_s} B^{k-n_s} over k iid uniform colors, and m = 0
-    stands for the limit E_tau[ln W_k].  `mag` bounds |ln A| and |ln B|, so
+    stands for the limit E_tau[ln W_k].  With mag = max(|ln A|, |ln B|),
     every k-term is at most k mag in size.  Returns (value, tail, k_max):
     tail = mag c P(K >= k_max) bounds the dropped k > k_max terms.
 
-    log_a, log_b and mag may be equal-shape arrays, one entry per t; each
-    entry keeps its own k_max and tail, and the results are arrays of that
-    shape.  Scalars give scalars.
+    log_a and log_b may be equal-shape arrays, one entry per t; each entry
+    keeps its own k_max and tail, and the results are arrays of that shape.
+    Scalars give scalars.
     """
     check_tol("eps", eps)
-    shape = np.shape(mag)
-    log_a, log_b, mag = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (log_a, log_b, mag))
+    shape = np.shape(log_a)
+    log_a, log_b = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (log_a, log_b))
+    mag = np.maximum(np.abs(log_a), np.abs(log_b))
     value, tail = np.zeros(mag.size), np.zeros(mag.size)
     k_max = np.zeros(mag.size, dtype=np.int64)
     # c = 0 or mag = 0 gives W_k = 1 for every profile that carries weight
@@ -417,8 +418,7 @@ def g1(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> tuple[flo
     Returns (value, tail) where tail bounds the dropped k > k_max mass.
     """
     check_c(c)
-    log_a, log_b, mag = factor_logs(beta, q, t)
-    value, tail, _ = profile_sum(c, q, log_a, log_b, 0.0, mag, eps)
+    value, tail, _ = profile_sum(c, q, *factor_logs(beta, q, t), 0.0, eps)
     return value, tail
 
 
@@ -437,9 +437,8 @@ def _rs_evaluations(beta: float, c: float, q: int, ts, eps: float) -> list[RsEva
         for tt in t.tolist():  # raises the error of the first bad t
             factor_logs(beta, q, tt), pair_logs(beta, q, tt)
     log_a, log_b = (np.array(list(map(math.log, v.tolist())), dtype=np.float64) for v in (a, b))
-    mag = np.maximum(np.abs(log_a), np.abs(log_b))
     val2 = [pair_sum(c, q, math.log(u), math.log(v), 0.0) for u, v in zip(lo.tolist(), hi.tolist())]
-    val1, tail, k_max = profile_sum(c, q, log_a, log_b, 0.0, mag, eps)
+    val1, tail, k_max = profile_sum(c, q, log_a, log_b, 0.0, eps)
     for i, v1, v2, k, tb in zip(moving, val1.tolist(), val2, k_max.tolist(), tail.tolist()):
         out[i] = RsEvaluation(g1=v1, g2=v2, gap=v1 - v2, rs_bound=pressure + (v1 - v2),
                               k_truncation=k, tail_bound=tb)
@@ -485,6 +484,8 @@ def quartic_coefficients(beta: float, c: float, q: int, h: float = 0.05,
     -(1/4)(q-1) c x^2.
     """
     check_state(beta, c, q)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
     check_tol("eps", eps)
     if eps > 1e-10:
         raise ValueError("quartic extraction requires g1 eps <= 1e-10")
@@ -496,8 +497,8 @@ def quartic_coefficients(beta: float, c: float, q: int, h: float = 0.05,
 
     # one profile sum over the six t the stencils use: +-h/2, +-h, +-2h
     ts = [s * f * h for f in (0.5, 1.0, 2.0) for s in (1.0, -1.0)]
-    log_a, log_b, mag = np.array([factor_logs(beta, q, t) for t in ts]).T
-    g1_at = dict(zip(ts, profile_sum(c, q, log_a, log_b, 0.0, mag, eps)[0].tolist()))
+    log_a, log_b = np.array([factor_logs(beta, q, t) for t in ts]).T
+    g1_at = dict(zip(ts, profile_sum(c, q, log_a, log_b, 0.0, eps)[0].tolist()))
 
     def even_g1(tt: float) -> float:
         return 0.5 * (g1_at[tt] + g1_at[-tt])

@@ -66,13 +66,10 @@ class OverlapMeasure:
     def q(self) -> int:
         return self.mass.shape[0]
 
-    def has_uniform_marginals(self, tol: float = 1e-12) -> bool:
-        """Membership test for the doubly balanced class M_*([q]^2)."""
-        target = 1.0 / self.q
-        return bool(
-            np.all(np.abs(self.mass.sum(axis=0) - target) <= tol)
-            and np.all(np.abs(self.mass.sum(axis=1) - target) <= tol)
-        )
+    def has_uniform_marginals(self) -> bool:
+        """Membership test for the doubly balanced class M_*([q]^2), to 1e-12."""
+        marginals = np.concatenate([self.mass.sum(axis=0), self.mass.sum(axis=1)])
+        return bool(np.all(np.abs(marginals - 1.0 / self.q) <= 1e-12))
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ TOLERANCES = [
     ("rs_bound", "eps", lambda v: pa.rs_bound(1.0, 2.0, 2, 0.3, eps=v)),
     ("scan_rs_bound", "eps", lambda v: pa.scan_rs_bound(1.0, 2.0, 2, 5, eps=v)),
     ("quartic_coefficients", "eps", lambda v: pa.quartic_coefficients(1.0, 2.0, 2, eps=v)),
-    ("profile_sum", "eps", lambda v: profile_sum(2.0, 2, -0.1, 0.1, 0.0, 0.1, v)),
+    ("profile_sum", "eps", lambda v: profile_sum(2.0, 2, -0.1, 0.1, 0.0, v)),
     ("rsb_upper_bound", "eps",
      lambda v: pa.rsb_upper_bound(_params(), 2, pa.rs_spec(), pa.uniform_hierarchy(2), eps=v)),
 ]
@@ -265,6 +265,8 @@ REGRESSIONS = [
     ("balanced_count(4, 2.0)", lambda: pa.balanced_count(4, 2.0), "q must be an integer"),
     ("OverlapMeasure(nan)", lambda: OverlapMeasure(np.full((2, 2), NAN)),
      "overlap measure entries must be finite"),
+    *((f"quartic_coefficients(h={h})", lambda h=h: pa.quartic_coefficients(1.0, 2.0, 2, h=h),
+       "h must be finite and > 0") for h in (0.0, -0.05, NAN, INF)),
 ]
 
 ROWS = [*_c_rows(), *_beta_rows(), *_q_rows(), *_count_rows(), *_tolerance_rows(),

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,8 +53,8 @@ def test_cascade_spec_reads_limits_from_levels():
     assert CascadeSpec((0.0, 1.0)) == rs_spec()
     assert CascadeSpec((0.0, 0.5, 1.0)) == one_rsb_spec(0.5)
     spec = CascadeSpec((0.0, 0.4))
-    assert spec.first_to_zero and not spec.last_to_one and spec.atom_levels == (0.4,)
-    assert not annealed_spec().first_to_zero and annealed_spec().last_to_one
+    assert not spec.last_to_one and spec.atom_levels == (0.4,)
+    assert annealed_spec().last_to_one
     with pytest.raises(TypeError):
         CascadeSpec((0.0, 1.0), first_to_zero=True)
 
@@ -441,6 +443,17 @@ def test_stability_top_checked_before_any_draw(monkeypatch, top):
     monkeypatch.setattr("potts_af.cascade.stream", _refuse_draws)
     with pytest.raises(ValueError, match="top"):
         stability_test(0.5, 10, 100, 1, top=top)
+
+
+def test_stability_rejects_arguments_before_importing_scipy_stats():
+    # scipy.stats took over a second to import before a bad draw count was refused
+    code = ("import sys; from potts_af import stability_test\n"
+            "try:\n    stability_test(0.5, 16, 9, 1)\nexcept ValueError:\n    pass\n"
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_numpy_integer_n_atoms_accepted():

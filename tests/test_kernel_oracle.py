@@ -519,7 +519,7 @@ def test_budget_guard_builds_no_class_table(fn):
     class_representatives.cache_clear()
     colour_classes.cache_clear()  # its log multiplicities are class_representatives' arrays
     with pytest.raises(BudgetExceededError):
-        fn(np.zeros((9, 9), dtype=int), 1.0, 3, max_configs=3**9 - 1)
+        fn(np.zeros((10, 10), dtype=int), 1.0, 3)  # 3^10 configurations, past the budget
     info = class_representatives.cache_info()
     assert info.currsize == 0 and info.misses == 0
 

@@ -114,11 +114,11 @@ def test_profile_sum_matches_brute_force(form):
     params = ModelParams(q=q, beta=beta, c=c)
     annealed_g1 = math.log(q) + c * math.log1p(math.expm1(-beta) / q)
     if form == "l1":
-        log_a, log_b, mag, m = -beta, 0.0, beta, 0.5
+        log_a, log_b, m = -beta, 0.0, 0.5
         library = cavity_g1(params, 3, CascadeSpec((m,)), uniform_hierarchy(q),
                             eps=eps).value - math.log(q)
     else:
-        log_a, log_b, mag = factor_logs(beta, q, t)
+        log_a, log_b = factor_logs(beta, q, t)
         if form == "rs":
             m = 0.0
             library = g1(beta, c, q, t, eps)[0]
@@ -126,7 +126,7 @@ def test_profile_sum_matches_brute_force(form):
             m = 0.5
             library = cavity_g1(params, 3, one_rsb_spec(m), symmetric_t_hierarchy(q, t),
                                 eps=eps).value - annealed_g1
-    value, tail, k_max = profile_sum(c, q, log_a, log_b, m, mag, eps)
+    value, tail, k_max = profile_sum(c, q, log_a, log_b, m, eps)
     assert 1 <= k_max <= 6
     assert tail <= eps
     brute = brute_profile_sum(c, q, log_a, log_b, m, k_max)
@@ -176,11 +176,11 @@ def test_profile_blocks_do_not_change_values(monkeypatch):
     # one t per block gives the same bits as the default block cap
     q, beta, c = 3, 2.0, 10.0
     ts = t_grid(q, 41)
-    log_a, log_b, mag = np.array([factor_logs(beta, q, float(t)) for t in ts]).T
+    log_a, log_b = np.array([factor_logs(beta, q, float(t)) for t in ts]).T
     for m in (0.0, 0.5):
-        default = profile_sum(c, q, log_a, log_b, m, mag, 1e-10)
+        default = profile_sum(c, q, log_a, log_b, m, 1e-10)
         monkeypatch.setattr("potts_af.replica.PROFILE_BLOCK_CELLS", 1)
-        single = profile_sum(c, q, log_a, log_b, m, mag, 1e-10)
+        single = profile_sum(c, q, log_a, log_b, m, 1e-10)
         monkeypatch.undo()
         for got, want in zip(single, default):
             assert np.array_equal(got, want)

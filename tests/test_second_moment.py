@@ -281,9 +281,24 @@ def test_prelimit_first_moment_stirling_trend():
     assert all(b < a for a, b in zip(deficits, deficits[1:]))
 
 
-def test_conditional_moments_budget_guard():
-    from potts_af.disorder import conditional_moments_balanced
+def test_conditional_moments_budget_guard(monkeypatch):
+    from potts_af import disorder
     from potts_af.util import BudgetExceededError
 
+    monkeypatch.setattr(disorder, "BALANCED_BUDGET", 5)
     with pytest.raises(BudgetExceededError):
-        conditional_moments_balanced(12, 3, 1.0, 1, max_tables=5)
+        disorder.conditional_moments_balanced(12, 3, 1.0, 1)
+    with pytest.raises(BudgetExceededError):  # 6 balanced states at N = 4, q = 2
+        disorder.restricted_partition_balanced(np.zeros((4, 4)), 1.0, 2)
+
+
+def test_conditional_moments_single_colour_at_zero_temperature():
+    # q = 1, beta = inf: every edge is monochromatic, so Z~ = 0 once K >= 1;
+    # these raised a math domain error from ln 0
+    from potts_af.disorder import conditional_moments_balanced
+
+    assert conditional_moments_balanced(3, 1, math.inf, 0) == (1.0, 1.0)
+    for k in (1, 4):
+        assert conditional_moments_balanced(3, 1, math.inf, k) == (0.0, 0.0)
+    first, second = conditional_moments_balanced(4, 2, math.inf, 2)
+    assert abs(first - 1.5) <= 1e-12 and abs(second - 4.5) <= 1e-12
