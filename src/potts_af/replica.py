@@ -480,12 +480,15 @@ def quartic_coefficients(beta: float, c: float, q: int, h: float = 0.05,
     Even five-point stencil: with gh = (g(h) + g(-h))/2, the combination
     (gh(2h) - 4 gh(h)) / (12 h^4) kills the t^2 term and leaves the quartic
     coefficient with an O(h^2) error; one Richardson level in h removes
-    that.  References are the closed forms -(1/4)(q-1) c^2 x^4 and
+    that.  h lies in (0, 1/(2(q-1))], so that +-2h stays in the t domain.
+    References are the closed forms -(1/4)(q-1) c^2 x^4 and
     -(1/4)(q-1) c x^2.
     """
     check_state(beta, c, q)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and > 0, got {h}")
+    if h > 0.5 / (q - 1):  # past it, -2h or +2h leaves the t domain [-1/(q-1), 1]
+        raise ValueError(f"h must be <= 1/(2(q-1)) = {0.5 / (q - 1)} at q = {q}, got {h}")
     check_tol("eps", eps)
     if eps > 1e-10:
         raise ValueError("quartic extraction requires g1 eps <= 1e-10")

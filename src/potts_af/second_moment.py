@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,28 +194,42 @@ def _profile(alpha, ent, c: float, q: int, top):
     return w, 0.5 * c * np.log1p(alpha * w) - w * ent / (q * q)
 
 
-def _certify(slope: float, c: float, q: int, edges: np.ndarray) -> bool:
+def _certify(slope: float, c: float, q: int, edges: np.ndarray,
+             s: np.ndarray, e: np.ndarray) -> bool:
     """Branch and bound over the t-cells between edges: True if gap <= CERTIFIED_TOL.
 
-    With s = (t-1)^2, a = slope s is at most its larger endpoint value on a
-    cell and E at least its smaller one (both convex, E zero at t = 1); on a
-    cell touching t = 1, E >= s min E''/2 (E'' = 1/t + 1/(q-t)) bounds the gap
-    in w = s u <= q max s.  Failing cells are bisected up to MAX_CELLS.
+    s = (t-1)^2 and e = E(t) are given at the edges, as `_scan_grid` holds
+    them.  a = slope s is at most its larger end value on a cell and E at
+    least its smaller one (both convex, E zero at t = 1); on a cell touching
+    t = 1, E >= s min E''/2 (E'' = 1/t + 1/(q-t)) bounds the gap in
+    w = s u <= q max s.  Failing cells are bisected up to MAX_CELLS; each
+    child inherits (t, s, E) at the end it shares with its parent, so every
+    round evaluates s and E at the new midpoints only.  Past MAX_CELLS the
+    answer is False, even where the maximum is <= CERTIFIED_TOL: at beta =
+    inf that happens at q = 3 for c from 1.261883 to 1.261901 times the
+    x^2 q^2 c = 2 q ln q gate, and at q = 2 for c - 1 = 1e-6, 1e-5 and 7e-5.
     """
-    lo, hi, seen = edges[:-1], edges[1:], 0
-    while lo.size:
-        seen += lo.size
+    ends = np.array([edges, s, e])  # rows t, s, E at every cell end
+    lo, hi, seen = ends[:, :-1], ends[:, 1:], 0
+    while True:
+        seen += lo.shape[1]
         if seen > MAX_CELLS:
             return False
-        touch = (lo <= 1.0) & (hi >= 1.0)
-        flat, s_max = np.minimum(hi, 0.5 * q), np.maximum((lo - 1.0) ** 2, (hi - 1.0) ** 2)
-        e_min = _row_entropy(np.stack([lo, hi]), q).min(axis=0)
-        ent = np.where(touch, 0.5 / flat + 0.5 / (q - flat), e_min)
-        fail = _profile(slope * np.where(touch, 1.0, s_max), ent, c, q,
-                        np.where(touch, q * s_max, float(q)))[1] > CERTIFIED_TOL
-        lo, hi, mid = lo[fail], hi[fail], 0.5 * (lo[fail] + hi[fail])
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    return True
+        s_max = np.maximum(lo[1], hi[1])
+        alpha, ent, top = slope * s_max, np.minimum(lo[2], hi[2]), float(q)
+        touch = ((lo[0] <= 1.0) & (hi[0] >= 1.0)).nonzero()[0]
+        if touch.size:  # the cells touching t = 1 take the Taylor bound
+            flat = np.minimum(hi[0, touch], 0.5 * q)
+            top = np.full(alpha.size, top)
+            alpha[touch], ent[touch] = slope, 0.5 / flat + 0.5 / (q - flat)
+            top[touch] = q * s_max[touch]
+        fail = (_profile(alpha, ent, c, q, top)[1] > CERTIFIED_TOL).nonzero()[0]
+        if not fail.size:
+            return True
+        lo, hi = lo.take(fail, axis=1), hi.take(fail, axis=1)
+        t = 0.5 * (lo[0] + hi[0])
+        mid = np.array([t, (t - 1.0) ** 2, _row_entropy(t, q)])
+        lo, hi = np.concatenate([lo, mid], axis=1), np.concatenate([mid, hi], axis=1)
 
 
 def _profile_slope(t: float, slope: float, c: float, q: int) -> float:
@@ -262,12 +277,14 @@ def _close_bracket(near: float, f_near: float, far: float, f_far: float,
 
 
 def _local_candidates(pts: np.ndarray, i: int, slope: float, c: float, q: int) -> list[float]:
-    """pts[i] and the ends of the closed brackets on roots of g' beside it.
+    """The ends of the closed brackets on roots of g' beside pts[i], the
+    candidates besides pts[i] itself.
 
     g rises into the neighbour cell on the side of g'(pts[i]); if g' keeps
     its sign over that cell, the far end is the candidate.  g' = 0 at the
     best point means t = 1, where g'' has the sign of c x^2 - 1: when that
-    is positive, g rises into both cells and both are searched.
+    is positive, g rises into both cells and both are searched; otherwise
+    there is no candidate.
     """
     t = float(pts[i])
     d = _profile_slope(t, slope, c, q)
@@ -276,8 +293,8 @@ def _local_candidates(pts: np.ndarray, i: int, slope: float, c: float, q: int) -
     elif t == 1.0 and c * slope * q * (q - 1.0) > 1.0:
         signs, f_near = [-1.0, 1.0], math.inf
     else:
-        return [t]
-    cand = [t]
+        return []
+    cand = []
     for sign in signs:
         far = float(pts[i + int(sign)])
         f_far = sign * _profile_slope(far, slope, c, q)
@@ -285,32 +302,49 @@ def _local_candidates(pts: np.ndarray, i: int, slope: float, c: float, q: int) -
     return cand
 
 
+@lru_cache(maxsize=16)
+def _scan_grid(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan points ts (GRID_POINTS points of [0, q] plus t = 1), (ts-1)^2
+    and E(ts), read-only: shared by every `optimize` call at this q."""
+    ts = np.union1d(np.linspace(0.0, q, GRID_POINTS), [1.0])
+    grid = ts, (ts - 1.0) ** 2, _row_entropy(ts, q)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def optimize(beta: float, c: float, q: int) -> SecondMomentResult:
     """Maximize Phi2 - 2P over (k, t) in [0, q]^2.
 
     k is eliminated in closed form; the exact profile g(t) = max_k gap is
-    scanned on GRID_POINTS points of [0, q] plus t = 1.  Beside the best
-    point, a bracketed root of the analytic g' is closed to a width of
-    5e-14 q (`_local_candidates`), and the best of that point and the
-    bracket ends is returned.  Ties go to the lowest k, then the lowest t,
-    so the symmetric zero gives t* = 1, k* = 0 exactly.
+    scanned on GRID_POINTS points of [0, q] plus t = 1, whose (t-1)^2 and
+    E(t) are computed once per q (`_scan_grid`).  Beside the best point, a
+    bracketed root of the analytic g' is closed to a width of 5e-14 q
+    (`_local_candidates`), and the best of that point, which keeps its scan
+    values, and the bracket ends is returned.  Ties go to the lowest k,
+    then the lowest t, so the symmetric zero gives t* = 1, k* = 0 exactly.
     certified proves (up to rounding) gap <= CERTIFIED_TOL on the whole
     square by branch and bound over t-cells, run only if max_gap is too.
+    It starts from the scan's values, and each cell inherits its end values.
+    certified=False with max_gap <= CERTIFIED_TOL means the proof ran past
+    MAX_CELLS (see `_certify` for the bands where it does).
     Every field is a plain Python float or bool.
     """
     check_c(c)
     slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
 
-    def best(pts):
-        u, g = _profile(slope * (pts - 1.0) ** 2, _row_entropy(pts, q), c, q, float(q))
+    def best(pts, u, g):
         i = int(np.lexsort((pts, -u, -g))[0])  # ties: largest u (lowest k), then lowest t
-        return i, float(u[i]), float(g[i])
+        return i, float(pts[i]), float(u[i]), float(g[i])
 
-    ts = np.union1d(np.linspace(0.0, q, GRID_POINTS), [1.0])
-    cand = np.unique(_local_candidates(ts, best(ts)[0], slope, c, q))
-    j, u, g = best(cand)
-    certified = g <= CERTIFIED_TOL and _certify(slope, c, q, ts)
-    return SecondMomentResult(float(cand[j]), float(q - u), g, bool(certified))
+    ts, s, e = _scan_grid(q)
+    i, t, u, g = best(ts, *_profile(slope * s, e, c, q, float(q)))
+    ends = np.array(_local_candidates(ts, i, slope, c, q))
+    if ends.size:
+        u_end, g_end = _profile(slope * (ends - 1.0) ** 2, _row_entropy(ends, q), c, q, float(q))
+        _, t, u, g = best(np.append(t, ends), np.append(u, u_end), np.append(g, g_end))
+    certified = g <= CERTIFIED_TOL and _certify(slope, c, q, ts, s, e)
+    return SecondMomentResult(t, float(q - u), g, bool(certified))
 
 
 def ising_gap(beta: float, c: float, theta: float) -> float:

@@ -13,6 +13,7 @@ such step fail loudly with an AssertionError.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,11 @@ REGRESSIONS = [
      "overlap measure entries must be finite"),
     *((f"quartic_coefficients(h={h})", lambda h=h: pa.quartic_coefficients(1.0, 2.0, 2, h=h),
        "h must be finite and > 0") for h in (0.0, -0.05, NAN, INF)),
+    # steps whose -2h (q = 3) or +2h (q = 2) stencil point leaves the t domain
+    ("quartic_coefficients(q=3, h=0.3)", lambda: pa.quartic_coefficients(1.0, 2.0, 3, h=0.3),
+     "h must be <= 1/(2(q-1)) = 0.25 at q = 3, got 0.3"),
+    ("quartic_coefficients(q=2, h=0.6)", lambda: pa.quartic_coefficients(1.0, 4.0, 2, h=0.6),
+     "h must be <= 1/(2(q-1)) = 0.5 at q = 2, got 0.6"),
 ]
 
 ROWS = [*_c_rows(), *_beta_rows(), *_q_rows(), *_count_rows(), *_tolerance_rows(),
@@ -276,7 +282,7 @@ ROWS = [*_c_rows(), *_beta_rows(), *_q_rows(), *_count_rows(), *_tolerance_rows(
 @pytest.mark.parametrize("call, message", [row[1:] for row in ROWS],
                          ids=[row[0] for row in ROWS])
 def test_bad_argument_raises_value_error_naming_it(no_work, call, message):
-    with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 
@@ -287,3 +293,5 @@ def test_good_arguments_pass_the_rules(q):
     assert pa.x_param(INF, q) == 1.0 / (q - 1)
     assert pa.balanced_count(int(q), 1) == 1
     assert pa.conditional_moments_balanced(2, 1, 1.0, np.int64(0)) == (1.0, 1.0)
+    # the largest stencil step, h = 1/(2(q-1)), puts -2h on the end of the t domain
+    assert all(map(math.isfinite, pa.quartic_coefficients(1.0, 2.0, q, h=0.5 / (q - 1))))

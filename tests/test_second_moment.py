@@ -194,6 +194,30 @@ def test_certification_gives_up_past_the_cell_cap(monkeypatch):
     assert res.max_gap == 0.0 and not res.certified
 
 
+def test_scan_grid_is_computed_once_and_read_only():
+    for q in (2, 3, 5):
+        ts = np.union1d(np.linspace(0.0, q, sm.GRID_POINTS), [1.0])
+        fresh = (ts, (ts - 1.0) ** 2, sm._row_entropy(ts, q))
+        cached = sm._scan_grid(q)
+        assert cached is sm._scan_grid(q)
+        for got, want in zip(cached, fresh):
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            cached[2][0] = 1.0
+
+
+def test_optimize_does_not_depend_on_the_grid_cache():
+    points = [(q, beta, f * 2 * math.log(q) / (x_param(beta, q) ** 2 * q))
+              for beta, f in ((1.0, 0.5), (math.inf, 1.1), (2.0, 3.0)) for q in (2, 3, 4)]
+    warm = [optimize(beta, c, q) for q, beta, c in points]
+    sm._scan_grid.cache_clear()
+    by_q = {p: optimize(p[1], p[2], p[0]) for p in sorted(points)}  # one q after another
+    sm._scan_grid.cache_clear()
+    assert [optimize(beta, c, q) for q, beta, c in points] == warm  # q changes every call
+    assert [by_q[p] for p in points] == warm
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     q=st.integers(2, 6),

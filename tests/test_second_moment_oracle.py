@@ -10,22 +10,32 @@ The zoom oracle is the t search that preceded the bracketed root of g':
 the same 402-point scan, then rounds of 129 points around the best point,
 each 64 times finer, down to a spacing below 5e-14 q, with the same tie
 rule and the same branch-and-bound certificate.
+
+The endpoint oracle is the branch-and-bound certificate that evaluated
+(t-1)^2 and E(t) at both ends of every cell in every round.  The
+certificate that reuses the scan's values and lets cells inherit their
+end values must hand `_profile` the same cells, round by round, and so
+reach the same verdict.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from potts_af import second_moment as sm
 from potts_af.bounds import x_param
 from potts_af.second_moment import (
     CERTIFIED_TOL,
+    MAX_CELLS,
     _certify,
     _local_candidates,
     _profile,
     _row_entropy,
+    _scan_grid,
     in_guaranteed_region,
     optimize,
     phi2_kt_gap,
@@ -95,6 +105,35 @@ def oracle_optimize(beta, c, q, grid_points=401):
     return gap_best, gap_best <= CERTIFIED_TOL
 
 
+def endpoint_certify(slope: float, c: float, q: int, edges: np.ndarray) -> bool:
+    """Branch and bound over the t-cells between edges: True if gap <= CERTIFIED_TOL.
+
+    With s = (t-1)^2, a = slope s is at most its larger endpoint value on a
+    cell and E at least its smaller one (both convex, E zero at t = 1); on a
+    cell touching t = 1, E >= s min E''/2 (E'' = 1/t + 1/(q-t)) bounds the gap
+    in w = s u <= q max s.  Failing cells are bisected up to MAX_CELLS.
+    """
+    lo, hi, seen = edges[:-1], edges[1:], 0
+    while lo.size:
+        seen += lo.size
+        if seen > MAX_CELLS:
+            return False
+        touch = (lo <= 1.0) & (hi >= 1.0)
+        flat, s_max = np.minimum(hi, 0.5 * q), np.maximum((lo - 1.0) ** 2, (hi - 1.0) ** 2)
+        e_min = _row_entropy(np.stack([lo, hi]), q).min(axis=0)
+        ent = np.where(touch, 0.5 / flat + 0.5 / (q - flat), e_min)
+        fail = _profile(slope * np.where(touch, 1.0, s_max), ent, c, q,
+                        np.where(touch, q * s_max, float(q)))[1] > CERTIFIED_TOL
+        lo, hi, mid = lo[fail], hi[fail], 0.5 * (lo[fail] + hi[fail])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return True
+
+
+def certify_at(slope, c, q, edges):
+    """`_certify` on edges, with (t-1)^2 and E(t) evaluated there."""
+    return _certify(slope, c, q, edges, (edges - 1.0) ** 2, _row_entropy(edges, q))
+
+
 def zoom_optimize(beta, c, q, grid_points=401):
     """(t*, k*, max_gap, certified) of the scan plus six 129-point zoom rounds."""
     slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
@@ -107,7 +146,7 @@ def zoom_optimize(beta, c, q, grid_points=401):
         if h <= 5e-14 * q:
             break
         pts, h = np.clip(pts[i] + h * steps, 0.0, q), h / 64
-    certified = g[i] <= CERTIFIED_TOL and _certify(slope, c, q, ts)
+    certified = g[i] <= CERTIFIED_TOL and certify_at(slope, c, q, ts)
     return float(pts[i]), q - float(u[i]), float(g[i]), bool(certified)
 
 
@@ -175,7 +214,9 @@ def test_certify_is_sound_on_random_cells():
             lo, hi = sorted(float(v) for v in rng.uniform(0.0, q, 2))
         gaps = _oracle_grid(beta, c, q, q * ks, np.linspace(lo, hi, 401))
         slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
-        if _certify(slope, c, q, np.array([lo, hi])):
+        certified = certify_at(slope, c, q, np.array([lo, hi]))
+        assert certified == endpoint_certify(slope, c, q, np.array([lo, hi]))
+        if certified:
             checked += 1
             assert gaps.max() <= CERTIFIED_TOL, (q, beta, c, lo, hi, gaps.max())
     assert checked > 100
@@ -186,6 +227,9 @@ def _assert_matches_zoom(beta, c, q):
     t_zoom, _, gap_zoom, certified_zoom = zoom_optimize(beta, c, q)
     assert abs(res.max_gap - gap_zoom) <= 1e-13, (q, beta, c, res, gap_zoom)
     assert res.certified == certified_zoom, (q, beta, c, res, certified_zoom)
+    if res.max_gap <= CERTIFIED_TOL:  # where optimize runs the certificate
+        slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
+        assert res.certified == endpoint_certify(slope, c, q, _scan_grid(q)[0]), (q, beta, c)
     if in_guaranteed_region(beta, c, q):
         assert abs(res.t_star - 1.0) <= 1e-9, (q, beta, c, res)
     return res, t_zoom
@@ -239,3 +283,60 @@ def test_maxima_inside_the_cells_beside_t_one(beta, excess):
     g = _profile(slope * (cand - 1.0) ** 2, _row_entropy(cand, q), c, q, float(q))[1]
     for side in (cand < 1.0, cand > 1.0):
         assert g[side].max() == pytest.approx(res.max_gap, abs=1e-13)
+
+
+# points where the maximum is <= CERTIFIED_TOL but the proof runs past MAX_CELLS
+CAP_BANDS = [
+    *((3, math.inf, _gate_c(math.inf, 3, f)) for f in (1.261883, 1.26189, 1.2619, 1.261901)),
+    *((2, math.inf, 1.0 + excess) for excess in (1e-6, 1e-5, 7e-5)),
+]
+
+
+def _profile_inputs(monkeypatch, module):
+    """Record the (alpha, ent, top) of every `_profile` call made through module."""
+    calls, profile = [], module._profile
+
+    def record(alpha, ent, c, q, top):
+        calls.append(tuple(np.broadcast_arrays(alpha, ent, top)))
+        return profile(alpha, ent, c, q, top)
+
+    monkeypatch.setattr(module, "_profile", record)
+    return calls
+
+
+def _assert_same_cells(monkeypatch, beta, c, q):
+    """The certificate and the endpoint oracle evaluate the same cells, round by
+    round, bit for bit, and give the same verdict; returns that verdict."""
+    slope = x_param(beta, q) ** 2 / (q * (q - 1.0))
+    ts, s, e = _scan_grid(q)
+    with monkeypatch.context() as m:
+        new_calls = _profile_inputs(m, sm)
+        certified = _certify(slope, c, q, ts, s, e)
+    with monkeypatch.context() as m:
+        old_calls = _profile_inputs(m, sys.modules[__name__])
+        assert certified == endpoint_certify(slope, c, q, ts), (q, beta, c)
+    assert len(new_calls) == len(old_calls), (q, beta, c)
+    for new, old in zip(new_calls, old_calls):
+        for a, b in zip(new, old):
+            assert a.tobytes() == b.tobytes(), (q, beta, c)
+    return certified
+
+
+@pytest.mark.parametrize("q, beta, c", CAP_BANDS)
+def test_certify_gives_up_in_the_cap_bands_like_the_endpoint_oracle(monkeypatch, q, beta, c):
+    res = optimize(beta, c, q)
+    assert res.max_gap <= CERTIFIED_TOL and not res.certified, res
+    assert not _assert_same_cells(monkeypatch, beta, c, q)
+
+
+@pytest.mark.parametrize("cap", [100, 500, 2_000])
+def test_certify_hits_the_cell_cap_where_the_endpoint_oracle_does(monkeypatch, cap):
+    # both read MAX_CELLS at call time: the certificate from its module, the
+    # oracle from this one
+    monkeypatch.setattr(sm, "MAX_CELLS", cap)
+    monkeypatch.setattr(sys.modules[__name__], "MAX_CELLS", cap)
+    verdicts = [_assert_same_cells(monkeypatch, beta, c, q)
+                for q in (2, 3, 4) for beta in (1.0, math.inf)
+                for c in [_gate_c(beta, q, f) for f in (0.5, 1.0, 1.2, 1.25, 1.26)]
+                + [(1.0 + 1e-3) / x_param(beta, q) ** 2]]
+    assert any(verdicts) == (cap > 401) and not all(verdicts)
