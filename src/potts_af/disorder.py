@@ -21,6 +21,18 @@ M <= 20 exact at N = 4, M <= 9 at N = 5 and M <= 6 at N = 6.  A stratum with a s
 (P = 1, or M = 0) is a point mass and exact whatever the budget.  N = 1
 has no pairs, and p_1 = ln q - beta c/2 exactly.
 
+Both stratified averages, the pressure and the sum rule below, run one
+strata pass (_conditional_average).  The exact strata share kernel calls:
+their orbit tables are read one after another in blocks of at most CHUNK
+rows, so a block can hold the end of one stratum and the start of the
+next, and each block's weighted values are summed per stratum.  A Monte
+Carlo stratum with weight share s among the strata gets
+max(256, min(8 mc, floor(4 mc s) + 1)) samples for mc = mc_samples
+(_sample_plan), drawn CHUNK rows at a time.  The pressure's share is the
+Poisson weight pi(M); the sum rule's is its stratum weight over the sum
+of the weights of its Monte Carlo strata.  The planned total is held to
+util.MAX_MC_SAMPLES before any seed is split.
+
 The exact path never lists the multisets.  ln Z and the pair overlaps
 do not change when the N sites are relabelled, so it averages over
 orbit tables instead: the table of M edges is that of M - 1 with one
@@ -41,7 +53,7 @@ entering through a matrix-vector product.  While beta times the largest
 edge count stays below UNSHIFTED_EXPONENT (600) no weight can underflow
 and none is shifted; past it each row is shifted by its least energy,
 which is added back as beta E_min.  Z <= q^N cannot overflow.  Each
-quenched average writes the weights of every chunk of rows into one
+quenched average writes the weights of every block of rows into one
 workspace allocated per call.
 
 The same conditioning evaluates the sum-rule deficit
@@ -81,7 +93,7 @@ DEFAULT_MC_SAMPLES = 4096
 # cap on the balanced sector's states and on its doubly balanced pair measures
 BALANCED_BUDGET = 500_000
 M_MAX_CAP = 100_000
-CHUNK = 4096  # placement rows per kernel call
+CHUNK = 2048  # pair-count rows per kernel call
 # beta E above this would push e^{-beta E} towards underflow (e^-600 ~ 1e-261)
 UNSHIFTED_EXPONENT = 600.0
 _TABLES_LOCK = Lock()  # one grower at a time for the shared orbit tables
@@ -180,9 +192,13 @@ def _overlap_moments(rows: np.ndarray, n: int, q: int, beta: float, r_max: int,
     sums = np.empty((r_max, len(rows)))  # sum_{i<j} M_ij^R per R and row
     power = m.copy()
     for ridx in range(r_max):
-        np.sum(power, axis=0, out=sums[ridx])
-        power *= m
-    return ((n + 2.0 * sums) / (n * n)).T
+        if ridx:
+            power *= m
+        np.add.reduce(power, axis=0, out=sums[ridx])
+    sums *= 2.0
+    sums += n
+    sums /= n * n
+    return sums.T
 
 
 @lru_cache(maxsize=16)
@@ -262,36 +278,103 @@ def _placements(rng: np.random.Generator, p: int, m: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _conditional_average(n: int, m: int, per_j, samples: int,
-                         seed: np.random.SeedSequence, exact_budget: int):
-    """E[f(J) | M = m] with f vectorized over pair-count row batches.
+def _mc_strata(n: int, m_max: int, exact_budget: int) -> np.ndarray:
+    """True for each stratum M = 0..m_max that Monte Carlo averages: more
+    than one and more than exact_budget pair-count multisets,
+    C(P + M - 1, M)."""
+    p = n * (n - 1) // 2
+    return np.array([comb(p + m - 1, m) > max(1, exact_budget) for m in range(m_max + 1)])
 
-    Returns (mean, sem, n_samples); sem = 0 on the exact path, taken while
-    the C(P + M - 1, M) multisets fit exact_budget, and always when there
-    is only one.  The exact path averages over orbit tables, so there f
-    must be invariant under relabelling the sites, as ln Z and the pair
-    overlap sums are.  `per_j` maps a (B, P) batch of pair counts to a
-    (B, ...) value array; it sees at most CHUNK rows at a time, which caps
-    peak memory.  The callers' per_j write the class weights of every
-    chunk into one (CHUNK, classes) workspace allocated once per call
-    (_workspace), so a per_j must return fresh arrays, never views of its
-    workspace.  Needs n >= 2.
+
+def _sample_plan(mc_strata: np.ndarray, weights: np.ndarray, total: float,
+                 mc_samples: int) -> np.ndarray:
+    """Monte Carlo samples per stratum: max(256, min(8 mc, floor(4 mc share)
+    + 1)) with share = weights / total on the Monte Carlo strata, 0 on the
+    exact ones.  The planned sum is held to MAX_MC_SAMPLES here, before any
+    seed is split."""
+    budgets = np.zeros(len(mc_strata), dtype=np.int64)
+    budgets[mc_strata] = np.maximum(256, np.minimum(
+        8 * mc_samples, np.floor(4 * mc_samples * (weights[mc_strata] / total)) + 1))
+    check_samples(int(budgets.sum()))
+    return budgets
+
+
+def _conditional_average(n: int, per_j, budgets: np.ndarray,
+                         seeds: list[np.random.SeedSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """(means, sems): E[f(J) | M = m] and its standard error for every
+    stratum m = 0..len(budgets) - 1, with f vectorized over pair-count rows.
+
+    A stratum with budgets[m] = 0 is exact (sem 0): it averages over its
+    orbit table, so there f must be invariant under relabelling the sites,
+    as ln Z and the pair overlap sums are.  The exact strata share kernel
+    calls: their tables are read as one run of rows, cut into blocks of at
+    most CHUNK rows that may straddle strata, and each block's values are
+    weighted in place and summed per stratum by np.add.reduceat.  A stratum
+    with budgets[m] > 0 draws that many samples from stream(seeds[m]), at
+    most CHUNK rows at a time, and merges the blocks' means and squared
+    deviations (Chan et al.); a stratum of one block reduces as numpy's
+    mean and std would.  `per_j` maps a (B, P) batch of pair counts to a
+    fresh (B, ...) value array; it sees at most CHUNK rows at a time, which
+    caps peak memory, so its callers write the class weights of every block
+    into one (CHUNK, classes) workspace allocated once per call
+    (_workspace).  Needs n >= 2.
     """
-    multisets = comb(n * (n - 1) // 2 + m - 1, m)
-    if multisets == 1 or multisets <= exact_budget:
-        jrows, weights = _exact_placements(n, m)
-        mean = sum(np.tensordot(weights[i:i + CHUNK], per_j(jrows[i:i + CHUNK]), axes=1)
-                   for i in range(0, len(jrows), CHUNK))
-        return mean, np.zeros_like(mean), 0
-    jrows = _placements(stream(seed), n * (n - 1) // 2, np.full(samples, m))
-    vals = np.concatenate([per_j(jrows[i:i + CHUNK]) for i in range(0, samples, CHUNK)])
-    mean = vals.mean(axis=0)
-    sem = vals.std(axis=0, ddof=1) / math.sqrt(samples)
-    return mean, sem, samples
+    means, sems = [0.0] * len(budgets), {}
+    exact = np.flatnonzero(budgets == 0)
+    for rows, weights, owners, starts in _table_blocks([_exact_placements(n, m) for m in exact]):
+        vals = per_j(np.concatenate(rows, dtype=np.float64))
+        vals *= np.concatenate(weights).reshape(-1, *(1,) * (vals.ndim - 1))
+        for k, total in zip(owners, np.add.reduceat(vals, starts, axis=0)):
+            means[exact[k]] = means[exact[k]] + total
+    for m in np.flatnonzero(budgets):
+        means[m], sems[m] = _sampled_stratum(n, m, per_j, int(budgets[m]), stream(seeds[m]))
+    means = np.array(means)
+    errors = np.zeros_like(means)
+    for m, sem in sems.items():
+        errors[m] = sem
+    return means, errors
+
+
+def _sampled_stratum(n: int, m: int, per_j, samples: int, rng: np.random.Generator):
+    """(mean, sem) of per_j over `samples` draws of m uniform pair edges,
+    CHUNK rows at a time.  Each block's mean and squared deviations merge
+    into the running ones by Chan et al.'s update, which leaves a single
+    block exactly as numpy's mean and std(ddof=1) reduce it."""
+    seen, mean, squares = 0, 0.0, 0.0
+    for lo in range(0, samples, CHUNK):
+        vals = per_j(_placements(rng, n * (n - 1) // 2, np.full(min(CHUNK, samples - lo), m)))
+        size, block_mean = len(vals), vals.mean(axis=0)
+        dev = vals - block_mean
+        dev *= dev
+        delta = block_mean - mean
+        mean = mean + delta * (size / (seen + size))
+        squares = squares + dev.sum(axis=0) + delta * delta * (seen * size / (seen + size))
+        seen += size
+    return mean, np.sqrt(squares / (samples - 1)) / math.sqrt(samples)
+
+
+def _table_blocks(tables: list[tuple[np.ndarray, np.ndarray]]):
+    """The rows of (rows, weights) tables, read one table after another, in
+    blocks of at most CHUNK rows, as slices of the tables.  Yields (row
+    slices, weight slices, table index per slice, first block row per
+    slice)."""
+    k, lo = 0, 0  # table and row where the next block starts
+    while k < len(tables):
+        rows, weights, owners, starts, filled = [], [], [], [], 0
+        while filled < CHUNK and k < len(tables):
+            table_rows, table_weights = tables[k]
+            hi = min(len(table_weights), lo + CHUNK - filled)
+            rows.append(table_rows[lo:hi])
+            weights.append(table_weights[lo:hi])
+            owners.append(k)
+            starts.append(filled)
+            filled += hi - lo
+            k, lo = (k + 1, 0) if hi == len(table_weights) else (k, hi)
+        yield rows, weights, owners, starts
 
 
 def _check_strata(mc_samples: int, least: int, exact_budget: int) -> None:
-    """Validate the per-stratum sample count and the exact budget."""
+    """Validate the base sample count and the exact budget."""
     check_int("mc_samples", mc_samples, least)
     check_int("exact_budget", exact_budget, 0)
     check_samples(mc_samples)
@@ -310,9 +393,10 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
 
     The self-loops contribute -beta c/2N exactly.  Exact averages over
     the orbit tables per M while the multiset count fits exact_budget;
-    seeded Monte Carlo (samples proportional to the Poisson weight of M)
-    above it.  The M > M_max remainder is replaced by ln q and certified
-    by tail_bound = (beta/N) E[M 1{M > M_max}].
+    seeded Monte Carlo above it, max(256, min(8 mc_samples,
+    floor(4 mc_samples pi(M)) + 1)) samples per stratum.  The M > M_max
+    remainder is replaced by ln q and certified by tail_bound =
+    (beta/N) E[M 1{M > M_max}].
     """
     q, beta, c = params.q, params.beta, params.c
     check_tol("eps", eps)
@@ -326,22 +410,14 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     m_tail = lambda m: (beta / n) * lam * poisson_sf(m, lam)
     m_max = poisson_cutoff(m_tail, 0.5 * eps, M_MAX_CAP)
     pmf = poisson_pmf_vector(m_max, lam)
-    seeds = child_seeds(seed, m_max + 1)
+    budgets = _sample_plan(_mc_strata(n, m_max, exact_budget), pmf, 1.0, mc_samples)
 
     work = _workspace(n, q)
-    per_j = lambda rows: _lnz_batch(rows, n, q, beta, work) / n
-
-    def eval_m(m: int):
-        if m == 0:
-            return math.log(q), 0.0, 0
-        budget = mc_samples if pmf[m] <= 0 else max(
-            256, min(8 * mc_samples, int(4 * mc_samples * pmf[m]) + 1))
-        return _conditional_average(n, m, per_j, budget, seeds[m], exact_budget)
-
-    means, sems, used = map(np.array, zip(*(eval_m(m) for m in range(m_max + 1))))
+    means, sems = _conditional_average(n, lambda rows: _lnz_batch(rows, n, q, beta, work) / n,
+                                       budgets, child_seeds(seed, m_max + 1))
     value = float(pmf @ means) + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n)
     stat = math.sqrt(float(((pmf * sems) ** 2).sum()))
-    return QuenchedEstimate(value, stat, m_tail(m_max), int(used.sum()), METHOD_EXACT)
+    return QuenchedEstimate(value, stat, m_tail(m_max), int(budgets.sum()), METHOD_EXACT)
 
 
 def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -> QuenchedEstimate:
@@ -390,8 +466,13 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     moments E[N^-2 sum_ij M_ij(J)^R], which do not depend on the
     self-loops; they are computed by the same M-conditioning as the
     quenched pressure.  The c' integral is exact: the weight of M = m
-    integrates to (2/(N-1)) P(Poisson(c(N-1)/2) >= m + 1).  At N = 1 every
-    moment is 1 and the series sums to (c/2)(beta + ln(1 - y/q)) exactly.
+    integrates to w_m = (2/(N-1)) P(Poisson(c(N-1)/2) >= m + 1).  These
+    weights also place the samples: a Monte Carlo stratum m draws
+    max(256, min(8 mc_samples, floor(4 mc_samples s) + 1)) samples, with
+    s = w_m over the sum of w over the Monte Carlo strata, so mc_samples
+    sets the total (about 4 mc_samples plus the 256-sample floors), not a
+    per-stratum count.  At N = 1 every moment is 1 and the series sums to
+    (c/2)(beta + ln(1 - y/q)) exactly.
     quad_points is kept for compatibility; it is validated (>= 3) and
     otherwise ignored.  tail_bound adds the geometric R > r_max remainder
     and the certified M cutoff error (k_tail_eps bounds its Poisson tail).
@@ -410,27 +491,27 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
 
     lam = c * (n - 1) / 2.0
     m_max = poisson_cutoff(lambda m: poisson_sf(m + 1, lam), k_tail_eps, M_MAX_CAP)
-
-    rs = np.arange(1, r_max + 1)
-    seeds = child_seeds(seed, m_max + 1)
+    # exact c' integral of each Poisson weight: (2/(N-1)) P(Poisson(c(N-1)/2) >= m+1)
+    sf = np.array([poisson_sf(m + 1, lam) for m in range(m_max + 1)])
+    coef_m = sf * (2.0 / (n - 1))
+    mc_strata = _mc_strata(n, m_max, exact_budget)
+    budgets = _sample_plan(mc_strata, coef_m, coef_m[mc_strata].sum(), mc_samples)
 
     work = _workspace(n, q)
-    per_j = lambda rows: _overlap_moments(rows, n, q, beta, r_max, work)
-    means, sems, used = map(np.array, zip(*(  # (m_max+1, r_max) moments per M
-        _conditional_average(n, m, per_j, mc_samples, seeds[m], exact_budget)
-        for m in range(m_max + 1))))
-    total_samples = int(used.sum())
+    means, sems = _conditional_average(  # (m_max+1, r_max) moments per M
+        n, lambda rows: _overlap_moments(rows, n, q, beta, r_max, work), budgets,
+        child_seeds(seed, m_max + 1))
+    total_samples = int(budgets.sum())
 
+    rs = np.arange(1, r_max + 1)
     coef_r = 0.5 * np.power(y, rs) / rs  # series weights per R
-    # exact c' integral of each Poisson weight: (2/(N-1)) P(Poisson(c(N-1)/2) >= m+1)
-    coef_m = np.array([poisson_sf(m + 1, lam) for m in range(m_max + 1)]) * (2.0 / (n - 1))
     value = float(coef_r @ (coef_m @ means - np.power(float(q), -rs.astype(float)) * coef_m.sum()))
 
     # statistical error: deficit is linear in the per-M moment vector
     stat = math.sqrt(float((((sems * coef_m[:, None]) @ coef_r) ** 2).sum()))
 
     r_tail = 0.5 * c * y ** (r_max + 1) / ((r_max + 1) * (1.0 - y)) if y < 1 else math.inf
-    m_tail = c * float(coef_r.sum()) * poisson_sf(m_max + 1, lam)
+    m_tail = c * float(coef_r.sum()) * float(sf[m_max])
     return QuenchedEstimate(value, stat, r_tail + m_tail,
                             total_samples, METHOD_EXACT if total_samples == 0 else METHOD_MC)
 

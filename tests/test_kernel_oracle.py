@@ -40,6 +40,7 @@ from potts_af.disorder import (
     _conditional_average,
     _exact_placements,
     _lnz_batch,
+    _mc_strata,
     _orbit_tables,
     _overlap_moments,
     _workspace,
@@ -179,12 +180,22 @@ def uniform_pair_counts(rng: np.random.Generator, p: int, m) -> np.ndarray:
     return rows
 
 
+def stratum_average(n: int, m: int, per_j, samples: int, seed: np.random.SeedSequence,
+                    exact_budget: int = DEFAULT_EXACT_BUDGET):
+    """(mean, sem, samples) of f given M = m from the engine's pass over the
+    strata 0..m, where m alone may be Monte Carlo: `samples` draws from
+    `seed` once its multisets pass exact_budget."""
+    budgets = np.zeros(m + 1, dtype=np.int64)
+    budgets[m] = samples if _mc_strata(n, m, exact_budget)[m] else 0
+    means, sems = _conditional_average(n, per_j, budgets, [seed] * (m + 1))
+    return means[m], sems[m], int(budgets[m])
+
+
 def pair_average(n: int, m: int, per_j):
     """E[f | M = m] by the engine; with no pairs (n = 1) the only row is empty."""
     if n == 1:
         return per_j(np.zeros((1, 0), dtype=np.int64))[0]
-    return _conditional_average(n, m, per_j, 8, np.random.SeedSequence(0),
-                                DEFAULT_EXACT_BUDGET)[0]
+    return stratum_average(n, m, per_j, 8, np.random.SeedSequence(0))[0]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -256,8 +267,7 @@ def test_orbit_tables_match_multiset_enumeration(q, n, m):
     rows, weights = multiset_placements(n, m)
     for fn in (lambda rows: _lnz_batch(rows, n, q, beta),
                lambda rows: _overlap_moments(rows, n, q, beta, 20)):
-        mean, _, used = _conditional_average(n, m, fn, 8, np.random.SeedSequence(0),
-                                             DEFAULT_EXACT_BUDGET)
+        mean, _, used = stratum_average(n, m, fn, 8, np.random.SeedSequence(0))
         expect = sum(np.tensordot(weights[i:i + 4096], fn(rows[i:i + 4096]), axes=1)
                      for i in range(0, len(rows), 4096))
         assert used == 0
@@ -294,8 +304,7 @@ def test_orbit_tables_cached_per_n(monkeypatch):
 def test_exact_conditional_averages_match_unreduced_kernel(q, n, k_top):
     beta, r_max = 1.3, 20
     if n > 1:  # the pair averages of every m used below are enumerated
-        assert _conditional_average(n, k_top, lambda rows: rows, 8, np.random.SeedSequence(0),
-                                    DEFAULT_EXACT_BUDGET)[2] == 0
+        assert not _mc_strata(n, k_top, DEFAULT_EXACT_BUDGET).any()
     lnz_fn = lambda rows: _lnz_batch(rows, n, q, beta)
     moments_fn = lambda rows: _overlap_moments(rows, n, q, beta, r_max)
     for k in range(k_top + 1):
@@ -333,7 +342,7 @@ def test_mc_overlap_moments_draws_unchanged():
     seed = np.random.SeedSequence(21)
     draws = uniform_pair_counts(stream(seed), 6, np.full(samples, k))  # over P = 6 pairs
     values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20)
-    mean, sem, used = _conditional_average(
+    mean, sem, used = stratum_average(
         n, k, lambda rows: _overlap_moments(rows, n, q, beta, 20), samples, seed, 0)
     assert used == samples
     np.testing.assert_allclose(mean, values.mean(axis=0), rtol=0, atol=TOL)
@@ -349,11 +358,10 @@ def test_shifted_kernel_matches_unreduced_kernel(n, q, m, beta):
     full = upper_couplings(jrows, n)
     lnz_fn = lambda rows: _lnz_batch(rows, n, q, beta)
     assert np.abs(lnz_fn(jrows) - old_lnz(full, n, q, beta)).max() <= TOL
-    mean, _, used = _conditional_average(n, m, lnz_fn, 8, np.random.SeedSequence(0),
-                                         DEFAULT_EXACT_BUDGET)
+    mean, _, used = stratum_average(n, m, lnz_fn, 8, np.random.SeedSequence(0))
     assert used == 0 and abs(mean - weights @ old_lnz(full, n, q, beta)) <= TOL
-    moments = _conditional_average(n, m, lambda rows: _overlap_moments(rows, n, q, beta, 20),
-                                   8, np.random.SeedSequence(0), DEFAULT_EXACT_BUDGET)[0]
+    moments = stratum_average(n, m, lambda rows: _overlap_moments(rows, n, q, beta, 20),
+                              8, np.random.SeedSequence(0))[0]
     np.testing.assert_allclose(moments, weights @ old_overlap_moments(full, n, q, beta, 20),
                                rtol=0, atol=TOL)
 
@@ -384,10 +392,10 @@ def test_shared_workspace_matches_fresh_buffers(exact_budget, samples, monkeypat
     work = _workspace(n, q)
     for kernel in (lambda rows, buf: _lnz_batch(rows, n, q, beta, buf),
                    lambda rows, buf: _overlap_moments(rows, n, q, beta, 20, buf)):
-        shared = _conditional_average(n, m, lambda rows: kernel(rows, work), samples,
-                                      np.random.SeedSequence(4), exact_budget)
-        fresh = _conditional_average(n, m, lambda rows: kernel(rows, np.full_like(work, np.nan)),
-                                     samples, np.random.SeedSequence(4), exact_budget)
+        shared = stratum_average(n, m, lambda rows: kernel(rows, work), samples,
+                                 np.random.SeedSequence(4), exact_budget)
+        fresh = stratum_average(n, m, lambda rows: kernel(rows, np.full_like(work, np.nan)),
+                                samples, np.random.SeedSequence(4), exact_budget)
         assert shared[2] == fresh[2] == (0 if exact_budget else samples)
         assert all(np.array_equal(a, b) for a, b in zip(shared[:2], fresh[:2]))
 
@@ -409,6 +417,67 @@ def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n):
     est = quenched_pressure_exact(params, n, eps=eps, seed=seed, mc_samples=mc_samples,
                                   exact_budget=0)
     assert abs(est.value - value) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# the strata pass: exact strata batched into shared kernel calls
+# ---------------------------------------------------------------------------
+
+def per_stratum_engine(n: int, per_j, budgets: np.ndarray, seeds):
+    """The engine with every exact stratum averaged on its own, as before the
+    strata shared kernel calls: its orbit table in 4 096-row chunks and one
+    weighted sum (tensordot) per chunk.  Monte Carlo strata are the engine's."""
+    means, sems = _conditional_average(n, per_j, budgets, seeds)
+    for m in np.flatnonzero(budgets == 0):
+        rows, weights = _exact_placements(n, m)
+        means[m] = sum(np.tensordot(weights[i:i + 4096], per_j(rows[i:i + 4096]), axes=1)
+                       for i in range(0, len(rows), 4096))
+    return means, sems
+
+
+def test_table_blocks_read_the_tables_in_order(monkeypatch):
+    monkeypatch.setattr(disorder, "CHUNK", 5)
+    sizes = [3, 1, 12, 5, 2]
+    tables = [(np.arange(2 * k).reshape(k, 2) + 100 * i, np.arange(k) + 100.0 * i)
+              for i, k in enumerate(sizes)]
+    blocks = list(disorder._table_blocks(tables))
+    filled = [sum(len(w) for w in weights) for _, weights, _, _ in blocks]
+    assert filled == [5, 5, 5, 5, 3]
+    for rows, weights, owners, starts in blocks:
+        assert starts == np.cumsum([0] + [len(w) for w in weights[:-1]]).tolist()
+        assert all(np.shares_memory(r, tables[k][0]) for r, k in zip(rows, owners))  # views
+    for k, (table_rows, table_weights) in enumerate(tables):
+        pieces = [(r, w) for rows, weights, owners, _ in blocks
+                  for r, w, owner in zip(rows, weights, owners) if owner == k]
+        assert np.array_equal(np.concatenate([r for r, _ in pieces]), table_rows)
+        assert np.array_equal(np.concatenate([w for _, w in pieces]), table_weights)
+    assert max(len(owners) for _, _, owners, _ in blocks) == 3  # tables 0-2 share a block
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batched_exact_strata_match_per_stratum_loop(q, n, monkeypatch):
+    # both estimators, with blocks of 37 rows that straddle strata, against
+    # the per-stratum exact loop; the Monte Carlo strata (N >= 5) draw the
+    # same rows at any block size
+    params = ModelParams(q=q, beta=1.3, c=2.0)
+    estimators = (lambda: quenched_pressure_exact(params, n, eps=2e-4, seed=3, mc_samples=64),
+                  lambda: disorder.sum_rule_deficit(params, n, 20, 3, seed=3, mc_samples=64))
+    with monkeypatch.context() as patch:
+        patch.setattr(disorder, "_conditional_average", per_stratum_engine)
+        old = [estimator() for estimator in estimators]
+    calls = []
+    kernel = disorder._class_weights
+    monkeypatch.setattr(disorder, "_class_weights",
+                        lambda rows, *args: calls.append(len(rows)) or kernel(rows, *args))
+    monkeypatch.setattr(disorder, "CHUNK", 37)
+    for before, estimator in zip(old, estimators):
+        calls.clear()
+        new = estimator()
+        assert new.samples == before.samples and new.tail_bound == before.tail_bound
+        assert abs(new.value - before.value) <= TOL
+        assert new.stat_error == pytest.approx(before.stat_error, rel=1e-12, abs=0)
+        assert max(calls) <= 37 and (new.samples > 0) == (n >= 5)
 
 
 def test_balanced_energies_bit_identical():

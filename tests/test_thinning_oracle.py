@@ -21,8 +21,8 @@ import pytest
 from potts_af.disorder import (
     DEFAULT_EXACT_BUDGET,
     METHOD_EXACT,
-    _conditional_average,
     _lnz_batch,
+    _mc_strata,
     _overlap_moments,
     quenched_pressure_exact,
     quenched_pressure_mc,
@@ -189,8 +189,6 @@ def test_default_exact_budget_reach(n, reach):
     p = n * (n - 1) // 2
     assert math.comb(p + reach - 1, reach) <= DEFAULT_EXACT_BUDGET
     assert math.comb(p + reach, reach + 1) > DEFAULT_EXACT_BUDGET
-    if n == 5:  # the engine takes the exact path exactly up to the reach
-        probe = lambda m: _conditional_average(n, m, lambda rows: rows[:, :1], 16,
-                                               np.random.SeedSequence(0),
-                                               DEFAULT_EXACT_BUDGET)[2]
-        assert probe(reach) == 0 and probe(reach + 1) == 16
+    # the engine takes the exact path exactly up to the reach
+    mc_strata = _mc_strata(n, reach + 1, DEFAULT_EXACT_BUDGET)
+    assert mc_strata.tolist() == [False] * (reach + 1) + [True]

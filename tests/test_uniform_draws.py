@@ -27,7 +27,7 @@ from potts_af.disorder import (_placements, quenched_pressure_exact, quenched_pr
                                sum_rule_deficit)
 from potts_af.model import ModelParams
 from potts_af.replica import _binomial_alias, binomial_table_fits
-from potts_af.util import stream
+from potts_af.util import MAX_MC_SAMPLES, BudgetExceededError, stream
 
 DRAWS = 20_000
 
@@ -142,6 +142,18 @@ def test_sum_rule_rejects_fewer_than_two_samples(no_draws, mc_samples):
 def test_quenched_pressure_rejects_fewer_than_one_sample(no_draws, mc_samples):
     with pytest.raises(ValueError, match="mc_samples must be an integer >= 1"):
         quenched_pressure_exact(PARAMS, 6, eps=2e-4, mc_samples=mc_samples)
+
+
+@pytest.mark.parametrize("estimator, planned", [
+    (lambda: quenched_pressure_exact(PARAMS, 6, eps=1e-6, mc_samples=MAX_MC_SAMPLES), 3_480_792),
+    (lambda: sum_rule_deficit(PARAMS, 6, 4, 3, mc_samples=MAX_MC_SAMPLES), 4_003_352),
+], ids=["quenched_pressure_exact", "sum_rule_deficit"])
+def test_planned_sample_total_is_capped(no_draws, estimator, planned):
+    # mc_samples itself is at the cap, but the strata would draw `planned`
+    # samples in all: refused before any seed is split
+    with pytest.raises(BudgetExceededError,
+                       match=f"^{planned} Monte Carlo samples exceed {MAX_MC_SAMPLES}$"):
+        estimator()
 
 
 @pytest.mark.parametrize("estimator", [
