@@ -92,7 +92,7 @@ from .replica import (_alias_picks, _binomial_alias, _check_t, _class_alias, _cl
                       binomial_table_fits, class_table_fits, factor_logs, pair_logs, pair_sum,
                       profile_sum)
 from .util import (BudgetExceededError, check_int, check_poisson_mean, check_q, check_samples,
-                   check_tol, child_seeds, logsumexp, stream)
+                   check_tol, child_seed, logsumexp, stream)
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -511,11 +511,10 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     # the inputs and the seed
     block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (leaves * n * q)))
     classes = _ClassDraw(q, gap1)
-    starts = range(0, samples, MC_CHUNK)
     vals, fracs = np.empty((2, samples)), np.empty(samples)
     controls = np.zeros((4 if leaves > 1 else 2, samples))
-    for lo, chunk_seed in zip(starts, child_seeds(seed, len(starts))):
-        rng = stream(chunk_seed)
+    for chunk, lo in enumerate(range(0, samples, MC_CHUNK)):
+        rng = stream(child_seed(seed, chunk))
         for a in range(lo, min(lo + MC_CHUNK, samples), block):
             b = min(block, lo + MC_CHUNK - a, samples - a)
             draws = slice(a, a + b)

@@ -11,27 +11,24 @@ on M:
     p_N(beta, c) = -beta c/2N + sum_M pi_{c(N-1)/2}(M) E[ln Z_pairs / N | M],
 
 with the inner expectation evaluated exactly while the C(P + M - 1, M)
-multisets of P = N(N-1)/2 pair counts fit exact_budget, by seeded Monte
-Carlo above it (M uniform pair indices per sample, counted into the P
-pairs; numpy's multinomial past 8P edges, see _placements), and the
-M > M_max remainder certified through the per-edge bound
-|ln Z(M) - ln Z(0)| <= beta M: each extra edge multiplies every Gibbs
-weight by a factor in [e^-beta, 1].  The default exact_budget keeps
-M <= 20 exact at N = 4, M <= 9 at N = 5 and M <= 6 at N = 6.  A stratum with a single multiset
-(P = 1, or M = 0) is a point mass and exact whatever the budget.  N = 1
-has no pairs, and p_1 = ln q - beta c/2 exactly.
+multisets of P = N(N-1)/2 pair counts fit DEFAULT_EXACT_BUDGET, by seeded
+Monte Carlo above it, and the M > M_max remainder certified through the
+per-edge bound |ln Z(M) - ln Z(0)| <= beta M: each extra edge multiplies
+every Gibbs weight by a factor in [e^-beta, 1].  The budget, a module
+constant read at call time, keeps M <= 20 exact at N = 4, M <= 9 at N = 5
+and M <= 6 at N = 6.  A stratum with a single multiset (P = 1, or M = 0)
+is a point mass and exact whatever the budget.  N = 1 has no pairs, and
+p_1 = ln q - beta c/2 exactly.
 
-Both stratified averages, the pressure and the sum rule below, run one
-strata pass (_conditional_average).  The exact strata share kernel calls:
-their orbit tables are read one after another in blocks of at most CHUNK
-rows, so a block can hold the end of one stratum and the start of the
-next, and each block's weighted values are summed per stratum.  A Monte
-Carlo stratum with weight share s among the strata gets
-max(256, min(8 mc, floor(4 mc s) + 1)) samples for mc = mc_samples
-(_sample_plan), drawn CHUNK rows at a time.  The pressure's share is the
-Poisson weight pi(M); the sum rule's is its stratum weight over the sum
-of the weights of its Monte Carlo strata.  The planned total is held to
-util.MAX_MC_SAMPLES before any seed is split.
+Both stratified averages, the pressure and the sum rule below, reduce one
+float per pair-count row in one strata pass (_conditional_average).  The
+exact strata share kernel calls, several strata to a block of at most
+CHUNK rows.  A Monte Carlo stratum with weight share s draws max(256,
+min(8 mc, floor(4 mc s) + 1)) samples for mc = mc_samples (_sample_plan)
+from util.child_seed(seed, M), CHUNK rows at a time, through the block
+loop that quenched_pressure_mc also runs (_sampled_mean).  Only a stratum
+that samples makes its seed, and the planned total is held to
+util.MAX_MC_SAMPLES before any is made.
 
 The exact path never lists the multisets.  ln Z and the pair overlaps
 do not change when the N sites are relabelled, so it averages over
@@ -42,19 +39,9 @@ then by the sum of squared incident multiplicities, and equal rows
 merged.  Adding a uniform pair commutes with relabelling, so for every
 relabelling-invariant f the table's mean is the multiset mean; isomorphic
 rows the sort leaves apart cost rows, not accuracy.  N = 4, M = 20 needs
-2 487 rows against 53 130 multisets.  The tables depend on N and M
-alone and are kept per process (_orbit_tables), grown as larger M are
-asked for.
-
-ln Z runs over model.colour_classes: one matrix product gives each
-class's energy E, an integer between 0 and the row's edge count, and
-ln Z = ln sum_classes multiplicity e^{-beta E}, with the multiplicities
-entering through a matrix-vector product.  While beta times the largest
-edge count stays below UNSHIFTED_EXPONENT (600) no weight can underflow
-and none is shifted; past it each row is shifted by its least energy,
-which is added back as beta E_min.  Z <= q^N cannot overflow.  Each
-quenched average writes the weights of every block of rows into one
-workspace allocated per call.
+2 487 rows against 53 130 multisets.  The tables are kept per process
+(_orbit_tables).  ln Z and the overlaps sum over model.colour_classes,
+from class weights written into one workspace per call (_class_weights).
 
 The same conditioning evaluates the sum-rule deficit
 
@@ -63,7 +50,9 @@ The same conditioning evaluates the sum-rule deficit
 
 where the s-sum collapses to single-replica pair overlaps:
 sum_s <rho_R(s)^2> = N^-2 sum_ij M_ij^R = (N + 2 sum_{i<j} M_ij^R) / N^2
-with M_ij = <delta(s_i, s_j)>.
+with M_ij = <delta(s_i, s_j)>.  The strata pass averages each row's
+series over R (_overlap_series), so the sum rule's stat_error, like the
+pressure's, is one standard error.
 """
 
 from __future__ import annotations
@@ -80,7 +69,7 @@ import numpy as np
 from .model import (ModelParams, _check_budget, _check_finite_beta, as_couplings, colour_classes,
                     config_energies)
 from .util import (BudgetExceededError, check_beta, check_c, check_int, check_poisson_mean,
-                   check_q, check_samples, check_tol, child_seeds, log_multinomial, logsumexp,
+                   check_q, check_samples, check_tol, child_seed, log_multinomial, logsumexp,
                    multinomial_table, multiset_permutations, poisson_cutoff, poisson_pmf_vector,
                    poisson_sf, stream)
 
@@ -90,6 +79,7 @@ METHOD_MC = "monte-carlo"
 # pair-count multisets per M kept exact while C(P+M-1, M) stays below this
 DEFAULT_EXACT_BUDGET = 60_000
 DEFAULT_MC_SAMPLES = 4096
+SUM_RULE_TAIL_EPS = 1e-10  # bound on the sum rule's Poisson tail P(M > M_max)
 # cap on the balanced sector's states and on its doubly balanced pair measures
 BALANCED_BUDGET = 500_000
 M_MAX_CAP = 100_000
@@ -177,28 +167,25 @@ def _lnz_batch(rows: np.ndarray, n: int, q: int, beta: float,
     return np.log(w @ np.exp(colour_classes(n, q)[1])) - shift
 
 
-def _overlap_moments(rows: np.ndarray, n: int, q: int, beta: float, r_max: int,
-                     work: np.ndarray | None = None) -> np.ndarray:
-    """[N^-2 sum_ij M_ij^R for R = 1..r_max] per pair-count row.
+def _overlap_series(rows: np.ndarray, n: int, q: int, beta: float, coef_r: np.ndarray,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """sum_R coef_r[R-1] N^-2 sum_ij M_ij^R per pair-count row, R = 1..len(coef_r).
 
     M_ij = <delta(s_i, s_j)> is a sum over the colour classes; M_ii = 1
-    and M is symmetric, so the sum is N + 2 sum_{i<j} M_ij^R.
+    and M is symmetric, so N^-2 sum_ij M_ij^R = (N + 2 sum_{i<j} M_ij^R)
+    / N^2.  A unit coef_r gives that one moment.
     """
     indicator, log_mult = colour_classes(n, q)
     mult = np.exp(log_mult)
     w, _ = _class_weights(rows, n, q, beta, work)
     m = (indicator.T * mult) @ w.T  # (P, B) pair overlaps, once normalised by Z
     m /= w @ mult
-    sums = np.empty((r_max, len(rows)))  # sum_{i<j} M_ij^R per R and row
-    power = m.copy()
-    for ridx in range(r_max):
+    series, power = np.zeros(len(rows)), m.copy()
+    for ridx, coef in enumerate(coef_r):
         if ridx:
             power *= m
-        np.add.reduce(power, axis=0, out=sums[ridx])
-    sums *= 2.0
-    sums += n
-    sums /= n * n
-    return sums.T
+        series += coef * np.add.reduce(power, axis=0)
+    return (2.0 * series + n * coef_r.sum()) / (n * n)
 
 
 @lru_cache(maxsize=16)
@@ -278,12 +265,13 @@ def _placements(rng: np.random.Generator, p: int, m: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _mc_strata(n: int, m_max: int, exact_budget: int) -> np.ndarray:
+def _mc_strata(n: int, m_max: int) -> np.ndarray:
     """True for each stratum M = 0..m_max that Monte Carlo averages: more
-    than one and more than exact_budget pair-count multisets,
+    than one and more than DEFAULT_EXACT_BUDGET pair-count multisets,
     C(P + M - 1, M)."""
     p = n * (n - 1) // 2
-    return np.array([comb(p + m - 1, m) > max(1, exact_budget) for m in range(m_max + 1)])
+    return np.array([comb(p + m - 1, m) > max(1, DEFAULT_EXACT_BUDGET)
+                     for m in range(m_max + 1)])
 
 
 def _sample_plan(mc_strata: np.ndarray, weights: np.ndarray, total: float,
@@ -291,7 +279,7 @@ def _sample_plan(mc_strata: np.ndarray, weights: np.ndarray, total: float,
     """Monte Carlo samples per stratum: max(256, min(8 mc, floor(4 mc share)
     + 1)) with share = weights / total on the Monte Carlo strata, 0 on the
     exact ones.  The planned sum is held to MAX_MC_SAMPLES here, before any
-    seed is split."""
+    seed is made."""
     budgets = np.zeros(len(mc_strata), dtype=np.int64)
     budgets[mc_strata] = np.maximum(256, np.minimum(
         8 * mc_samples, np.floor(4 * mc_samples * (weights[mc_strata] / total)) + 1))
@@ -300,57 +288,47 @@ def _sample_plan(mc_strata: np.ndarray, weights: np.ndarray, total: float,
 
 
 def _conditional_average(n: int, per_j, budgets: np.ndarray,
-                         seeds: list[np.random.SeedSequence]) -> tuple[np.ndarray, np.ndarray]:
+                         seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(means, sems): E[f(J) | M = m] and its standard error for every
-    stratum m = 0..len(budgets) - 1, with f vectorized over pair-count rows.
+    stratum m = 0..len(budgets) - 1, with `per_j` mapping a (B, P) batch of
+    at most CHUNK pair-count rows to a fresh (B,) array of f.
 
-    A stratum with budgets[m] = 0 is exact (sem 0): it averages over its
-    orbit table, so there f must be invariant under relabelling the sites,
-    as ln Z and the pair overlap sums are.  The exact strata share kernel
-    calls: their tables are read as one run of rows, cut into blocks of at
-    most CHUNK rows that may straddle strata, and each block's values are
-    weighted in place and summed per stratum by np.add.reduceat.  A stratum
-    with budgets[m] > 0 draws that many samples from stream(seeds[m]), at
-    most CHUNK rows at a time, and merges the blocks' means and squared
-    deviations (Chan et al.); a stratum of one block reduces as numpy's
-    mean and std would.  `per_j` maps a (B, P) batch of pair counts to a
-    fresh (B, ...) value array; it sees at most CHUNK rows at a time, which
-    caps peak memory, so its callers write the class weights of every block
-    into one (CHUNK, classes) workspace allocated once per call
-    (_workspace).  Needs n >= 2.
+    A stratum with budgets[m] = 0 is exact (sem 0) and averages over its
+    orbit table, so f must be invariant under relabelling the sites.  The
+    exact tables are read as one run of rows, cut into blocks that may
+    straddle strata, and each block is weighted in place and summed per
+    stratum (np.add.reduceat).  A stratum with budgets[m] > 0 draws that
+    many samples from stream(child_seed(seed, m)).  Needs n >= 2.
     """
-    means, sems = [0.0] * len(budgets), {}
+    means, sems = np.zeros(len(budgets)), np.zeros(len(budgets))
     exact = np.flatnonzero(budgets == 0)
     for rows, weights, owners, starts in _table_blocks([_exact_placements(n, m) for m in exact]):
         vals = per_j(np.concatenate(rows, dtype=np.float64))
-        vals *= np.concatenate(weights).reshape(-1, *(1,) * (vals.ndim - 1))
-        for k, total in zip(owners, np.add.reduceat(vals, starts, axis=0)):
-            means[exact[k]] = means[exact[k]] + total
+        vals *= np.concatenate(weights)
+        means[exact[owners]] += np.add.reduceat(vals, starts)
     for m in np.flatnonzero(budgets):
-        means[m], sems[m] = _sampled_stratum(n, m, per_j, int(budgets[m]), stream(seeds[m]))
-    means = np.array(means)
-    errors = np.zeros_like(means)
-    for m, sem in sems.items():
-        errors[m] = sem
-    return means, errors
+        rng = stream(child_seed(seed, m))
+        means[m], sems[m] = _sampled_mean(
+            lambda block, size: per_j(_placements(rng, n * (n - 1) // 2, np.full(size, m))),
+            int(budgets[m]))
+    return means, sems
 
 
-def _sampled_stratum(n: int, m: int, per_j, samples: int, rng: np.random.Generator):
-    """(mean, sem) of per_j over `samples` draws of m uniform pair edges,
-    CHUNK rows at a time.  Each block's mean and squared deviations merge
-    into the running ones by Chan et al.'s update, which leaves a single
-    block exactly as numpy's mean and std(ddof=1) reduce it."""
+def _sampled_mean(draw, samples: int) -> tuple[float, float]:
+    """(mean, sem) of `samples` values, drawn as draw(block, size) arrays of
+    at most CHUNK for block = 0, 1, ...  The blocks merge by Chan et al.'s
+    update, which leaves a single block exactly as numpy's mean and
+    std(ddof=1) reduce it."""
     seen, mean, squares = 0, 0.0, 0.0
-    for lo in range(0, samples, CHUNK):
-        vals = per_j(_placements(rng, n * (n - 1) // 2, np.full(min(CHUNK, samples - lo), m)))
-        size, block_mean = len(vals), vals.mean(axis=0)
-        dev = vals - block_mean
-        dev *= dev
+    for block, lo in enumerate(range(0, samples, CHUNK)):
+        vals = draw(block, min(CHUNK, samples - lo))
+        size, block_mean = len(vals), vals.mean()
         delta = block_mean - mean
         mean = mean + delta * (size / (seen + size))
-        squares = squares + dev.sum(axis=0) + delta * delta * (seen * size / (seen + size))
+        squares = (squares + np.square(vals - block_mean).sum()
+                   + delta * delta * (seen * size / (seen + size)))
         seen += size
-    return mean, np.sqrt(squares / (samples - 1)) / math.sqrt(samples)
+    return float(mean), math.sqrt(squares / (samples - 1)) / math.sqrt(samples)
 
 
 def _table_blocks(tables: list[tuple[np.ndarray, np.ndarray]]):
@@ -373,34 +351,26 @@ def _table_blocks(tables: list[tuple[np.ndarray, np.ndarray]]):
         yield rows, weights, owners, starts
 
 
-def _check_strata(mc_samples: int, least: int, exact_budget: int) -> None:
-    """Validate the base sample count and the exact budget."""
-    check_int("mc_samples", mc_samples, least)
-    check_int("exact_budget", exact_budget, 0)
-    check_samples(mc_samples)
-
-
 def _check_system(name: str, n: int, q: int, beta: float) -> None:
     check_int("n", n)
     _check_finite_beta(name, beta)
     _check_budget(q, n)
 
 
-def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
-                            seed: int = 0, mc_samples: int = DEFAULT_MC_SAMPLES,
-                            exact_budget: int = DEFAULT_EXACT_BUDGET) -> QuenchedEstimate:
+def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6, seed: int = 0,
+                            mc_samples: int = DEFAULT_MC_SAMPLES) -> QuenchedEstimate:
     """p_N(beta, c) by pair-edge-count conditioning with a certified tail.
 
-    The self-loops contribute -beta c/2N exactly.  Exact averages over
-    the orbit tables per M while the multiset count fits exact_budget;
-    seeded Monte Carlo above it, max(256, min(8 mc_samples,
-    floor(4 mc_samples pi(M)) + 1)) samples per stratum.  The M > M_max
-    remainder is replaced by ln q and certified by tail_bound =
-    (beta/N) E[M 1{M > M_max}].
+    The self-loops contribute -beta c/2N exactly.  The Poisson weight
+    pi(M) of each stratum is also its Monte Carlo sample share, and
+    stat_error combines the strata's standard errors with these weights.
+    The M > M_max remainder is replaced by ln q and certified by
+    tail_bound = (beta/N) E[M 1{M > M_max}].
     """
     q, beta, c = params.q, params.beta, params.c
     check_tol("eps", eps)
-    _check_strata(mc_samples, 1, exact_budget)
+    check_int("mc_samples", mc_samples)
+    check_samples(mc_samples)
     _check_system("quenched_pressure_exact", n, q, beta)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
@@ -410,12 +380,12 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6,
     m_tail = lambda m: (beta / n) * lam * poisson_sf(m, lam)
     m_max = poisson_cutoff(m_tail, 0.5 * eps, M_MAX_CAP)
     pmf = poisson_pmf_vector(m_max, lam)
-    budgets = _sample_plan(_mc_strata(n, m_max, exact_budget), pmf, 1.0, mc_samples)
+    budgets = _sample_plan(_mc_strata(n, m_max), pmf, 1.0, mc_samples)
 
     work = _workspace(n, q)
     means, sems = _conditional_average(n, lambda rows: _lnz_batch(rows, n, q, beta, work) / n,
-                                       budgets, child_seeds(seed, m_max + 1))
-    value = float(pmf @ means) + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n)
+                                       budgets, seed)
+    value = float(pmf @ means + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n))
     stat = math.sqrt(float(((pmf * sems) ** 2).sum()))
     return QuenchedEstimate(value, stat, m_tail(m_max), int(budgets.sum()), METHOD_EXACT)
 
@@ -427,7 +397,8 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
     Each sample draws its pair-edge count M ~ Poisson(c(N-1)/2) and places
     the M edges on uniform pairs (_placements): by Poisson splitting that
     is the law of the P iid Poisson(c/N) pair sums, at one Poisson and M
-    uniforms per sample instead of P Poissons.
+    uniforms per sample instead of P Poissons.  The samples are drawn CHUNK
+    at a time, block k from util.child_seed(seed, k).
     """
     q, beta, c = params.q, params.beta, params.c
     check_int("samples", samples, 2)  # two for a standard error
@@ -435,21 +406,17 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
     _check_system("quenched_pressure_mc", n, q, beta)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
-    check_poisson_mean(c * (n - 1) / 2.0, c)
+    lam = c * (n - 1) / 2.0
+    check_poisson_mean(lam, c)
+    work = _workspace(n, q, min(CHUNK, samples))
 
-    work = _workspace(n, q, min(2048, samples))
+    def draw(block: int, size: int) -> np.ndarray:
+        rng = stream(child_seed(seed, block))
+        rows = _placements(rng, n * (n - 1) // 2, rng.poisson(lam, size=size))
+        return _lnz_batch(rows, n, q, beta, work) / n
 
-    def chunk_values(lo: int, chunk_seed: np.random.SeedSequence) -> np.ndarray:
-        rng = stream(chunk_seed)
-        m = rng.poisson(c * (n - 1) / 2.0, size=min(2048, samples - lo))
-        return _lnz_batch(_placements(rng, n * (n - 1) // 2, m), n, q, beta, work) / n
-
-    starts = range(0, samples, 2048)
-    values = np.concatenate([chunk_values(lo, ss)
-                             for lo, ss in zip(starts, child_seeds(seed, len(starts)))])
-    mean = float(values.mean()) - beta * c / (2 * n)
-    sem = float(values.std(ddof=1) / math.sqrt(samples))
-    return QuenchedEstimate(mean, sem, 0.0, samples, METHOD_MC)
+    mean, sem = _sampled_mean(draw, samples)
+    return QuenchedEstimate(mean - beta * c / (2 * n), sem, 0.0, samples, METHOD_MC)
 
 
 # ---------------------------------------------------------------------------
@@ -457,58 +424,52 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
 # ---------------------------------------------------------------------------
 
 def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
-                     seed: int = 0, mc_samples: int = 2048,
-                     exact_budget: int = DEFAULT_EXACT_BUDGET,
-                     k_tail_eps: float = 1e-10) -> QuenchedEstimate:
+                     seed: int = 0, mc_samples: int = 2048) -> QuenchedEstimate:
     """Overlap-fluctuation series for P - p_N, with explicit error budget.
 
     Per replica order R the double bracket reduces to the pair-overlap
     moments E[N^-2 sum_ij M_ij(J)^R], which do not depend on the
-    self-loops; they are computed by the same M-conditioning as the
-    quenched pressure.  The c' integral is exact: the weight of M = m
-    integrates to w_m = (2/(N-1)) P(Poisson(c(N-1)/2) >= m + 1).  These
-    weights also place the samples: a Monte Carlo stratum m draws
-    max(256, min(8 mc_samples, floor(4 mc_samples s) + 1)) samples, with
-    s = w_m over the sum of w over the Monte Carlo strata, so mc_samples
+    self-loops.  The strata pass averages their series over R, one float
+    per coupling draw, so stat_error is one standard error.  The c'
+    integral is exact: the weight of M = m integrates to w_m = (2/(N-1))
+    P(Poisson(c(N-1)/2) >= m + 1).  A Monte Carlo stratum's sample share
+    is w_m over the sum of w over the Monte Carlo strata, so mc_samples
     sets the total (about 4 mc_samples plus the 256-sample floors), not a
     per-stratum count.  At N = 1 every moment is 1 and the series sums to
-    (c/2)(beta + ln(1 - y/q)) exactly.
-    quad_points is kept for compatibility; it is validated (>= 3) and
-    otherwise ignored.  tail_bound adds the geometric R > r_max remainder
-    and the certified M cutoff error (k_tail_eps bounds its Poisson tail).
-    The colour classes number about q^n / q!, so q^n is held to
-    model.DEFAULT_ENUM_BUDGET, as in the quenched pressures.
+    (c/2)(beta + ln(1 - y/q)) exactly.  quad_points is kept for
+    compatibility; it is validated (>= 3) and otherwise ignored.
+    tail_bound adds the geometric R > r_max remainder and the certified M
+    cutoff error, whose Poisson tail SUM_RULE_TAIL_EPS bounds.  q^n is held
+    to model.DEFAULT_ENUM_BUDGET, as in the quenched pressures.
     """
     q, beta, c = params.q, params.beta, params.c
     check_int("r_max", r_max)
     check_int("quad_points", quad_points, 3)
-    check_tol("k_tail_eps", k_tail_eps)
-    _check_strata(mc_samples, 2, exact_budget)
+    check_int("mc_samples", mc_samples, 2)
+    check_samples(mc_samples)
     _check_system("sum_rule_deficit", n, q, beta)
     y = -math.expm1(-beta)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(0.5 * c * (beta + math.log1p(-y / q)), 0.0, 0.0, 0, METHOD_EXACT)
 
     lam = c * (n - 1) / 2.0
-    m_max = poisson_cutoff(lambda m: poisson_sf(m + 1, lam), k_tail_eps, M_MAX_CAP)
+    m_max = poisson_cutoff(lambda m: poisson_sf(m + 1, lam), SUM_RULE_TAIL_EPS, M_MAX_CAP)
     # exact c' integral of each Poisson weight: (2/(N-1)) P(Poisson(c(N-1)/2) >= m+1)
     sf = np.array([poisson_sf(m + 1, lam) for m in range(m_max + 1)])
     coef_m = sf * (2.0 / (n - 1))
-    mc_strata = _mc_strata(n, m_max, exact_budget)
+    mc_strata = _mc_strata(n, m_max)
     budgets = _sample_plan(mc_strata, coef_m, coef_m[mc_strata].sum(), mc_samples)
-
-    work = _workspace(n, q)
-    means, sems = _conditional_average(  # (m_max+1, r_max) moments per M
-        n, lambda rows: _overlap_moments(rows, n, q, beta, r_max, work), budgets,
-        child_seeds(seed, m_max + 1))
     total_samples = int(budgets.sum())
 
     rs = np.arange(1, r_max + 1)
     coef_r = 0.5 * np.power(y, rs) / rs  # series weights per R
-    value = float(coef_r @ (coef_m @ means - np.power(float(q), -rs.astype(float)) * coef_m.sum()))
-
-    # statistical error: deficit is linear in the per-M moment vector
-    stat = math.sqrt(float((((sems * coef_m[:, None]) @ coef_r) ** 2).sum()))
+    work = _workspace(n, q)
+    means, sems = _conditional_average(
+        n, lambda rows: _overlap_series(rows, n, q, beta, coef_r, work), budgets, seed)
+    # less the series of independent overlaps, sum_s rho_R(s)^2 = q^-R, per unit weight
+    independent = coef_r @ np.power(float(q), -rs.astype(float))
+    value = float(coef_m @ means - coef_m.sum() * independent)
+    stat = math.sqrt(float(((coef_m * sems) ** 2).sum()))
 
     r_tail = 0.5 * c * y ** (r_max + 1) / ((r_max + 1) * (1.0 - y)) if y < 1 else math.inf
     m_tail = c * float(coef_r.sum()) * float(sf[m_max])

@@ -7,7 +7,7 @@ search, table build or draw, and each raises ValueError naming the argument.
 
 Every stochastic routine in the package draws from an SFC64 generator
 (stream) keyed by an explicit integer seed, or by a child of one
-(child_seeds), and runs serially, so results depend only on the seed.
+(child_seed), and runs serially, so results depend only on the seed.
 Poisson weights and multinomials read a table of ln k! built with
 math.lgamma, and Poisson tails are summed in plain float arithmetic, so
 importing the package loads no scipy.
@@ -92,14 +92,14 @@ def check_poisson_mean(lam: float, c: float) -> None:
 
 def stream(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """The package's generator: SFC64 keyed by SeedSequence(seed), or by a
-    SeedSequence itself, such as a child from child_seeds."""
+    SeedSequence itself, such as a child from child_seed."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    """Pre-split `n` independent child streams from one integer seed."""
-    return np.random.SeedSequence(seed).spawn(n)
+def child_seed(seed: int, k: int) -> np.random.SeedSequence:
+    """Child k of an integer seed: SeedSequence(seed).spawn(k + 1)[k], made alone."""
+    return np.random.SeedSequence(seed, spawn_key=(int(k),))
 
 
 def logsumexp(a, axis: int | None = None) -> np.ndarray:

@@ -41,11 +41,11 @@ def no_work(monkeypatch):
     for module, names in (
             (bounds, ["_entropy"]),
             (model, ["class_representatives", "config_block"]),
-            (disorder, ["poisson_cutoff", "stream", "child_seeds", "colour_classes",
+            (disorder, ["poisson_cutoff", "stream", "child_seed", "colour_classes",
                         "multiset_permutations", "_balanced_pair_measures"]),
             (replica, ["poisson_cutoff", "_class_table"]),
             (second_moment, ["_profile", "_row_entropy"]),
-            (cascade, ["stream", "child_seeds", "_class_table"])):
+            (cascade, ["stream", "child_seed", "_class_table"])):
         for name in names:
             monkeypatch.setattr(module, name, refuse)
 
@@ -168,8 +168,6 @@ COUNTS = [
     ("quenched_pressure_exact", "n", 1, lambda v: pa.quenched_pressure_exact(_params(), v)),
     ("quenched_pressure_exact", "mc_samples", 1,
      lambda v: pa.quenched_pressure_exact(_params(), 4, mc_samples=v)),
-    ("quenched_pressure_exact", "exact_budget", 0,
-     lambda v: pa.quenched_pressure_exact(_params(), 4, exact_budget=v)),
     ("quenched_pressure_mc", "n", 1, lambda v: pa.quenched_pressure_mc(_params(), v, 16, 0)),
     ("quenched_pressure_mc", "samples", 2, lambda v: pa.quenched_pressure_mc(_params(), 4, v, 0)),
     ("sum_rule_deficit", "n", 1, lambda v: pa.sum_rule_deficit(_params(), v, 3, 3)),
@@ -177,8 +175,6 @@ COUNTS = [
     ("sum_rule_deficit", "quad_points", 3, lambda v: pa.sum_rule_deficit(_params(), 4, 3, v)),
     ("sum_rule_deficit", "mc_samples", 2,
      lambda v: pa.sum_rule_deficit(_params(), 4, 3, 3, mc_samples=v)),
-    ("sum_rule_deficit", "exact_budget", 0,
-     lambda v: pa.sum_rule_deficit(_params(), 4, 3, 3, exact_budget=v)),
     ("sample_couplings", "n", 1, lambda v: pa.sample_couplings(v, 1.0, 0)),
     ("balanced_count", "n", 1, lambda v: pa.balanced_count(v, 1)),
     ("conditional_moments_balanced", "k", 0,
@@ -209,8 +205,6 @@ def _count_rows():
 # (entry point, tolerance name, call with the tolerance)
 TOLERANCES = [
     ("quenched_pressure_exact", "eps", lambda v: pa.quenched_pressure_exact(_params(), 4, eps=v)),
-    ("sum_rule_deficit", "k_tail_eps",
-     lambda v: pa.sum_rule_deficit(_params(), 4, 3, 3, k_tail_eps=v)),
     ("g1", "eps", lambda v: pa.g1(1.0, 2.0, 2, 0.3, eps=v)),
     ("rs_bound", "eps", lambda v: pa.rs_bound(1.0, 2.0, 2, 0.3, eps=v)),
     ("scan_rs_bound", "eps", lambda v: pa.scan_rs_bound(1.0, 2.0, 2, 5, eps=v)),

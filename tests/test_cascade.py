@@ -90,7 +90,7 @@ def test_monte_carlo_sample_cap_raises_before_drawing(monkeypatch):
     def no_seeds(*args):
         raise AssertionError("split seeds")
 
-    monkeypatch.setattr("potts_af.cascade.child_seeds", no_seeds)
+    monkeypatch.setattr("potts_af.cascade.child_seed", no_seeds)
     params = ModelParams(q=2, beta=1.0, c=4.0)
     for fn in (cavity_g1, cavity_g2):
         with pytest.raises(BudgetExceededError, match=str(MAX_MC_SAMPLES)):

@@ -35,7 +35,7 @@ from potts_af.cascade import (
 )
 from potts_af.disorder import METHOD_MC, QuenchedEstimate
 from potts_af.model import ModelParams
-from potts_af.util import child_seeds, stream
+from potts_af.util import stream
 
 MC_CHUNK = 64
 
@@ -175,7 +175,7 @@ def old_mc(params, n, spec, hier, samples, seed, n_atoms, which) -> QuenchedEsti
     chunks = [(i, min(i + MC_CHUNK, samples)) for i in range(0, samples, MC_CHUNK)]
     vals = np.empty(samples)
     tails = np.empty(samples)
-    for (lo, hi), chunk_seed in zip(chunks, child_seeds(seed, len(chunks))):
+    for (lo, hi), chunk_seed in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
         rng = stream(chunk_seed)
         for i in range(lo, hi):
             vals[i], tails[i] = draw_fn(params, n, spec, hier, rng, n_atoms)

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+import potts_af as pa
 from potts_af import disorder
 from potts_af.bounds import annealed_pressure
+from potts_af.cascade import cavity_terms
 from potts_af.disorder import (
     DEFAULT_EXACT_BUDGET,
     M_MAX_CAP,
     METHOD_EXACT,
+    SUM_RULE_TAIL_EPS,
     balanced_count,
     conditional_moments_balanced,
     quenched_pressure_exact,
@@ -28,6 +31,7 @@ from potts_af.util import (MAX_MC_SAMPLES, BudgetExceededError, poisson_cutoff,
                            poisson_pmf_vector, poisson_sf, stream)
 
 from conftest import combined_error
+from test_kernel_oracle import old_overlap_moments, upper_couplings
 
 
 def test_sample_couplings_zero_connectivity():
@@ -187,7 +191,7 @@ def test_sample_counts_past_the_cap_raise_before_drawing(monkeypatch):
     def no_seeds(*args):
         raise AssertionError("split seeds")
 
-    monkeypatch.setattr("potts_af.disorder.child_seeds", no_seeds)
+    monkeypatch.setattr("potts_af.disorder.child_seed", no_seeds)
     params, huge = ModelParams(q=2, beta=1.0, c=1.0), MAX_MC_SAMPLES + 1
     with pytest.raises(BudgetExceededError, match=str(MAX_MC_SAMPLES)):
         quenched_pressure_mc(params, 3, samples=huge, seed=0)
@@ -259,15 +263,16 @@ def test_conditional_law_equivalence():
     assert p_value > 0.001
 
 
-def test_two_sites_exact_whatever_the_budget():
+def test_two_sites_exact_whatever_the_budget(monkeypatch):
     # at N = 2 there is one pair, so given M the couplings are a point mass
-    for est, exact in (
-            (quenched_pressure_exact(ModelParams(q=3, beta=0.5, c=4.0), 2, exact_budget=0),
-             quenched_pressure_exact(ModelParams(q=3, beta=0.5, c=4.0), 2)),
-            (sum_rule_deficit(ModelParams(q=2, beta=1.0, c=1.0), 2, 5, 4, exact_budget=0),
-             sum_rule_deficit(ModelParams(q=2, beta=1.0, c=1.0), 2, 5, 4))):
+    calls = (lambda: quenched_pressure_exact(ModelParams(q=3, beta=0.5, c=4.0), 2),
+             lambda: sum_rule_deficit(ModelParams(q=2, beta=1.0, c=1.0), 2, 5, 4))
+    exact = [call() for call in calls]
+    monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", 0)
+    for call, expect in zip(calls, exact):
+        est = call()
         assert est.stat_error == 0.0 and est.samples == 0 and est.method == METHOD_EXACT
-        assert est == exact
+        assert est == expect
 
 
 def test_sum_rule_trivial_cases():
@@ -340,7 +345,8 @@ def test_sum_rule_samples_follow_the_stratum_weights(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_sum_rule_allocation_beats_flat_samples(seed, monkeypatch):
     # the same strata with a flat 2 048 samples each, the sum rule's old plan
-    # (stat_error 1.72-1.85e-7 on seeds 1-5), draw 2.4 times as many samples
+    # (stat_error 1.32-1.48e-7 on seeds 1-5, against 0.90-0.93e-7), draw 2.4
+    # times as many samples
     params = ModelParams(q=2, beta=1.0, c=1.0)
     est = sum_rule_deficit(params, 6, 20, 16, seed=seed)
     monkeypatch.setattr(disorder, "_sample_plan",
@@ -349,6 +355,71 @@ def test_sum_rule_allocation_beats_flat_samples(seed, monkeypatch):
     assert (est.samples, flat.samples) == (10_387, 24_576)
     assert est.stat_error < 0.8 * flat.stat_error
     assert abs(est.value - flat.value) <= 4 * math.hypot(est.stat_error, flat.stat_error)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("q, beta, c, n", [(2, 1.0, 1.0, 6), (3, 1.0, 2.0, 5)])
+def test_sum_rule_stat_error_is_one_standard_error(q, beta, c, n, seed):
+    # each Monte Carlo stratum's rows, redrawn from its seed in the engine's
+    # blocks, give per-row series sum_R coef_R moment_R by the unreduced
+    # kernel; their standard errors, combined with the stratum weights, are
+    # the deficit's one standard error
+    est = sum_rule_deficit(ModelParams(q=q, beta=beta, c=c), n, 20, 16, seed=seed)
+    lam, p, y = c * (n - 1) / 2, n * (n - 1) // 2, -math.expm1(-beta)
+    m_max = poisson_cutoff(lambda m: poisson_sf(m + 1, lam), SUM_RULE_TAIL_EPS, M_MAX_CAP)
+    sampled = monte_carlo_strata(n, m_max)
+    total = sum(poisson_sf(m + 1, lam) for m in sampled)
+    coef_r = np.array([0.5 * y**r / r for r in range(1, 21)])
+    variance, drawn = 0.0, 0
+    for m in sampled:
+        samples = sample_rule(2048, poisson_sf(m + 1, lam) / total)
+        rng = stream(np.random.SeedSequence(seed).spawn(m + 1)[m])
+        blocks = [disorder._placements(rng, p, np.full(min(disorder.CHUNK, samples - lo), m))
+                  for lo in range(0, samples, disorder.CHUNK)]
+        values = old_overlap_moments(upper_couplings(np.concatenate(blocks), n),
+                                     n, q, beta, 20) @ coef_r
+        weight = poisson_sf(m + 1, lam) * 2 / (n - 1)
+        variance += (weight * values.std(ddof=1) / math.sqrt(samples)) ** 2
+        drawn += samples
+    assert est.samples == drawn > 0
+    assert est.stat_error == pytest.approx(math.sqrt(variance), rel=1e-9, abs=0)
+
+
+def test_fully_exact_calls_make_no_seed(monkeypatch):
+    # no stratum samples at these points, so no seed or stream is made
+    def refuse(*args):
+        raise AssertionError("made a seed or a stream with no stratum to sample")
+
+    monkeypatch.setattr(disorder, "child_seed", refuse)
+    monkeypatch.setattr(disorder, "stream", refuse)
+    for est in (sum_rule_deficit(ModelParams(q=2, beta=1.0, c=4.0), 3, 20, 16, seed=1),
+                quenched_pressure_exact(ModelParams(q=2, beta=0.5, c=1.0), 4, seed=1)):
+        assert est.samples == 0 and est.stat_error == 0.0 and est.method == METHOD_EXACT
+
+
+def test_estimates_hold_plain_floats():
+    # every producer of a QuenchedEstimate, on its exact, Monte Carlo and
+    # trivial paths, returns Python floats, not numpy scalars
+    params, zero_c = ModelParams(q=2, beta=1.0, c=2.0), ModelParams(q=2, beta=1.0, c=0.0)
+    one_rsb, hier = pa.one_rsb_spec(0.5), pa.uniform_hierarchy(2)
+    estimates = [
+        quenched_pressure_exact(params, 4),
+        quenched_pressure_exact(ModelParams(q=3, beta=2.0, c=4.0), 5, eps=2e-4, mc_samples=64),
+        quenched_pressure_exact(zero_c, 4),
+        quenched_pressure_mc(params, 4, samples=100, seed=1),
+        quenched_pressure_mc(zero_c, 4, samples=100, seed=1),
+        sum_rule_deficit(ModelParams(q=2, beta=1.0, c=4.0), 3, 20, 16),
+        sum_rule_deficit(ModelParams(q=2, beta=1.0, c=1.0), 6, 20, 16, mc_samples=64),
+        sum_rule_deficit(zero_c, 4, 20, 16),
+        *cavity_terms(params, 3, pa.rs_spec(), hier),
+        *cavity_terms(params, 3, one_rsb, hier, samples=64, seed=1, method="monte-carlo"),
+        *cavity_terms(params, 3, one_rsb, pa.symmetric_t_hierarchy(2, 0.5),
+                      method="closed-form"),
+    ]
+    assert {est.method for est in estimates} == {METHOD_EXACT, "monte-carlo"}
+    for est in estimates:
+        for field in ("value", "stat_error", "tail_bound", "bias_estimate"):
+            assert type(getattr(est, field)) is float, (est, field)
 
 
 @pytest.mark.parametrize("q, beta, c, n, per_stratum_kib", [(3, 1.0, 2.0, 4, 1371),

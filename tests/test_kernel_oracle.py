@@ -15,6 +15,12 @@ multiset_placements keeps that enumeration as the oracle, and laws are
 compared after lumping each row to a complete canonical form, the least
 code over its N! relabellings.
 
+The engine averages one float per row; for the overlaps that is the series
+sum_R coef_R moment_R.  Engine checks use a fixed random COEF with entries
+in [0.5, 1.5], so an error in any one moment shows at least half its size;
+reduced_overlap_moments keeps the per-R kernel the series replaced, which
+each unit coef must reproduce bit for bit.
+
 The single-graph functions (log_partition, pressure_density,
 entropy_density) sum over the colour classes; their oracle below
 enumerates every configuration with config_block and an energy written
@@ -37,12 +43,13 @@ from potts_af.disorder import (
     DEFAULT_EXACT_BUDGET,
     M_MAX_CAP,
     UNSHIFTED_EXPONENT,
+    _class_weights,
     _conditional_average,
     _exact_placements,
     _lnz_batch,
     _mc_strata,
     _orbit_tables,
-    _overlap_moments,
+    _overlap_series,
     _workspace,
     quenched_pressure_exact,
     quenched_pressure_mc,
@@ -64,7 +71,6 @@ from potts_af.model import (
 )
 from potts_af.util import (
     BudgetExceededError,
-    child_seeds,
     log_multinomial,
     multinomial_table,
     multiset_permutations,
@@ -75,6 +81,7 @@ from potts_af.util import (
 )
 
 TOL = 1e-12
+COEF = np.random.default_rng(27).uniform(0.5, 1.5, 20)  # series weights of the engine checks
 
 
 def _pair_indicator(n: int, q: int) -> np.ndarray:
@@ -96,6 +103,27 @@ def old_overlap_moments(jflat: np.ndarray, n: int, q: int, beta: float,
     w = np.exp(energies)
     m = (w / w.sum(axis=1, keepdims=True)) @ disc
     return np.stack([(m ** r).mean(axis=1) for r in range(1, r_max + 1)], axis=1)
+
+
+def reduced_overlap_moments(rows: np.ndarray, n: int, q: int, beta: float,
+                            r_max: int) -> np.ndarray:
+    """[N^-2 sum_ij M_ij^R for R = 1..r_max] per pair-count row over the
+    colour classes: the engine's kernel before it summed the series."""
+    indicator, log_mult = colour_classes(n, q)
+    mult = np.exp(log_mult)
+    w, _ = _class_weights(rows, n, q, beta, None)
+    m = (indicator.T * mult) @ w.T
+    m /= w @ mult
+    sums = np.empty((r_max, len(rows)))
+    power = m.copy()
+    for ridx in range(r_max):
+        if ridx:
+            power *= m
+        np.add.reduce(power, axis=0, out=sums[ridx])
+    sums *= 2.0
+    sums += n
+    sums /= n * n
+    return sums.T
 
 
 def old_exact_multisets(n_cells: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,14 +208,13 @@ def uniform_pair_counts(rng: np.random.Generator, p: int, m) -> np.ndarray:
     return rows
 
 
-def stratum_average(n: int, m: int, per_j, samples: int, seed: np.random.SeedSequence,
-                    exact_budget: int = DEFAULT_EXACT_BUDGET):
+def stratum_average(n: int, m: int, per_j, samples: int, seed: int):
     """(mean, sem, samples) of f given M = m from the engine's pass over the
     strata 0..m, where m alone may be Monte Carlo: `samples` draws from
-    `seed` once its multisets pass exact_budget."""
+    child m of `seed` once its multisets pass DEFAULT_EXACT_BUDGET."""
     budgets = np.zeros(m + 1, dtype=np.int64)
-    budgets[m] = samples if _mc_strata(n, m, exact_budget)[m] else 0
-    means, sems = _conditional_average(n, per_j, budgets, [seed] * (m + 1))
+    budgets[m] = samples if _mc_strata(n, m)[m] else 0
+    means, sems = _conditional_average(n, per_j, budgets, seed)
     return means[m], sems[m], int(budgets[m])
 
 
@@ -195,7 +222,7 @@ def pair_average(n: int, m: int, per_j):
     """E[f | M = m] by the engine; with no pairs (n = 1) the only row is empty."""
     if n == 1:
         return per_j(np.zeros((1, 0), dtype=np.int64))[0]
-    return stratum_average(n, m, per_j, 8, np.random.SeedSequence(0))[0]
+    return stratum_average(n, m, per_j, 8, 0)[0]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -261,13 +288,13 @@ def test_orbit_tables_lump_to_the_multiset_law(n, m_top):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("n, m", [(4, 19), (5, 9), (6, 6), (3, 22)])
 def test_orbit_tables_match_multiset_enumeration(q, n, m):
-    # E[ln Z | M] and the overlap moments over the orbit table, against the
+    # E[ln Z | M] and the overlap series over the orbit table, against the
     # multiset enumeration the engine ran before
     beta = 1.3
     rows, weights = multiset_placements(n, m)
     for fn in (lambda rows: _lnz_batch(rows, n, q, beta),
-               lambda rows: _overlap_moments(rows, n, q, beta, 20)):
-        mean, _, used = stratum_average(n, m, fn, 8, np.random.SeedSequence(0))
+               lambda rows: _overlap_series(rows, n, q, beta, COEF)):
+        mean, _, used = stratum_average(n, m, fn, 8, 0)
         expect = sum(np.tensordot(weights[i:i + 4096], fn(rows[i:i + 4096]), axes=1)
                      for i in range(0, len(rows), 4096))
         assert used == 0
@@ -304,16 +331,16 @@ def test_orbit_tables_cached_per_n(monkeypatch):
 def test_exact_conditional_averages_match_unreduced_kernel(q, n, k_top):
     beta, r_max = 1.3, 20
     if n > 1:  # the pair averages of every m used below are enumerated
-        assert not _mc_strata(n, k_top, DEFAULT_EXACT_BUDGET).any()
+        assert not _mc_strata(n, k_top).any()
     lnz_fn = lambda rows: _lnz_batch(rows, n, q, beta)
-    moments_fn = lambda rows: _overlap_moments(rows, n, q, beta, r_max)
+    series_fn = lambda rows: _overlap_series(rows, n, q, beta, COEF[:r_max])
     for k in range(k_top + 1):
         jrows, weights = old_exact_multisets(n * n, k)
         lnz = sum(w * (pair_average(n, m, lnz_fn) - beta * (k - m)) for m, w in thinned(n, k))
         assert abs(lnz - weights @ old_lnz(jrows, n, q, beta)) <= TOL
-        moments = sum(w * pair_average(n, m, moments_fn) for m, w in thinned(n, k))
-        expect = weights @ old_overlap_moments(jrows, n, q, beta, r_max)
-        np.testing.assert_allclose(moments, expect, rtol=0, atol=TOL)
+        series = sum(w * pair_average(n, m, series_fn) for m, w in thinned(n, k))
+        expect = weights @ old_overlap_moments(jrows, n, q, beta, r_max) @ COEF[:r_max]
+        assert abs(series - expect) <= TOL
 
 
 @pytest.mark.parametrize("q, beta, c, n", [(2, 1.0, 2.0, 3), (3, 2.0, 4.0, 4), (3, 0.5, 1.0, 5),
@@ -326,7 +353,7 @@ def test_mc_path_draws_unchanged(q, beta, c, n):
     samples, seed = 3000, 11
     chunks = [(i, min(i + 2048, samples)) for i in range(0, samples, 2048)]
     parts = []
-    for (lo, hi), ss in zip(chunks, child_seeds(seed, len(chunks))):
+    for (lo, hi), ss in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
         rng = stream(ss)
         edges = rng.poisson(c * (n - 1) / 2.0, size=hi - lo)
         draws = uniform_pair_counts(rng, n * (n - 1) // 2, edges)
@@ -337,17 +364,17 @@ def test_mc_path_draws_unchanged(q, beta, c, n):
     assert abs(est.stat_error - values.std(ddof=1) / math.sqrt(samples)) <= TOL
 
 
-def test_mc_overlap_moments_draws_unchanged():
-    n, q, beta, k, samples = 4, 3, 1.0, 9, 500
-    seed = np.random.SeedSequence(21)
-    draws = uniform_pair_counts(stream(seed), 6, np.full(samples, k))  # over P = 6 pairs
-    values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20)
+def test_mc_overlap_moments_draws_unchanged(monkeypatch):
+    n, q, beta, k, samples, seed = 4, 3, 1.0, 9, 500, 21
+    monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", 0)
+    child = np.random.SeedSequence(seed).spawn(k + 1)[k]
+    draws = uniform_pair_counts(stream(child), 6, np.full(samples, k))  # over P = 6 pairs
+    values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20) @ COEF
     mean, sem, used = stratum_average(
-        n, k, lambda rows: _overlap_moments(rows, n, q, beta, 20), samples, seed, 0)
+        n, k, lambda rows: _overlap_series(rows, n, q, beta, COEF), samples, seed)
     assert used == samples
-    np.testing.assert_allclose(mean, values.mean(axis=0), rtol=0, atol=TOL)
-    np.testing.assert_allclose(sem, values.std(axis=0, ddof=1) / math.sqrt(samples),
-                               rtol=0, atol=TOL)
+    assert abs(mean - values.mean()) <= TOL
+    assert abs(sem - values.std(ddof=1) / math.sqrt(samples)) <= TOL
 
 
 @pytest.mark.parametrize("n, q, m, beta", [(4, 2, 20, 40.0), (4, 3, 20, 60.0), (3, 2, 30, 50.0)])
@@ -358,12 +385,10 @@ def test_shifted_kernel_matches_unreduced_kernel(n, q, m, beta):
     full = upper_couplings(jrows, n)
     lnz_fn = lambda rows: _lnz_batch(rows, n, q, beta)
     assert np.abs(lnz_fn(jrows) - old_lnz(full, n, q, beta)).max() <= TOL
-    mean, _, used = stratum_average(n, m, lnz_fn, 8, np.random.SeedSequence(0))
+    mean, _, used = stratum_average(n, m, lnz_fn, 8, 0)
     assert used == 0 and abs(mean - weights @ old_lnz(full, n, q, beta)) <= TOL
-    moments = stratum_average(n, m, lambda rows: _overlap_moments(rows, n, q, beta, 20),
-                              8, np.random.SeedSequence(0))[0]
-    np.testing.assert_allclose(moments, weights @ old_overlap_moments(full, n, q, beta, 20),
-                               rtol=0, atol=TOL)
+    series = stratum_average(n, m, lambda rows: _overlap_series(rows, n, q, beta, COEF), 8, 0)[0]
+    assert abs(series - weights @ old_overlap_moments(full, n, q, beta, 20) @ COEF) <= TOL
 
 
 def test_shift_keeps_frustrated_rows_finite():
@@ -374,9 +399,26 @@ def test_shift_keeps_frustrated_rows_finite():
     lnz = _lnz_batch(rows, n, q, beta)
     assert lnz[0] == pytest.approx(math.log(6.0) - 1000.0, rel=1e-15)
     assert np.abs(lnz - old_lnz(upper_couplings(rows, n), n, q, beta)).max() <= TOL
-    np.testing.assert_allclose(_overlap_moments(rows, n, q, beta, 5),
-                               old_overlap_moments(upper_couplings(rows, n), n, q, beta, 5),
-                               rtol=0, atol=TOL)
+    moments = old_overlap_moments(upper_couplings(rows, n), n, q, beta, 5)
+    for unit, expect in zip(np.eye(5), moments.T):
+        np.testing.assert_allclose(_overlap_series(rows, n, q, beta, unit), expect,
+                                   rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n, q, m, beta", [(4, 3, 6, 1.3), (5, 2, 7, 0.4), (3, 2, 30, 50.0)])
+def test_overlap_series_recovers_each_moment(n, q, m, beta):
+    # a unit coef gives one moment, bit for bit as the per-R kernel gave it;
+    # any coef gives the series of the unreduced moments (m = 30 is shifted)
+    rows = _exact_placements(n, m)[0].astype(np.float64)
+    reduced = reduced_overlap_moments(rows, n, q, beta, 20)
+    moments = old_overlap_moments(upper_couplings(rows, n), n, q, beta, 20)
+    for r, unit in enumerate(np.eye(20)):
+        series = _overlap_series(rows, n, q, beta, unit)
+        assert np.array_equal(series, reduced[:, r])
+        np.testing.assert_allclose(series, moments[:, r], rtol=0, atol=TOL)
+    coef = np.random.default_rng(m).random(20)
+    np.testing.assert_allclose(_overlap_series(rows, n, q, beta, coef), moments @ coef,
+                               rtol=TOL, atol=0)
 
 
 @pytest.mark.parametrize("exact_budget, samples", [(DEFAULT_EXACT_BUDGET, 8), (0, 9000)])
@@ -385,37 +427,37 @@ def test_shared_workspace_matches_fresh_buffers(exact_budget, samples, monkeypat
     # chunks, the last ones partial; one workspace shared by every chunk
     # leaks no stale rows
     n, q, m, beta = 6, 3, 6, 1.3
+    monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", exact_budget)
     if exact_budget:
         monkeypatch.setattr(disorder, "CHUNK", 64)
     rows = len(_exact_placements(n, m)[0]) if exact_budget else samples
     assert rows // disorder.CHUNK >= 2 and rows % disorder.CHUNK
     work = _workspace(n, q)
     for kernel in (lambda rows, buf: _lnz_batch(rows, n, q, beta, buf),
-                   lambda rows, buf: _overlap_moments(rows, n, q, beta, 20, buf)):
-        shared = stratum_average(n, m, lambda rows: kernel(rows, work), samples,
-                                 np.random.SeedSequence(4), exact_budget)
+                   lambda rows, buf: _overlap_series(rows, n, q, beta, COEF, buf)):
+        shared = stratum_average(n, m, lambda rows: kernel(rows, work), samples, 4)
         fresh = stratum_average(n, m, lambda rows: kernel(rows, np.full_like(work, np.nan)),
-                                samples, np.random.SeedSequence(4), exact_budget)
+                                samples, 4)
         assert shared[2] == fresh[2] == (0 if exact_budget else samples)
         assert all(np.array_equal(a, b) for a, b in zip(shared[:2], fresh[:2]))
 
 
 @pytest.mark.parametrize("q, beta, c, n", [(2, 1.0, 2.0, 3), (3, 2.0, 4.0, 4)])
-def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n):
+def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n, monkeypatch):
     params = ModelParams(q=q, beta=beta, c=c)
     eps, seed, mc_samples = 2e-4, 5, 64
     lam, p = c * (n - 1) / 2.0, n * (n - 1) // 2
     m_max = poisson_cutoff(lambda m: (beta / n) * lam * poisson_sf(m, lam), 0.5 * eps,
                            M_MAX_CAP)
     pmf = poisson_pmf_vector(m_max, lam)
-    seeds = child_seeds(seed, m_max + 1)
+    seeds = np.random.SeedSequence(seed).spawn(m_max + 1)
     value = pmf[0] * math.log(q) + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n)
     for m in range(1, m_max + 1):
         budget = max(256, min(8 * mc_samples, int(4 * mc_samples * pmf[m]) + 1))
         draws = uniform_pair_counts(stream(seeds[m]), p, np.full(budget, m))
         value += pmf[m] * float(old_lnz(upper_couplings(draws, n), n, q, beta).mean()) / n
-    est = quenched_pressure_exact(params, n, eps=eps, seed=seed, mc_samples=mc_samples,
-                                  exact_budget=0)
+    monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", 0)
+    est = quenched_pressure_exact(params, n, eps=eps, seed=seed, mc_samples=mc_samples)
     assert abs(est.value - value) <= TOL
 
 
@@ -423,11 +465,11 @@ def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n):
 # the strata pass: exact strata batched into shared kernel calls
 # ---------------------------------------------------------------------------
 
-def per_stratum_engine(n: int, per_j, budgets: np.ndarray, seeds):
+def per_stratum_engine(n: int, per_j, budgets: np.ndarray, seed: int):
     """The engine with every exact stratum averaged on its own, as before the
     strata shared kernel calls: its orbit table in 4 096-row chunks and one
     weighted sum (tensordot) per chunk.  Monte Carlo strata are the engine's."""
-    means, sems = _conditional_average(n, per_j, budgets, seeds)
+    means, sems = _conditional_average(n, per_j, budgets, seed)
     for m in np.flatnonzero(budgets == 0):
         rows, weights = _exact_placements(n, m)
         means[m] = sum(np.tensordot(weights[i:i + 4096], per_j(rows[i:i + 4096]), axes=1)

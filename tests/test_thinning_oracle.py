@@ -22,15 +22,15 @@ from potts_af.disorder import (
     DEFAULT_EXACT_BUDGET,
     METHOD_EXACT,
     _lnz_batch,
+    SUM_RULE_TAIL_EPS,
     _mc_strata,
-    _overlap_moments,
+    _overlap_series,
     quenched_pressure_exact,
     quenched_pressure_mc,
     sum_rule_deficit,
 )
 from potts_af.model import ModelParams
 from potts_af.util import (
-    child_seeds,
     multinomial_table,
     poisson_cutoff,
     poisson_pmf_vector,
@@ -77,7 +77,7 @@ def k_pressure(q: int, beta: float, c: float, n: int, eps: float, seed: int,
     k_tail = lambda k: (beta / n) * lam * poisson_sf(k, lam)
     k_max = poisson_cutoff(k_tail, 0.5 * eps, K_CAP)
     pmf = poisson_pmf_vector(k_max, lam)
-    seeds = child_seeds(seed, k_max + 1)
+    seeds = np.random.SeedSequence(seed).spawn(k_max + 1)
     per_row = lambda rows: k_lnz(rows, n, q, beta) / n
     value, var = pmf[0] * math.log(q) + (1.0 - pmf.sum()) * math.log(q), 0.0
     for k in range(1, k_max + 1):
@@ -89,21 +89,21 @@ def k_pressure(q: int, beta: float, c: float, n: int, eps: float, seed: int,
 
 
 def k_sum_rule(q: int, beta: float, c: float, n: int, r_max: int, seed: int,
-               mc_samples: int = 2048, k_tail_eps: float = 1e-10):
+               mc_samples: int = 2048):
     """(value, stat_error, tail_bound) of the sum-rule deficit by K-conditioning."""
     y = -math.expm1(-beta)
     lam = c * n / 2.0
-    k_max = poisson_cutoff(lambda k: poisson_sf(k + 1, lam), k_tail_eps, K_CAP)
-    seeds = child_seeds(seed, k_max + 1)
-    per_row = lambda rows: _overlap_moments(rows[:, :-1], n, q, beta, r_max)
-    means, sems, _ = map(np.array, zip(*(k_average(n, k, per_row, mc_samples, seeds[k])
-                                         for k in range(k_max + 1))))
+    k_max = poisson_cutoff(lambda k: poisson_sf(k + 1, lam), SUM_RULE_TAIL_EPS, K_CAP)
+    seeds = np.random.SeedSequence(seed).spawn(k_max + 1)
     rs = np.arange(1, r_max + 1)
     coef_r = 0.5 * np.power(y, rs) / rs
+    per_row = lambda rows: _overlap_series(rows[:, :-1], n, q, beta, coef_r)
+    means, sems, _ = map(np.array, zip(*(k_average(n, k, per_row, mc_samples, seeds[k])
+                                         for k in range(k_max + 1))))
     coef_k = np.array([poisson_sf(k + 1, lam) for k in range(k_max + 1)]) * (2.0 / n)
-    value = float(coef_r @ (coef_k @ means - np.power(float(q), -rs.astype(float))
-                            * coef_k.sum()))
-    stat = math.sqrt(float((((sems * coef_k[:, None]) @ coef_r) ** 2).sum()))
+    independent = coef_r @ np.power(float(q), -rs.astype(float))
+    value = float(coef_k @ means - coef_k.sum() * independent)
+    stat = math.sqrt(float(((coef_k * sems) ** 2).sum()))
     r_tail = 0.5 * c * y ** (r_max + 1) / ((r_max + 1) * (1.0 - y))
     return value, stat, r_tail + c * float(coef_r.sum()) * poisson_sf(k_max + 1, lam)
 
@@ -190,5 +190,5 @@ def test_default_exact_budget_reach(n, reach):
     assert math.comb(p + reach - 1, reach) <= DEFAULT_EXACT_BUDGET
     assert math.comb(p + reach, reach + 1) > DEFAULT_EXACT_BUDGET
     # the engine takes the exact path exactly up to the reach
-    mc_strata = _mc_strata(n, reach + 1, DEFAULT_EXACT_BUDGET)
+    mc_strata = _mc_strata(n, reach + 1)
     assert mc_strata.tolist() == [False] * (reach + 1) + [True]

@@ -126,7 +126,7 @@ def no_draws(monkeypatch):
         raise AssertionError("drew or split seeds before checking inputs")
 
     monkeypatch.setattr(disorder, "stream", refuse)
-    monkeypatch.setattr(disorder, "child_seeds", refuse)
+    monkeypatch.setattr(disorder, "child_seed", refuse)
 
 
 PARAMS = ModelParams(q=2, beta=1.0, c=4.0)
@@ -154,15 +154,6 @@ def test_planned_sample_total_is_capped(no_draws, estimator, planned):
     with pytest.raises(BudgetExceededError,
                        match=f"^{planned} Monte Carlo samples exceed {MAX_MC_SAMPLES}$"):
         estimator()
-
-
-@pytest.mark.parametrize("estimator", [
-    lambda budget: quenched_pressure_exact(PARAMS, 5, eps=2e-4, exact_budget=budget),
-    lambda budget: sum_rule_deficit(PARAMS, 5, 4, 3, exact_budget=budget),
-], ids=["quenched_pressure_exact", "sum_rule_deficit"])
-def test_negative_exact_budget_rejected(no_draws, estimator):
-    with pytest.raises(ValueError, match="exact_budget must be an integer >= 0"):
-        estimator(-1)
 
 
 # ---------------------------------------------------------------------------

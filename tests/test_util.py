@@ -14,7 +14,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 import potts_af.util as util
 from potts_af.util import (
     BudgetExceededError,
-    child_seeds,
+    child_seed,
     log_factorial,
     logsumexp,
     multinomial_table,
@@ -179,7 +179,19 @@ def test_stream_depends_only_on_the_seed(seed):
     assert isinstance(stream(seed).bit_generator, np.random.SFC64)
     np.testing.assert_array_equal(stream(np.random.SeedSequence(seed)).random(64), draws)
     np.testing.assert_array_equal(stream(seed).random(64), draws)
-    children = [stream(child).random(64) for child in child_seeds(seed, 4)]
-    np.testing.assert_array_equal(stream(child_seeds(seed, 4)[2]).random(64), children[2])
+    children = [stream(child_seed(seed, k)).random(64) for k in range(4)]
+    np.testing.assert_array_equal(stream(child_seed(seed, 2)).random(64), children[2])
     streams = [draws] + children
     assert all(not np.array_equal(a, b) for a, b in itertools.combinations(streams, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("k", [0, 1, 5, 19, np.int64(12)])
+def test_child_seed_is_the_spawned_child(seed, k):
+    # child k made alone is child k of SeedSequence.spawn, the split the
+    # strata and chunk streams used when every child was spawned up front
+    spawned = np.random.SeedSequence(seed).spawn(int(k) + 1)[int(k)]
+    child = child_seed(seed, k)
+    assert child.spawn_key == spawned.spawn_key == (int(k),)
+    np.testing.assert_array_equal(child.generate_state(8), spawned.generate_state(8))
+    np.testing.assert_array_equal(stream(child).random(64), stream(spawned).random(64))
