@@ -71,8 +71,8 @@ block size (capped by MC_BLOCK_CELLS leaf x site x colour cells) depends
 only on the inputs, so results depend only on the inputs and the seed.
 Sample counts past util.MAX_MC_SAMPLES and draws of more than
 MAX_DRAW_CELLS leaf x site x colour cells (or atoms, in sample_pd_atoms
-and stability_test) raise BudgetExceededError; an n, samples or n_atoms
-that is not an integer, a bool or too small, and Poisson means past
+and stability_test) raise BudgetExceededError; an n, samples, n_atoms or
+seed that is not an integer, a bool or too small, and Poisson means past
 util.POISSON_MEAN_MAX raise ValueError, all before anything is drawn.
 Each level keeps n_atoms atoms; the mean share of normalizer mass beyond
 them, divided by n, is reported as bias_estimate.  It is an estimate, not
@@ -87,12 +87,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import METHOD_EXACT, METHOD_MC, QuenchedEstimate
+from . import replica
 from .model import ModelParams
 from .replica import (_alias_picks, _binomial_alias, _check_t, _class_alias, _class_table,
                       binomial_table_fits, class_table_fits, factor_logs, pair_logs, pair_sum,
                       profile_sum)
 from .util import (BudgetExceededError, check_int, check_poisson_mean, check_q, check_samples,
-                   check_tol, child_seed, logsumexp, stream)
+                   check_seed, child_seed, logsumexp, stream)
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -227,6 +228,7 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     """
     check_int("draws", draws, 10)
     check_samples(draws)
+    check_seed(seed)
     _check_pd_atoms(n_atoms)
     check_int("top", top)
     if top > n_atoms:
@@ -289,7 +291,7 @@ def _closed_level(spec: CascadeSpec, hier: SpinHierarchySpec) -> float | None:
 
 
 def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec,
-                 which: str, eps: float) -> tuple[float, float]:
+                 which: str) -> tuple[float, float]:
     """Closed-form G1 or G2 value with certified truncation tail: one
     replica.profile_sum or pair_sum of the leaf factor at _closed_level."""
     m = _closed_level(spec, hier)
@@ -303,7 +305,7 @@ def _closed_form(params: ModelParams, spec: CascadeSpec, hier: SpinHierarchySpec
         if m == 0.0:
             raise BudgetExceededError("the m -> 0 limit of G1 diverges at beta = inf")
         raise ValueError(FINITE_BETA)
-    val, tail, _ = profile_sum(c, q, log_match, log_other, m, eps)
+    val, tail, _ = profile_sum(c, q, log_match, log_other, m, replica.PROFILE_EPS)
     return math.log(q) + c * log_ann + val, tail
 
 
@@ -577,8 +579,8 @@ def _rounding(rows: np.ndarray, fit: np.ndarray) -> np.ndarray:
 
 
 def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
-            samples: int, seed: int, terms: tuple[str, ...], method: str, n_atoms: int,
-            eps: float) -> list[QuenchedEstimate]:
+            samples: int, seed: int, terms: tuple[str, ...], method: str,
+            n_atoms: int) -> list[QuenchedEstimate]:
     """Estimates of `terms` ("g1", "g2" or both, in that order), and after
     them, by Monte Carlo, that of the per-draw differences G1 - G2.
 
@@ -591,7 +593,7 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     if hier.q != params.q:
         raise ValueError("hierarchy q does not match model q")
     check_int("n", n)
-    check_tol("eps", eps)
+    check_seed(seed)
     if spec.depth == 1 and hier.kind != "uniform":
         # a one-level tree carries a single fixed spin measure; the
         # symmetric-t family only exists as a measure on measures
@@ -603,7 +605,7 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     if method == "closed-form":
         ests = []
         for which in terms:
-            value, tail = _closed_form(params, spec, hier, which, eps)
+            value, tail = _closed_form(params, spec, hier, which)
             ests.append(QuenchedEstimate(value, 0.0, tail, 0, METHOD_EXACT))
         return ests
     if method == "monte-carlo":
@@ -619,21 +621,21 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
 
 def cavity_g1(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
               samples: int = 4096, seed: int = 0, method: str = "auto",
-              n_atoms: int = 1024, eps: float = 1e-10) -> QuenchedEstimate:
+              n_atoms: int = 1024) -> QuenchedEstimate:
     """Interaction term G1 of the cavity field functional."""
-    return _cavity(params, n, spec, hier, samples, seed, ("g1",), method, n_atoms, eps)[0]
+    return _cavity(params, n, spec, hier, samples, seed, ("g1",), method, n_atoms)[0]
 
 
 def cavity_g2(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
               samples: int = 4096, seed: int = 0, method: str = "auto",
-              n_atoms: int = 1024, eps: float = 1e-10) -> QuenchedEstimate:
+              n_atoms: int = 1024) -> QuenchedEstimate:
     """Self-energy term G2 of the cavity field functional."""
-    return _cavity(params, n, spec, hier, samples, seed, ("g2",), method, n_atoms, eps)[0]
+    return _cavity(params, n, spec, hier, samples, seed, ("g2",), method, n_atoms)[0]
 
 
 def cavity_terms(params: ModelParams, n: int, spec: CascadeSpec,
                  hier: SpinHierarchySpec, samples: int = 4096, seed: int = 0,
-                 method: str = "auto", n_atoms: int = 1024, eps: float = 1e-10
+                 method: str = "auto", n_atoms: int = 1024
                  ) -> tuple[QuenchedEstimate, QuenchedEstimate, QuenchedEstimate]:
     """(G1, G2, G1 - G2) of one trial state.
 
@@ -646,7 +648,7 @@ def cavity_terms(params: ModelParams, n: int, spec: CascadeSpec,
     two terms' estimates.
     """
     e1, e2, *paired = _cavity(params, n, spec, hier, samples, seed, ("g1", "g2"), method,
-                              n_atoms, eps)
+                              n_atoms)
     bound = QuenchedEstimate(
         value=e1.value - e2.value,
         stat_error=paired[0].stat_error if paired else 0.0,
@@ -660,7 +662,6 @@ def cavity_terms(params: ModelParams, n: int, spec: CascadeSpec,
 
 def rsb_upper_bound(params: ModelParams, n: int, spec: CascadeSpec,
                     hier: SpinHierarchySpec, samples: int = 4096, seed: int = 0,
-                    method: str = "auto", n_atoms: int = 1024,
-                    eps: float = 1e-10) -> QuenchedEstimate:
+                    method: str = "auto", n_atoms: int = 1024) -> QuenchedEstimate:
     """G1 - G2: an upper bound on p_N for every admissible trial state."""
-    return cavity_terms(params, n, spec, hier, samples, seed, method, n_atoms, eps)[2]
+    return cavity_terms(params, n, spec, hier, samples, seed, method, n_atoms)[2]

@@ -22,13 +22,13 @@ p_1 = ln q - beta c/2 exactly.
 
 Both stratified averages, the pressure and the sum rule below, reduce one
 float per pair-count row in one strata pass (_conditional_average).  The
-exact strata share kernel calls, several strata to a block of at most
-CHUNK rows.  A Monte Carlo stratum with weight share s draws max(256,
-min(8 mc, floor(4 mc s) + 1)) samples for mc = mc_samples (_sample_plan)
-from util.child_seed(seed, M), CHUNK rows at a time, through the block
-loop that quenched_pressure_mc also runs (_sampled_mean).  Only a stratum
-that samples makes its seed, and the planned total is held to
-util.MAX_MC_SAMPLES before any is made.
+exact strata share kernel calls, several strata to a block of at most CHUNK
+rows.  A Monte Carlo stratum with weight share s draws max(256, min(8 mc,
+floor(4 mc s) + 1)) samples (_sample_plan), mc = mc_samples or
+SUM_RULE_MC_SAMPLES, from util.child_seed(seed, M), CHUNK rows at a time,
+through the block loop that quenched_pressure_mc also runs (_sampled_mean).
+Only a stratum that samples makes its seed, and the planned total is held
+to util.MAX_MC_SAMPLES before any is made.
 
 The exact path never lists the multisets.  ln Z and the pair overlaps
 do not change when the N sites are relabelled, so it averages over
@@ -69,9 +69,9 @@ import numpy as np
 from .model import (ModelParams, _check_budget, _check_finite_beta, as_couplings, colour_classes,
                     config_energies)
 from .util import (BudgetExceededError, check_beta, check_c, check_int, check_poisson_mean,
-                   check_q, check_samples, check_tol, child_seed, log_multinomial, logsumexp,
-                   multinomial_table, multiset_permutations, poisson_cutoff, poisson_pmf_vector,
-                   poisson_sf, stream)
+                   check_q, check_samples, check_seed, check_tol, child_seed, log_multinomial,
+                   logsumexp, multinomial_table, multiset_permutations, poisson_cutoff,
+                   poisson_pmf_vector, poisson_sf, stream)
 
 METHOD_EXACT = "exact-conditional"
 METHOD_MC = "monte-carlo"
@@ -80,6 +80,7 @@ METHOD_MC = "monte-carlo"
 DEFAULT_EXACT_BUDGET = 60_000
 DEFAULT_MC_SAMPLES = 4096
 SUM_RULE_TAIL_EPS = 1e-10  # bound on the sum rule's Poisson tail P(M > M_max)
+SUM_RULE_MC_SAMPLES = 2048  # the sum rule's mc in the sample plan (_sample_plan)
 # cap on the balanced sector's states and on its doubly balanced pair measures
 BALANCED_BUDGET = 500_000
 M_MAX_CAP = 100_000
@@ -117,6 +118,7 @@ def sample_couplings(n: int, c: float, seed: int) -> np.ndarray:
     """N x N iid Poisson(c/2N) couplings, reproducible from the seed."""
     check_int("n", n)
     check_c(c)
+    check_seed(seed)
     if c == 0.0:
         return np.zeros((n, n), dtype=np.int64)
     check_poisson_mean(c / (2.0 * n), c)
@@ -351,8 +353,9 @@ def _table_blocks(tables: list[tuple[np.ndarray, np.ndarray]]):
         yield rows, weights, owners, starts
 
 
-def _check_system(name: str, n: int, q: int, beta: float) -> None:
+def _check_system(name: str, n: int, q: int, beta: float, seed: int) -> None:
     check_int("n", n)
+    check_seed(seed)
     _check_finite_beta(name, beta)
     _check_budget(q, n)
 
@@ -371,7 +374,7 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6, seed
     check_tol("eps", eps)
     check_int("mc_samples", mc_samples)
     check_samples(mc_samples)
-    _check_system("quenched_pressure_exact", n, q, beta)
+    _check_system("quenched_pressure_exact", n, q, beta, seed)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
 
@@ -403,7 +406,7 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
     q, beta, c = params.q, params.beta, params.c
     check_int("samples", samples, 2)  # two for a standard error
     check_samples(samples)
-    _check_system("quenched_pressure_mc", n, q, beta)
+    _check_system("quenched_pressure_mc", n, q, beta, seed)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(math.log(q) - beta * c / (2 * n), 0.0, 0.0, 0, METHOD_EXACT)
     lam = c * (n - 1) / 2.0
@@ -424,7 +427,7 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
 # ---------------------------------------------------------------------------
 
 def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
-                     seed: int = 0, mc_samples: int = 2048) -> QuenchedEstimate:
+                     seed: int = 0) -> QuenchedEstimate:
     """Overlap-fluctuation series for P - p_N, with explicit error budget.
 
     Per replica order R the double bracket reduces to the pair-overlap
@@ -433,9 +436,9 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     per coupling draw, so stat_error is one standard error.  The c'
     integral is exact: the weight of M = m integrates to w_m = (2/(N-1))
     P(Poisson(c(N-1)/2) >= m + 1).  A Monte Carlo stratum's sample share
-    is w_m over the sum of w over the Monte Carlo strata, so mc_samples
-    sets the total (about 4 mc_samples plus the 256-sample floors), not a
-    per-stratum count.  At N = 1 every moment is 1 and the series sums to
+    is w_m over the sum of w over the Monte Carlo strata, so the constant
+    SUM_RULE_MC_SAMPLES sets the total (about 4 times it plus the
+    256-sample floors), not a per-stratum count.  At N = 1 every moment is 1 and the series sums to
     (c/2)(beta + ln(1 - y/q)) exactly.  quad_points is kept for
     compatibility; it is validated (>= 3) and otherwise ignored.
     tail_bound adds the geometric R > r_max remainder and the certified M
@@ -445,9 +448,7 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     q, beta, c = params.q, params.beta, params.c
     check_int("r_max", r_max)
     check_int("quad_points", quad_points, 3)
-    check_int("mc_samples", mc_samples, 2)
-    check_samples(mc_samples)
-    _check_system("sum_rule_deficit", n, q, beta)
+    _check_system("sum_rule_deficit", n, q, beta, seed)
     y = -math.expm1(-beta)
     if c == 0.0 or beta == 0.0 or n == 1:
         return QuenchedEstimate(0.5 * c * (beta + math.log1p(-y / q)), 0.0, 0.0, 0, METHOD_EXACT)
@@ -458,7 +459,7 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     sf = np.array([poisson_sf(m + 1, lam) for m in range(m_max + 1)])
     coef_m = sf * (2.0 / (n - 1))
     mc_strata = _mc_strata(n, m_max)
-    budgets = _sample_plan(mc_strata, coef_m, coef_m[mc_strata].sum(), mc_samples)
+    budgets = _sample_plan(mc_strata, coef_m, coef_m[mc_strata].sum(), SUM_RULE_MC_SAMPLES)
     total_samples = int(budgets.sum())
 
     rs = np.arange(1, r_max + 1)

@@ -9,7 +9,8 @@ With x = x(beta, q) and a symmetry-breaking strength t in
 
 where the tau_i are k iid uniform colors and pi_c is Poisson(c).  The
 inner expectation collapses to color counts: with n_s slots of color s the
-product is A^{n_s} B^{k - n_s} for A = 1 - (q-1) x t, B = 1 + x t.  That
+product is A^{n_s} B^{k - n_s} for A = 1 - (q-1) x t, B = 1 + x t, whose
+logs factor_logs computes without cancellation, for one t or a grid.  That
 value does not change when colours are permuted, so the tau average is an
 exact sum over colour classes: the sorted count profiles (partitions of k
 into at most q parts), each with the summed multinomial probability of its
@@ -34,11 +35,8 @@ classes of every k <= k_max serves a block of t, and a block holds at most
 PROFILE_BLOCK_CELLS (t, class) cells, so memory does not grow with the
 grid.  The class table itself is capped at MAX_CLASS_ROWS rows and at
 q <= MAX_CLASS_Q, past which BudgetExceededError is raised before it is
-allocated.  scan_rs_bound makes one such call for every t != 0.  The
-cascade Monte Carlo draws classes from Walker alias tables built from the
-same class weights (_class_alias) and cached beside them, and its G2 leaf
-matches from the alias tables of Binomial(k, 1/q) (_binomial_alias), which
-carry the match count of each outcome (_alias_picks).
+allocated.  scan_rs_bound makes one such call for its whole grid, t = 0
+included, with the tail target PROFILE_EPS, read at call time.
 
 Both corrections vanish at t = 0; their t^4 coefficients are
 -(1/4)(q-1) c^2 x^4 and -(1/4)(q-1) c x^2, so the symmetric point goes
@@ -54,16 +52,17 @@ from functools import cache, update_wrapper
 import numpy as np
 
 from .bounds import annealed_pressure, x_param
-from .util import (BudgetExceededError, check_c, check_int, check_q, check_state, check_tol,
-                   log_factorial, poisson_cutoff, poisson_pmf_vector, poisson_sf)
+from .util import (BudgetExceededError, check_beta, check_c, check_int, check_q, check_state,
+                   check_tol, log_factorial, poisson_cutoff, poisson_pmf_vector, poisson_sf)
 
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
 PROFILE_BLOCK_CELLS = 2**14  # cap on (t, colour class) cells in one block of the profile sum
 MAX_T_POINTS = 100_000  # cap on a scan grid, as on phase-diagram rows
 MAX_CLASS_ROWS = 1_000_000  # cap on colour-class rows; 0.84 M rows at q = 5 peak near 260 MB
 MAX_CLASS_Q = 170  # largest q whose q! is a finite float
-# 1 - (q-1) x t^2 vanishes only at beta = inf, |t| = 1 (x = 1/(q-1) there)
 DEGENERATE_PAIR_FACTOR = "degenerate pair factor; requires beta < inf or |t| < 1"
+PROFILE_EPS = 1e-10  # certified Poisson tail of g1, the RS scans and the cascade closed forms
+QUARTIC_EPS = 1e-12  # the same for quartic_coefficients, whose stencil divides by h^4
 
 
 @dataclass(frozen=True)
@@ -287,42 +286,61 @@ def _binomial_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return accept, _alias_picks(alias, j), bounds
 
 
-def factor_logs(beta: float, q: int, t: float) -> tuple[float, float]:
+def _leaf_logs(beta: float, q: int, t, pair: bool):
+    """(ln A, ln B) of A = 1 - (q-1) x s, B = 1 + x s at s = t, or s = t^2 for
+    the pair factors, for a float t or an array.  With u = e^-beta and r =
+    1 - s (for pairs (1 - t)(1 + t)), (q-1+u) A = (q-1) r + u (1 + (q-1) s)
+    and (q-1+u) B = q-1+s + u r are sums of terms >= 0, zero only at beta =
+    inf.  A factor >= 1/2 takes log1p of its distance from 1, -(q-1) x s or
+    x s, which keeps small logs, and those at t = 0 or beta = 0 exactly 0."""
+    check_q(q)
+    check_beta(beta)
+    array = isinstance(t, np.ndarray)
+    u = math.exp(-beta)
+    s, r = (t * t, (1.0 - t) * (1.0 + t)) if pair else (t, 1.0 - t)
+    den = q - 1 + u
+    xs = -math.expm1(-beta) / den * s
+    a = ((q - 1) * r + u * (1.0 + (q - 1) * s)) / den
+    b = (q - 1 + s + u * r) / den
+    ok = (-1.0 / (q - 1) <= t) & (t <= 1.0) & (a > 0.0) & (b > 0.0)
+    if not (ok.all() if array else ok):  # before any log, so beta = inf never takes log 0
+        if array:
+            _leaf_logs(beta, q, t[~ok][0].item(), pair)  # raises the first bad t's error
+        _check_t(t, q)
+        raise ValueError(DEGENERATE_PAIR_FACTOR if pair else f"degenerate product factor at "
+                         f"x={x_param(beta, q)}, t={t}, q={q} (requires beta < inf)")
+    if not array:  # numpy's logs, so that a float gives the bits of an array entry
+        return (float(np.log1p(-(q - 1) * xs) if a >= 0.5 else np.log(a)),
+                float(np.log1p(xs) if b >= 0.5 else np.log(b)))
+    log_a, log_b = np.log(a), np.log(b)
+    np.log1p(-(q - 1) * xs, out=log_a, where=a >= 0.5)
+    np.log1p(xs, out=log_b, where=b >= 0.5)
+    return log_a, log_b
+
+
+def factor_logs(beta: float, q: int, t) -> tuple:
     """(ln A, ln B) for the g1 factors A = 1 - (q-1) x t, B = 1 + x t."""
-    x = x_param(beta, q)
-    _check_t(t, q)
-    a = 1.0 - (q - 1) * x * t
-    b = 1.0 + x * t
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"degenerate product factor at x={x}, t={t}, q={q} "
-                         "(requires beta < inf)")
-    return math.log(a), math.log(b)
+    return _leaf_logs(beta, q, t, False)
 
 
-def pair_logs(beta: float, q: int, t: float) -> tuple[float, float]:
+def pair_logs(beta: float, q: int, t) -> tuple:
     """(ln lo, ln hi) for the g2 pair factors lo = 1 - (q-1) x t^2, taken by
     a matching pair, and hi = 1 + x t^2."""
-    x = x_param(beta, q)
-    _check_t(t, q)
-    hi = 1.0 + x * t * t
-    lo = 1.0 - (q - 1) * x * t * t
-    if lo <= 0.0 or hi <= 0.0:
-        raise ValueError(DEGENERATE_PAIR_FACTOR)
-    return math.log(lo), math.log(hi)
+    return _leaf_logs(beta, q, t, True)
 
 
-def pair_sum(c: float, q: int, log_match: float, log_other: float, m: float) -> float:
+def pair_sum(c: float, q: int, log_match, log_other, m: float):
     """(c/2m) ln E[V^m] for the pair factor V = e^log_match with probability
     1/q (a matching pair) and e^log_other otherwise, log_match <= log_other.
 
-    m = 0 stands for the limit (c/2) E[ln V], as in profile_sum; at
+    m = 0 stands for the limit (c/2) E[ln V], for float or array logs; at
     log_match = -inf (beta = inf) it is 0 for c = 0 and diverges otherwise.
     """
     if m == 0.0:
-        if log_match == -math.inf:
-            if c > 0.0:
-                raise BudgetExceededError("the m -> 0 limit of G2 diverges at beta = inf")
-            return 0.0
+        if c == 0.0:
+            return 0.0 * log_other  # 0, or zeros of the logs' shape; log_other is finite
+        if np.min(log_match) == -math.inf:
+            raise BudgetExceededError("the m -> 0 limit of G2 diverges at beta = inf")
         return 0.5 * c / q * ((q - 1) * log_other + log_match)
     # E[V^m] = e^(m log_other) (1 + (e^(m (log_match - log_other)) - 1) / q)
     return 0.5 * c * (log_other + math.log1p(math.expm1(m * (log_match - log_other)) / q) / m)
@@ -411,43 +429,27 @@ def profile_sum(c: float, q: int, log_a, log_b, m: float, eps: float):
     return value.reshape(shape), tail.reshape(shape), k_max.reshape(shape)
 
 
-def g1(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> tuple[float, float]:
-    """Exact-in-tau evaluation of g1 (profile_sum at m = 0) with a certified
-    Poisson tail.
-
-    Returns (value, tail) where tail bounds the dropped k > k_max mass.
-    """
+def g1(beta: float, c: float, q: int, t: float) -> tuple[float, float]:
+    """(value, tail): g1 exact in tau (profile_sum at m = 0), and the bound
+    on its dropped k > k_max mass, at most PROFILE_EPS."""
     check_c(c)
-    value, tail, _ = profile_sum(c, q, *factor_logs(beta, q, t), 0.0, eps)
+    value, tail, _ = profile_sum(c, q, *factor_logs(beta, q, t), 0.0, PROFILE_EPS)
     return value, tail
 
 
 def _rs_evaluations(beta: float, c: float, q: int, ts, eps: float) -> list[RsEvaluation]:
-    """P(beta, c) + g1 - g2 at each t, with one profile sum for every t != 0."""
+    """P(beta, c) + g1 - g2 at each t of the array ts, from one profile sum."""
     pressure = annealed_pressure(beta, c, q)
-    out = [RsEvaluation(g1=0.0, g2=0.0, gap=0.0, rs_bound=pressure,
-                        k_truncation=0, tail_bound=0.0)] * len(ts)
-    moving = [i for i, t in enumerate(ts) if t != 0.0]
-    # factor_logs and pair_logs for every t at once, with math.log on the same values
-    x = x_param(beta, q)
-    t = np.array([ts[i] for i in moving], dtype=np.float64)
-    a, b = 1.0 - (q - 1) * x * t, 1.0 + x * t
-    hi, lo = 1.0 + x * t * t, 1.0 - (q - 1) * x * t * t
-    if not np.all((-1.0 / (q - 1) <= t) & (t <= 1.0) & (a > 0.0) & (b > 0.0) & (lo > 0.0)):
-        for tt in t.tolist():  # raises the error of the first bad t
-            factor_logs(beta, q, tt), pair_logs(beta, q, tt)
-    log_a, log_b = (np.array(list(map(math.log, v.tolist())), dtype=np.float64) for v in (a, b))
-    val2 = [pair_sum(c, q, math.log(u), math.log(v), 0.0) for u, v in zip(lo.tolist(), hi.tolist())]
-    val1, tail, k_max = profile_sum(c, q, log_a, log_b, 0.0, eps)
-    for i, v1, v2, k, tb in zip(moving, val1.tolist(), val2, k_max.tolist(), tail.tolist()):
-        out[i] = RsEvaluation(g1=v1, g2=v2, gap=v1 - v2, rs_bound=pressure + (v1 - v2),
-                              k_truncation=k, tail_bound=tb)
-    return out
+    val1, tail, k_max = profile_sum(c, q, *factor_logs(beta, q, ts), 0.0, eps)
+    val2 = pair_sum(c, q, *pair_logs(beta, q, ts), 0.0)
+    gap = val1 - val2
+    return list(map(RsEvaluation, val1.tolist(), val2.tolist(), gap.tolist(),
+                    (pressure + gap).tolist(), k_max.tolist(), tail.tolist()))
 
 
-def rs_bound(beta: float, c: float, q: int, t: float, eps: float = 1e-10) -> RsEvaluation:
+def rs_bound(beta: float, c: float, q: int, t: float) -> RsEvaluation:
     """Assemble P(beta, c) + g1 - g2; equals P exactly at t = 0."""
-    return _rs_evaluations(beta, c, q, [t], eps)[0]
+    return _rs_evaluations(beta, c, q, np.array([t], dtype=np.float64), PROFILE_EPS)[0]
 
 
 def instability(beta: float, c: float, q: int) -> bool:
@@ -466,32 +468,29 @@ def t_grid(q: int, points: int = 201) -> np.ndarray:
     return np.linspace(-1.0 / (q - 1), 1.0, points)
 
 
-def scan_rs_bound(beta: float, c: float, q: int, points: int = 201,
-                  eps: float = 1e-10) -> tuple[np.ndarray, list[RsEvaluation]]:
+def scan_rs_bound(beta: float, c: float, q: int,
+                  points: int = 201) -> tuple[np.ndarray, list[RsEvaluation]]:
     """rs_bound at every point of t_grid(q, points)."""
     ts = t_grid(q, points)
-    return ts, _rs_evaluations(beta, c, q, ts, eps)
+    return ts, _rs_evaluations(beta, c, q, ts, PROFILE_EPS)
 
 
-def quartic_coefficients(beta: float, c: float, q: int, h: float = 0.05,
-                         eps: float = 1e-12) -> tuple[float, float, float, float]:
+def quartic_coefficients(beta: float, c: float, q: int,
+                         h: float = 0.05) -> tuple[float, float, float, float]:
     """Extract the t^4 coefficients of g1 and g2 and their reference values.
 
     Even five-point stencil: with gh = (g(h) + g(-h))/2, the combination
     (gh(2h) - 4 gh(h)) / (12 h^4) kills the t^2 term and leaves the quartic
     coefficient with an O(h^2) error; one Richardson level in h removes
     that.  h lies in (0, 1/(2(q-1))], so that +-2h stays in the t domain.
-    References are the closed forms -(1/4)(q-1) c^2 x^4 and
-    -(1/4)(q-1) c x^2.
+    g1's tails are cut at QUARTIC_EPS.  References are the closed forms
+    -(1/4)(q-1) c^2 x^4 and -(1/4)(q-1) c x^2.
     """
     check_state(beta, c, q)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and > 0, got {h}")
     if h > 0.5 / (q - 1):  # past it, -2h or +2h leaves the t domain [-1/(q-1), 1]
         raise ValueError(f"h must be <= 1/(2(q-1)) = {0.5 / (q - 1)} at q = {q}, got {h}")
-    check_tol("eps", eps)
-    if eps > 1e-10:
-        raise ValueError("quartic extraction requires g1 eps <= 1e-10")
     x = x_param(beta, q)
     ref1 = -0.25 * (q - 1) * c * c * x**4
     ref2 = -0.25 * (q - 1) * c * x**2
@@ -499,20 +498,12 @@ def quartic_coefficients(beta: float, c: float, q: int, h: float = 0.05,
         return 0.0, 0.0, 0.0, 0.0
 
     # one profile sum over the six t the stencils use: +-h/2, +-h, +-2h
-    ts = [s * f * h for f in (0.5, 1.0, 2.0) for s in (1.0, -1.0)]
-    log_a, log_b = np.array([factor_logs(beta, q, t) for t in ts]).T
-    g1_at = dict(zip(ts, profile_sum(c, q, log_a, log_b, 0.0, eps)[0].tolist()))
+    at = _rs_evaluations(beta, c, q, h * np.array([0.5, -0.5, 1, -1, 2, -2]), QUARTIC_EPS)
 
-    def even_g1(tt: float) -> float:
-        return 0.5 * (g1_at[tt] + g1_at[-tt])
+    def quartic(g: list[float]) -> float:
+        half, one, two = (0.5 * (g[i] + g[i + 1]) for i in (0, 2, 4))  # even parts
+        fine, coarse = ((hi - 4.0 * lo) / (12.0 * hh**4) for lo, hi, hh in
+                        ((half, one, h / 2), (one, two, h)))
+        return (4.0 * fine - coarse) / 3.0
 
-    def even_g2(tt: float) -> float:
-        return 0.5 * (g2(beta, c, q, tt) + g2(beta, c, q, -tt))
-
-    def quartic(even_fn) -> float:
-        def stencil(hh: float) -> float:
-            return (even_fn(2 * hh) - 4.0 * even_fn(hh)) / (12.0 * hh**4)
-
-        return (4.0 * stencil(h / 2) - stencil(h)) / 3.0
-
-    return quartic(even_g1), quartic(even_g2), ref1, ref2
+    return quartic([ev.g1 for ev in at]), quartic([ev.g2 for ev in at]), ref1, ref2

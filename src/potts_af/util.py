@@ -1,9 +1,9 @@
 """Shared numerical plumbing: argument rules, Poisson weights and tails,
 log-factorials, seeded RNG streams, cutoffs, log-sum-exp.
 
-The argument rules (check_q, check_beta, check_c, check_int, check_tol)
-are stated here once; every public entry point calls them before any
-search, table build or draw, and each raises ValueError naming the argument.
+The argument rules (check_q, check_beta, check_c, check_int, check_tol and
+check_seed) are stated here once; every public entry point calls them before
+any search, table build or draw, and each raises ValueError naming it.
 
 Every stochastic routine in the package draws from an SFC64 generator
 (stream) keyed by an explicit integer seed, or by a child of one
@@ -38,6 +38,11 @@ def check_int(name: str, value, low: int = 1) -> None:
     """Raise ValueError unless value is an integer >= low; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """A seed: an integer >= 0 (numpy integers allowed), never a bool."""
+    check_int("seed", seed, 0)
 
 
 def check_q(q, low: int = 2) -> None:

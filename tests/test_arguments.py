@@ -1,10 +1,11 @@
 """One table of bad arguments over the public entry points.
 
 Every entry point that takes beta, a connectivity c, the number of colours
-q, an integer count or a tolerance checks it by the rules of util: q an
-integer >= 2 (>= 1 in the balanced sector and the single-graph model),
+q, an integer count, a seed or a tolerance checks it by the rules of util:
+q an integer >= 2 (>= 1 in the balanced sector and the single-graph model),
 beta >= 0 with infinity allowed, c finite and >= 0, a count an integer (not
-a bool) at or above its least value, a tolerance > 0.  Each bad value must
+a bool) at or above its least value, a seed an integer >= 0 (not a bool),
+on every path, exact or sampled, and a tolerance > 0.  Each bad value must
 raise a ValueError that names the argument, and must do so before any
 search, table build, enumeration or draw: the fixture below makes every
 such step fail loudly with an AssertionError.
@@ -173,8 +174,6 @@ COUNTS = [
     ("sum_rule_deficit", "n", 1, lambda v: pa.sum_rule_deficit(_params(), v, 3, 3)),
     ("sum_rule_deficit", "r_max", 1, lambda v: pa.sum_rule_deficit(_params(), 4, v, 3)),
     ("sum_rule_deficit", "quad_points", 3, lambda v: pa.sum_rule_deficit(_params(), 4, 3, v)),
-    ("sum_rule_deficit", "mc_samples", 2,
-     lambda v: pa.sum_rule_deficit(_params(), 4, 3, 3, mc_samples=v)),
     ("sample_couplings", "n", 1, lambda v: pa.sample_couplings(v, 1.0, 0)),
     ("balanced_count", "n", 1, lambda v: pa.balanced_count(v, 1)),
     ("conditional_moments_balanced", "k", 0,
@@ -202,16 +201,34 @@ def _count_rows():
                    f"{arg} must be an integer >= {least}")
 
 
+# (entry point, call with the seed): the exact and closed-form paths, which
+# draw nothing, check the seed as the sampling ones do
+SEEDS = [
+    ("quenched_pressure_exact", lambda v: pa.quenched_pressure_exact(_params(), 4, seed=v)),
+    ("quenched_pressure_mc", lambda v: pa.quenched_pressure_mc(_params(), 4, 16, v)),
+    ("sum_rule_deficit", lambda v: pa.sum_rule_deficit(_params(), 4, 3, 3, seed=v)),
+    ("sample_couplings", lambda v: pa.sample_couplings(3, 1.0, v)),
+    ("stability_test", lambda v: pa.stability_test(0.5, 16, 100, v)),
+    *((f"{fn.__name__}-{method}",
+       lambda v, fn=fn, method=method: fn(_params(), 2, pa.one_rsb_spec(0.5),
+                                          pa.uniform_hierarchy(2), samples=8, seed=v,
+                                          method=method))
+      for fn in (cascade.cavity_g1, cascade.cavity_g2, cascade.cavity_terms,
+                 cascade.rsb_upper_bound)
+      for method in ("closed-form", "monte-carlo")),
+]
+
+
+def _seed_rows():
+    for name, fn in SEEDS:
+        for v in (-1, 1.5, True):
+            yield f"{name}-seed={v!r}", (lambda fn=fn, v=v: fn(v)), "seed must be an integer >= 0"
+
+
 # (entry point, tolerance name, call with the tolerance)
 TOLERANCES = [
     ("quenched_pressure_exact", "eps", lambda v: pa.quenched_pressure_exact(_params(), 4, eps=v)),
-    ("g1", "eps", lambda v: pa.g1(1.0, 2.0, 2, 0.3, eps=v)),
-    ("rs_bound", "eps", lambda v: pa.rs_bound(1.0, 2.0, 2, 0.3, eps=v)),
-    ("scan_rs_bound", "eps", lambda v: pa.scan_rs_bound(1.0, 2.0, 2, 5, eps=v)),
-    ("quartic_coefficients", "eps", lambda v: pa.quartic_coefficients(1.0, 2.0, 2, eps=v)),
     ("profile_sum", "eps", lambda v: profile_sum(2.0, 2, -0.1, 0.1, 0.0, v)),
-    ("rsb_upper_bound", "eps",
-     lambda v: pa.rsb_upper_bound(_params(), 2, pa.rs_spec(), pa.uniform_hierarchy(2), eps=v)),
 ]
 
 
@@ -269,8 +286,8 @@ REGRESSIONS = [
      "h must be <= 1/(2(q-1)) = 0.5 at q = 2, got 0.6"),
 ]
 
-ROWS = [*_c_rows(), *_beta_rows(), *_q_rows(), *_count_rows(), *_tolerance_rows(),
-        *REGRESSIONS]
+ROWS = [*_c_rows(), *_beta_rows(), *_q_rows(), *_count_rows(), *_seed_rows(),
+        *_tolerance_rows(), *REGRESSIONS]
 
 
 @pytest.mark.parametrize("call, message", [row[1:] for row in ROWS],
@@ -287,5 +304,6 @@ def test_good_arguments_pass_the_rules(q):
     assert pa.x_param(INF, q) == 1.0 / (q - 1)
     assert pa.balanced_count(int(q), 1) == 1
     assert pa.conditional_moments_balanced(2, 1, 1.0, np.int64(0)) == (1.0, 1.0)
+    assert np.array_equal(pa.sample_couplings(3, 1.0, np.int64(7)), pa.sample_couplings(3, 1.0, 7))
     # the largest stencil step, h = 1/(2(q-1)), puts -2h on the end of the t domain
     assert all(map(math.isfinite, pa.quartic_coefficients(1.0, 2.0, q, h=0.5 / (q - 1))))

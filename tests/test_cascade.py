@@ -230,7 +230,7 @@ def test_l1_generic_monte_carlo_agrees_with_closed_form():
     spec = CascadeSpec((0.5,))
     u = uniform_hierarchy(2)
     for fn, samples in ((cavity_g1, 600), (cavity_g2, 900)):
-        cf = fn(params, 3, spec, u, eps=1e-10)
+        cf = fn(params, 3, spec, u)
         mc = fn(params, 3, spec, u, samples=samples, seed=22,
                 method="monte-carlo", n_atoms=2048)
         assert abs(mc.value - cf.value) <= combined_error(cf, mc) + mc.bias_estimate * 3

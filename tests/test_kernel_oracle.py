@@ -504,7 +504,8 @@ def test_batched_exact_strata_match_per_stratum_loop(q, n, monkeypatch):
     # same rows at any block size
     params = ModelParams(q=q, beta=1.3, c=2.0)
     estimators = (lambda: quenched_pressure_exact(params, n, eps=2e-4, seed=3, mc_samples=64),
-                  lambda: disorder.sum_rule_deficit(params, n, 20, 3, seed=3, mc_samples=64))
+                  lambda: disorder.sum_rule_deficit(params, n, 20, 3, seed=3))
+    monkeypatch.setattr(disorder, "SUM_RULE_MC_SAMPLES", 64)
     with monkeypatch.context() as patch:
         patch.setattr(disorder, "_conditional_average", per_stratum_engine)
         old = [estimator() for estimator in estimators]

@@ -25,6 +25,7 @@ from potts_af.cascade import (
 from potts_af.model import ModelParams
 from potts_af.replica import (
     K_SUM_CAP,
+    PROFILE_EPS,
     _class_table,
     factor_logs,
     g1,
@@ -141,30 +142,30 @@ def test_scalars_give_scalars():
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_g1_and_rs_bound_match_oracle(q):
-    beta, c, eps = 1.3, 5.0, 1e-10
+    beta, c, eps = 1.3, 5.0, PROFILE_EPS
     for t in t_grid(q, 7):
         ref, ref_tail, ref_k = old_profile_sum(c, q, *factor_logs(beta, q, float(t)), 0.0, eps)
-        value, tail = g1(beta, c, q, float(t), eps)
+        value, tail = g1(beta, c, q, float(t))
         assert abs(value - ref) <= TOL and tail == ref_tail
-        ev = rs_bound(beta, c, q, float(t), eps)
+        ev = rs_bound(beta, c, q, float(t))
         assert abs(ev.g1 - ref) <= TOL
         assert ev.tail_bound == ref_tail and ev.k_truncation == ref_k
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_closed_form_cascades_match_oracle(q):
-    beta, c, eps, t = 1.0, 4.0, 1e-10, 0.5
+    beta, c, eps, t = 1.0, 4.0, PROFILE_EPS, 0.5
     params = ModelParams(q=q, beta=beta, c=c)
     offset = math.log(q) + c * math.log1p(math.expm1(-beta) / q)
     log_a, log_b = factor_logs(beta, q, t)
     for m in (0.25, 0.5, 0.75):
-        est = cavity_g1(params, 3, CascadeSpec((m,)), uniform_hierarchy(q), eps=eps)
+        est = cavity_g1(params, 3, CascadeSpec((m,)), uniform_hierarchy(q))
         ref, ref_tail, _ = old_profile_sum(c, q, -beta, 0.0, m, eps)
         assert abs(est.value - math.log(q) - ref) <= TOL and est.tail_bound == ref_tail
-        est = cavity_g1(params, 3, one_rsb_spec(m), symmetric_t_hierarchy(q, t), eps=eps)
+        est = cavity_g1(params, 3, one_rsb_spec(m), symmetric_t_hierarchy(q, t))
         ref, ref_tail, _ = old_profile_sum(c, q, log_a, log_b, m, eps)
         assert abs(est.value - offset - ref) <= TOL and est.tail_bound == ref_tail
-    est = cavity_g1(params, 3, rs_spec(), symmetric_t_hierarchy(q, t), eps=eps)
+    est = cavity_g1(params, 3, rs_spec(), symmetric_t_hierarchy(q, t))
     ref, ref_tail, _ = old_profile_sum(c, q, log_a, log_b, 0.0, eps)
     assert abs(est.value - offset - ref) <= TOL and est.tail_bound == ref_tail
 

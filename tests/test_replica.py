@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from potts_af.cascade import (
     CascadeSpec,
     cavity_g1,
     one_rsb_spec,
+    rs_spec,
+    rsb_upper_bound,
     symmetric_t_hierarchy,
     uniform_hierarchy,
 )
@@ -24,6 +27,7 @@ from potts_af.replica import (
     g1,
     g2,
     instability,
+    pair_logs,
     profile_sum,
     quartic_coefficients,
     rs_bound,
@@ -109,23 +113,23 @@ def brute_profile_sum(c, q, log_a, log_b, m, k_max):
 
 
 @pytest.mark.parametrize("form", ["rs", "one-rsb", "l1"])
-def test_profile_sum_matches_brute_force(form):
+def test_profile_sum_matches_brute_force(form, monkeypatch):
     q, beta, c, t, eps = 3, 1.0, 0.5, 0.6, 1e-4
+    monkeypatch.setattr(replica, "PROFILE_EPS", eps)  # a k_max the brute force can reach
     params = ModelParams(q=q, beta=beta, c=c)
     annealed_g1 = math.log(q) + c * math.log1p(math.expm1(-beta) / q)
     if form == "l1":
         log_a, log_b, m = -beta, 0.0, 0.5
-        library = cavity_g1(params, 3, CascadeSpec((m,)), uniform_hierarchy(q),
-                            eps=eps).value - math.log(q)
+        library = cavity_g1(params, 3, CascadeSpec((m,)), uniform_hierarchy(q)).value - math.log(q)
     else:
         log_a, log_b = factor_logs(beta, q, t)
         if form == "rs":
             m = 0.0
-            library = g1(beta, c, q, t, eps)[0]
+            library = g1(beta, c, q, t)[0]
         else:
             m = 0.5
-            library = cavity_g1(params, 3, one_rsb_spec(m), symmetric_t_hierarchy(q, t),
-                                eps=eps).value - annealed_g1
+            library = cavity_g1(params, 3, one_rsb_spec(m),
+                                symmetric_t_hierarchy(q, t)).value - annealed_g1
     value, tail, k_max = profile_sum(c, q, log_a, log_b, m, eps)
     assert 1 <= k_max <= 6
     assert tail <= eps
@@ -154,9 +158,51 @@ def test_g2_evenness_exact():
 
 
 def test_rs_bound_t0_is_annealed():
-    ev = rs_bound(1.2, 5.0, 3, 0.0)
-    assert ev.rs_bound == annealed_pressure(1.2, 5.0, 3)
-    assert ev.g1 == 0.0 and ev.g2 == 0.0 and ev.gap == 0.0
+    # t = 0 takes no branch of its own: both logs are 0, so the profile sum
+    # has no terms and no tail; at beta = 0 (x = 0) that holds at every t
+    for beta in (1.2, 0.0):
+        pressure = annealed_pressure(beta, 5.0, 3)
+        ev = rs_bound(beta, 5.0, 3, 0.0)
+        assert ev.g1 == 0.0 and ev.g2 == 0.0 and ev.gap == 0.0
+        ts, evals = scan_rs_bound(beta, 5.0, 3, 31)
+        assert 0.0 in ts
+        for t, ev in [(0.0, ev), *zip(ts, evals)]:
+            if t == 0.0 or beta == 0.0:
+                assert ev.rs_bound == pressure and ev.k_truncation == 0 and ev.tail_bound == 0.0
+
+
+def _naive_logs(beta: float, q: int, s: Decimal) -> tuple[float, float]:
+    """(ln(1 - (q-1) x s), ln(1 + x s)) in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = Decimal(-beta).exp()
+        x = (1 - u) / (q - 1 + u)
+        return float((1 - (q - 1) * x * s).ln()), float((1 + x * s).ln())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("beta", [20.0, 30.0, 38.0, 60.0])
+def test_leaf_logs_match_decimal_reference_at_large_beta(q, beta):
+    # 1 - (q-1) x t in floats cancels near t = 1: at q = 3, t = 1 its log
+    # was off by 0.24 at beta = 36 and degenerate from beta = 37 on
+    ts = np.array([1.0, 1.0 - 1e-9, -1.0 / (q - 1)])
+    array_logs = (*factor_logs(beta, q, ts), *pair_logs(beta, q, ts))
+    for i, t in enumerate(ts.tolist()):
+        got = (*factor_logs(beta, q, t), *pair_logs(beta, q, t))
+        want = (*_naive_logs(beta, q, Decimal(t)), *_naive_logs(beta, q, Decimal(t) ** 2))
+        for value, ref, entries in zip(got, want, array_logs):
+            assert abs(value - ref) <= 4 * math.ulp(ref), (t, value, ref)
+            assert entries[i] == value  # an array entry has the bits of its float call
+
+
+def test_bounds_finite_and_certified_at_beta_38():
+    beta, c, q = 38.0, 4.0, 3
+    _, evals = scan_rs_bound(beta, c, q, 31)
+    for ev in evals:
+        assert math.isfinite(ev.rs_bound) and ev.tail_bound <= replica.PROFILE_EPS
+    est = rsb_upper_bound(ModelParams(q=q, beta=beta, c=c), 3, rs_spec(),
+                          symmetric_t_hierarchy(q, 1.0))
+    assert math.isfinite(est.value) and est.tail_bound <= replica.PROFILE_EPS
 
 
 @pytest.mark.parametrize("q, beta, c, points", [(2, 1.0, 4.0, 41), (3, 2.0, 10.0, 31),
@@ -279,10 +325,12 @@ def test_quartic_coefficients_match_references():
 
 @pytest.mark.parametrize("beta, c, q, h", [(1.0, 4.0, 2, 0.05), (2.0, 10.0, 3, 0.05),
                                            (1.0, 3.0, 5, 0.1), (0.2, 20.0, 3, 0.01)])
-def test_quartic_batched_g1_bit_identical_to_separate_calls(beta, c, q, h):
+def test_quartic_batched_g1_bit_identical_to_separate_calls(beta, c, q, h, monkeypatch):
     # the one profile sum over +-h/2, +-h, +-2h gives each t the value of its own g1 call
+    monkeypatch.setattr(replica, "PROFILE_EPS", replica.QUARTIC_EPS)
+
     def even(tt: float) -> float:
-        return 0.5 * (g1(beta, c, q, tt, 1e-12)[0] + g1(beta, c, q, -tt, 1e-12)[0])
+        return 0.5 * (g1(beta, c, q, tt)[0] + g1(beta, c, q, -tt)[0])
 
     def stencil(hh: float) -> float:
         return (even(2 * hh) - 4.0 * even(hh)) / (12.0 * hh**4)
@@ -293,11 +341,6 @@ def test_quartic_batched_g1_bit_identical_to_separate_calls(beta, c, q, h):
 
 def test_quartic_coefficients_trivial_at_beta_zero():
     assert quartic_coefficients(0.0, 4.0, 2) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_quartic_requires_tight_eps():
-    with pytest.raises(ValueError):
-        quartic_coefficients(1.0, 4.0, 2, eps=1e-6)
 
 
 def test_one_level_consistency():

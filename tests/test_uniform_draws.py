@@ -132,12 +132,6 @@ def no_draws(monkeypatch):
 PARAMS = ModelParams(q=2, beta=1.0, c=4.0)
 
 
-@pytest.mark.parametrize("mc_samples", [1, 0, -5])
-def test_sum_rule_rejects_fewer_than_two_samples(no_draws, mc_samples):
-    with pytest.raises(ValueError, match="mc_samples must be an integer >= 2"):
-        sum_rule_deficit(PARAMS, 6, r_max=4, quad_points=3, mc_samples=mc_samples)
-
-
 @pytest.mark.parametrize("mc_samples", [0, -3])
 def test_quenched_pressure_rejects_fewer_than_one_sample(no_draws, mc_samples):
     with pytest.raises(ValueError, match="mc_samples must be an integer >= 1"):
@@ -146,11 +140,13 @@ def test_quenched_pressure_rejects_fewer_than_one_sample(no_draws, mc_samples):
 
 @pytest.mark.parametrize("estimator, planned", [
     (lambda: quenched_pressure_exact(PARAMS, 6, eps=1e-6, mc_samples=MAX_MC_SAMPLES), 3_480_792),
-    (lambda: sum_rule_deficit(PARAMS, 6, 4, 3, mc_samples=MAX_MC_SAMPLES), 4_003_352),
+    (lambda: sum_rule_deficit(PARAMS, 6, 4, 3), 4_003_352),
 ], ids=["quenched_pressure_exact", "sum_rule_deficit"])
-def test_planned_sample_total_is_capped(no_draws, estimator, planned):
-    # mc_samples itself is at the cap, but the strata would draw `planned`
-    # samples in all: refused before any seed is split
+def test_planned_sample_total_is_capped(no_draws, monkeypatch, estimator, planned):
+    # mc_samples (the sum rule's SUM_RULE_MC_SAMPLES) itself is at the cap,
+    # but the strata would draw `planned` samples in all: refused before any
+    # seed is split
+    monkeypatch.setattr(disorder, "SUM_RULE_MC_SAMPLES", MAX_MC_SAMPLES)
     with pytest.raises(BudgetExceededError,
                        match=f"^{planned} Monte Carlo samples exceed {MAX_MC_SAMPLES}$"):
         estimator()
