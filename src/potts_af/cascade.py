@@ -42,14 +42,16 @@ for G2, since every leaf's colour counts are Multinomial(k, 1/q) and its
 matches Binomial(K, 1/q) on their own.  A one-leaf tree gets no leaf
 columns: they would replace the sampled leaf by its conditional mean and
 turn the Monte Carlo into the closed form it is meant to check.  The
-coefficients are fitted by least squares on the odd draws for the even
-ones and the other way round, so no draw's correction depends on the
-draw itself and every estimate stays exactly unbiased.  All terms use the
-same columns, so the bound's value is G1 - G2 of the estimates, and its
-stat_error is the standard error of the adjusted per-draw differences.
-A stat_error never reads below the rounding of its adjusted values,
-eps (ceil(log2 S) + 2) mean(|d| + |X beta|) over S draws: a term the
-counts explain completely, as K does the annealed G2, leaves only that.
+coefficients are cross-fitted by util.cross_fit, the rule the disorder
+Monte Carlo shares: fitted by least squares on the odd draws for the even
+ones and the other way round, from the two halves' sums, so no draw's
+correction depends on the draw itself and every estimate stays exactly
+unbiased.  All terms use the same columns, so the bound's value is G1 -
+G2 of the estimates, and its stat_error is the standard error of the
+adjusted per-draw differences.  A stat_error never reads below the
+rounding of its adjusted values, eps (ceil(log2 S) + 2) (mean|d| + sum_j
+|beta_j| mean|X_j|) over S draws: a term the counts explain completely,
+as K does the annealed G2, leaves only that.
 
 For G1 a site's factor depends on its slots' colour counts only through
 their class (the sorted count profile), so on uniform leaves each (leaf,
@@ -93,7 +95,7 @@ from .replica import (_alias_picks, _binomial_alias, _check_t, _class_alias, _cl
                       binomial_table_fits, class_table_fits, factor_logs, pair_logs, pair_sum,
                       profile_sum)
 from .util import (BudgetExceededError, check_int, check_poisson_mean, check_q, check_samples,
-                   check_seed, child_seed, logsumexp, stream)
+                   check_seed, child_seed, cross_fit, logsumexp, stream)
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -549,33 +551,15 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
 
 def _controlled(rows: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means and standard errors of per-draw `rows` after subtracting the
-    zero-mean `controls` (one array row per control) at cross-fitted
-    coefficients.
-
-    The coefficients applied to the even draws are fitted by least squares,
-    with an intercept, on the odd draws, and the other way round.  No draw's
-    coefficients depend on the draw itself, so each adjusted mean is
-    exactly unbiased.  The standard error never reads below the rounding of
-    the adjusted values (_rounding).
-    """
-    fit = np.empty_like(rows)
-    for half in (0, 1):
-        x, y = controls[:, 1 - half::2], rows[:, 1 - half::2]
-        coef = np.linalg.lstsq((x - x.mean(axis=1, keepdims=True)).T,
-                               (y - y.mean(axis=1, keepdims=True)).T, rcond=None)[0]
-        fit[:, half::2] = coef.T @ controls[:, half::2]
-    adjusted = rows - fit
-    sem = adjusted.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])
-    return adjusted.mean(axis=1), np.maximum(sem, _rounding(rows, fit))
-
-
-def _rounding(rows: np.ndarray, fit: np.ndarray) -> np.ndarray:
-    """Rounding error of the means of rows - fit over S draws, per row:
-    eps (ceil(log2 S) + 2) mean(|d| + |X beta|) over the raw values d and
-    their corrections X beta.  Controls that explain a row completely, as
-    K does the annealed G2, leave only this."""
-    steps = math.ceil(math.log2(rows.shape[1])) + 2
-    return np.finfo(float).eps * steps * (np.abs(rows) + np.abs(fit)).mean(axis=1)
+    zero-mean `controls` (one array row per control) at coefficients
+    cross-fitted on the even and odd draws (util.cross_fit), from the two
+    halves' sums."""
+    shift = rows.mean(axis=1)
+    z = np.vstack([np.ones(rows.shape[1]), controls, rows - shift[:, None]])
+    w = np.vstack([z, np.abs(controls), np.abs(rows)])
+    sums = np.stack([w[:, half::2] @ z[:, half::2].T for half in (0, 1)])
+    means, errors = cross_fit(sums[None], shift[None])
+    return means[0], errors[0]
 
 
 def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,

@@ -21,14 +21,25 @@ is a point mass and exact whatever the budget.  N = 1 has no pairs, and
 p_1 = ln q - beta c/2 exactly.
 
 Both stratified averages, the pressure and the sum rule below, reduce one
-float per pair-count row in one strata pass (_conditional_average).  The
-exact strata share kernel calls, several strata to a block of at most CHUNK
-rows.  A Monte Carlo stratum with weight share s draws max(256, min(8 mc,
-floor(4 mc s) + 1)) samples (_sample_plan), mc = mc_samples or
-SUM_RULE_MC_SAMPLES, from util.child_seed(seed, M), CHUNK rows at a time,
-through the block loop that quenched_pressure_mc also runs (_sampled_mean).
-Only a stratum that samples makes its seed, and the planned total is held
-to util.MAX_MC_SAMPLES before any is made.
+float per pair-count row in one strata pass (_conditional_average).  A
+Monte Carlo stratum with weight share s draws max(256, min(8 mc, floor(4 mc
+s) + 1)) samples (_sample_plan), mc = mc_samples or SUM_RULE_MC_SAMPLES,
+from util.child_seed(seed, M), CHUNK rows at a time.  The strata share
+kernel calls, exact and Monte Carlo alike, several strata to a block of at
+most CHUNK rows.  Only a stratum that samples makes its seed, and the
+planned total is held to util.MAX_MC_SAMPLES before any is made.
+
+Every Monte Carlo average subtracts control variates whose means are
+exactly 0, at cross-fitted coefficients (util.cross_fit, the rule of the
+cascade Monte Carlo), so it stays exactly unbiased.  Each draw carries its
+occupancy, the number of pairs with J_p > 0, less its mean given M, P (1 -
+(1 - 1/P)^M) for M uniform edges on P pairs (_occupied_means); the draws of
+quenched_pressure_mc also carry M - lambda.  Each stratum, and the plain
+estimator, fits the coefficients of its first half of draws on its second
+half and the other way round, from per-(stratum, half) sums accumulated
+a few blocks at a time (_Controlled), so memory stays bounded whatever the
+number of draws.  Halves of consecutive draws, not the cascade's odd and
+even draws, keep each half's columns contiguous for one matrix product.
 
 The exact path never lists the multisets.  ln Z and the pair overlaps
 do not change when the N sites are relabelled, so it averages over
@@ -52,7 +63,7 @@ where the s-sum collapses to single-replica pair overlaps:
 sum_s <rho_R(s)^2> = N^-2 sum_ij M_ij^R = (N + 2 sum_{i<j} M_ij^R) / N^2
 with M_ij = <delta(s_i, s_j)>.  The strata pass averages each row's
 series over R (_overlap_series), so the sum rule's stat_error, like the
-pressure's, is one standard error.
+pressure's, is one standard error of the controlled averages.
 """
 
 from __future__ import annotations
@@ -69,9 +80,9 @@ import numpy as np
 from .model import (ModelParams, _check_budget, _check_finite_beta, as_couplings, colour_classes,
                     config_energies)
 from .util import (BudgetExceededError, check_beta, check_c, check_int, check_poisson_mean,
-                   check_q, check_samples, check_seed, check_tol, child_seed, log_multinomial,
-                   logsumexp, multinomial_table, multiset_permutations, poisson_cutoff,
-                   poisson_pmf_vector, poisson_sf, stream)
+                   check_q, check_samples, check_seed, check_tol, child_seed, cross_fit,
+                   log_multinomial, logsumexp, multinomial_table, multiset_permutations,
+                   poisson_cutoff, poisson_pmf_vector, poisson_sf, stream)
 
 METHOD_EXACT = "exact-conditional"
 METHOD_MC = "monte-carlo"
@@ -85,6 +96,7 @@ SUM_RULE_MC_SAMPLES = 2048  # the sum rule's mc in the sample plan (_sample_plan
 BALANCED_BUDGET = 500_000
 M_MAX_CAP = 100_000
 CHUNK = 2048  # pair-count rows per kernel call
+SPAN_BLOCKS = 4  # blocks of Monte Carlo values summed at once (_Controlled)
 # beta E above this would push e^{-beta E} towards underflow (e^-600 ~ 1e-261)
 UNSHIFTED_EXPONENT = 600.0
 _TABLES_LOCK = Lock()  # one grower at a time for the shared orbit tables
@@ -151,7 +163,9 @@ def _class_weights(rows: np.ndarray, n: int, q: int, beta: float,
     w = (_workspace(n, q, len(rows)) if work is None else work)[:len(rows)]
     np.matmul(rows.astype(np.float64, copy=False), indicator.T, out=w)
     shift = 0.0
-    if beta * rows.sum(axis=1).max() > UNSHIFTED_EXPONENT:
+    # the largest row sum, by a matrix-vector product: a row-wise sum over
+    # few pairs costs about three times as much
+    if beta * (rows @ np.ones(rows.shape[1])).max() > UNSHIFTED_EXPONENT:
         e_min = w.min(axis=1, keepdims=True)
         w -= e_min
         shift = beta * e_min[:, 0]
@@ -160,13 +174,22 @@ def _class_weights(rows: np.ndarray, n: int, q: int, beta: float,
     return w, shift
 
 
+@lru_cache(maxsize=64)
+def _multiplicities(n: int, q: int) -> np.ndarray:
+    """The colour classes' multiplicities, e^(log multiplicity)."""
+    mult = np.exp(colour_classes(n, q)[1])
+    mult.flags.writeable = False
+    return mult
+
+
 def _lnz_batch(rows: np.ndarray, n: int, q: int, beta: float,
                work: np.ndarray | None = None) -> np.ndarray:
     """ln Z without -beta tr J for a batch of pair-count rows: the log of
     the class weights times the class multiplicities.  Z <= q^N, so the
     sum cannot overflow."""
     w, shift = _class_weights(rows, n, q, beta, work)
-    return np.log(w @ np.exp(colour_classes(n, q)[1])) - shift
+    lnz = np.log(w @ _multiplicities(n, q))
+    return lnz - shift if isinstance(shift, np.ndarray) else lnz
 
 
 def _overlap_series(rows: np.ndarray, n: int, q: int, beta: float, coef_r: np.ndarray,
@@ -177,8 +200,7 @@ def _overlap_series(rows: np.ndarray, n: int, q: int, beta: float, coef_r: np.nd
     and M is symmetric, so N^-2 sum_ij M_ij^R = (N + 2 sum_{i<j} M_ij^R)
     / N^2.  A unit coef_r gives that one moment.
     """
-    indicator, log_mult = colour_classes(n, q)
-    mult = np.exp(log_mult)
+    indicator, mult = colour_classes(n, q)[0], _multiplicities(n, q)
     w, _ = _class_weights(rows, n, q, beta, work)
     m = (indicator.T * mult) @ w.T  # (P, B) pair overlaps, once normalised by Z
     m /= w @ mult
@@ -254,12 +276,12 @@ def _placements(rng: np.random.Generator, p: int, m: np.ndarray) -> np.ndarray:
     counting stops winning and its memory would grow with M, so those rows
     keep Generator.multinomial, O(P) per row.
     """
-    short = m <= 8 * p
-    m_short = m[short]
+    short = None if m.max(initial=0) <= 8 * p else m <= 8 * p
+    m_short = m if short is None else m[short]
     pairs = rng.integers(0, p, size=int(m_short.sum()))
     pairs += np.repeat(np.arange(0, m_short.size * p, p), m_short)
     counts = np.bincount(pairs, minlength=m_short.size * p).reshape(-1, p)
-    if short.all():
+    if short is None:
         return counts
     rows = np.empty((len(m), p), dtype=counts.dtype)
     rows[short] = counts
@@ -296,11 +318,13 @@ def _conditional_average(n: int, per_j, budgets: np.ndarray,
     at most CHUNK pair-count rows to a fresh (B,) array of f.
 
     A stratum with budgets[m] = 0 is exact (sem 0) and averages over its
-    orbit table, so f must be invariant under relabelling the sites.  The
-    exact tables are read as one run of rows, cut into blocks that may
-    straddle strata, and each block is weighted in place and summed per
-    stratum (np.add.reduceat).  A stratum with budgets[m] > 0 draws that
-    many samples from stream(child_seed(seed, m)).  Needs n >= 2.
+    orbit table, so f must be invariant under relabelling the sites.  A
+    stratum with budgets[m] > 0 draws that many rows from
+    stream(child_seed(seed, m)), CHUNK at a time, and subtracts the
+    occupancy control at cross-fitted coefficients (_Controlled).  Both
+    kinds read their rows as one run, cut into blocks of at most CHUNK rows
+    that may straddle strata (_table_blocks): the exact blocks are weighted
+    in place and summed per stratum (np.add.reduceat).  Needs n >= 2.
     """
     means, sems = np.zeros(len(budgets)), np.zeros(len(budgets))
     exact = np.flatnonzero(budgets == 0)
@@ -308,48 +332,144 @@ def _conditional_average(n: int, per_j, budgets: np.ndarray,
         vals = per_j(np.concatenate(rows, dtype=np.float64))
         vals *= np.concatenate(weights)
         means[exact[owners]] += np.add.reduceat(vals, starts)
-    for m in np.flatnonzero(budgets):
-        rng = stream(child_seed(seed, m))
-        means[m], sems[m] = _sampled_mean(
-            lambda block, size: per_j(_placements(rng, n * (n - 1) // 2, np.full(size, m))),
-            int(budgets[m]))
+    sampled = np.flatnonzero(budgets)
+    if not sampled.size:
+        return means, sems
+    p = n * (n - 1) // 2
+    # each stratum's rows, drawn from its own stream in pieces of at most
+    # CHUNK as before, tagged by their draw indices
+    pieces = [(m, lo, min(CHUNK, budgets[m] - lo)) for m in sampled
+              for lo in range(0, budgets[m], CHUNK)]
+    streams = {m: stream(child_seed(seed, m)) for m in sampled}
+    draws = ((_placements(streams[m], p, np.full(size, m)), range(lo, lo + size))
+             for m, lo, size in pieces)
+    piece_owner = np.searchsorted(sampled, [m for m, _, _ in pieces])
+    sums = _Controlled(budgets[sampled].tolist(), 1)
+    for rows, tags, in_pieces, _ in _table_blocks(draws):
+        block = np.concatenate(rows, dtype=np.float64)
+        owners = piece_owner[in_pieces]
+        lengths = [len(tag) for tag in tags]
+        w = sums.block(len(block))
+        w[2] = per_j(block)
+        _occupancy_control(block, np.repeat(sampled[owners], lengths), w[1])
+        sums.add(owners, lengths, [tag[0] for tag in tags])
+    means[sampled], sems[sampled] = sums.result()
     return means, sems
 
 
-def _sampled_mean(draw, samples: int) -> tuple[float, float]:
-    """(mean, sem) of `samples` values, drawn as draw(block, size) arrays of
-    at most CHUNK for block = 0, 1, ...  The blocks merge by Chan et al.'s
-    update, which leaves a single block exactly as numpy's mean and
-    std(ddof=1) reduce it."""
-    seen, mean, squares = 0, 0.0, 0.0
-    for block, lo in enumerate(range(0, samples, CHUNK)):
-        vals = draw(block, min(CHUNK, samples - lo))
-        size, block_mean = len(vals), vals.mean()
-        delta = block_mean - mean
-        mean = mean + delta * (size / (seen + size))
-        squares = (squares + np.square(vals - block_mean).sum()
-                   + delta * delta * (seen * size / (seen + size)))
-        seen += size
-    return float(mean), math.sqrt(squares / (samples - 1)) / math.sqrt(samples)
+def _occupancy_control(rows: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """Write into `out` each row's occupied pairs, those with a count > 0,
+    less their mean given the row's edge count m (_occupied_means).  The
+    rows are float counts, as the kernel reads them, and are clipped to 1
+    in place, so call this after the kernel."""
+    p = rows.shape[1]
+    np.subtract(np.minimum(rows, 1.0, out=rows) @ np.ones(p),
+                _occupied_means(p).take(m, mode="clip"), out=out)
 
 
-def _table_blocks(tables: list[tuple[np.ndarray, np.ndarray]]):
-    """The rows of (rows, weights) tables, read one table after another, in
-    blocks of at most CHUNK rows, as slices of the tables.  Yields (row
-    slices, weight slices, table index per slice, first block row per
-    slice)."""
-    k, lo = 0, 0  # table and row where the next block starts
-    while k < len(tables):
-        rows, weights, owners, starts, filled = [], [], [], [], 0
-        while filled < CHUNK and k < len(tables):
-            table_rows, table_weights = tables[k]
+@lru_cache(maxsize=64)
+def _occupied_means(p: int) -> np.ndarray:
+    """E[pairs with J_p > 0 | M] = P (1 - (1 - 1/P)^M) for M uniform pair
+    edges, at M = 0..40P + 1.  Past 40P, (1 - 1/P)^M < e^-40 and the mean
+    rounds to P itself, the table's last entry, which serves every larger M
+    (take with mode="clip")."""
+    table = p * (1.0 - np.power(1.0 - 1.0 / p, np.arange(40 * p + 2)))
+    table.flags.writeable = False
+    return table
+
+
+class _Controlled:
+    """The sums util.cross_fit reads, accumulated for one estimate per
+    owner of a value y with k control columns x: per (owner, half) the sums
+    of w z^T with z = (1, x, y - shift) and w = (z, |x|, |y|).  An owner's
+    shift is its first value.  Its half 0 holds its first ceil(S/2) draws
+    of S and half 1 the rest, so each half is a run of consecutive columns.
+
+    Blocks are filled in place into one buffer of up to SPAN_BLOCKS
+    blocks, and a full buffer is summed at once, by one product per run of
+    one owner's draws in one half, so memory stays bounded whatever the
+    number of draws."""
+
+    def __init__(self, draws, k: int):
+        self.d = k + 2
+        self.w = np.empty((2 * k + 3, min(SPAN_BLOCKS * CHUNK, sum(draws))))
+        self.w[0] = 1.0
+        self.filled = 0
+        self.segments: list[list[int]] = []  # [owner, first column, end column, first draw]
+        self.middle = [(size + 1) // 2 for size in draws]  # first draw of half 1, per owner
+        self.shift = np.zeros((len(draws), 1))
+        self.runs: list[tuple[int, int]] = []  # (owner, half) of each entry of self.parts
+        self.parts: list[np.ndarray] = []
+
+    def block(self, size: int) -> np.ndarray:
+        """The columns for the next `size` draws, whose rows 1..k+1 the
+        caller fills with x_1, ..., x_k and y, one column per draw; row 0
+        is 1.  add() takes them in."""
+        if self.filled + size > self.w.shape[1]:
+            self._sum()
+        return self.w[:, self.filled:self.filled + size]
+
+    def add(self, owners, lengths, firsts) -> None:
+        """Take in the block just filled, whose columns are runs of
+        lengths[i] consecutive draws of owners[i], the first of index
+        firsts[i]."""
+        for owner, size, first in zip(owners, lengths, firsts):
+            last = self.segments[-1] if self.segments else None
+            if last and last[0] == owner and last[3] + last[2] - last[1] == first:
+                last[2] += size
+            else:
+                self.segments.append([owner, self.filled, self.filled + size, first])
+            self.filled += size
+
+    def _sum(self) -> None:
+        if not self.segments:
+            return
+        w, (owners, starts, ends, firsts) = self.w[:, :self.filled], zip(*self.segments)
+        z = w[:self.d]
+        for owner, lo, first in zip(owners, starts, firsts):
+            if first == 0:
+                self.shift[owner, 0] = z[-1, lo]
+        np.abs(z[1:], out=w[self.d:])
+        np.subtract(z[-1], self.shift[owners[0], 0] if len(owners) == 1 else np.repeat(
+            self.shift[list(owners), 0], np.subtract(ends, starts)), out=z[-1])
+        for owner, lo, hi, first in self.segments:
+            cut = min(hi, max(lo, lo + self.middle[owner] - first))
+            for half, cols in enumerate((slice(lo, cut), slice(cut, hi))):
+                if cols.start < cols.stop:
+                    self.runs.append((owner, half))
+                    self.parts.append(w[:, cols] @ z[:, cols].T)
+        self.filled, self.segments = 0, []
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """(means, sems) per owner (util.cross_fit)."""
+        self._sum()
+        sums = np.zeros(self.shift.shape[:1] + (2,) + self.parts[0].shape)
+        np.add.at(sums, tuple(np.array(self.runs).T), np.array(self.parts))
+        means, sems = cross_fit(sums, self.shift)
+        return means[:, 0], sems[:, 0]
+
+
+def _table_blocks(tables):
+    """The rows of (rows, tags) tables, read one table after another, in
+    blocks of at most CHUNK rows, as slices of the tables: the orbit tables
+    with their weights, or the Monte Carlo draws with their draw indices.
+    `tables` may be any iterable, read lazily.  Yields (row slices, tag
+    slices, table index per slice, first block row per slice)."""
+    rows, weights, owners, starts, filled = [], [], [], [], 0
+    for k, (table_rows, table_weights) in enumerate(tables):
+        lo = 0
+        while lo < len(table_weights):
             hi = min(len(table_weights), lo + CHUNK - filled)
             rows.append(table_rows[lo:hi])
             weights.append(table_weights[lo:hi])
             owners.append(k)
             starts.append(filled)
             filled += hi - lo
-            k, lo = (k + 1, 0) if hi == len(table_weights) else (k, hi)
+            lo = hi
+            if filled == CHUNK:
+                yield rows, weights, owners, starts
+                rows, weights, owners, starts, filled = [], [], [], [], 0
+    if filled:
         yield rows, weights, owners, starts
 
 
@@ -401,7 +521,11 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
     the M edges on uniform pairs (_placements): by Poisson splitting that
     is the law of the P iid Poisson(c/N) pair sums, at one Poisson and M
     uniforms per sample instead of P Poissons.  The samples are drawn CHUNK
-    at a time, block k from util.child_seed(seed, k).
+    at a time, block k from util.child_seed(seed, k).  Two controls of mean
+    0 ride along, the occupancy less its mean given M and M - lambda, and
+    are subtracted at coefficients cross-fitted on the first and second
+    half of the draws; stat_error is one standard error of the adjusted
+    draws.
     """
     q, beta, c = params.q, params.beta, params.c
     check_int("samples", samples, 2)  # two for a standard error
@@ -412,13 +536,17 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
     lam = c * (n - 1) / 2.0
     check_poisson_mean(lam, c)
     work = _workspace(n, q, min(CHUNK, samples))
-
-    def draw(block: int, size: int) -> np.ndarray:
+    sums = _Controlled([samples], 2)
+    for block, lo in enumerate(range(0, samples, CHUNK)):
         rng = stream(child_seed(seed, block))
-        rows = _placements(rng, n * (n - 1) // 2, rng.poisson(lam, size=size))
-        return _lnz_batch(rows, n, q, beta, work) / n
-
-    mean, sem = _sampled_mean(draw, samples)
+        m = rng.poisson(lam, size=min(CHUNK, samples - lo))
+        rows = _placements(rng, n * (n - 1) // 2, m).astype(np.float64)
+        w = sums.block(len(m))
+        np.divide(_lnz_batch(rows, n, q, beta, work), n, out=w[3])
+        _occupancy_control(rows, m, w[1])
+        np.subtract(m, lam, out=w[2])
+        sums.add([0], [len(m)], [lo])
+    mean, sem = (float(v[0]) for v in sums.result())
     return QuenchedEstimate(mean - beta * c / (2 * n), sem, 0.0, samples, METHOD_MC)
 
 
@@ -433,13 +561,14 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     Per replica order R the double bracket reduces to the pair-overlap
     moments E[N^-2 sum_ij M_ij(J)^R], which do not depend on the
     self-loops.  The strata pass averages their series over R, one float
-    per coupling draw, so stat_error is one standard error.  The c'
-    integral is exact: the weight of M = m integrates to w_m = (2/(N-1))
-    P(Poisson(c(N-1)/2) >= m + 1).  A Monte Carlo stratum's sample share
-    is w_m over the sum of w over the Monte Carlo strata, so the constant
-    SUM_RULE_MC_SAMPLES sets the total (about 4 times it plus the
-    256-sample floors), not a per-stratum count.  At N = 1 every moment is 1 and the series sums to
-    (c/2)(beta + ln(1 - y/q)) exactly.  quad_points is kept for
+    per coupling draw, less the occupancy control at cross-fitted
+    coefficients, so stat_error is one standard error of those averages.
+    The c' integral is exact: the weight of M = m integrates to w_m =
+    (2/(N-1)) P(Poisson(c(N-1)/2) >= m + 1).  A Monte Carlo stratum's
+    sample share is w_m over the sum of w over the Monte Carlo strata, so
+    the constant SUM_RULE_MC_SAMPLES sets the total (about 4 times it plus
+    the 256-sample floors), not a per-stratum count.  At N = 1 every moment
+    is 1 and the series sums to (c/2)(beta + ln(1 - y/q)) exactly.  quad_points is kept for
     compatibility; it is validated (>= 3) and otherwise ignored.
     tail_bound adds the geometric R > r_max remainder and the certified M
     cutoff error, whose Poisson tail SUM_RULE_TAIL_EPS bounds.  q^n is held

@@ -333,8 +333,10 @@ def pair_sum(c: float, q: int, log_match, log_other, m: float):
     """(c/2m) ln E[V^m] for the pair factor V = e^log_match with probability
     1/q (a matching pair) and e^log_other otherwise, log_match <= log_other.
 
-    m = 0 stands for the limit (c/2) E[ln V], for float or array logs; at
-    log_match = -inf (beta = inf) it is 0 for c = 0 and diverges otherwise.
+    m = 0 stands for the limit (c/2) E[ln V]; at log_match = -inf (beta =
+    inf) it is 0 for c = 0 and diverges otherwise.  The logs may be floats
+    or equal-shape arrays; both paths use numpy's expm1 and log1p, so a
+    float gives the bits of an array entry, as in factor_logs.
     """
     if m == 0.0:
         if c == 0.0:
@@ -343,7 +345,8 @@ def pair_sum(c: float, q: int, log_match, log_other, m: float):
             raise BudgetExceededError("the m -> 0 limit of G2 diverges at beta = inf")
         return 0.5 * c / q * ((q - 1) * log_other + log_match)
     # E[V^m] = e^(m log_other) (1 + (e^(m (log_match - log_other)) - 1) / q)
-    return 0.5 * c * (log_other + math.log1p(math.expm1(m * (log_match - log_other)) / q) / m)
+    value = 0.5 * c * (log_other + np.log1p(np.expm1(m * (log_match - log_other)) / q) / m)
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def profile_sum(c: float, q: int, log_a, log_b, m: float, eps: float):

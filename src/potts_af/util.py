@@ -1,5 +1,6 @@
 """Shared numerical plumbing: argument rules, Poisson weights and tails,
-log-factorials, seeded RNG streams, cutoffs, log-sum-exp.
+log-factorials, seeded RNG streams, cutoffs, log-sum-exp, and the
+cross-fit of control variates that every Monte Carlo estimate runs.
 
 The argument rules (check_q, check_beta, check_c, check_int, check_tol and
 check_seed) are stated here once; every public entry point calls them before
@@ -238,6 +239,83 @@ def poisson_cutoff(tail: Callable[[int], float], target: float, cap: int) -> int
         else:
             lo = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Control variates
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def cross_fit(sums: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors of r values per draw less k control
+    variates of mean exactly 0, at cross-fitted coefficients, from per-owner
+    sums over the two halves of each owner's draws.
+
+    sums[g, h] holds the sums of w z^T over owner g's draws in half h, with
+    z = (1, x_1, ..., x_k, y_1 - shift[g, 0], ..., y_r - shift[g, r - 1])
+    and w = (z, |x_1|, ..., |x_k|, |y_1|, ..., |y_r|): the first k + r + 1
+    rows are the Gram matrix of z, and the first column of the rest holds
+    the absolute sums the rounding floor reads.  A shift near the values'
+    mean keeps their spread from cancelling.  Returns (means, errors), each
+    of shape (owners, r).
+
+    The coefficients applied to one half are fitted by least squares, with
+    an intercept, on the other half, so no draw's correction depends on the
+    draw itself and each adjusted mean y - beta x is exactly unbiased.  A
+    half of at most k + 1 draws fits nothing, a control constant on the
+    half it is fitted on gets coefficient 0, and a ridge of the sums' own
+    rounding keeps collinear controls finite.  One or two controls are
+    solved in closed form.  The error is one standard error of the adjusted
+    values and never reads below their rounding, eps (ceil(log2 S) + 2)
+    (mean|y| + sum_j |beta_j| mean|x_j|) over S draws.  A residual spread
+    below the rounding of the sums it is formed from is unresolved and reads
+    0, so controls that explain a value completely leave only that floor.
+    """
+    gram, absolute = sums[..., :sums.shape[-1], :], sums[..., sums.shape[-1]:, 0]
+    r = shift.shape[-1]
+    d = gram.shape[-1] - 1  # k + r
+    k = d - r
+    count = gram[..., :1, :1]  # (owners, 2, 1, 1)
+    raw = gram[..., 1:, 1:]
+    cov = raw - gram[..., 1:, :1] * (gram[..., :1, 1:] / count)  # centred comoments
+    draws = count[:, 0] + count[:, 1]  # (owners, 1, 1)
+    tol = _EPS * (np.ceil(np.log2(draws)) + 2)  # the rounding of a sum over the draws
+    var = cov.diagonal(0, -2, -1)[..., :k]
+    live = (var > tol * raw.diagonal(0, -2, -1)[..., :k]) & (count[..., 0] > k + 1)
+    b = cov[..., :k, k:] * live[..., None]
+    if k == 1:
+        coef = b / np.where(live[..., None], cov[..., :1, :1], 1.0)
+    else:  # a dead control drops out: zero row and column, unit diagonal
+        a = cov[..., :k, :k] * (live[..., :, None] & live[..., None, :])
+        a.reshape(a.shape[:2] + (k * k,))[..., ::k + 1] += ~live + tol * var
+        if k == 2:  # by the adjugate
+            det = a[..., :1, :1] * a[..., 1:, 1:] - a[..., :1, 1:] * a[..., 1:, :1]
+            coef = (a[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]) @ b / det
+        else:
+            coef = np.linalg.solve(a, b)
+    # per half, the adjusted values are v^T (x, y - shift) with v = (-beta, 1)
+    # and beta fitted on the other half
+    v = np.zeros(cov.shape[:-1] + (r,))
+    v[..., :k, :] = -coef[:, ::-1]
+    v.reshape(v.shape[:2] + (d * r,))[..., k * r::r + 1] = 1.0
+    size = np.abs(v)
+    total = (gram[..., :1, 1:] @ v).sum(axis=1)  # (owners, 1, r)
+    second = (v * (raw @ v)).sum(axis=(1, 2))[:, None]
+    bound = (size * (np.abs(raw) @ size)).sum(axis=(1, 2))[:, None]
+    mean = total / draws
+    spread = second - total * mean
+    spread *= spread > tol * bound  # below the rounding of its terms it is unresolved
+    sem = np.sqrt(spread / (draws * (draws - 1)))
+    floor = _rounding((absolute[..., None, :] @ size).sum(axis=1) / draws, tol)
+    return mean[:, 0] + shift, np.maximum(sem, floor)[:, 0]
+
+
+def _rounding(size: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """The rounding of a mean over S draws of terms of mean absolute size
+    `size`, with tol = eps (ceil(log2 S) + 2)."""
+    return tol * size
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,46 @@ REGRESSIONS = [
      "h must be <= 1/(2(q-1)) = 0.5 at q = 2, got 0.6"),
 ]
 
+# the remaining structural checks: a shape, a domain or a field out of range
+BRANCHES = [
+    ("rsb_upper_bound, hierarchy q != model q",
+     lambda: pa.rsb_upper_bound(_params(q=2), 2, pa.rs_spec(), pa.uniform_hierarchy(3)),
+     "hierarchy q does not match model q"),
+    ("SpinHierarchySpec('cone', 2)", lambda: cascade.SpinHierarchySpec("cone", 2),
+     "unknown hierarchy kind 'cone'"),
+    # an array's first bad t raises its own message, wherever it stands
+    ("factor_logs(1, 3, [0, 0.5, 2, -3])",
+     lambda: replica.factor_logs(1.0, 3, np.array([0.0, 0.5, 2.0, -3.0])),
+     "t = 2.0 outside ansatz domain [-1/(q-1), 1] for q = 3"),
+    ("pair_logs(1, 3, [0, 1.5])", lambda: replica.pair_logs(1.0, 3, np.array([0.0, 1.5])),
+     "t = 1.5 outside ansatz domain [-1/(q-1), 1] for q = 3"),
+    ("factor_logs(inf, 3, [0, 1])", lambda: replica.factor_logs(INF, 3, np.array([0.0, 1.0])),
+     "degenerate product factor at x=0.5, t=1.0, q=3 (requires beta < inf)"),
+    ("OverlapMeasure(2 x 3)", lambda: OverlapMeasure(np.full((2, 3), 1.0 / 6)),
+     "overlap measure must be a square array"),
+    ("OverlapMeasure(sum 1.2)", lambda: OverlapMeasure(np.full((2, 2), 0.3)),
+     "overlap measure must sum to 1"),
+    ("phi2 on [2]^2 at q = 3", lambda: pa.phi2(1.0, 2.0, 3, pa.uniform_overlap(2)),
+     "measure is on [2]^2, expected [3]^2"),
+    ("mu_kt(3, 0, 3.5)", lambda: mu_kt(3, 0, 3.5), "t must lie in [0, 3], got 3.5"),
+    ("mu_kt(3, 0, -0.5)", lambda: mu_kt(3, 0, -0.5), "t must lie in [0, 3], got -0.5"),
+    ("mu_kt(3, 4, 1)", lambda: mu_kt(3, 4, 1.0), "k must lie in [0, 3], got 4"),
+    ("phi2_kt_gap k = 4", lambda: phi2_kt_gap(1.0, 2.0, 3, 4.0, 1.0),
+     "(k, t) must lie in [0, 3]^2, got (4.0, 1.0)"),
+    ("phi2_kt_gap t = -0.5", lambda: phi2_kt_gap(1.0, 2.0, 3, 1.0, -0.5),
+     "(k, t) must lie in [0, 3]^2, got (1.0, -0.5)"),
+    ("as_replicas([])", lambda: model.as_replicas(np.zeros((0, 3))),
+     "replica bundle must be a nonempty R x N array"),
+    *((f"QuenchedEstimate({field}=-1e-3)",
+       lambda field=field: disorder.QuenchedEstimate(
+           **dict(dict(value=1.0, stat_error=0.0, tail_bound=0.0, samples=0,
+                       method=disorder.METHOD_EXACT), **{field: -1e-3})),
+       "error fields must be nonnegative")
+      for field in ("stat_error", "tail_bound", "bias_estimate")),
+]
+
 ROWS = [*_c_rows(), *_beta_rows(), *_q_rows(), *_count_rows(), *_seed_rows(),
-        *_tolerance_rows(), *REGRESSIONS]
+        *_tolerance_rows(), *REGRESSIONS, *BRANCHES]
 
 
 @pytest.mark.parametrize("call, message", [row[1:] for row in ROWS],

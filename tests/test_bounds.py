@@ -19,6 +19,13 @@ from potts_af.bounds import (
 )
 
 
+@pytest.mark.parametrize("q, c", [(2, 1.0), (3, 4.0), (4, 10.0)])
+def test_annealed_entropy_at_zero_temperature_is_the_pressure(q, c):
+    # at beta = inf the energy term beta c u / (q - 1 + u) is 0: no e^-beta left
+    assert annealed_entropy(math.inf, c, q) == annealed_pressure(math.inf, c, q)
+    assert annealed_entropy(math.inf, c, q) == math.log(q) + 0.5 * c * math.log1p(-1.0 / q)
+
+
 def test_annealed_pressure_endpoints():
     assert annealed_pressure(0.0, 5.0, 3) == pytest.approx(math.log(3), abs=1e-15)
     assert annealed_pressure(2.0, 0.0, 3) == pytest.approx(math.log(3), abs=1e-15)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import combined_error
-from potts_af import cascade
+from potts_af import cascade, util
 from potts_af.cascade import (
     annealed_spec,
     cavity_g1,
@@ -81,19 +81,25 @@ def test_stat_error_is_calibrated_across_seeds(config):
 
 def test_annealed_g2_needs_the_rounding_floor(monkeypatch):
     # the annealed G2 has gap 0 and is linear in K, so the pair-count column
-    # explains it completely and only rounding is left
+    # explains it completely and only rounding is left: its spread reads 0,
+    # so without the floor stat_error is 0, and a value that differs from
+    # the closed form by its rounding fails the check
     params, hier = ModelParams(q=3, beta=0.7, c=2.0), uniform_hierarchy(3)
     closed = cavity_g2(params, 3, annealed_spec(), hier)
 
-    def check(seed):
-        mc = cavity_g2(params, 3, annealed_spec(), hier, samples=4096, seed=seed,
-                       method="monte-carlo")
+    def estimates():
+        return [cavity_g2(params, 3, annealed_spec(), hier, samples=4096, seed=seed,
+                          method="monte-carlo") for seed in range(3)]
+
+    def check(mc):
         return abs(mc.value - closed.value) <= 4 * mc.stat_error
 
-    seeds = range(3)
-    assert all(check(seed) for seed in seeds)
-    monkeypatch.setattr(cascade, "_rounding", lambda rows, fit: np.zeros(len(rows)))
-    assert not any(check(seed) for seed in seeds)
+    assert all(check(mc) for mc in estimates())
+    monkeypatch.setattr(util, "_rounding", lambda size, tol: np.zeros_like(size))
+    bare = estimates()
+    assert all(mc.stat_error == 0.0 for mc in bare)
+    assert any(mc.value != closed.value for mc in bare)
+    assert not any(check(mc) for mc in bare if mc.value != closed.value)
 
 
 @pytest.mark.parametrize("config", ["rs", "annealed"])

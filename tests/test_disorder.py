@@ -31,7 +31,7 @@ from potts_af.util import (MAX_MC_SAMPLES, BudgetExceededError, poisson_cutoff,
                            poisson_pmf_vector, poisson_sf, stream)
 
 from conftest import combined_error
-from test_kernel_oracle import old_overlap_moments, upper_couplings
+from test_kernel_oracle import cross_fitted, occupancy_control, old_overlap_moments, upper_couplings
 
 
 def test_sample_couplings_zero_connectivity():
@@ -360,8 +360,9 @@ def test_sum_rule_allocation_beats_flat_samples(seed, monkeypatch):
 def test_sum_rule_stat_error_is_one_standard_error(q, beta, c, n, seed):
     # each Monte Carlo stratum's rows, redrawn from its seed in the engine's
     # blocks, give per-row series sum_R coef_R moment_R by the unreduced
-    # kernel; their standard errors, combined with the stratum weights, are
-    # the deficit's one standard error
+    # kernel; less the occupancy control at cross-fitted coefficients, their
+    # standard errors, combined with the stratum weights, are the deficit's
+    # one standard error
     est = sum_rule_deficit(ModelParams(q=q, beta=beta, c=c), n, 20, 16, seed=seed)
     lam, p, y = c * (n - 1) / 2, n * (n - 1) // 2, -math.expm1(-beta)
     m_max = poisson_cutoff(lambda m: poisson_sf(m + 1, lam), SUM_RULE_TAIL_EPS, M_MAX_CAP)
@@ -372,12 +373,12 @@ def test_sum_rule_stat_error_is_one_standard_error(q, beta, c, n, seed):
     for m in sampled:
         samples = sample_rule(2048, poisson_sf(m + 1, lam) / total)
         rng = stream(np.random.SeedSequence(seed).spawn(m + 1)[m])
-        blocks = [disorder._placements(rng, p, np.full(min(disorder.CHUNK, samples - lo), m))
-                  for lo in range(0, samples, disorder.CHUNK)]
-        values = old_overlap_moments(upper_couplings(np.concatenate(blocks), n),
-                                     n, q, beta, 20) @ coef_r
+        draws = np.concatenate([
+            disorder._placements(rng, p, np.full(min(disorder.CHUNK, samples - lo), m))
+            for lo in range(0, samples, disorder.CHUNK)])
+        values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20) @ coef_r
         weight = poisson_sf(m + 1, lam) * 2 / (n - 1)
-        variance += (weight * values.std(ddof=1) / math.sqrt(samples)) ** 2
+        variance += (weight * cross_fitted(values, occupancy_control(draws, m)[:, None])[1]) ** 2
         drawn += samples
     assert est.samples == drawn > 0
     assert est.stat_error == pytest.approx(math.sqrt(variance), rel=1e-9, abs=0)

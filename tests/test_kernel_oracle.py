@@ -208,6 +208,34 @@ def uniform_pair_counts(rng: np.random.Generator, p: int, m) -> np.ndarray:
     return rows
 
 
+def occupancy_means(p: int, m) -> np.ndarray:
+    """E[pairs with J_p > 0 | M = m] for m uniform pair edges: P (1 - (1 - 1/P)^m)."""
+    return p * (1.0 - (1.0 - 1.0 / p) ** np.asarray(m, dtype=np.float64))
+
+
+def occupancy_control(draws: np.ndarray, m) -> np.ndarray:
+    """Pairs occupied by each row of pair counts, less their mean given M."""
+    return np.count_nonzero(draws, axis=1) - occupancy_means(draws.shape[1], m)
+
+
+def cross_fitted(values: np.ndarray, controls: np.ndarray) -> tuple[float, float]:
+    """(mean, sem) of per-draw values less zero-mean controls (one column
+    each) at least-squares coefficients, with an intercept, fitted by
+    np.linalg.lstsq on the other half of the draws: the first ceil(S/2)
+    draws and the rest, as the engine splits them; a half of at most k + 1
+    draws fits nothing.  The engine's cross-fit, written out per draw."""
+    adjusted = np.array(values, dtype=np.float64)
+    middle, k = (len(values) + 1) // 2, controls.shape[1]
+    halves = (slice(0, middle), slice(middle, len(values)))
+    for half, other in (halves, halves[::-1]):
+        x, y = controls[other], values[other]
+        coef = np.zeros(k)
+        if len(y) > k + 1:
+            coef = np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(), rcond=None)[0]
+        adjusted[half] -= controls[half] @ coef
+    return float(adjusted.mean()), float(adjusted.std(ddof=1) / math.sqrt(len(adjusted)))
+
+
 def stratum_average(n: int, m: int, per_j, samples: int, seed: int):
     """(mean, sem, samples) of f given M = m from the engine's pass over the
     strata 0..m, where m alone may be Monte Carlo: `samples` draws from
@@ -348,20 +376,24 @@ def test_exact_conditional_averages_match_unreduced_kernel(q, n, k_top):
 def test_mc_path_draws_unchanged(q, beta, c, n):
     # the Monte Carlo path draws a pair-edge count M ~ Poisson(c(n-1)/2) per
     # sample, places the M edges on uniform pairs and adds the self-loop mean
-    # -beta c/2n; the unreduced kernel gives the same value on the same draws
+    # -beta c/2n; the unreduced kernel gives the same values on the same
+    # draws, less the occupancy and edge-count controls at cross-fitted
+    # coefficients
     params = ModelParams(q=q, beta=beta, c=c)
     samples, seed = 3000, 11
+    lam, p = c * (n - 1) / 2.0, n * (n - 1) // 2
     chunks = [(i, min(i + 2048, samples)) for i in range(0, samples, 2048)]
-    parts = []
+    parts, controls = [], []
     for (lo, hi), ss in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
         rng = stream(ss)
-        edges = rng.poisson(c * (n - 1) / 2.0, size=hi - lo)
-        draws = uniform_pair_counts(rng, n * (n - 1) // 2, edges)
+        edges = rng.poisson(lam, size=hi - lo)
+        draws = uniform_pair_counts(rng, p, edges)
         parts.append(old_lnz(upper_couplings(draws, n), n, q, beta) / n)
-    values = np.concatenate(parts)
+        controls.append(np.column_stack([occupancy_control(draws, edges), edges - lam]))
+    mean, sem = cross_fitted(np.concatenate(parts), np.concatenate(controls))
     est = quenched_pressure_mc(params, n, samples, seed)
-    assert abs(est.value - (values.mean() - beta * c / (2 * n))) <= TOL
-    assert abs(est.stat_error - values.std(ddof=1) / math.sqrt(samples)) <= TOL
+    assert abs(est.value - (mean - beta * c / (2 * n))) <= TOL
+    assert abs(est.stat_error - sem) <= TOL
 
 
 def test_mc_overlap_moments_draws_unchanged(monkeypatch):
@@ -372,9 +404,10 @@ def test_mc_overlap_moments_draws_unchanged(monkeypatch):
     values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20) @ COEF
     mean, sem, used = stratum_average(
         n, k, lambda rows: _overlap_series(rows, n, q, beta, COEF), samples, seed)
+    expect = cross_fitted(values, occupancy_control(draws, k)[:, None])
     assert used == samples
-    assert abs(mean - values.mean()) <= TOL
-    assert abs(sem - values.std(ddof=1) / math.sqrt(samples)) <= TOL
+    assert abs(mean - expect[0]) <= TOL
+    assert abs(sem - expect[1]) <= TOL
 
 
 @pytest.mark.parametrize("n, q, m, beta", [(4, 2, 20, 40.0), (4, 3, 20, 60.0), (3, 2, 30, 50.0)])
@@ -455,7 +488,8 @@ def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n, monkeypatch):
     for m in range(1, m_max + 1):
         budget = max(256, min(8 * mc_samples, int(4 * mc_samples * pmf[m]) + 1))
         draws = uniform_pair_counts(stream(seeds[m]), p, np.full(budget, m))
-        value += pmf[m] * float(old_lnz(upper_couplings(draws, n), n, q, beta).mean()) / n
+        values = old_lnz(upper_couplings(draws, n), n, q, beta) / n
+        value += pmf[m] * cross_fitted(values, occupancy_control(draws, m)[:, None])[0]
     monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", 0)
     est = quenched_pressure_exact(params, n, eps=eps, seed=seed, mc_samples=mc_samples)
     assert abs(est.value - value) <= TOL

@@ -28,6 +28,7 @@ from potts_af.replica import (
     g2,
     instability,
     pair_logs,
+    pair_sum,
     profile_sum,
     quartic_coefficients,
     rs_bound,
@@ -193,6 +194,29 @@ def test_leaf_logs_match_decimal_reference_at_large_beta(q, beta):
         for value, ref, entries in zip(got, want, array_logs):
             assert abs(value - ref) <= 4 * math.ulp(ref), (t, value, ref)
             assert entries[i] == value  # an array entry has the bits of its float call
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [0.25, 0.5, 0.75])
+def test_pair_sum_takes_arrays_at_positive_m(q, m):
+    # the per-m 1RSB scan hands pair_sum a whole t grid; each entry has the
+    # bits of its float call and matches (c/2m) ln E[V^m] written out in
+    # 50-digit decimals
+    beta, c = 1.3, 2.5
+    ts = t_grid(q, 41)
+    log_match, log_other = pair_logs(beta, q, ts)
+    values = pair_sum(c, q, log_match, log_other, m)
+    assert values.shape == ts.shape
+    for t, entry in zip(ts.tolist(), values.tolist()):
+        value = pair_sum(c, q, *pair_logs(beta, q, t), m)
+        assert type(value) is float and entry == value
+        with localcontext() as ctx:
+            ctx.prec = 50
+            lo, hi = (Decimal(v) for v in pair_logs(beta, q, t))
+            dm = Decimal(m)
+            ref = float(Decimal(c) / (2 * dm)
+                        * (((dm * lo).exp() + (q - 1) * (dm * hi).exp()) / q).ln())
+        assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (t, value, ref)
 
 
 def test_bounds_finite_and_certified_at_beta_38():

@@ -25,6 +25,12 @@ from potts_af.util import (
 )
 
 
+@pytest.mark.parametrize("kmax", [0, 1, 7])
+def test_poisson_pmf_at_zero_mean_is_the_point_mass_at_zero(kmax):
+    pmf = poisson_pmf_vector(kmax, 0.0)
+    assert pmf.shape == (kmax + 1,) and pmf[0] == 1.0 and not pmf[1:].any()
+
+
 def pressure_tail(beta: float, n: int, c: float):
     """(beta/N) E[K 1{K > k}] for K ~ Poisson(cN/2): the quenched-pressure form."""
     lam = c * n / 2.0
