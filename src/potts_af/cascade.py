@@ -553,7 +553,10 @@ def _controlled(rows: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.
     """Means and standard errors of per-draw `rows` after subtracting the
     zero-mean `controls` (one array row per control) at coefficients
     cross-fitted on the even and odd draws (util.cross_fit), from the two
-    halves' sums."""
+    halves' sums.  The disorder Monte Carlo, whose draws arrive in blocks,
+    splits each owner's draws into contiguous halves instead; the cascade
+    keeps odd and even draws, whose split its seeded estimates were fitted
+    on."""
     shift = rows.mean(axis=1)
     z = np.vstack([np.ones(rows.shape[1]), controls, rows - shift[:, None]])
     w = np.vstack([z, np.abs(controls), np.abs(rows)])

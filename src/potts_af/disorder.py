@@ -37,8 +37,8 @@ occupancy, the number of pairs with J_p > 0, less its mean given M, P (1 -
 quenched_pressure_mc also carry M - lambda.  Each stratum, and the plain
 estimator, fits the coefficients of its first half of draws on its second
 half and the other way round, from per-(stratum, half) sums accumulated
-a few blocks at a time (_Controlled), so memory stays bounded whatever the
-number of draws.  Halves of consecutive draws, not the cascade's odd and
+block by block (_Controlled), so memory stays bounded whatever the number
+of draws.  Halves of consecutive draws, not the cascade's odd and
 even draws, keep each half's columns contiguous for one matrix product.
 
 The exact path never lists the multisets.  ln Z and the pair overlaps
@@ -96,7 +96,6 @@ SUM_RULE_MC_SAMPLES = 2048  # the sum rule's mc in the sample plan (_sample_plan
 BALANCED_BUDGET = 500_000
 M_MAX_CAP = 100_000
 CHUNK = 2048  # pair-count rows per kernel call
-SPAN_BLOCKS = 4  # blocks of Monte Carlo values summed at once (_Controlled)
 # beta E above this would push e^{-beta E} towards underflow (e^-600 ~ 1e-261)
 UNSHIFTED_EXPONENT = 600.0
 _TABLES_LOCK = Lock()  # one grower at a time for the shared orbit tables
@@ -174,22 +173,13 @@ def _class_weights(rows: np.ndarray, n: int, q: int, beta: float,
     return w, shift
 
 
-@lru_cache(maxsize=64)
-def _multiplicities(n: int, q: int) -> np.ndarray:
-    """The colour classes' multiplicities, e^(log multiplicity)."""
-    mult = np.exp(colour_classes(n, q)[1])
-    mult.flags.writeable = False
-    return mult
-
-
 def _lnz_batch(rows: np.ndarray, n: int, q: int, beta: float,
                work: np.ndarray | None = None) -> np.ndarray:
     """ln Z without -beta tr J for a batch of pair-count rows: the log of
     the class weights times the class multiplicities.  Z <= q^N, so the
     sum cannot overflow."""
     w, shift = _class_weights(rows, n, q, beta, work)
-    lnz = np.log(w @ _multiplicities(n, q))
-    return lnz - shift if isinstance(shift, np.ndarray) else lnz
+    return np.log(w @ np.exp(colour_classes(n, q)[1])) - shift
 
 
 def _overlap_series(rows: np.ndarray, n: int, q: int, beta: float, coef_r: np.ndarray,
@@ -200,7 +190,8 @@ def _overlap_series(rows: np.ndarray, n: int, q: int, beta: float, coef_r: np.nd
     and M is symmetric, so N^-2 sum_ij M_ij^R = (N + 2 sum_{i<j} M_ij^R)
     / N^2.  A unit coef_r gives that one moment.
     """
-    indicator, mult = colour_classes(n, q)[0], _multiplicities(n, q)
+    indicator, log_mult = colour_classes(n, q)
+    mult = np.exp(log_mult)
     w, _ = _class_weights(rows, n, q, beta, work)
     m = (indicator.T * mult) @ w.T  # (P, B) pair overlaps, once normalised by Z
     m /= w @ mult
@@ -276,12 +267,12 @@ def _placements(rng: np.random.Generator, p: int, m: np.ndarray) -> np.ndarray:
     counting stops winning and its memory would grow with M, so those rows
     keep Generator.multinomial, O(P) per row.
     """
-    short = None if m.max(initial=0) <= 8 * p else m <= 8 * p
-    m_short = m if short is None else m[short]
+    short = m <= 8 * p
+    m_short = m[short]
     pairs = rng.integers(0, p, size=int(m_short.sum()))
     pairs += np.repeat(np.arange(0, m_short.size * p, p), m_short)
     counts = np.bincount(pairs, minlength=m_short.size * p).reshape(-1, p)
-    if short is None:
+    if short.all():
         return counts
     rows = np.empty((len(m), p), dtype=counts.dtype)
     rows[short] = counts
@@ -379,73 +370,49 @@ def _occupied_means(p: int) -> np.ndarray:
 
 
 class _Controlled:
-    """The sums util.cross_fit reads, accumulated for one estimate per
-    owner of a value y with k control columns x: per (owner, half) the sums
-    of w z^T with z = (1, x, y - shift) and w = (z, |x|, |y|).  An owner's
-    shift is its first value.  Its half 0 holds its first ceil(S/2) draws
-    of S and half 1 the rest, so each half is a run of consecutive columns.
+    """The sums util.cross_fit reads, accumulated block by block for one
+    estimate per owner of a value y with k control columns x: per (owner,
+    half) the sums of w z^T with z = (1, x, y - shift) and w = (z, |x|,
+    |y|).  An owner's shift is its first value.  Its half 0 holds its first
+    ceil(S/2) draws of S and half 1 the rest, so each half of a block is a
+    run of consecutive columns, summed by one matrix product into a fixed
+    (owners, 2, 2k + 3, k + 2) array."""
 
-    Blocks are filled in place into one buffer of up to SPAN_BLOCKS
-    blocks, and a full buffer is summed at once, by one product per run of
-    one owner's draws in one half, so memory stays bounded whatever the
-    number of draws."""
-
-    def __init__(self, draws, k: int):
-        self.d = k + 2
-        self.w = np.empty((2 * k + 3, min(SPAN_BLOCKS * CHUNK, sum(draws))))
+    def __init__(self, draws: list[int], k: int):
+        self.w = np.empty((2 * k + 3, min(CHUNK, sum(draws))))
         self.w[0] = 1.0
-        self.filled = 0
-        self.segments: list[list[int]] = []  # [owner, first column, end column, first draw]
-        self.middle = [(size + 1) // 2 for size in draws]  # first draw of half 1, per owner
+        self.sums = np.zeros((len(draws), 2, 2 * k + 3, k + 2))
         self.shift = np.zeros((len(draws), 1))
-        self.runs: list[tuple[int, int]] = []  # (owner, half) of each entry of self.parts
-        self.parts: list[np.ndarray] = []
+        self.middle = [(size + 1) // 2 for size in draws]  # first draw of half 1, per owner
 
     def block(self, size: int) -> np.ndarray:
         """The columns for the next `size` draws, whose rows 1..k+1 the
         caller fills with x_1, ..., x_k and y, one column per draw; row 0
-        is 1.  add() takes them in."""
-        if self.filled + size > self.w.shape[1]:
-            self._sum()
-        return self.w[:, self.filled:self.filled + size]
+        is 1.  add() sums them."""
+        return self.w[:, :size]
 
     def add(self, owners, lengths, firsts) -> None:
-        """Take in the block just filled, whose columns are runs of
-        lengths[i] consecutive draws of owners[i], the first of index
-        firsts[i]."""
+        """Sum the block just filled, whose columns are runs of lengths[i]
+        consecutive draws of owners[i], the first of index firsts[i]."""
+        d = self.sums.shape[-1]
+        w = self.w[:, :sum(lengths)]
+        z, y = w[:d], w[d - 1]
+        np.abs(z[1:], out=w[d:])
+        lo = 0
         for owner, size, first in zip(owners, lengths, firsts):
-            last = self.segments[-1] if self.segments else None
-            if last and last[0] == owner and last[3] + last[2] - last[1] == first:
-                last[2] += size
-            else:
-                self.segments.append([owner, self.filled, self.filled + size, first])
-            self.filled += size
-
-    def _sum(self) -> None:
-        if not self.segments:
-            return
-        w, (owners, starts, ends, firsts) = self.w[:, :self.filled], zip(*self.segments)
-        z = w[:self.d]
-        for owner, lo, first in zip(owners, starts, firsts):
+            hi = lo + size
             if first == 0:
-                self.shift[owner, 0] = z[-1, lo]
-        np.abs(z[1:], out=w[self.d:])
-        np.subtract(z[-1], self.shift[owners[0], 0] if len(owners) == 1 else np.repeat(
-            self.shift[list(owners), 0], np.subtract(ends, starts)), out=z[-1])
-        for owner, lo, hi, first in self.segments:
+                self.shift[owner, 0] = y[lo]
+            y[lo:hi] -= self.shift[owner, 0]
             cut = min(hi, max(lo, lo + self.middle[owner] - first))
-            for half, cols in enumerate((slice(lo, cut), slice(cut, hi))):
-                if cols.start < cols.stop:
-                    self.runs.append((owner, half))
-                    self.parts.append(w[:, cols] @ z[:, cols].T)
-        self.filled, self.segments = 0, []
+            for half, (a, b) in enumerate(((lo, cut), (cut, hi))):
+                if a < b:
+                    self.sums[owner, half] += w[:, a:b] @ z[:, a:b].T
+            lo = hi
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """(means, sems) per owner (util.cross_fit)."""
-        self._sum()
-        sums = np.zeros(self.shift.shape[:1] + (2,) + self.parts[0].shape)
-        np.add.at(sums, tuple(np.array(self.runs).T), np.array(self.parts))
-        means, sems = cross_fit(sums, self.shift)
+        means, sems = cross_fit(self.sums, self.shift)
         return means[:, 0], sems[:, 0]
 
 
