@@ -42,16 +42,17 @@ for G2, since every leaf's colour counts are Multinomial(k, 1/q) and its
 matches Binomial(K, 1/q) on their own.  A one-leaf tree gets no leaf
 columns: they would replace the sampled leaf by its conditional mean and
 turn the Monte Carlo into the closed form it is meant to check.  The
-coefficients are cross-fitted by util.cross_fit, the rule the disorder
-Monte Carlo shares: fitted by least squares on the odd draws for the even
-ones and the other way round, from the two halves' sums, so no draw's
+coefficients are fitted by least squares on the first half of the draws
+for the second and the other way round (util.cross_fit), so no draw's
 correction depends on the draw itself and every estimate stays exactly
-unbiased.  All terms use the same columns, so the bound's value is G1 -
-G2 of the estimates, and its stat_error is the standard error of the
-adjusted per-draw differences.  A stat_error never reads below the
-rounding of its adjusted values, eps (ceil(log2 S) + 2) (mean|d| + sum_j
-|beta_j| mean|X_j|) over S draws: a term the counts explain completely,
-as K does the annealed G2, leaves only that.
+unbiased; the pass streams each chunk into the halves' sums
+(util.CrossFitSums), so memory does not grow with the draws.  All terms
+use the same columns, so the bound's value is G1 - G2 of the estimates,
+and its stat_error is the standard error of the adjusted per-draw
+differences.  A stat_error never reads below the rounding of its adjusted
+values, eps (ceil(log2 S) + 2) (mean|d| + sum_j |beta_j| mean|X_j|) over
+S draws: a term the counts explain completely, as K does the annealed
+G2, leaves only that.
 
 For G1 a site's factor depends on its slots' colour counts only through
 their class (the sorted count profile), so on uniform leaves each (leaf,
@@ -85,6 +86,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -94,8 +96,8 @@ from .model import ModelParams
 from .replica import (_alias_picks, _binomial_alias, _check_t, _class_alias, _class_table,
                       binomial_table_fits, class_table_fits, factor_logs, pair_logs, pair_sum,
                       profile_sum)
-from .util import (BudgetExceededError, check_int, check_poisson_mean, check_q, check_samples,
-                   check_seed, child_seed, cross_fit, logsumexp, stream)
+from .util import (BudgetExceededError, CrossFitSums, check_int, check_poisson_mean, check_q,
+                   check_samples, check_seed, child_seed, logsumexp, stream)
 
 MC_CHUNK = 64  # draws per child seed stream
 MC_BLOCK_CELLS = 2**15  # cap on leaf x site x colour cells in one block of draws
@@ -468,30 +470,22 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
 
 
 def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
-            samples: int, seed: int, n_atoms: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-draw values (1/n) ln( sum_a w_a V_a / sum_a w_a ), row 0 for G1 and
-    row 1 for G2, per-draw control columns of mean exactly 0, and the bias
-    estimate.
+            samples: int, seed: int,
+            n_atoms: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per chunk of MC_CHUNK draws, the draws' values (1/n) ln( sum_a w_a V_a
+    / sum_a w_a ), row 0 for G1 and row 1 for G2, their control columns of
+    mean exactly 0, one row each, and their normalizer tail fractions.
 
     For G1, ln V_a = sum_i ln S_i over the n cavity sites, with S_i =
     sum_s exp(n_s log_match + (k_i - n_s) log_other) over the colour
     counts n_s of site i's k_i ~ Poisson(c) slots; for G2, ln V_a =
-    M log_match + (K - M) log_other for M matching pairs out of K pairs.
-    The factors are _leaf_factors', log_ann folded into both logs, and
-    below gap = log_match - log_other.  Both terms of a draw share its
-    cascade weights, and G2 thins its K from G1's slots: K ~
-    Binomial(sum_i k_i, 1/2) has the Poisson(cn/2) law, since sum_i k_i ~
-    Poisson(cn).  Each term keeps its own law, and G1 - G2 varies less
-    than with independent draws.
-
-    The control columns, one array row each, are first each term's count
-    minus its Poisson mean, sum_i k_i - cn for G1 and K - cn/2 for G2, and
-    then, on trees with more than one leaf, each term's leaf deviation
-    weighted by the normalised cascade weights w^_a = w_a / sum_b w_b:
-    sum_a w^_a (ln V_a - log_other sum_i k_i) - sum_i mu(k_i) for G1, with
-    mu the class mean of ln S (_ClassDraw.mean_log_s; the column is 0 for a
-    block whose class table would not fit), and gap (sum_a w^_a M_a - K/q)
-    for G2.
+    M log_match + (K - M) log_other for M matching pairs out of K pairs,
+    with K thinned from G1's slots (module docstring).  The factors are
+    _leaf_factors', log_ann folded into both logs, and below gap =
+    log_match - log_other.  The control columns are the module
+    docstring's: the two counts less their means, then, on trees with more
+    than one leaf, sum_a w^_a (ln V_a - log_other sum_i k_i) - sum_i mu(k_i)
+    with mu = _ClassDraw.mean_log_s, and gap (sum_a w^_a M_a - K/q).
     """
     check_samples(samples)
     if not spec.last_to_one and params.beta == math.inf:  # -beta * 0 is NaN
@@ -515,12 +509,13 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     # the inputs and the seed
     block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (leaves * n * q)))
     classes = _ClassDraw(q, gap1)
-    vals, fracs = np.empty((2, samples)), np.empty(samples)
-    controls = np.zeros((4 if leaves > 1 else 2, samples))
     for chunk, lo in enumerate(range(0, samples, MC_CHUNK)):
         rng = stream(child_seed(seed, chunk))
-        for a in range(lo, min(lo + MC_CHUNK, samples), block):
-            b = min(block, lo + MC_CHUNK - a, samples - a)
+        size = min(MC_CHUNK, samples - lo)
+        vals, fracs = np.empty((2, size)), np.empty(size)
+        controls = np.zeros((4 if leaves > 1 else 2, size))
+        for a in range(0, size, block):
+            b = min(block, size - a)
             draws = slice(a, a + b)
             log_w, norm, fracs[draws] = _block_log_weights(rng, spec.atom_levels, outer,
                                                            inner, b)
@@ -545,24 +540,8 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
                 controls[row, draws] = total - mean
                 if leaves > 1 and centre is not None:
                     controls[2 + row, draws] = (w_hat * excess).sum(axis=1) - centre
-    vals /= n
-    return vals, controls, float(fracs.mean() / n)
-
-
-def _controlled(rows: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and standard errors of per-draw `rows` after subtracting the
-    zero-mean `controls` (one array row per control) at coefficients
-    cross-fitted on the even and odd draws (util.cross_fit), from the two
-    halves' sums.  The disorder Monte Carlo, whose draws arrive in blocks,
-    splits each owner's draws into contiguous halves instead; the cascade
-    keeps odd and even draws, whose split its seeded estimates were fitted
-    on."""
-    shift = rows.mean(axis=1)
-    z = np.vstack([np.ones(rows.shape[1]), controls, rows - shift[:, None]])
-    w = np.vstack([z, np.abs(controls), np.abs(rows)])
-    sums = np.stack([w[:, half::2] @ z[:, half::2].T for half in (0, 1)])
-    means, errors = cross_fit(sums[None], shift[None])
-    return means[0], errors[0]
+        vals /= n
+        yield vals, controls, fracs
 
 
 def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchySpec,
@@ -574,8 +553,9 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     Closed forms are per term, so one term stays finite where only the
     other fails.  Monte Carlo checks the requested terms' leaf factors
     first, so a degenerate one raises its own message, then runs the one
-    coupled pass of _run_mc and subtracts its control columns at
-    cross-fitted coefficients (_controlled).
+    coupled pass of _run_mc and sums each chunk of G1, G2 and G1 - G2 with
+    its control columns into util.CrossFitSums, which subtracts the
+    controls at cross-fitted coefficients.
     """
     if hier.q != params.q:
         raise ValueError("hierarchy q does not match model q")
@@ -598,10 +578,21 @@ def _cavity(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     if method == "monte-carlo":
         for which in terms:
             _leaf_factors(params, spec, hier, which)
-        vals, controls, bias = _run_mc(params, n, spec, hier, samples, seed, n_atoms)
-        means, errors = _controlled(np.vstack([vals, vals[0] - vals[1]]), controls)
+        tails, chunks = 0.0, _run_mc(params, n, spec, hier, samples, seed, n_atoms)
+        for lo, (vals, controls, fracs) in zip(range(0, samples, MC_CHUNK), chunks):
+            k = len(controls)
+            if lo == 0:
+                sums = CrossFitSums([samples], k, 3, MC_CHUNK)
+            w = sums.w[:, :len(fracs)]
+            w[1:k + 1] = controls
+            w[k + 1:k + 3] = vals
+            np.subtract(vals[0], vals[1], out=w[k + 3])
+            sums.add([0], [len(fracs)], [lo])
+            tails += fracs.sum()
+        means, errors = sums.result()
         ests = [QuenchedEstimate(float(v), float(e), 0.0, samples, METHOD_MC,
-                                 bias_estimate=bias) for v, e in zip(means, errors)]
+                                 bias_estimate=float(tails / samples / n))
+                for v, e in zip(means[0], errors[0])]
         return [ests[("g1", "g2").index(which)] for which in terms] + ests[2:]
     raise ValueError(f"unknown method {method!r}")
 

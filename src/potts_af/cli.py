@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bounds, cascade, disorder, replica, second_moment
-from .model import DEFAULT_ENUM_BUDGET, ModelParams
+from .model import ModelParams, _fits_budget
 from .util import BudgetExceededError, check_c
 
 SCHEMA = "potts-af/1"
@@ -264,7 +264,7 @@ def cmd_cascade(args) -> dict | None:
         "bound_stat_error": bound.stat_error,
         "annealed_pressure": bounds.annealed_pressure(args.beta, args.c, args.q),
     }
-    if args.beta < math.inf and args.q**args.n <= DEFAULT_ENUM_BUDGET:
+    if args.beta < math.inf and _fits_budget(args.q, args.n):
         p_n = disorder.quenched_pressure_exact(params, args.n, eps=args.eps,
                                                seed=args.seed + 2)
         payload["quenched_pressure"] = _estimate_dict(p_n)

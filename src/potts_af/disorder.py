@@ -30,16 +30,14 @@ most CHUNK rows.  Only a stratum that samples makes its seed, and the
 planned total is held to util.MAX_MC_SAMPLES before any is made.
 
 Every Monte Carlo average subtracts control variates whose means are
-exactly 0, at cross-fitted coefficients (util.cross_fit, the rule of the
-cascade Monte Carlo), so it stays exactly unbiased.  Each draw carries its
-occupancy, the number of pairs with J_p > 0, less its mean given M, P (1 -
-(1 - 1/P)^M) for M uniform edges on P pairs (_occupied_means); the draws of
-quenched_pressure_mc also carry M - lambda.  Each stratum, and the plain
-estimator, fits the coefficients of its first half of draws on its second
-half and the other way round, from per-(stratum, half) sums accumulated
-block by block (_Controlled), so memory stays bounded whatever the number
-of draws.  Halves of consecutive draws, not the cascade's odd and
-even draws, keep each half's columns contiguous for one matrix product.
+exactly 0, at cross-fitted coefficients (util.cross_fit), so it stays
+exactly unbiased.  Each draw carries its occupancy, the number of pairs
+with J_p > 0, less its mean given M, P (1 - (1 - 1/P)^M) for M uniform
+edges on P pairs (_occupied_means); the draws of quenched_pressure_mc also
+carry M - lambda.  Each stratum, and the plain estimator, fits the
+coefficients of its first half of draws on its second half and the other
+way round, from sums accumulated block by block (util.CrossFitSums), so
+memory stays bounded whatever the number of draws.
 
 The exact path never lists the multisets.  ln Z and the pair overlaps
 do not change when the N sites are relabelled, so it averages over
@@ -70,17 +68,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 from math import comb
 from threading import Lock
 
 import numpy as np
 
-from .model import (ModelParams, _check_budget, _check_finite_beta, as_couplings, colour_classes,
-                    config_energies)
-from .util import (BudgetExceededError, check_beta, check_c, check_int, check_poisson_mean,
-                   check_q, check_samples, check_seed, check_tol, child_seed, cross_fit,
+from .model import (ModelParams, _check_budget, _check_finite_beta, _site_pairs, as_couplings,
+                    colour_classes, config_energies)
+from .util import (BudgetExceededError, CrossFitSums, check_beta, check_c, check_int,
+                   check_poisson_mean, check_q, check_samples, check_seed, check_tol, child_seed,
                    log_multinomial, logsumexp, multinomial_table, multiset_permutations,
                    poisson_cutoff, poisson_pmf_vector, poisson_sf, stream)
 
@@ -227,7 +225,7 @@ def _grow_orbit_table(n: int, rows: np.ndarray,
     """
     p = rows.shape[1]
     m = int(rows[0].sum()) + 1
-    i, j = np.triu_indices(n, 1)
+    i, j = _site_pairs(n)
     pair = np.zeros((n, n), dtype=np.intp)  # pair index of each site pair, both ways
     pair[i, j] = pair[j, i] = np.arange(p)
     incidence = np.zeros((p, n), dtype=np.int64)
@@ -312,7 +310,7 @@ def _conditional_average(n: int, per_j, budgets: np.ndarray,
     orbit table, so f must be invariant under relabelling the sites.  A
     stratum with budgets[m] > 0 draws that many rows from
     stream(child_seed(seed, m)), CHUNK at a time, and subtracts the
-    occupancy control at cross-fitted coefficients (_Controlled).  Both
+    occupancy control at cross-fitted coefficients (util.CrossFitSums).  Both
     kinds read their rows as one run, cut into blocks of at most CHUNK rows
     that may straddle strata (_table_blocks): the exact blocks are weighted
     in place and summed per stratum (np.add.reduceat).  Needs n >= 2.
@@ -335,16 +333,16 @@ def _conditional_average(n: int, per_j, budgets: np.ndarray,
     draws = ((_placements(streams[m], p, np.full(size, m)), range(lo, lo + size))
              for m, lo, size in pieces)
     piece_owner = np.searchsorted(sampled, [m for m, _, _ in pieces])
-    sums = _Controlled(budgets[sampled].tolist(), 1)
+    sums = CrossFitSums(budgets[sampled].tolist(), 1, 1, CHUNK)
     for rows, tags, in_pieces, _ in _table_blocks(draws):
         block = np.concatenate(rows, dtype=np.float64)
         owners = piece_owner[in_pieces]
         lengths = [len(tag) for tag in tags]
-        w = sums.block(len(block))
+        w = sums.w[:, :len(block)]
         w[2] = per_j(block)
         _occupancy_control(block, np.repeat(sampled[owners], lengths), w[1])
         sums.add(owners, lengths, [tag[0] for tag in tags])
-    means[sampled], sems[sampled] = sums.result()
+    means[sampled], sems[sampled] = (v[:, 0] for v in sums.result())
     return means, sems
 
 
@@ -367,53 +365,6 @@ def _occupied_means(p: int) -> np.ndarray:
     table = p * (1.0 - np.power(1.0 - 1.0 / p, np.arange(40 * p + 2)))
     table.flags.writeable = False
     return table
-
-
-class _Controlled:
-    """The sums util.cross_fit reads, accumulated block by block for one
-    estimate per owner of a value y with k control columns x: per (owner,
-    half) the sums of w z^T with z = (1, x, y - shift) and w = (z, |x|,
-    |y|).  An owner's shift is its first value.  Its half 0 holds its first
-    ceil(S/2) draws of S and half 1 the rest, so each half of a block is a
-    run of consecutive columns, summed by one matrix product into a fixed
-    (owners, 2, 2k + 3, k + 2) array."""
-
-    def __init__(self, draws: list[int], k: int):
-        self.w = np.empty((2 * k + 3, min(CHUNK, sum(draws))))
-        self.w[0] = 1.0
-        self.sums = np.zeros((len(draws), 2, 2 * k + 3, k + 2))
-        self.shift = np.zeros((len(draws), 1))
-        self.middle = [(size + 1) // 2 for size in draws]  # first draw of half 1, per owner
-
-    def block(self, size: int) -> np.ndarray:
-        """The columns for the next `size` draws, whose rows 1..k+1 the
-        caller fills with x_1, ..., x_k and y, one column per draw; row 0
-        is 1.  add() sums them."""
-        return self.w[:, :size]
-
-    def add(self, owners, lengths, firsts) -> None:
-        """Sum the block just filled, whose columns are runs of lengths[i]
-        consecutive draws of owners[i], the first of index firsts[i]."""
-        d = self.sums.shape[-1]
-        w = self.w[:, :sum(lengths)]
-        z, y = w[:d], w[d - 1]
-        np.abs(z[1:], out=w[d:])
-        lo = 0
-        for owner, size, first in zip(owners, lengths, firsts):
-            hi = lo + size
-            if first == 0:
-                self.shift[owner, 0] = y[lo]
-            y[lo:hi] -= self.shift[owner, 0]
-            cut = min(hi, max(lo, lo + self.middle[owner] - first))
-            for half, (a, b) in enumerate(((lo, cut), (cut, hi))):
-                if a < b:
-                    self.sums[owner, half] += w[:, a:b] @ z[:, a:b].T
-            lo = hi
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """(means, sems) per owner (util.cross_fit)."""
-        means, sems = cross_fit(self.sums, self.shift)
-        return means[:, 0], sems[:, 0]
 
 
 def _table_blocks(tables):
@@ -503,17 +454,17 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
     lam = c * (n - 1) / 2.0
     check_poisson_mean(lam, c)
     work = _workspace(n, q, min(CHUNK, samples))
-    sums = _Controlled([samples], 2)
+    sums = CrossFitSums([samples], 2, 1, CHUNK)
     for block, lo in enumerate(range(0, samples, CHUNK)):
         rng = stream(child_seed(seed, block))
         m = rng.poisson(lam, size=min(CHUNK, samples - lo))
         rows = _placements(rng, n * (n - 1) // 2, m).astype(np.float64)
-        w = sums.block(len(m))
+        w = sums.w[:, :len(m)]
         np.divide(_lnz_batch(rows, n, q, beta, work), n, out=w[3])
         _occupancy_control(rows, m, w[1])
         np.subtract(m, lam, out=w[2])
         sums.add([0], [len(m)], [lo])
-    mean, sem = (float(v[0]) for v in sums.result())
+    mean, sem = (float(v[0, 0]) for v in sums.result())
     return QuenchedEstimate(mean - beta * c / (2 * n), sem, 0.0, samples, METHOD_MC)
 
 
@@ -550,9 +501,10 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
         return QuenchedEstimate(0.5 * c * (beta + math.log1p(-y / q)), 0.0, 0.0, 0, METHOD_EXACT)
 
     lam = c * (n - 1) / 2.0
-    m_max = poisson_cutoff(lambda m: poisson_sf(m + 1, lam), SUM_RULE_TAIL_EPS, M_MAX_CAP)
+    tail = cache(lambda m: poisson_sf(m + 1, lam))  # the cutoff's probes serve the list below
+    m_max = poisson_cutoff(tail, SUM_RULE_TAIL_EPS, M_MAX_CAP)
     # exact c' integral of each Poisson weight: (2/(N-1)) P(Poisson(c(N-1)/2) >= m+1)
-    sf = np.array([poisson_sf(m + 1, lam) for m in range(m_max + 1)])
+    sf = np.array([tail(m) for m in range(m_max + 1)])
     coef_m = sf * (2.0 / (n - 1))
     mc_strata = _mc_strata(n, m_max)
     budgets = _sample_plan(mc_strata, coef_m, coef_m[mc_strata].sum(), SUM_RULE_MC_SAMPLES)

@@ -92,19 +92,25 @@ def _check_finite_beta(name: str, beta: float) -> None:
         raise ValueError(f"{name} requires finite beta")
 
 
+def _fits_budget(q: int, n: int) -> bool:
+    """Whether q^n configurations fit DEFAULT_ENUM_BUDGET, for an int q >= 1.
+    Past n ln q = ln DEFAULT_ENUM_BUDGET + 1 they do not, and q^n, slow to
+    form at a huge n, is not formed."""
+    return ((q == 1 or n <= (math.log(DEFAULT_ENUM_BUDGET) + 1.0) / math.log(q))
+            and q**n <= DEFAULT_ENUM_BUDGET)
+
+
 def _check_budget(q: int, n: int) -> int:
     """q^n, the number of configurations, after checking q and DEFAULT_ENUM_BUDGET.
 
     The power is taken on int(q): a numpy q ** n would wrap.
     """
     check_q(q, 1)
-    n_states = int(q) ** n
-    if n_states > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"enumerating {n_states} configurations exceeds enumeration budget "
-            f"{DEFAULT_ENUM_BUDGET}"
-        )
-    return n_states
+    q = int(q)
+    if not _fits_budget(q, n):
+        raise BudgetExceededError(f"enumerating q^N = {q}^{n} configurations exceeds "
+                                  f"enumeration budget {DEFAULT_ENUM_BUDGET}")
+    return q**n
 
 
 def config_block(n: int, q: int, lo: int, hi: int) -> np.ndarray:
@@ -117,13 +123,21 @@ def config_block(n: int, q: int, lo: int, hi: int) -> np.ndarray:
     return digits
 
 
+@lru_cache(maxsize=16)
+def _site_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), the pairs i < j in row order: read-only, shared per n."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def config_energies(cfg: np.ndarray, J) -> np.ndarray:
     """H(sigma, J) per configuration row, folded: tr J + sum_{i<j} (J_ij + J_ji) delta.
 
     Integer couplings give exact (integer-valued) energies.
     """
     J = np.asarray(J)
-    i, j = np.triu_indices(J.shape[0], 1)
+    i, j = _site_pairs(J.shape[0])
     w = (J[i, j] + J[j, i]).astype(np.float64)
     live = np.flatnonzero(w)
     same = cfg[:, i[live]] == cfg[:, j[live]]
@@ -160,7 +174,7 @@ def colour_classes(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     disorder kernel's view of class_representatives: a float64 (classes,
     n(n-1)/2) matrix of delta(sigma_i, sigma_j) over the pairs i < j."""
     reps, log_mult = class_representatives(n, q)
-    i, j = np.triu_indices(n, 1)
+    i, j = _site_pairs(n)
     indicator = (reps[:, i] == reps[:, j]).astype(np.float64)
     indicator.flags.writeable = False  # shared by the cache
     return indicator, log_mult

@@ -28,10 +28,10 @@ class BudgetExceededError(RuntimeError):
 
 # Cap on a Monte Carlo sample count: 100 times the largest count the tests,
 # the acceptance criteria and the benchmark use (10 000 draws; a quenched
-# pressure stratum takes at most 8 x 4 096).  At the cap a cascade bound at
-# 2 048 leaves, 5 sites and q = 2 already takes about seven minutes (0.35
-# to 0.42 ms a draw on one core of a 2-core Xeon), and near 10^8 draws its
-# per-draw arrays alone would outgrow a 1 GiB address space.
+# pressure stratum takes at most 8 x 4 096).  Memory does not grow with the
+# count (CrossFitSums), but time does: at the cap a cascade bound at 2 048
+# leaves, 5 sites and q = 2 takes about seven minutes (0.35 to 0.42 ms a
+# draw on one core of a 2-core Xeon).
 MAX_MC_SAMPLES = 1_000_000
 
 
@@ -316,6 +316,48 @@ def _rounding(size: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """The rounding of a mean over S draws of terms of mean absolute size
     `size`, with tol = eps (ceil(log2 S) + 2)."""
     return tol * size
+
+
+class CrossFitSums:
+    """The sums cross_fit reads, accumulated block by block for one estimate
+    per owner of r values y with k controls x; an owner's shift is its first
+    draw's values.  A block is the first columns of w, one per draw, at most
+    `width`: row 0 is 1, and the caller fills rows 1..k+r with x and y
+    before add().  An owner's half 0 holds its first ceil(S/2) draws of S
+    and half 1 the rest, so each half of a block is a run of consecutive
+    columns, summed by one matrix product into a fixed (owners, 2, 2(k + r)
+    + 1, k + r + 1) array: memory does not grow with the draws."""
+
+    def __init__(self, draws: list[int], k: int, r: int, width: int):
+        d = k + r + 1
+        self.w = np.empty((2 * d - 1, min(width, sum(draws))))
+        self.w[0] = 1.0
+        self.sums = np.zeros((len(draws), 2, 2 * d - 1, d))
+        self.shift = np.zeros((len(draws), r))
+        self.middle = [(size + 1) // 2 for size in draws]  # first draw of half 1, per owner
+
+    def add(self, owners, lengths, firsts) -> None:
+        """Sum the block just filled, whose columns are runs of lengths[i]
+        consecutive draws of owners[i], the first of index firsts[i]."""
+        d = self.sums.shape[-1]
+        w = self.w[:, :sum(lengths)]
+        z, y = w[:d], w[d - self.shift.shape[1]:d]
+        np.abs(z[1:], out=w[d:])
+        lo = 0
+        for owner, size, first in zip(owners, lengths, firsts):
+            hi = lo + size
+            if first == 0:
+                self.shift[owner] = y[:, lo]
+            y[:, lo:hi] -= self.shift[owner, :, None]
+            cut = min(hi, max(lo, lo + self.middle[owner] - first))
+            for half, (a, b) in enumerate(((lo, cut), (cut, hi))):
+                if a < b:
+                    self.sums[owner, half] += w[:, a:b] @ z[:, a:b].T
+            lo = hi
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """(means, sems), each (owners, r), by cross_fit."""
+        return cross_fit(self.sums, self.shift)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -228,6 +229,18 @@ def test_cascade_infinite_beta_skips_pressure(tmp_path):
                           symmetric_t_hierarchy(2, 0.4))
     assert doc["bound"] == est.value
     assert "quenched_pressure" not in doc
+
+
+def test_cascade_at_a_huge_n_skips_pressure_at_once(tmp_path):
+    # the comparison's q^N check once formed 3^(3 10^7) in full, for 28 s;
+    # the closed-form bound itself takes under a millisecond
+    out = tmp_path / "huge.json"
+    start = time.perf_counter()
+    assert run_cli("cascade", "--q", "3", "--beta", "1", "--c", "2", "--n", "30000000",
+                   "--out", str(out)) == 0
+    assert time.perf_counter() - start < 2.0
+    doc = json.loads(out.read_text())
+    assert math.isfinite(doc["bound"]) and "quenched_pressure" not in doc
 
 
 @pytest.mark.parametrize("args, message", [

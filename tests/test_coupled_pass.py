@@ -5,13 +5,15 @@ pair count from G1's slots: K ~ Binomial(sum_i k_i, 1/2) with k_i ~
 Poisson(c), which is Poisson(cn/2).  It is the only Monte Carlo pass, so
 cavity_g1 and cavity_g2 return its terms, equal to those of cavity_terms.
 Every estimate subtracts the pass's zero-mean control columns at
-cross-fitted coefficients; the bound's stat_error is the standard error of
-the adjusted per-draw differences, below the raw paired one.
+coefficients cross-fitted on the first and second halves of the draws; the
+bound's stat_error is the standard error of the adjusted per-draw
+differences, below the raw paired one.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from potts_af.cascade import (
 )
 from potts_af.disorder import METHOD_MC
 from potts_af.model import ModelParams
+from test_kernel_oracle import cross_fitted
 
 BENCH = ModelParams(q=2, beta=1.0, c=4.0)
 # the benchmark's bound configurations at N = 5, then the engine's other
@@ -87,16 +90,11 @@ def test_terms_alone_equal_the_coupled_terms(config):
     assert cavity_g2(params, N, spec, hier, **kw) == e2
 
 
-def _cross_fit(rows: np.ndarray, controls: np.ndarray) -> np.ndarray:
-    """rows minus the controls at coefficients fitted, with an intercept
-    column, on the other parity of draws."""
-    adjusted = rows.copy()
-    for half in (0, 1):
-        fit_on = np.column_stack([np.ones(controls[:, 1 - half::2].shape[1]),
-                                  controls[:, 1 - half::2].T])
-        coef = np.linalg.lstsq(fit_on, rows[:, 1 - half::2].T, rcond=None)[0][1:]
-        adjusted[:, half::2] -= coef.T @ controls[:, half::2]
-    return adjusted
+def run_mc(params, n, spec, hier, samples, seed, n_atoms):
+    """The pass's per-draw (values, controls, tail fractions), its chunks
+    concatenated: values (2, S), controls (columns, S), fractions (S,)."""
+    vals, controls, fracs = zip(*cascade._run_mc(params, n, spec, hier, samples, seed, n_atoms))
+    return np.hstack(vals), np.hstack(controls), np.concatenate(fracs)
 
 
 def _sem(rows: np.ndarray) -> np.ndarray:
@@ -106,20 +104,41 @@ def _sem(rows: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("config", list(CONFIGS))
 def test_bound_error_is_the_paired_standard_error(config):
     params, spec, hier = CONFIGS[config]
-    vals, controls, bias = cascade._run_mc(params, N, spec, hier, SAMPLES, 41, ATOMS)
+    vals, controls, fracs = run_mc(params, N, spec, hier, SAMPLES, 41, ATOMS)
     assert controls.shape == ((4 if spec.atom_levels else 2), SAMPLES)
     e1, e2, bound = cavity_terms(params, N, spec, hier, samples=SAMPLES, seed=41,
                                  method="monte-carlo", n_atoms=ATOMS)
-    adjusted = _cross_fit(vals, controls)
-    for est, row in zip((e1, e2), adjusted):
-        assert est.value == pytest.approx(row.mean(), rel=0, abs=1e-12)
-        assert est.stat_error == pytest.approx(_sem(row), rel=1e-9)
-    assert bound.stat_error == pytest.approx(_sem(adjusted[0] - adjusted[1]), rel=1e-9)
+    means, sems = cross_fitted(np.column_stack([*vals, vals[0] - vals[1]]), controls.T)
+    for est, mean, sem in zip((e1, e2), means, sems):
+        assert est.value == pytest.approx(mean, rel=0, abs=1e-12)
+        assert est.stat_error == pytest.approx(sem, rel=1e-9)
+    assert bound.stat_error == pytest.approx(sems[2], rel=1e-9)
     # the coupling puts the raw paired error below the quadrature sum of the
     # terms' raw errors, and the controls put the bound's error below both
     assert bound.stat_error < _sem(vals[0] - vals[1]) < math.hypot(*_sem(vals))
     assert bound.value == e1.value - e2.value
-    assert bound.bias_estimate == e1.bias_estimate + e2.bias_estimate == 2 * bias
+    assert bound.bias_estimate == e1.bias_estimate + e2.bias_estimate
+    assert e1.bias_estimate == pytest.approx(fracs.mean() / N, rel=1e-12)
     assert bound == rsb_upper_bound(params, N, spec, hier, samples=SAMPLES, seed=41,
                                     method="monte-carlo", n_atoms=ATOMS)
 
+
+
+def test_pass_memory_does_not_grow_with_the_draws():
+    # the pass streams each chunk into fixed cross-fit sums, so the draws
+    # past the first 1 000 may not cost 16 B each; per-draw arrays took
+    # about 227 B a draw.  What does grow is bounded: a first call at the
+    # larger count grows the shared class tables to its largest k, and
+    # CPython's free list of 1-tuples holds at most 2 000 of 48 B.
+    args = (BENCH, N, rs_spec(), symmetric_t_hierarchy(2, -0.8))
+
+    def peak(samples: int) -> int:
+        tracemalloc.start()
+        try:
+            rsb_upper_bound(*args, samples=samples, seed=1, method="monte-carlo")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rsb_upper_bound(*args, samples=30_000, seed=1, method="monte-carlo")
+    assert peak(30_000) - peak(1000) <= 16 * 29_000

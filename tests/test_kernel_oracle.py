@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -218,22 +219,32 @@ def occupancy_control(draws: np.ndarray, m) -> np.ndarray:
     return np.count_nonzero(draws, axis=1) - occupancy_means(draws.shape[1], m)
 
 
-def cross_fitted(values: np.ndarray, controls: np.ndarray) -> tuple[float, float]:
+def cross_fitted(values: np.ndarray, controls: np.ndarray):
     """(mean, sem) of per-draw values less zero-mean controls (one column
     each) at least-squares coefficients, with an intercept, fitted by
     np.linalg.lstsq on the other half of the draws: the first ceil(S/2)
     draws and the rest, as the engine splits them; a half of at most k + 1
-    draws fits nothing.  The engine's cross-fit, written out per draw."""
-    adjusted = np.array(values, dtype=np.float64)
+    draws fits nothing.  The engine's cross-fit, written out per draw.
+
+    values is (S,), giving floats, or (S, r), giving arrays of r: each
+    column is fitted on its own, so a column of differences, such as
+    G1 - G2, gets the paired standard error of the adjusted differences."""
+    values = np.asarray(values, dtype=np.float64)
+    columns = values.reshape(len(values), -1)
+    adjusted = columns.copy()
     middle, k = (len(values) + 1) // 2, controls.shape[1]
     halves = (slice(0, middle), slice(middle, len(values)))
     for half, other in (halves, halves[::-1]):
-        x, y = controls[other], values[other]
-        coef = np.zeros(k)
+        x, y = controls[other], columns[other]
+        coef = np.zeros((k, y.shape[1]))
         if len(y) > k + 1:
-            coef = np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(), rcond=None)[0]
+            coef = np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(axis=0), rcond=None)[0]
         adjusted[half] -= controls[half] @ coef
-    return float(adjusted.mean()), float(adjusted.std(ddof=1) / math.sqrt(len(adjusted)))
+    means = adjusted.mean(axis=0)
+    sems = adjusted.std(axis=0, ddof=1) / math.sqrt(len(adjusted))
+    if values.ndim == 1:
+        return float(means[0]), float(sems[0])
+    return means, sems
 
 
 def stratum_average(n: int, m: int, per_j, samples: int, seed: int):
@@ -698,6 +709,38 @@ def test_disorder_budget_guard_with_numpy_q(fn, monkeypatch):
                         lambda n, q: pytest.fail(f"class table built at (N, q) = ({n}, {q})"))
     with pytest.raises(BudgetExceededError):
         fn(ModelParams(np.int64(2), 1.0, 1.0))
+
+
+@pytest.mark.parametrize("fn, q, n", [
+    (lambda: quenched_pressure_exact(ModelParams(3, 1.0, 2.0), 10_000), 3, 10_000),
+    (lambda: disorder.sum_rule_deficit(ModelParams(2, 1.0, 2.0), 20_000, 20, 16), 2, 20_000),
+    (lambda: quenched_pressure_mc(ModelParams(2, 1.0, 2.0), 10**7, 4, 0), 2, 10**7),
+    (lambda: gibbs_replica_expectation(np.ones((4, 4)), 1.0, 3, 10**6, np.sum), 3, 4 * 10**6),
+], ids=["quenched_pressure_exact", "sum_rule_deficit", "quenched_pressure_mc",
+        "gibbs_replica_expectation"])
+def test_budget_guard_refuses_a_huge_n_at_once(fn, q, n):
+    # q^N past 4 300 digits once failed to format into the message, and at
+    # N = 10^7 took seconds to form; the guard names q, N and the budget
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        fn()
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == (f"enumerating q^N = {q}^{n} configurations exceeds "
+                              f"enumeration budget {model.DEFAULT_ENUM_BUDGET}")
+
+
+def test_budget_guard_admits_the_budget_exactly(monkeypatch):
+    # the log test only skips powers past e times the budget
+    monkeypatch.setattr(model, "DEFAULT_ENUM_BUDGET", 3**9)
+    assert model._check_budget(3, 9) == 3**9
+    with pytest.raises(BudgetExceededError):
+        model._check_budget(3, 10)
+    monkeypatch.setattr(model, "DEFAULT_ENUM_BUDGET", 3**9 - 1)
+    with pytest.raises(BudgetExceededError):
+        model._check_budget(3, 9)
+    assert model._check_budget(1, 10**400) == 1
+    with pytest.raises(BudgetExceededError):
+        model._check_budget(2, 10**400)  # past any float
 
 
 @pytest.mark.parametrize("fn", [log_partition, pressure_density, entropy_density])
