@@ -31,7 +31,7 @@ from potts_af.util import (MAX_MC_SAMPLES, BudgetExceededError, poisson_cutoff,
                            poisson_pmf_vector, poisson_sf, stream)
 
 from conftest import combined_error
-from test_kernel_oracle import cross_fitted, occupancy_control, old_overlap_moments, upper_couplings
+from test_kernel_oracle import cross_fitted, graph_controls, old_overlap_moments, upper_couplings
 
 
 def test_sample_couplings_zero_connectivity():
@@ -343,7 +343,7 @@ def test_sum_rule_samples_follow_the_stratum_weights(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_sum_rule_allocation_beats_flat_samples(seed, monkeypatch):
     # the same strata with a flat 2 048 samples each, the sum rule's old plan
-    # (stat_error 1.32-1.48e-7 on seeds 1-5, against 0.90-0.93e-7), draw 2.4
+    # (stat_error 6.0-6.7e-8 on seeds 1-5, against 4.2-4.3e-8), draw 2.4
     # times as many samples
     params = ModelParams(q=2, beta=1.0, c=1.0)
     est = sum_rule_deficit(params, 6, 20, 16, seed=seed)
@@ -360,9 +360,10 @@ def test_sum_rule_allocation_beats_flat_samples(seed, monkeypatch):
 def test_sum_rule_stat_error_is_one_standard_error(q, beta, c, n, seed):
     # each Monte Carlo stratum's rows, redrawn from its seed in the engine's
     # blocks, give per-row series sum_R coef_R moment_R by the unreduced
-    # kernel; less the occupancy control at cross-fitted coefficients, their
-    # standard errors, combined with the stratum weights, are the deficit's
-    # one standard error
+    # kernel; less the four graph controls (occupancy, multi-edges, degree
+    # squares, triangles) at cross-fitted coefficients, their standard
+    # errors, combined with the stratum weights, are the deficit's one
+    # standard error
     est = sum_rule_deficit(ModelParams(q=q, beta=beta, c=c), n, 20, 16, seed=seed)
     lam, p, y = c * (n - 1) / 2, n * (n - 1) // 2, -math.expm1(-beta)
     m_max = poisson_cutoff(lambda m: poisson_sf(m + 1, lam), SUM_RULE_TAIL_EPS, M_MAX_CAP)
@@ -378,7 +379,7 @@ def test_sum_rule_stat_error_is_one_standard_error(q, beta, c, n, seed):
             for lo in range(0, samples, disorder.CHUNK)])
         values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20) @ coef_r
         weight = poisson_sf(m + 1, lam) * 2 / (n - 1)
-        variance += (weight * cross_fitted(values, occupancy_control(draws, m)[:, None])[1]) ** 2
+        variance += (weight * cross_fitted(values, graph_controls(draws, n, m))[1]) ** 2
         drawn += samples
     assert est.samples == drawn > 0
     assert est.stat_error == pytest.approx(math.sqrt(variance), rel=1e-9, abs=0)

@@ -1,11 +1,14 @@
 """Cross-fitted control variates of the disorder Monte Carlo.
 
-Every Monte Carlo draw of quenched_pressure_exact's and sum_rule_deficit's
-strata carries the occupancy control, the number of pairs with J_p > 0 less
-its mean given M, and quenched_pressure_mc's draws carry M - lambda as well.
-Both have mean exactly 0, so the estimates stay unbiased at any coefficient;
-util.cross_fit fits the coefficients of one half of the draws on the other
-half, from per-(owner, half) sums, and its standard errors are calibrated.
+Every Monte Carlo draw of quenched_pressure_exact's strata carries the
+occupancy control, the number of pairs with J_p > 0 less its mean given M,
+and quenched_pressure_mc's draws carry M - lambda as well.  The draws of
+sum_rule_deficit's strata carry four graph moments less their means given
+M: the occupancy, the multi-edges sum_p J_p^2, the degree squares sum_i
+d_i^2 and the triangles.  All have mean exactly 0, so the estimates stay
+unbiased at any coefficient; util.cross_fit fits the coefficients of one
+half of the draws on the other half, from per-(owner, half) sums, and its
+standard errors are calibrated.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ import numpy as np
 import pytest
 
 from potts_af import disorder, util
-from potts_af.disorder import (_exact_placements, _occupied_means, quenched_pressure_exact,
-                               quenched_pressure_mc)
+from potts_af.disorder import (_conditional_average, _exact_placements, _graph_means,
+                               _graph_moments, _occupied_means, _overlap_series,
+                               quenched_pressure_exact, quenched_pressure_mc, sum_rule_deficit)
 from potts_af.model import ModelParams
 
-from test_kernel_oracle import cross_fitted, occupancy_means
+from test_kernel_oracle import (COEF, cross_fitted, graph_controls, occupancy_means,
+                                uniform_pair_counts)
 
 SEEDS = range(100, 140)
 
@@ -48,6 +53,98 @@ def test_occupancy_control_has_exact_zero_mean(n):
                                atol=1e-12)
     # the table runs until the mean rounds to P, which serves every larger M
     assert table[-1] == p and table.take(10**9, mode="clip") == p
+
+
+def graph_columns(rows: np.ndarray, n: int, m) -> np.ndarray:
+    """(4, B): the engine's graph moments of the rows, less _graph_means."""
+    out = np.empty((4, len(rows)))
+    _graph_moments(np.array(rows, dtype=np.float64), out)
+    return out - _graph_means(n, np.full(len(rows), m))
+
+
+def closed_form_means(n: int, m: int) -> list[float]:
+    """Multi-edges, degree squares and triangles given M = m, written out."""
+    p = n * (n - 1) // 2
+    return [m + m * (m - 1) / p, 2 * m + 4 * m * (m - 1) / n,
+            math.comb(n, 3) * m * (m - 1) * (m - 2) / p**3]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_graph_moments_have_exact_means(n):
+    # the orbit tables carry the multiset law of M uniform pair edges, so
+    # each moment's table mean is its mean given M, to rounding
+    for m in range(9):
+        rows, weights = _exact_placements(n, m)
+        out = np.empty((4, len(rows)))
+        _graph_moments(rows.astype(np.float64), out)
+        np.testing.assert_allclose(out[1:] @ weights, closed_form_means(n, m), rtol=1e-12,
+                                   atol=0)
+        np.testing.assert_allclose(_graph_means(n, np.array([m]))[:, 0],
+                                   [_occupied_means(n * (n - 1) // 2)[m]]
+                                   + closed_form_means(n, m), rtol=1e-12, atol=0)
+
+
+def test_triangle_column_is_zero_below_three_sites_or_edges():
+    for n in (3, 4, 5, 6):
+        for m in range(3):
+            assert not graph_columns(_exact_placements(n, m)[0], n, m)[3].any()
+    rng = np.random.default_rng(2)
+    for m in range(9):
+        assert not graph_columns(uniform_pair_counts(rng, 1, np.full(50, m)), 2, m)[3].any()
+
+
+def test_dead_and_collinear_columns():
+    # at N = 3 the degree squares are the multi-edges plus M^2 given M, and
+    # at N = 2 (one pair) every column is identically 0
+    rng = np.random.default_rng(3)
+    for m in (1, 4, 9):
+        cols = graph_columns(uniform_pair_counts(rng, 3, np.full(200, m)), 3, m)
+        np.testing.assert_allclose(cols[2], cols[1], rtol=0, atol=1e-12 * m * m)
+        assert not graph_columns(uniform_pair_counts(rng, 1, np.full(200, m)), 2, m).any()
+
+
+def test_two_site_strata_sampled_with_dead_controls_stay_exact():
+    # forced to sample, N = 2 draws one row per stratum; its dead controls
+    # drop out, and the mean is the exact one, with a rounding-sized error
+    n, q, beta = 2, 3, 1.2
+    per_j = lambda rows: _overlap_series(rows, n, q, beta, COEF)
+    budgets = np.array([0, 300, 5, 2100])
+    means, sems = _conditional_average(n, per_j, budgets, 4, _graph_moments, _graph_means)
+    exact, _ = _conditional_average(n, per_j, np.zeros(4, dtype=np.int64), 4,
+                                    _graph_moments, _graph_means)
+    np.testing.assert_allclose(means, exact, rtol=1e-14, atol=0)
+    assert np.all(np.isfinite(sems)) and np.all(sems <= 1e-14 * means)
+
+
+def test_forced_monte_carlo_sum_rule_at_three_sites_is_calibrated(monkeypatch):
+    # at N = 3 two of the four columns coincide; with every stratum M >= 1
+    # sampled, the deficit stays within 4 standard errors of the exact
+    # orbit-table value, and its z-scores spread as a standard normal's
+    params = ModelParams(q=2, beta=1.0, c=2.0)
+    exact = sum_rule_deficit(params, 3, 20, 16)
+    two_sites = sum_rule_deficit(params, 2, 20, 16)
+    assert exact.samples == two_sites.samples == 0
+    monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", 0)
+    # each N = 2 stratum is one row, exact whatever the budget
+    assert sum_rule_deficit(params, 2, 20, 16, seed=1) == two_sites
+    z = []
+    for seed in SEEDS:
+        est = sum_rule_deficit(params, 3, 20, 16, seed=seed)
+        assert est.samples > 0 and math.isfinite(est.value) and est.stat_error > 0
+        z.append((est.value - exact.value) / est.stat_error)
+    assert np.abs(z).max() <= 4
+    assert 0.7 <= np.std(z, ddof=1) <= 1.3
+
+
+def test_sum_rule_columns_match_the_coupling_matrix_oracle():
+    # the engine's columns against graph_controls, which reads trace(A^3)/6,
+    # the row sums of A and sum J^2 off the full coupling matrix
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 4, 6):
+        for m in (0, 2, 7, 13):
+            draws = uniform_pair_counts(rng, n * (n - 1) // 2, np.full(64, m))
+            np.testing.assert_allclose(graph_columns(draws, n, m), graph_controls(draws, n, m).T,
+                                       rtol=1e-13, atol=1e-12)
 
 
 @pytest.mark.parametrize("k, draws", [(1, 257), (2, 300), (4, 64)])

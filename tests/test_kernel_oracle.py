@@ -219,6 +219,27 @@ def occupancy_control(draws: np.ndarray, m) -> np.ndarray:
     return np.count_nonzero(draws, axis=1) - occupancy_means(draws.shape[1], m)
 
 
+def graph_controls(draws: np.ndarray, n: int, m) -> np.ndarray:
+    """(S, 4) controls of the sum rule's draws, from each row's full
+    symmetric coupling matrix A: the occupied pairs, the multi-edges sum_p
+    J_p^2 = sum_ij A_ij^2 / 2, the degree squares (row sums of A, squared
+    and summed) and the triangles trace(A^3)/6, each less its mean given M
+    = m: P (1 - (1 - 1/P)^m), m + m(m - 1)/P, 2m + 4m(m - 1)/N and C(N, 3)
+    m(m - 1)(m - 2)/P^3."""
+    p, m = n * (n - 1) // 2, float(m)
+    a = upper_couplings(draws, n).reshape(-1, n, n)
+    a = a + a.transpose(0, 2, 1)
+    moments = np.column_stack([
+        np.count_nonzero(draws, axis=1),
+        (a * a).sum(axis=(1, 2)) / 2,
+        (a.sum(axis=2) ** 2).sum(axis=1),
+        np.trace(a @ a @ a, axis1=1, axis2=2) / 6,
+    ])
+    means = [occupancy_means(p, m), m + m * (m - 1) / p, 2 * m + 4 * m * (m - 1) / n,
+             math.comb(n, 3) * m * (m - 1) * (m - 2) / p**3]
+    return moments - means
+
+
 def cross_fitted(values: np.ndarray, controls: np.ndarray):
     """(mean, sem) of per-draw values less zero-mean controls (one column
     each) at least-squares coefficients, with an intercept, fitted by
@@ -247,13 +268,18 @@ def cross_fitted(values: np.ndarray, controls: np.ndarray):
     return means, sems
 
 
-def stratum_average(n: int, m: int, per_j, samples: int, seed: int):
+OCCUPANCY = (disorder._occupancy, disorder._occupancy_means)  # the pressure's control
+GRAPH_MOMENTS = (disorder._graph_moments, disorder._graph_means)  # the sum rule's four
+
+
+def stratum_average(n: int, m: int, per_j, samples: int, seed: int, controls=OCCUPANCY):
     """(mean, sem, samples) of f given M = m from the engine's pass over the
     strata 0..m, where m alone may be Monte Carlo: `samples` draws from
-    child m of `seed` once its multisets pass DEFAULT_EXACT_BUDGET."""
+    child m of `seed` once its multisets pass DEFAULT_EXACT_BUDGET, less
+    `controls` at cross-fitted coefficients."""
     budgets = np.zeros(m + 1, dtype=np.int64)
     budgets[m] = samples if _mc_strata(n, m)[m] else 0
-    means, sems = _conditional_average(n, per_j, budgets, seed)
+    means, sems = _conditional_average(n, per_j, budgets, seed, *controls)
     return means[m], sems[m], int(budgets[m])
 
 
@@ -408,14 +434,15 @@ def test_mc_path_draws_unchanged(q, beta, c, n):
 
 
 def test_mc_overlap_moments_draws_unchanged(monkeypatch):
+    # the sum rule's draws carry the four graph controls of graph_controls
     n, q, beta, k, samples, seed = 4, 3, 1.0, 9, 500, 21
     monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", 0)
     child = np.random.SeedSequence(seed).spawn(k + 1)[k]
     draws = uniform_pair_counts(stream(child), 6, np.full(samples, k))  # over P = 6 pairs
     values = old_overlap_moments(upper_couplings(draws, n), n, q, beta, 20) @ COEF
     mean, sem, used = stratum_average(
-        n, k, lambda rows: _overlap_series(rows, n, q, beta, COEF), samples, seed)
-    expect = cross_fitted(values, occupancy_control(draws, k)[:, None])
+        n, k, lambda rows: _overlap_series(rows, n, q, beta, COEF), samples, seed, GRAPH_MOMENTS)
+    expect = cross_fitted(values, graph_controls(draws, n, k))
     assert used == samples
     assert abs(mean - expect[0]) <= TOL
     assert abs(sem - expect[1]) <= TOL
@@ -465,6 +492,20 @@ def test_overlap_series_recovers_each_moment(n, q, m, beta):
                                rtol=TOL, atol=0)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("r_max", [1, 2, 20])
+def test_horner_series_matches_the_moments_at_any_length(q, r_max):
+    # the series is summed by Horner from its last term, which is also its
+    # first at r_max = 1; the (4, 20) rows at beta = 40 are shifted
+    n = 4
+    for m, beta in ((6, 1.3), (20, 40.0)):
+        rows = _exact_placements(n, m)[0]
+        assert (beta * m > UNSHIFTED_EXPONENT) == (m == 20)
+        expect = old_overlap_moments(upper_couplings(rows, n), n, q, beta, r_max) @ COEF[:r_max]
+        series = _overlap_series(rows.astype(np.float64), n, q, beta, COEF[:r_max])
+        np.testing.assert_allclose(series, expect, rtol=0, atol=TOL)
+
+
 @pytest.mark.parametrize("exact_budget, samples", [(DEFAULT_EXACT_BUDGET, 8), (0, 9000)])
 def test_shared_workspace_matches_fresh_buffers(exact_budget, samples, monkeypatch):
     # the orbit table, cut into 64-row chunks, and 9 000 draws span several
@@ -510,11 +551,11 @@ def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n, monkeypatch):
 # the strata pass: exact strata batched into shared kernel calls
 # ---------------------------------------------------------------------------
 
-def per_stratum_engine(n: int, per_j, budgets: np.ndarray, seed: int):
+def per_stratum_engine(n: int, per_j, budgets: np.ndarray, seed: int, *controls):
     """The engine with every exact stratum averaged on its own, as before the
     strata shared kernel calls: its orbit table in 4 096-row chunks and one
     weighted sum (tensordot) per chunk.  Monte Carlo strata are the engine's."""
-    means, sems = _conditional_average(n, per_j, budgets, seed)
+    means, sems = _conditional_average(n, per_j, budgets, seed, *controls)
     for m in np.flatnonzero(budgets == 0):
         rows, weights = _exact_placements(n, m)
         means[m] = sum(np.tensordot(weights[i:i + 4096], per_j(rows[i:i + 4096]), axes=1)
