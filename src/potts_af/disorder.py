@@ -31,24 +31,43 @@ planned total is held to util.MAX_MC_SAMPLES before any is made.
 
 Every Monte Carlo average subtracts control variates whose means are
 exactly 0, at cross-fitted coefficients (util.cross_fit), so it stays
-exactly unbiased.  A pressure draw carries its occupancy, the number of
-pairs with J_p > 0, less its mean given M, P (1 - (1 - 1/P)^M) for M
-uniform edges on P pairs (_occupied_means); the draws of
-quenched_pressure_mc also carry M - lambda.  A sum-rule draw carries four
-graph moments less their means given M (_graph_moments, _graph_means):
-the occupancy, the multi-edges sum_p J_p^2 (M + M(M-1)/P), the degree
-squares sum_i d_i^2 (2M + 4M(M-1)/N) and the triangles (C(N,3)
-M(M-1)(M-2)/P^3).  The sum rule's series hardly follows the occupancy
-alone; at (q, beta, c, N) = (2, 1, 1, 6) the four leave a residual spread
-of 0.44-0.65 of the raw one per stratum, against 0.90-0.94, and its
-standard error falls from about 8.7e-8 to 4.3e-8 at the same samples.
-The pressures keep the occupancy alone, so their values stay as they
-were: in a trial, the four moments in quenched_pressure_exact cut the
-pressure benchmark's error only to 0.93 times.  Each stratum, and the plain
-estimator, fits the coefficients of its first half of draws on its second
-half and the other way round, from sums accumulated block by block
-(util.CrossFitSums), so memory stays bounded whatever the number of
-draws.
+exactly unbiased.  A pressure draw carries two: its occupancy, the number
+of pairs with J_p > 0, less its mean given M, P (1 - (1 - 1/P)^M) for M
+uniform edges on P pairs (_occupied_means); and its loop term, the head
+of the high-temperature expansion of ln Z - N ln q,
+
+    L = T + (q - 1) C3,  T = sum_p ln(1 + a_p/q),
+    C3 = sum_{a<b<c} theta_ab theta_bc theta_ac,
+
+with a_J = e^{-beta J} - 1 and theta_J = a_J/(q + a_J) for a pair of J
+edges (_loop_term), less its mean given M, a finite binomial sum since
+theta_J stops changing once a_J rounds to -1 (_loop_laws).  The draws of
+quenched_pressure_mc carry the occupancy, M - lambda and L less its mean
+over iid Poisson(c/N) pair counts, P E ell + (q - 1) C(N, 3) (E theta)^3
+(_poisson_loop_law).  L is gated: a stratum (or the plain estimator) of S
+draws keeps it only if max_k (ell_k - E ell)^2 <= S Var ell for one
+pair's ell_J = ln(1 + a_J/q) (_gated), and a stratum only from three
+edges on, below which L follows the occupancy (_loop_means); elsewhere
+it is a zero column, which the fit drops.  Where pairs saturate (beta M/P
+of 10 or more) ell_J is almost constant with rare far values, L is
+heavy-tailed, and a coefficient fitted on one half of the draws fails on
+the other: at (q, beta, c, N) = (3, 1, 60, 4), eps 1e-3 and 512 samples,
+quenched_pressure_exact's stat_error reads 0.0049-0.0137 over seeds 1-4
+with L ungated, against 0.0042 gated.  On the pressure benchmark the
+gated pair of controls cuts the RMS stat_error from about 3.0e-4 to
+1.5e-4 at the same samples.
+
+A sum-rule draw carries four graph moments less their means given M
+(_graph_moments, _graph_means): the occupancy, the multi-edges sum_p
+J_p^2 (M + M(M-1)/P), the degree squares sum_i d_i^2 (2M + 4M(M-1)/N)
+and the triangles (C(N,3) M(M-1)(M-2)/P^3).  The sum rule's series hardly
+follows the occupancy alone; at (q, beta, c, N) = (2, 1, 1, 6) the four
+leave a residual spread of 0.44-0.65 of the raw one per stratum, against
+0.90-0.94, and its standard error falls from about 8.7e-8 to 4.3e-8 at the
+same samples.  Each stratum, and the plain estimator, fits the
+coefficients of its first half of draws on its second half and the other
+way round, from sums accumulated block by block (util.CrossFitSums), so
+memory stays bounded whatever the number of draws.
 
 The exact path never lists the multisets.  ln Z and the pair overlaps
 do not change when the N sites are relabelled, so it averages over
@@ -79,7 +98,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import chain
 from math import comb
 from threading import Lock
@@ -90,8 +109,8 @@ from .model import (ModelParams, _check_budget, _check_finite_beta, _site_pairs,
                     colour_classes, config_energies)
 from .util import (BudgetExceededError, CrossFitSums, check_beta, check_c, check_int,
                    check_poisson_mean, check_q, check_samples, check_seed, check_tol, child_seed,
-                   log_multinomial, logsumexp, multinomial_table, multiset_permutations,
-                   poisson_cutoff, poisson_pmf_vector, poisson_sf, stream)
+                   log_factorial, log_multinomial, logsumexp, multinomial_table,
+                   multiset_permutations, poisson_cutoff, poisson_pmf_vector, poisson_sf, stream)
 
 METHOD_EXACT = "exact-conditional"
 METHOD_MC = "monte-carlo"
@@ -322,10 +341,12 @@ def _conditional_average(n: int, per_j, budgets: np.ndarray, seed: int, moments,
     stratum with budgets[m] > 0 draws that many rows from
     stream(child_seed(seed, m)), CHUNK at a time, and subtracts k controls
     at cross-fitted coefficients (util.CrossFitSums): moments(rows, out)
-    writes k graph moments per row into the (k, B) `out`, after f, and
+    writes k controls per row into the (k, B) `out`, after f, and
     moment_means(n, m) gives their exact (k, len(m)) means given M = m,
-    read once per call: _occupancy with _occupancy_means (k = 1), or
-    _graph_moments with _graph_means (k = 4).  Both kinds read their rows
+    read once per call, or NaN where a control is left out of a stratum,
+    which then reads 0 there: the pressure's occupancy and loop term
+    (_pressure_fill, _loop_means; k = 2), or _graph_moments with
+    _graph_means (k = 4).  Both kinds read their rows
     as one run, cut into blocks of at most CHUNK rows that may straddle
     strata (_table_blocks): the exact blocks are weighted in place and
     summed per stratum (np.add.reduceat).  Needs n >= 2.
@@ -349,6 +370,8 @@ def _conditional_average(n: int, per_j, budgets: np.ndarray, seed: int, moments,
              for m, lo, size in pieces)
     piece_owner = np.searchsorted(sampled, [m for m, _, _ in pieces])
     centres = moment_means(n, sampled)
+    live = ~np.isnan(centres)  # a control left out of a stratum is a zero column there
+    centres[~live] = 0.0
     k = len(centres)
     sums = CrossFitSums(budgets[sampled].tolist(), k, 1, CHUNK)
     for rows, tags, in_pieces, _ in _table_blocks(draws):
@@ -359,6 +382,8 @@ def _conditional_average(n: int, per_j, budgets: np.ndarray, seed: int, moments,
         w[k + 1] = per_j(block)
         moments(block, w[1:k + 1])
         w[1:k + 1] -= np.repeat(centres[:, owners], lengths, axis=1)
+        if not live.all():
+            w[1:k + 1] *= np.repeat(live[:, owners], lengths, axis=1)
         sums.add(owners, lengths, [tag[0] for tag in tags])
     means[sampled], sems[sampled] = (v[:, 0] for v in sums.result())
     return means, sems
@@ -374,6 +399,163 @@ def _occupancy(rows: np.ndarray, out: np.ndarray) -> None:
 def _occupancy_means(n: int, m: np.ndarray) -> np.ndarray:
     """(1, len(m)): E[occupied pairs | M = m] (_occupied_means)."""
     return _occupied_means(n * (n - 1) // 2).take(m, mode="clip")[None]
+
+
+def _pair_terms(a, q: int):
+    """(theta, ell) = (a/(q + a), ln(1 + a/q)) of a pair whose J edges give
+    a = e^{-beta J} - 1; ell = -ln(1 - theta).  Both reach their saturated
+    values, those of a = -1, once a rounds to -1."""
+    return a / (q + a), np.log1p(a / q)
+
+
+@lru_cache(maxsize=16)
+def _loop_tables(q: int, beta: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """_pair_terms at J = 0..min(top, 40/beta) edges, read-only.  From beta
+    J = 40 on, e^{-beta J} < eps/2 and a_J rounds to -1, so the last entry
+    serves every larger J (take with mode="clip")."""
+    tables = _pair_terms(np.expm1(-beta * np.arange(math.ceil(min(top, 40.0 / beta)) + 1.0)), q)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _loop_term(rows: np.ndarray, theta: np.ndarray, q: int, out: np.ndarray,
+               work: tuple[np.ndarray, ...]) -> None:
+    """Write into `out` each row's loop term L = T + (q - 1) C3, the pair
+    and triangle terms of ln Z - N ln q: T = sum_p ln(1 + a_p/q) = -ln
+    prod_p (1 - theta_p) and C3 = sum_{a<b<c} theta_ab theta_bc theta_ac,
+    over the wedge runs of _graph_tables.  One gather of `theta` (from
+    _loop_tables) at the rows' integer counts serves both, so read float
+    rows before _occupancy clips them.  Every array of the block's size
+    lives in `work` (_loop_workspace): fresh ones measured about twice as
+    slow at N = 5 and 6."""
+    p, size = rows.shape[1], len(out)
+    counts, th = (buf[:p * size].reshape(p, size) for buf in work[:2])
+    runs, (triangles, run_sum) = work[2][:, :size], work[3][:, :size]
+    np.copyto(counts, rows.T, casting="unsafe")
+    np.take(theta, counts, out=th, mode="clip")
+    triangles[:] = 0.0
+    for ab, ac, bc, length in _graph_tables(p)[1]:
+        np.multiply(th[ac:ac + length], th[bc:bc + length], out=runs[:length])
+        np.add.reduce(runs[:length], axis=0, out=run_sum)
+        run_sum *= th[ab]
+        triangles += run_sum
+    np.subtract(1.0, th, out=th)
+    np.multiply.reduce(th, axis=0, out=out)
+    np.log(out, out=out)
+    triangles *= q - 1
+    np.subtract(triangles, out, out=out)
+
+
+def _loop_workspace(p: int, size: int) -> tuple[np.ndarray, ...]:
+    """_loop_term's buffers for blocks of at most `size` rows of P pair
+    counts: the counts and theta per (pair, row), flat; one wedge run's
+    products; the triangles and one run's sum."""
+    n = (1 + math.isqrt(8 * p + 1)) // 2
+    return (np.empty(p * size, dtype=np.intp), np.empty(p * size),
+            np.empty((max(n - 2, 1), size)), np.empty((2, size)))
+
+
+def _pressure_fill(theta: np.ndarray, q: int, work: tuple[np.ndarray, ...], rows: np.ndarray,
+                   out: np.ndarray) -> None:
+    """The pressure's two controls, with theta, q and work bound
+    (functools.partial): out[0] the occupancy (_occupancy) and out[1] the
+    loop term (_loop_term), centred by _occupancy_means and _loop_means."""
+    _loop_term(rows, theta, q, out[1], work)
+    _occupancy(rows, out)
+
+
+def _gated(mean_ell, var_ell, far_ell, draws):
+    """The loop term's gate: it is kept where max_k (ell_k - E ell)^2, with
+    far_ell the support's ell farthest from ell_0 = 0, is at most draws
+    times Var ell.  Where pairs saturate, ell(J) is almost constant with
+    rare far values, the loop term is heavy-tailed, and a coefficient
+    fitted on one half of the draws does not hold on the other."""
+    return np.maximum(mean_ell**2, (far_ell - mean_ell)**2) <= draws * var_ell
+
+
+def _loop_means(n: int, q: int, beta: float, m: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """E[L | M = m] for the loop term of _loop_term (_loop_laws), or NaN
+    where a stratum of `draws` draws leaves L out: below M = 3, and where
+    _gated says so.  Below three edges L is 2 ell_1 or ell_2 as the
+    occupancy is 2 or 1, collinear with it, and the fit's rounding-sized
+    ridge would lose the occupancy's exact fit of a value that only depends
+    on the occupancy there.  Needs N >= 3, as a sampled stratum has."""
+    mean, e_ell, var, far = (v[m] for v in _loop_laws(n, q, beta, int(m.max())))
+    return np.where((m >= 3) & _gated(e_ell, var, far, draws), mean, np.nan)
+
+
+@lru_cache(maxsize=16)
+def _loop_laws(n: int, q: int, beta: float, top: int) -> tuple[np.ndarray, ...]:
+    """(E[L | M], E[ell | M], Var[ell | M], ell_M) at M = 0..top for N >= 3,
+    with ell = ell_J of one pair's J ~ Bin(M, 1/P); read-only, kept per
+    process as they depend on (N, q, beta) alone.
+
+    With theta_J = theta_inf + dtheta_J, dtheta_J = 0 past the J_sat at
+    which a_J rounds to -1, each mean is a finite binomial sum.  E[T | M] =
+    P E ell, and E[C3 | M] = C(N, 3) E[theta_1 theta_2 theta_3] for three
+    given pairs, by the recursion over r = 1, 2, 3 pairs among Q = P, P - 1,
+    P - 2:
+
+        G_r^Q(m) = theta_inf G_{r-1}^Q(m)
+                   + sum_{j < J_sat} Bin(j; m, 1/Q) dtheta_j G_{r-1}^{Q-1}(m - j),
+
+    G_0 = 1: the first pair takes j edges, the other r - 1 share the rest
+    on Q - 1 pairs, and theta_inf's share of the sum is G_{r-1}^Q.  Every M
+    costs O(min(M, J_sat)), in chunks of M, so nothing is top x top.
+    """
+    p = n * (n - 1) // 2
+    theta, ell = _loop_tables(q, beta, top)
+    theta_inf, ell_inf = _pair_terms(-1.0, q)
+    width = int(np.count_nonzero((theta != theta_inf) | (ell != ell_inf)))  # min(J_sat, top + 1)
+    deltas = np.column_stack([theta[:width] - theta_inf, ell[:width] - ell_inf,
+                              (ell[:width] - ell_inf)**2])
+    sizes = np.array([p, p - 1, p - 2], dtype=np.float64)[:, None, None]  # Q
+    with np.errstate(divide="ignore"):  # ln 0 at N = 3: one pair left takes every edge
+        log_rest = np.log1p(-1.0 / sizes)
+    g1, g2, g3, ell_moments = (np.empty((3, top + 1)), np.empty((2, top + 1)), np.empty(top + 1),
+                               np.empty((top + 1, 2)))
+    log_fact = log_factorial(np.arange(top + 1))
+    step = max(1, 16 * CHUNK // width)
+    for lo in range(0, top + 1, step):
+        ms = np.arange(lo, min(lo + step, top + 1))[:, None]
+        js = np.arange(min(width, lo + len(ms)))
+        rest = ms - js  # edges left to the other pairs; Bin(j; m, 1/Q) = 0 where negative
+        live = rest >= 0
+        rest *= live
+        exponent = log_fact[ms] - log_fact[js] - log_fact[rest] - js * np.log(sizes)
+        exponent += np.multiply(rest, log_rest, out=np.zeros(exponent.shape), where=rest > 0)
+        weights = np.exp(exponent) * live
+        at = slice(lo, lo + len(ms))
+        sums = weights @ deltas[:len(js)]
+        g1[:, at] = theta_inf + sums[..., 0]
+        ell_moments[at] = sums[0, :, 1:]
+        shared = weights * deltas[:len(js), 0]
+        g2[:, at] = theta_inf * g1[:2, at] + (shared[:2] * g1[1:, rest]).sum(axis=2)
+        g3[at] = theta_inf * g2[0, at] + (shared[0] * g2[1, rest]).sum(axis=1)
+    laws = (p * (ell_inf + ell_moments[:, 0]) + (q - 1) * comb(n, 3) * g3,
+            ell_inf + ell_moments[:, 0], ell_moments[:, 1] - ell_moments[:, 0]**2,
+            ell.take(np.arange(top + 1), mode="clip"))
+    for law in laws:
+        law.flags.writeable = False
+    return laws
+
+
+@lru_cache(maxsize=16)
+def _poisson_loop_law(n: int, q: int, beta: float,
+                      mu: float) -> tuple[np.ndarray, float, float, float, float]:
+    """(theta, E L, E ell, Var ell, ell_K) for P iid Poisson(mu) pair counts
+    X, each read as min(X, K) off the table theta of _loop_tables, K =
+    len(theta) - 1, as take with mode="clip" reads it: E L = P E ell + (q -
+    1) C(N, 3) (E theta)^3.  Past J_sat the clip changes nothing, and K <=
+    e^2 mu + 60, past which P(X >= K) <= (e mu/K)^K <= e^-60."""
+    theta, ell = _loop_tables(q, beta, math.ceil(math.e**2 * mu) + 60)
+    pmf = poisson_pmf_vector(len(theta) - 2, mu)  # X < K; the rest of the mass reads K
+    e_theta = theta[-1] + pmf @ (theta[:-1] - theta[-1])
+    d_ell = pmf @ (ell[:-1] - ell[-1])
+    var = pmf @ (ell[:-1] - ell[-1])**2 - d_ell**2
+    mean = n * (n - 1) // 2 * (ell[-1] + d_ell) + (q - 1) * comb(n, 3) * e_theta**3
+    return theta, float(mean), float(ell[-1] + d_ell), float(var), float(ell[-1])
 
 
 def _graph_moments(rows: np.ndarray, out: np.ndarray) -> None:
@@ -482,8 +664,11 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6, seed
     The self-loops contribute -beta c/2N exactly.  The Poisson weight
     pi(M) of each stratum is also its Monte Carlo sample share, and
     stat_error combines the strata's standard errors with these weights.
-    The M > M_max remainder is replaced by ln q and certified by
-    tail_bound = (beta/N) E[M 1{M > M_max}].
+    A Monte Carlo stratum subtracts two controls of mean exactly 0 given M
+    at cross-fitted coefficients: the occupancy and the loop term L, which
+    its gate leaves out below three edges and where ell_J is heavy-tailed
+    (module docstring).  The M > M_max remainder is replaced by ln q and
+    certified by tail_bound = (beta/N) E[M 1{M > M_max}].
     """
     q, beta, c = params.q, params.beta, params.c
     check_tol("eps", eps)
@@ -501,8 +686,12 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6, seed
     budgets = _sample_plan(_mc_strata(n, m_max), pmf, 1.0, mc_samples)
 
     work = _workspace(n, q)
+    fill = partial(_pressure_fill, _loop_tables(q, beta, m_max)[0], q,
+                   _loop_workspace(n * (n - 1) // 2, min(CHUNK, int(budgets.sum()))))
+    centres = lambda n, m: np.vstack([_occupancy_means(n, m),
+                                      _loop_means(n, q, beta, m, budgets[m])])
     means, sems = _conditional_average(n, lambda rows: _lnz_batch(rows, n, q, beta, work) / n,
-                                       budgets, seed, _occupancy, _occupancy_means)
+                                       budgets, seed, fill, centres)
     value = float(pmf @ means + (1.0 - pmf.sum()) * math.log(q) - beta * c / (2 * n))
     stat = math.sqrt(float(((pmf * sems) ** 2).sum()))
     return QuenchedEstimate(value, stat, m_tail(m_max), int(budgets.sum()), METHOD_EXACT)
@@ -516,11 +705,13 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
     the M edges on uniform pairs (_placements): by Poisson splitting that
     is the law of the P iid Poisson(c/N) pair sums, at one Poisson and M
     uniforms per sample instead of P Poissons.  The samples are drawn CHUNK
-    at a time, block k from util.child_seed(seed, k).  Two controls of mean
-    0 ride along, the occupancy less its mean given M and M - lambda, and
-    are subtracted at coefficients cross-fitted on the first and second
-    half of the draws; stat_error is one standard error of the adjusted
-    draws.
+    at a time, block k from util.child_seed(seed, k).  Three controls of
+    mean 0 ride along: the occupancy less its mean given M, M - lambda, and
+    the loop term L less its mean over iid Poisson(c/N) pair counts, which
+    its gate leaves out where ell_J is heavy-tailed (module docstring).
+    They are subtracted at coefficients cross-fitted on the first and
+    second half of the draws; stat_error is one standard error of the
+    adjusted draws.
     """
     q, beta, c = params.q, params.beta, params.c
     check_int("samples", samples, 2)  # two for a standard error
@@ -531,13 +722,22 @@ def quenched_pressure_mc(params: ModelParams, n: int, samples: int, seed: int) -
     lam = c * (n - 1) / 2.0
     check_poisson_mean(lam, c)
     work = _workspace(n, q, min(CHUNK, samples))
-    sums = CrossFitSums([samples], 2, 1, CHUNK)
+    theta, loop_mean, e_ell, var, far = _poisson_loop_law(n, q, beta, c / n)
+    live = _gated(e_ell, var, far, samples)
+    loop_work = _loop_workspace(n * (n - 1) // 2, min(CHUNK, samples))
+    sums = CrossFitSums([samples], 3, 1, CHUNK)
     for block, lo in enumerate(range(0, samples, CHUNK)):
         rng = stream(child_seed(seed, block))
         m = rng.poisson(lam, size=min(CHUNK, samples - lo))
-        rows = _placements(rng, n * (n - 1) // 2, m).astype(np.float64)
+        counts = _placements(rng, n * (n - 1) // 2, m)
+        rows = counts.astype(np.float64)
         w = sums.w[:, :len(m)]
-        np.divide(_lnz_batch(rows, n, q, beta, work), n, out=w[3])
+        np.divide(_lnz_batch(rows, n, q, beta, work), n, out=w[4])
+        if live:
+            _loop_term(counts, theta, q, w[3], loop_work)
+            w[3] -= loop_mean
+        else:
+            w[3] = 0.0
         _occupancy(rows, w[1:2])
         w[1:2] -= _occupancy_means(n, m)
         np.subtract(m, lam, out=w[2])

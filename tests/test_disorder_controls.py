@@ -2,13 +2,17 @@
 
 Every Monte Carlo draw of quenched_pressure_exact's strata carries the
 occupancy control, the number of pairs with J_p > 0 less its mean given M,
-and quenched_pressure_mc's draws carry M - lambda as well.  The draws of
-sum_rule_deficit's strata carry four graph moments less their means given
-M: the occupancy, the multi-edges sum_p J_p^2, the degree squares sum_i
-d_i^2 and the triangles.  All have mean exactly 0, so the estimates stay
-unbiased at any coefficient; util.cross_fit fits the coefficients of one
-half of the draws on the other half, from per-(owner, half) sums, and its
-standard errors are calibrated.
+and the loop term L = T + (q - 1) C3 less its mean given M: the pair term T
+= sum_p ln(1 + a_p/q) and the triangle term C3 of theta_J = a_J/(q + a_J),
+a_J = e^{-beta J} - 1.  quenched_pressure_mc's draws carry the occupancy,
+M - lambda and L less its mean over iid Poisson(c/N) pair counts.  L is
+left out, a zero column, where its gate finds one pair's ell_J
+heavy-tailed.  The draws of sum_rule_deficit's strata carry four graph
+moments less their means given M: the occupancy, the multi-edges sum_p
+J_p^2, the degree squares sum_i d_i^2 and the triangles.  All have mean
+exactly 0, so the estimates stay unbiased at any coefficient;
+util.cross_fit fits the coefficients of one half of the draws on the other
+half, from per-(owner, half) sums, and its standard errors are calibrated.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ import pytest
 
 from potts_af import disorder, util
 from potts_af.disorder import (_conditional_average, _exact_placements, _graph_means,
-                               _graph_moments, _occupied_means, _overlap_series,
+                               _graph_moments, _gated, _loop_laws, _loop_tables,
+                               _loop_term, _loop_workspace, _occupied_means, _overlap_series,
+                               _poisson_loop_law,
                                quenched_pressure_exact, quenched_pressure_mc, sum_rule_deficit)
 from potts_af.model import ModelParams
 
-from test_kernel_oracle import (COEF, cross_fitted, graph_controls, occupancy_means,
-                                uniform_pair_counts)
+from test_kernel_oracle import (COEF, cross_fitted, graph_controls, loop_terms, occupancy_means,
+                                pair_and_triangle_terms, uniform_pair_counts)
 
 SEEDS = range(100, 140)
 
@@ -242,7 +248,120 @@ def test_monte_carlo_strata_share_kernel_calls(monkeypatch):
 @pytest.mark.parametrize("n, samples", [(4, 2), (4, 3), (2, 2), (2, 3), (2, 500)])
 def test_fewest_samples_and_two_sites_stay_finite(n, samples):
     # pytest turns every RuntimeWarning into an error (pyproject.toml); at
-    # N = 2 the occupancy control is identically 0
+    # N = 2 the occupancy control is identically 0, and the loop term is the
+    # one pair's ell_J, with no triangle
     est = quenched_pressure_mc(ModelParams(q=3, beta=1.0, c=2.0), n, samples, 7)
     assert math.isfinite(est.value) and math.isfinite(est.stat_error)
     assert est.stat_error > 0 and est.samples == samples
+
+
+# ---------------------------------------------------------------------------
+# the loop term of the pressures
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("q, beta", [(3, 1.3), (2, 0.4), (4, 7.0)])
+def test_loop_term_has_exact_conditional_means(n, q, beta):
+    # the orbit tables carry the multiset law of M uniform pair edges, so
+    # their means of T and C3 are E[T | M] = P E ell and E[C3 | M], which
+    # _loop_laws gives through its nested binomials (N = 3: P - 2 = 1; at
+    # beta = 7 a pair saturates from J = 6 on)
+    p = n * (n - 1) // 2
+    mean, e_ell = _loop_laws(n, q, beta, 9)[:2]
+    theta = _loop_tables(q, beta, 9)[0]
+    for m in range(10):
+        rows, weights = _exact_placements(n, m)
+        pair, triangle = pair_and_triangle_terms(rows, n, q, beta)
+        assert abs(weights @ pair - p * e_ell[m]) <= 1e-13
+        assert abs(weights @ triangle - (mean[m] - p * e_ell[m]) / (q - 1)) <= 1e-13
+        out = np.empty(len(rows))
+        _loop_term(rows.astype(np.float64), theta, q, out, _loop_workspace(p, len(rows)))
+        np.testing.assert_allclose(out, pair + (q - 1) * triangle, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, q, beta, mu, top", [(3, 3, 1.0, 1.5, 40), (3, 2, 0.3, 2.5, 40),
+                                                 (3, 4, 40.0, 0.8, 40), (4, 3, 2.0, 0.1, 7)])
+def test_plain_loop_mean_is_the_mean_over_independent_pair_counts(n, q, beta, mu, top):
+    # a direct sum of L over every tuple of P iid Poisson(mu) pair counts up
+    # to `top`, whose dropped mass bounds the difference
+    p = n * (n - 1) // 2
+    counts = np.stack(np.meshgrid(*[np.arange(top + 1)] * p, indexing="ij"), -1).reshape(-1, p)
+    pmf = np.exp(np.arange(top + 1) * math.log(mu) - mu
+                 - np.array([math.lgamma(k + 1.0) for k in range(top + 1)]))
+    weights = np.prod(pmf[counts], axis=1)
+    dropped = 1.0 - pmf.sum() ** p
+    mean = _poisson_loop_law(n, q, beta, mu)[1]
+    values = loop_terms(counts, n, q, beta)
+    assert abs(weights @ values - mean) <= 1e-13 + dropped * np.abs(values).max()
+    assert dropped < 1e-9
+
+
+def gate_record(monkeypatch) -> list:
+    """Collect (M, draws, E[L | M] or NaN) of every _loop_means call."""
+    calls = []
+    means = disorder._loop_means
+    monkeypatch.setattr(disorder, "_loop_means", lambda *args: calls.append(
+        (args[3], args[4], means(*args))) or calls[-1][2])
+    return calls
+
+
+@pytest.mark.parametrize("q, beta, c, n", [(3, 2.0, 4.0, 5), (3, 0.5, 1.0, 6)])
+def test_loop_term_is_live_at_every_sampled_stratum_of_the_benchmark(q, beta, c, n, monkeypatch):
+    # max_k (ell_k - E ell)^2 / Var ell reads 1.8-16 there, against at least
+    # 256 draws per stratum
+    calls = gate_record(monkeypatch)
+    quenched_pressure_exact(ModelParams(q=q, beta=beta, c=c), n, eps=2e-4, seed=1,
+                            mc_samples=2048)
+    (m, draws, means), = calls
+    assert len(m) >= 4 and draws.min() >= 256 and np.isfinite(means).all()
+    _, e_ell, var, far = (law[m] for law in _loop_laws(n, q, beta, int(m.max())))
+    ratio = np.maximum(e_ell**2, (far - e_ell)**2) / var
+    assert 1.5 <= ratio.min() and ratio.max() <= 16
+    assert _gated(*_poisson_loop_law(n, q, beta, c / n)[2:], 8192)
+
+
+def test_loop_term_is_left_out_where_pairs_saturate(monkeypatch):
+    # at (3, 1, 60, N = 4) a pair holds about 15 edges, where e^{-beta J} is
+    # about 3e-7: ell_J is nearly constant with rare far values
+    calls = gate_record(monkeypatch)
+    quenched_pressure_exact(ModelParams(q=3, beta=1.0, c=60.0), 4, eps=1e-3, seed=1,
+                            mc_samples=512)
+    (m, draws, means), = calls
+    live = np.isfinite(means)
+    assert len(m) == 112 and live.sum() == 16 and not live[m > 60].any()
+    assert not _gated(*_poisson_loop_law(4, 3, 1.0, 15.0)[2:], 8192)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pressures_stay_finite_at_saturation_and_two_sites(n, monkeypatch):
+    # pytest turns every RuntimeWarning into an error (pyproject.toml); at
+    # beta = 40 one edge saturates a pair, at N = 2 there is no triangle,
+    # and at N = 3 the third pair takes every edge the first two leave
+    monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", 0)
+    for beta in (40.0, 1.0):
+        params = ModelParams(q=3, beta=beta, c=3.0)
+        for est in (quenched_pressure_exact(params, n, eps=1e-3, seed=2, mc_samples=256),
+                    quenched_pressure_mc(params, n, 600, 2)):
+            assert math.isfinite(est.value) and math.isfinite(est.stat_error)
+
+
+# (q, beta, c, N): stat_error of quenched_pressure_exact (eps 1e-3, 512
+# samples) and of quenched_pressure_mc (8 192 samples) with the occupancy
+# controls alone, seeds 1-4
+DENSE = {(3, 1.0, 60.0, 4): (0.0042, 0.0043), (2, 1.0, 40.0, 5): (0.0046, 0.0046),
+         (3, 2.0, 30.0, 5): (0.0064, 0.0059), (2, 3.0, 20.0, 6): (0.0099, 0.0088)}
+
+
+@pytest.mark.parametrize("point", list(DENSE))
+def test_dense_graphs_keep_their_errors_and_agree(point):
+    # where pairs saturate the gate leaves the loop term out, so neither
+    # estimator loses to the occupancy controls alone, and the two agree
+    q, beta, c, n = point
+    params = ModelParams(q=q, beta=beta, c=c)
+    for seed in range(1, 5):
+        exact = quenched_pressure_exact(params, n, eps=1e-3, seed=seed, mc_samples=512)
+        plain = quenched_pressure_mc(params, n, 8192, seed)
+        assert exact.stat_error <= 1.1 * DENSE[point][0]
+        assert plain.stat_error <= 1.1 * DENSE[point][1]
+        sigma = math.hypot(exact.stat_error, plain.stat_error)
+        assert abs(exact.value - plain.value) <= 4 * sigma

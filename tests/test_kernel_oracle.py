@@ -240,6 +240,73 @@ def graph_controls(draws: np.ndarray, n: int, m) -> np.ndarray:
     return moments - means
 
 
+def pair_and_triangle_terms(draws: np.ndarray, n: int, q: int,
+                            beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T, C3) of each row, from its full symmetric matrix Theta of theta_J
+    = a_J/(q + a_J), a_J = e^{-beta J} - 1: T = sum_{i<j} ln(1 + a_ij/q)
+    and C3 = trace(Theta^3)/6."""
+    a = np.expm1(-beta * upper_couplings(draws, n).reshape(-1, n, n))
+    a = np.triu(a, 1)
+    theta = a / (q + a)
+    theta = theta + theta.transpose(0, 2, 1)
+    return (np.log1p(a / q).sum(axis=(1, 2)),
+            np.trace(theta @ theta @ theta, axis1=1, axis2=2) / 6)
+
+
+def loop_terms(draws: np.ndarray, n: int, q: int, beta: float) -> np.ndarray:
+    """(S,) loop terms T + (q - 1) C3 of each row (pair_and_triangle_terms)."""
+    pair, triangle = pair_and_triangle_terms(draws, n, q, beta)
+    return pair + (q - 1) * triangle
+
+
+def loop_law(q: int, beta: float, pmf: list[float]) -> tuple[float, float, float]:
+    """(E ell, Var ell, max_k (ell_k - E ell)^2) of ell_k = ln(1 + a_k/q)
+    over one pair's count law pmf[k], k = 0..len(pmf) - 1, summed term by
+    term."""
+    ell = [math.log1p(math.expm1(-beta * k) / q) for k in range(len(pmf))]
+    mean = sum(w * e for w, e in zip(pmf, ell))
+    var = sum(w * (e - mean) ** 2 for w, e in zip(pmf, ell))
+    return mean, var, max((e - mean) ** 2 for e in ell)
+
+
+def loop_control(draws: np.ndarray, n: int, q: int, beta: float, m: int,
+                 samples: int) -> np.ndarray:
+    """The loop terms of draws of M = m uniform edges less their mean given
+    M, or 0 at m < 3, where they follow the occupancy, and where max_k
+    (ell_k - E ell)^2 > samples Var ell, ell over Bin(m, 1/P).  The mean, P
+    E ell + (q - 1) C(N, 3) E[theta_1 theta_2 theta_3], is summed over the
+    nested binomial counts of three given pairs, term by term."""
+    p = n * (n - 1) // 2
+    binom = lambda k, size, share: math.comb(size, k) * share**k * (1.0 - share) ** (size - k)
+    mean, var, far = loop_law(q, beta, [binom(k, m, 1.0 / p) for k in range(m + 1)])
+    if m < 3 or far > samples * var:
+        return np.zeros(len(draws))
+    theta = [math.expm1(-beta * k) / (q + math.expm1(-beta * k)) for k in range(m + 1)]
+    triple = 0.0
+    if n >= 3:
+        for j1 in range(m + 1):
+            for j2 in range(m - j1 + 1):
+                for j3 in range(m - j1 - j2 + 1):
+                    triple += (binom(j1, m, 1.0 / p) * binom(j2, m - j1, 1.0 / (p - 1))
+                               * binom(j3, m - j1 - j2, 1.0 / (p - 2))
+                               * theta[j1] * theta[j2] * theta[j3])
+    return loop_terms(draws, n, q, beta) - (p * mean + (q - 1) * math.comb(n, 3) * triple)
+
+
+def plain_loop_control(draws: np.ndarray, n: int, q: int, beta: float, mu: float,
+                       samples: int) -> np.ndarray:
+    """loop_control for iid Poisson(mu) pair counts: the mean is P E ell +
+    (q - 1) C(N, 3) (E theta)^3, over k = 0..400."""
+    pmf = [math.exp(k * math.log(mu) - mu - math.lgamma(k + 1.0)) for k in range(401)]
+    mean, var, far = loop_law(q, beta, pmf)
+    if far > samples * var:
+        return np.zeros(len(draws))
+    e_theta = sum(w * math.expm1(-beta * k) / (q + math.expm1(-beta * k))
+                  for k, w in enumerate(pmf))
+    p = n * (n - 1) // 2
+    return loop_terms(draws, n, q, beta) - (p * mean + (q - 1) * math.comb(n, 3) * e_theta**3)
+
+
 def cross_fitted(values: np.ndarray, controls: np.ndarray):
     """(mean, sem) of per-draw values less zero-mean controls (one column
     each) at least-squares coefficients, with an intercept, fitted by
@@ -268,7 +335,7 @@ def cross_fitted(values: np.ndarray, controls: np.ndarray):
     return means, sems
 
 
-OCCUPANCY = (disorder._occupancy, disorder._occupancy_means)  # the pressure's control
+OCCUPANCY = (disorder._occupancy, disorder._occupancy_means)  # the occupancy alone
 GRAPH_MOMENTS = (disorder._graph_moments, disorder._graph_means)  # the sum rule's four
 
 
@@ -414,8 +481,8 @@ def test_mc_path_draws_unchanged(q, beta, c, n):
     # the Monte Carlo path draws a pair-edge count M ~ Poisson(c(n-1)/2) per
     # sample, places the M edges on uniform pairs and adds the self-loop mean
     # -beta c/2n; the unreduced kernel gives the same values on the same
-    # draws, less the occupancy and edge-count controls at cross-fitted
-    # coefficients
+    # draws, less the occupancy, edge-count and loop-term controls at
+    # cross-fitted coefficients
     params = ModelParams(q=q, beta=beta, c=c)
     samples, seed = 3000, 11
     lam, p = c * (n - 1) / 2.0, n * (n - 1) // 2
@@ -426,7 +493,9 @@ def test_mc_path_draws_unchanged(q, beta, c, n):
         edges = rng.poisson(lam, size=hi - lo)
         draws = uniform_pair_counts(rng, p, edges)
         parts.append(old_lnz(upper_couplings(draws, n), n, q, beta) / n)
-        controls.append(np.column_stack([occupancy_control(draws, edges), edges - lam]))
+        controls.append(np.column_stack([
+            occupancy_control(draws, edges), edges - lam,
+            plain_loop_control(draws, n, q, beta, c / n, samples)]))
     mean, sem = cross_fitted(np.concatenate(parts), np.concatenate(controls))
     est = quenched_pressure_mc(params, n, samples, seed)
     assert abs(est.value - (mean - beta * c / (2 * n))) <= TOL
@@ -541,7 +610,9 @@ def test_exact_budget_zero_matches_unreduced_kernel(q, beta, c, n, monkeypatch):
         budget = max(256, min(8 * mc_samples, int(4 * mc_samples * pmf[m]) + 1))
         draws = uniform_pair_counts(stream(seeds[m]), p, np.full(budget, m))
         values = old_lnz(upper_couplings(draws, n), n, q, beta) / n
-        value += pmf[m] * cross_fitted(values, occupancy_control(draws, m)[:, None])[0]
+        controls = np.column_stack([occupancy_control(draws, m),
+                                    loop_control(draws, n, q, beta, m, budget)])
+        value += pmf[m] * cross_fitted(values, controls)[0]
     monkeypatch.setattr(disorder, "DEFAULT_EXACT_BUDGET", 0)
     est = quenched_pressure_exact(params, n, eps=eps, seed=seed, mc_samples=mc_samples)
     assert abs(est.value - value) <= TOL
