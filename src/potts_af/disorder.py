@@ -46,12 +46,11 @@ quenched_pressure_mc carry the occupancy, M - lambda and L less its mean
 over iid Poisson(c/N) pair counts, P E ell + (q - 1) C(N, 3) (E theta)^3
 (_poisson_loop_law).  L is gated: a stratum (or the plain estimator) of S
 draws keeps it only if max_k (ell_k - E ell)^2 <= S Var ell for one
-pair's ell_J = ln(1 + a_J/q) (_gated), and a stratum only from three
-edges on, below which L follows the occupancy (_loop_means); elsewhere
-it is a zero column, which the fit drops.  Where pairs saturate (beta M/P
-of 10 or more) ell_J is almost constant with rare far values, L is
-heavy-tailed, and a coefficient fitted on one half of the draws fails on
-the other: at (q, beta, c, N) = (3, 1, 60, 4), eps 1e-3 and 512 samples,
+pair's ell_J = ln(1 + a_J/q) (_gated); elsewhere it is a zero column,
+which the fit drops.  Where pairs saturate (beta M/P of 10 or more) ell_J
+is almost constant with rare far values, L is heavy-tailed, and a
+coefficient fitted on one half of the draws fails on the other: at (q,
+beta, c, N) = (3, 1, 60, 4), eps 1e-3 and 512 samples,
 quenched_pressure_exact's stat_error reads 0.0049-0.0137 over seeds 1-4
 with L ungated, against 0.0042 gated.  On the pressure benchmark the
 gated pair of controls cuts the RMS stat_error from about 3.0e-4 to
@@ -423,23 +422,18 @@ def _loop_term(rows: np.ndarray, theta: np.ndarray, q: int, out: np.ndarray,
                work: tuple[np.ndarray, ...]) -> None:
     """Write into `out` each row's loop term L = T + (q - 1) C3, the pair
     and triangle terms of ln Z - N ln q: T = sum_p ln(1 + a_p/q) = -ln
-    prod_p (1 - theta_p) and C3 = sum_{a<b<c} theta_ab theta_bc theta_ac,
-    over the wedge runs of _graph_tables.  One gather of `theta` (from
-    _loop_tables) at the rows' integer counts serves both, so read float
-    rows before _occupancy clips them.  Every array of the block's size
-    lives in `work` (_loop_workspace): fresh ones measured about twice as
-    slow at N = 5 and 6."""
+    prod_p (1 - theta_p) and C3 = sum_{a<b<c} theta_ab theta_bc theta_ac
+    (_triangles).  One gather of `theta` (from _loop_tables) at the rows'
+    integer counts serves both, so read float rows before _occupancy clips
+    them.  Every array of the block's size lives in `work`
+    (_loop_workspace): fresh ones measured about twice as slow at N = 5
+    and 6."""
     p, size = rows.shape[1], len(out)
     counts, th = (buf[:p * size].reshape(p, size) for buf in work[:2])
-    runs, (triangles, run_sum) = work[2][:, :size], work[3][:, :size]
+    triangles, run_sum = work[2][:, :size]
     np.copyto(counts, rows.T, casting="unsafe")
     np.take(theta, counts, out=th, mode="clip")
-    triangles[:] = 0.0
-    for ab, ac, bc, length in _graph_tables(p)[1]:
-        np.multiply(th[ac:ac + length], th[bc:bc + length], out=runs[:length])
-        np.add.reduce(runs[:length], axis=0, out=run_sum)
-        run_sum *= th[ab]
-        triangles += run_sum
+    _triangles(th, triangles, run_sum)
     np.subtract(1.0, th, out=th)
     np.multiply.reduce(th, axis=0, out=out)
     np.log(out, out=out)
@@ -449,11 +443,9 @@ def _loop_term(rows: np.ndarray, theta: np.ndarray, q: int, out: np.ndarray,
 
 def _loop_workspace(p: int, size: int) -> tuple[np.ndarray, ...]:
     """_loop_term's buffers for blocks of at most `size` rows of P pair
-    counts: the counts and theta per (pair, row), flat; one wedge run's
-    products; the triangles and one run's sum."""
-    n = (1 + math.isqrt(8 * p + 1)) // 2
-    return (np.empty(p * size, dtype=np.intp), np.empty(p * size),
-            np.empty((max(n - 2, 1), size)), np.empty((2, size)))
+    counts: the counts and theta per (pair, row), flat; the triangles and
+    one wedge run's sum."""
+    return np.empty(p * size, dtype=np.intp), np.empty(p * size), np.empty((2, size))
 
 
 def _pressure_fill(theta: np.ndarray, q: int, work: tuple[np.ndarray, ...], rows: np.ndarray,
@@ -476,13 +468,10 @@ def _gated(mean_ell, var_ell, far_ell, draws):
 
 def _loop_means(n: int, q: int, beta: float, m: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """E[L | M = m] for the loop term of _loop_term (_loop_laws), or NaN
-    where a stratum of `draws` draws leaves L out: below M = 3, and where
-    _gated says so.  Below three edges L is 2 ell_1 or ell_2 as the
-    occupancy is 2 or 1, collinear with it, and the fit's rounding-sized
-    ridge would lose the occupancy's exact fit of a value that only depends
-    on the occupancy there.  Needs N >= 3, as a sampled stratum has."""
+    where _gated leaves L out of a stratum of `draws` draws.  Needs N >= 3,
+    as a sampled stratum has."""
     mean, e_ell, var, far = (v[m] for v in _loop_laws(n, q, beta, int(m.max())))
-    return np.where((m >= 3) & _gated(e_ell, var, far, draws), mean, np.nan)
+    return np.where(_gated(e_ell, var, far, draws), mean, np.nan)
 
 
 @lru_cache(maxsize=16)
@@ -565,21 +554,31 @@ def _graph_moments(rows: np.ndarray, out: np.ndarray) -> None:
 
     Reads a contiguous (P, B) copy of the rows, which the row operations
     below then find in cache; reading the rows strided measured about 30%
-    slower in a benchmark pass.  The triangles through the pair a < b sum
-    over the third site c > b, whose pairs (a, c) and (b, c) are runs of
-    that copy (_graph_tables), so they make nothing larger than a row.  The
-    rows are left unchanged.
+    slower in a benchmark pass.  The triangles (_triangles) take out[0],
+    written last, as their scratch row.  The rows are left unchanged.
     """
     x = np.ascontiguousarray(rows.T)
-    incidence, wedges = _graph_tables(x.shape[0])
     np.einsum("pb,pb->b", x, x, out=out[1])
-    degrees = incidence @ x
+    degrees = _graph_tables(x.shape[0])[0] @ x
     np.einsum("ib,ib->b", degrees, degrees, out=out[2])
-    triangles = out[3]
-    triangles[:] = 0.0
-    for ab, ac, bc, length in wedges:
-        triangles += x[ab] * np.einsum("pb,pb->b", x[ac:ac + length], x[bc:bc + length])
+    _triangles(x, out[3], out[0])
     np.add.reduce(np.minimum(x, 1.0, out=x), axis=0, out=out[0])
+
+
+def _triangles(x: np.ndarray, out: np.ndarray, run_sum: np.ndarray) -> None:
+    """Write into `out` each column's sum_{a<b<c} x_ab x_bc x_ac of a (P, B)
+    array of pair values; `run_sum` is a (B,) scratch row.  The triangles
+    through the pair a < b sum over the third site c > b, whose pairs (a, c)
+    and (b, c) are runs of x (_graph_tables), so nothing larger than a row
+    is made.  Inside benchmark passes this fused walk measured as fast as a
+    multiply-then-reduce walk over an (N - 2, B) buffer in the pressure,
+    and 5-14% faster than it and than an allocating einsum walk in the sum
+    rule."""
+    out[:] = 0.0
+    for ab, ac, bc, length in _graph_tables(len(x))[1]:
+        np.einsum("pb,pb->b", x[ac:ac + length], x[bc:bc + length], out=run_sum)
+        run_sum *= x[ab]
+        out += run_sum
 
 
 def _graph_means(n: int, m: np.ndarray) -> np.ndarray:
@@ -666,9 +665,9 @@ def quenched_pressure_exact(params: ModelParams, n: int, eps: float = 1e-6, seed
     stat_error combines the strata's standard errors with these weights.
     A Monte Carlo stratum subtracts two controls of mean exactly 0 given M
     at cross-fitted coefficients: the occupancy and the loop term L, which
-    its gate leaves out below three edges and where ell_J is heavy-tailed
-    (module docstring).  The M > M_max remainder is replaced by ln q and
-    certified by tail_bound = (beta/N) E[M 1{M > M_max}].
+    its gate leaves out where ell_J is heavy-tailed (module docstring).
+    The M > M_max remainder is replaced by ln q and certified by tail_bound
+    = (beta/N) E[M 1{M > M_max}].
     """
     q, beta, c = params.q, params.beta, params.c
     check_tol("eps", eps)

@@ -264,14 +264,16 @@ def cross_fit(sums: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarr
     The coefficients applied to one half are fitted by least squares, with
     an intercept, on the other half, so no draw's correction depends on the
     draw itself and each adjusted mean y - beta x is exactly unbiased.  A
-    half of at most k + 1 draws fits nothing, a control constant on the
-    half it is fitted on gets coefficient 0, and a ridge of the sums' own
-    rounding keeps collinear controls finite.  One or two controls are
-    solved in closed form.  The error is one standard error of the adjusted
-    values and never reads below their rounding, eps (ceil(log2 S) + 2)
-    (mean|y| + sum_j |beta_j| mean|x_j|) over S draws.  A residual spread
-    below the rounding of the sums it is formed from is unresolved and reads
-    0, so controls that explain a value completely leave only that floor.
+    half of at most k + 1 draws fits nothing, and a control constant on the
+    half it is fitted on gets coefficient 0.  Every k is solved the same
+    way: the live controls scaled to unit variance, the dead ones zero rows
+    and columns, and a ridge of the sums' own rounding on the unit
+    diagonal, so exactly collinear controls keep their exact fit.  The error
+    is one standard error of the adjusted values and never reads below
+    their rounding, eps (ceil(log2 S) + 2) (mean|y| + sum_j |beta_j|
+    mean|x_j|) over S draws.  A residual spread below the rounding of the
+    sums it is formed from is unresolved and reads 0, so controls that
+    explain a value completely leave only that floor.
     """
     gram, absolute = sums[..., :sums.shape[-1], :], sums[..., sums.shape[-1]:, 0]
     r = shift.shape[-1]
@@ -284,17 +286,10 @@ def cross_fit(sums: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarr
     tol = _EPS * (np.ceil(np.log2(draws)) + 2)  # the rounding of a sum over the draws
     var = cov.diagonal(0, -2, -1)[..., :k]
     live = (var > tol * raw.diagonal(0, -2, -1)[..., :k]) & (count[..., 0] > k + 1)
-    b = cov[..., :k, k:] * live[..., None]
-    if k == 1:
-        coef = b / np.where(live[..., None], cov[..., :1, :1], 1.0)
-    else:  # a dead control drops out: zero row and column, unit diagonal
-        a = cov[..., :k, :k] * (live[..., :, None] & live[..., None, :])
-        a.reshape(a.shape[:2] + (k * k,))[..., ::k + 1] += ~live + tol * var
-        if k == 2:  # by the adjugate
-            det = a[..., :1, :1] * a[..., 1:, 1:] - a[..., :1, 1:] * a[..., 1:, :1]
-            coef = (a[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]) @ b / det
-        else:
-            coef = np.linalg.solve(a, b)
+    scale = np.where(live, var, np.inf)[..., None] ** -0.5  # unit variance; 0 where dead
+    a = cov[..., :k, :k] * scale * scale.swapaxes(-1, -2)
+    a.reshape(a.shape[:2] + (k * k,))[..., ::k + 1] = 1.0 + tol
+    coef = scale * np.linalg.solve(a, scale * cov[..., :k, k:])
     # per half, the adjusted values are v^T (x, y - shift) with v = (-beta, 1)
     # and beta fitted on the other half
     v = np.zeros(cov.shape[:-1] + (r,))

@@ -153,7 +153,7 @@ def test_sum_rule_columns_match_the_coupling_matrix_oracle():
                                        rtol=1e-13, atol=1e-12)
 
 
-@pytest.mark.parametrize("k, draws", [(1, 257), (2, 300), (4, 64)])
+@pytest.mark.parametrize("k, draws", [(1, 257), (2, 300), (3, 301), (4, 64)])
 def test_cross_fit_matches_the_per_draw_fit(k, draws):
     rng = np.random.default_rng(k)
     controls = rng.normal(size=(draws, k))
@@ -201,6 +201,40 @@ def test_cross_fit_drops_constant_controls_and_fits_nothing_on_few_draws():
     mean, sem = util.cross_fit(half_sums(values[:5], controls[:5], 0.0), np.zeros((1, 1)))
     assert mean[0, 0] == pytest.approx(values[:5].mean(), rel=1e-12)
     assert sem[0, 0] == pytest.approx(values[:5].std(ddof=1) / math.sqrt(5), rel=1e-12)
+
+
+def test_cross_fit_keeps_the_exact_fit_of_collinear_controls():
+    # with one or two edges on the pairs, the loop term L is 2 ell_1 or
+    # ell_2 as the occupancy is 2 or 1: centred by their exact means, the
+    # two controls are exactly collinear, and a value that depends on the
+    # occupancy alone is explained completely by them
+    ell_1, ell_2 = (math.log1p(math.expm1(-1.3 * j) / 3) for j in (1, 2))
+    slope, mu = 2 * ell_1 - ell_2, 1.0 + 2.0 / 3.0  # E occupancy at N = 3, M = 2
+    tol = np.finfo(float).eps * (math.ceil(math.log2(256)) + 2)
+    for seed in range(5):
+        occupancy = np.random.default_rng(seed).integers(1, 3, size=256).astype(np.float64)
+        loop = ell_2 + slope * (occupancy - 1.0)
+        controls = np.column_stack([occupancy - mu, loop - (ell_2 + slope * (mu - 1.0))])
+        values = np.where(occupancy == 1.0, 0.37, -0.81)
+        shift = np.array([[values[0]]])
+        means, errors = util.cross_fit(half_sums(values, controls, values[0]), shift)
+        assert abs(means[0, 0] - cross_fitted(values, controls)[0]) <= 1e-12
+        # the error reads the rounding floor, as with the occupancy alone
+        alone = util.cross_fit(half_sums(values, controls[:, :1], values[0]), shift)[1]
+        assert tol * np.abs(values - values[0]).mean() <= errors[0, 0] <= 2 * alone[0, 0]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cross_fit_solves_dead_controls_and_short_halves(k):
+    # every control dead, or halves of at most k + 1 draws: no coefficient,
+    # so the plain mean and standard error
+    rng = np.random.default_rng(7)
+    for controls in (np.zeros((40, k)), rng.normal(size=(2 * k + 2, k))):
+        values = rng.normal(size=len(controls))
+        mean, sem = util.cross_fit(half_sums(values, controls, 0.0), np.zeros((1, 1)))
+        assert mean[0, 0] == pytest.approx(values.mean(), rel=1e-12)
+        assert sem[0, 0] == pytest.approx(values.std(ddof=1) / math.sqrt(len(values)),
+                                          rel=1e-12)
 
 
 def calibration(estimates) -> tuple[float, float, float]:

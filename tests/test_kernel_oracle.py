@@ -272,14 +272,14 @@ def loop_law(q: int, beta: float, pmf: list[float]) -> tuple[float, float, float
 def loop_control(draws: np.ndarray, n: int, q: int, beta: float, m: int,
                  samples: int) -> np.ndarray:
     """The loop terms of draws of M = m uniform edges less their mean given
-    M, or 0 at m < 3, where they follow the occupancy, and where max_k
-    (ell_k - E ell)^2 > samples Var ell, ell over Bin(m, 1/P).  The mean, P
+    M, or 0 where max_k (ell_k - E ell)^2 > samples Var ell, ell over
+    Bin(m, 1/P).  The mean, P
     E ell + (q - 1) C(N, 3) E[theta_1 theta_2 theta_3], is summed over the
     nested binomial counts of three given pairs, term by term."""
     p = n * (n - 1) // 2
     binom = lambda k, size, share: math.comb(size, k) * share**k * (1.0 - share) ** (size - k)
     mean, var, far = loop_law(q, beta, [binom(k, m, 1.0 / p) for k in range(m + 1)])
-    if m < 3 or far > samples * var:
+    if far > samples * var:
         return np.zeros(len(draws))
     theta = [math.expm1(-beta * k) / (q + math.expm1(-beta * k)) for k in range(m + 1)]
     triple = 0.0
