@@ -16,7 +16,10 @@ annealed pressure this gives
     s_ann(beta, c) = P(beta, c) + (beta c / 2) e^-beta / (q - 1 + e^-beta),
 
 and beta_ent is the unique root of s_ann, finite exactly when c exceeds
-c_ent(q) = 2 ln q / |ln(1 - 1/q)|.
+c_ent(q) = 2 ln q / |ln(1 - 1/q)|.  Its value is the midpoint of a fixed
+scan and bisection on the computed sign of s_ann; a certified bracket
+fixes that sign outside a narrow interval, so only points inside it
+evaluate s_ann.
 """
 
 from __future__ import annotations
@@ -117,11 +120,49 @@ def annealed_entropy(beta: float, c: float, q: int) -> float:
 
 def _entropy(beta: float, c: float, q: int, log_q: float) -> float:
     """annealed_entropy without its checks, given ln q: the kernel of the
-    root find in beta_ent, which checks (c, q) once."""
+    root find in beta_ent, which checks (c, q) once.  At finite beta its
+    rounding is below 4 eps (ln q + c), eps = 2^-52, with each libm call
+    within one ulp: no term exceeds ln q or c/2 in size."""
     if beta == math.inf:
         return _pressure(beta, c, q, log_q)
     u = math.exp(-beta)
     return _pressure(beta, c, q, log_q) + 0.5 * beta * c * u / (q - 1.0 + u)
+
+
+def _entropy_bracket(c: float, q: int, log_q: float, rho: float) -> tuple[float, float]:
+    """Ends lo < hi around the root of s_ann, for c > c_ent(q), rho = |ln(1 - 1/q)|.
+
+    _entropy reads above delta = 64 eps (ln q + c) at lo and below -delta
+    at hi; as delta exceeds twice its rounding and s_ann decreases, it is
+    positive at every beta <= lo and negative at every beta >= hi.  An end
+    that misses delta (flat roots just above c_ent) stays open: 0 or inf.
+    The root comes from Newton steps on ln d, d = 2 (s_ann - s_ann(inf)) / c
+    = ln(1 + u/k) + beta u / (k + u), u = e^-beta, k = q - 1, which is
+    concave in beta; they start near the roots of its small- and large-beta
+    forms d(0) - beta^2 k / (2 q^2) and (1 + beta) u / k.
+    """
+    k = q - 1.0
+    t = rho - 2.0 * log_q / c  # d at the root
+    if not t > 0.0:
+        return 0.0, math.inf
+    a = -math.log(k * t)  # > 0, as k rho < 1
+    beta = math.hypot(a + math.log1p(a), q * math.sqrt(4.0 * log_q / (c * k)))
+    for _ in range(40):
+        u = math.exp(-beta)
+        v = k + u
+        d = math.log1p(u / k) + beta * u / v
+        step = math.log(d / t) * d * v * v / (beta * u * k)
+        beta = min(max(beta + step, 0.5 * beta), BETA_SCAN_MAX)
+        if abs(step) <= 1e-7 * beta:
+            break
+    delta = 64.0 * math.ulp(1.0) * (log_q + c)
+    width = 4.0 * delta * v * v / (c * beta * u * k)  # 2 delta / |ds_ann/dbeta|
+    lo, hi = beta - width, beta + width
+    if not (lo > 0.0 and _entropy(lo, c, q, log_q) > delta):
+        lo = 0.0
+    if not _entropy(hi, c, q, log_q) < -delta:
+        hi = math.inf
+    return lo, hi
 
 
 def beta_ent(c: float, q: int) -> float:
@@ -130,16 +171,21 @@ def beta_ent(c: float, q: int) -> float:
     s_ann is ln q at beta = 0 and decreases (its beta-derivative is
     -beta * P'' <= 0 by convexity of P), crossing zero iff its beta -> inf
     limit ln q - (c/2)|ln(1 - 1/q)| is negative, i.e. iff c > c_ent(q).
-    Bracketing scan with multiplicative steps, then bisection to 1e-10.
+    Returns the midpoint of a scan from beta = 1e-3 in x1.5 steps and a
+    bisection to width ROOT_ATOL on the sign of _entropy, replayed float for
+    float: the sign is read off `_entropy_bracket` outside (lo, hi) and
+    evaluated only inside, so about 6 evaluations give the float of 50.
     """
     check_q(q)
     check_c(c)
-    if c <= thresholds(q).c_ent:
-        return math.inf
     log_q = math.log(q)
+    rho = -math.log1p(-1.0 / q)
+    if c <= 2.0 * log_q / rho:  # c_ent(q), as thresholds computes it
+        return math.inf
+    sure_lo, sure_hi = _entropy_bracket(c, q, log_q, rho)
     lo = 0.0
     hi = 1e-3
-    while _entropy(hi, c, q, log_q) > 0.0:
+    while hi <= sure_lo or (hi < sure_hi and _entropy(hi, c, q, log_q) > 0.0):
         lo = hi
         hi *= 1.5
         if hi > BETA_SCAN_MAX:
@@ -149,7 +195,7 @@ def beta_ent(c: float, q: int) -> float:
             )
     while hi - lo > ROOT_ATOL:
         mid = 0.5 * (lo + hi)
-        if _entropy(mid, c, q, log_q) > 0.0:
+        if mid <= sure_lo or (mid < sure_hi and _entropy(mid, c, q, log_q) > 0.0):
             lo = mid
         else:
             hi = mid

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from potts_af import bounds
 from potts_af.bounds import (
+    BETA_SCAN_MAX,
     LABEL_ANNEALED,
     LABEL_NON_ANNEALED,
+    _entropy,
+    _entropy_bracket,
     annealed_entropy,
     annealed_pressure,
     beta_1,
@@ -104,6 +109,8 @@ def checked_beta_ent(c: float, q: int) -> float:
     lo, hi = 0.0, 1e-3
     while annealed_entropy(hi, c, q) > 0.0:
         lo, hi = hi, 1.5 * hi
+        if hi > BETA_SCAN_MAX:
+            raise RuntimeError("not bracketed")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if annealed_entropy(mid, c, q) > 0.0:
@@ -113,10 +120,87 @@ def checked_beta_ent(c: float, q: int) -> float:
     return 0.5 * (lo + hi)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def beta_ent_or_raise(root_find, c, q):
+    try:
+        return root_find(c, q)
+    except RuntimeError:
+        return "raises"
+
+
+@pytest.mark.parametrize("q", range(2, 9))
 def test_beta_ent_bit_equal_to_checked_bisection(q):
-    for c in np.linspace(0.5, 80.0, 41):
-        assert beta_ent(float(c), q) == checked_beta_ent(float(c), q)
+    # the benchmark's range, roots near the first scan point (c up to 300),
+    # and flat roots just above c_ent, down to the next float, where the
+    # bracket leaves an end open; at q = 8 and the next float both raise
+    c_ent = thresholds(q).c_ent
+    cs = [*np.linspace(0.5, 80.0, 41), *np.linspace(80.0, 300.0, 12)]
+    cs += [c_ent * (1.0 + 10.0 ** -e) for e in np.arange(3.0, 15.5, 0.5)]
+    cs += [math.nextafter(c_ent, math.inf), c_ent * (1.0 + 2.0 ** -50)]
+    for c in cs:
+        c = float(c)
+        assert beta_ent_or_raise(beta_ent, c, q) == beta_ent_or_raise(checked_beta_ent, c, q), c
+
+
+def exact_entropy(beta: float, c: float, q: int) -> Decimal:
+    """s_ann at the float beta in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        b, c, q = Decimal(beta), Decimal(c), Decimal(q)
+        u = (-b).exp()
+        return q.ln() + c / 2 * (1 - (1 - u) / q).ln() + b * c / 2 * u / (q - 1 + u)
+
+
+def test_entropy_bracket_margin_against_decimal():
+    # _entropy_bracket's ends: _entropy beyond +-delta there, s_ann of the
+    # right sign there, and _entropy within its stated rounding everywhere
+    eps = math.ulp(1.0)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        q = int(rng.integers(2, 9))
+        c_ent = thresholds(q).c_ent
+        c = float(c_ent * math.exp(rng.uniform(math.log(1e-6), math.log(300.0 / c_ent))) + c_ent)
+        log_q = math.log(q)
+        lo, hi = _entropy_bracket(c, q, log_q, -math.log1p(-1.0 / q))
+        delta = 64.0 * eps * (log_q + c)
+        root = beta_ent(c, q)  # a bisection midpoint, within ROOT_ATOL / 2 of the root
+        assert 0.0 < lo < hi < math.inf and lo - 5e-11 < root < hi + 5e-11
+        assert _entropy(lo, c, q, log_q) > delta and exact_entropy(lo, c, q) > 0
+        assert _entropy(hi, c, q, log_q) < -delta and exact_entropy(hi, c, q) < 0
+        betas = [lo, hi, *np.linspace(lo, hi, 9), *(root + root * rng.normal(0.0, 1e-9, 8))]
+        for beta in map(float, betas):
+            computed = _entropy(beta, c, q, log_q)
+            exact = exact_entropy(beta, c, q)
+            assert abs(Decimal(computed) - exact) <= Decimal(4.0 * eps * (log_q + c))
+            if abs(computed) > delta / 2:
+                assert (computed > 0) == (exact > 0)
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_entropy_bracket_ends_are_certified_or_open(q):
+    # at flat roots just above c_ent an end misses delta and must stay open
+    c_ent = thresholds(q).c_ent
+    log_q = math.log(q)
+    opened = 0
+    for c in [c_ent * (1.0 + 10.0 ** -e) for e in np.arange(8.0, 15.5, 0.5)]:
+        lo, hi = _entropy_bracket(c, q, log_q, -math.log1p(-1.0 / q))
+        delta = 64.0 * math.ulp(1.0) * (log_q + c)
+        assert 0.0 <= lo < hi
+        assert lo == 0.0 or _entropy(lo, c, q, log_q) > delta
+        assert hi == math.inf or _entropy(hi, c, q, log_q) < -delta
+        opened += lo == 0.0 or hi == math.inf
+    assert opened >= 2
+
+
+def test_beta_ent_evaluations_on_the_phase_grid(monkeypatch):
+    # the benchmark's phase grid: 207 finite roots, each found with about
+    # two _entropy calls (the bracket's ends) besides its Newton steps
+    calls = []
+    entropy = bounds._entropy
+    monkeypatch.setattr(bounds, "_entropy", lambda *a: calls.append(a) or entropy(*a))
+    roots = [beta_ent(float(c), q) for q in (2, 3, 4) for c in np.linspace(0.5, 40.0, 80)]
+    finite = sum(map(math.isfinite, roots))
+    assert finite == 207
+    assert len(calls) / finite <= 2.5
 
 
 def test_beta_ent_above_rs_loc_for_q2():
