@@ -166,7 +166,8 @@ def _entropy_bracket(c: float, q: int, log_q: float, rho: float) -> tuple[float,
 
 
 def beta_ent(c: float, q: int) -> float:
-    """Root of the annealed entropy; inf when c <= c_ent(q).
+    """Root of the annealed entropy; inf when c <= c_ent(q) or its computed
+    beta -> inf limit is >= 0.
 
     s_ann is ln q at beta = 0 and decreases (its beta-derivative is
     -beta * P'' <= 0 by convexity of P), crossing zero iff its beta -> inf
@@ -180,7 +181,10 @@ def beta_ent(c: float, q: int) -> float:
     check_c(c)
     log_q = math.log(q)
     rho = -math.log1p(-1.0 / q)
-    if c <= 2.0 * log_q / rho:  # c_ent(q), as thresholds computes it
+    # c_ent(q), as thresholds computes it, misses the exact threshold by a
+    # few ulps: past it the computed beta -> inf limit of s_ann, the
+    # pressure there, can still read >= 0
+    if c <= 2.0 * log_q / rho or _pressure(math.inf, c, q, log_q) >= 0.0:
         return math.inf
     sure_lo, sure_hi = _entropy_bracket(c, q, log_q, rho)
     lo = 0.0

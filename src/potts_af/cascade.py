@@ -22,7 +22,7 @@ G2 is one replica.pair_sum and G1 one replica.profile_sum of the factors
 of _leaf_factors, which the Monte Carlo engine draws too.  Symmetric-t
 sampled leaves share their atom's pattern: no closed form, Monte Carlo only.
 
-The Monte Carlo engine draws a block of cascades per set of array
+The Monte Carlo engine evaluates a batch of cascades per set of array
 operations, in one coupled pass behind every estimate: it runs G1 and G2
 on one stream over the same cascade weights, and thins G2's pair count
 from G1's slots: K ~ Binomial(sum_i k_i, 1/2) with k_i ~ Poisson(c) has
@@ -69,9 +69,14 @@ side (replica._alias_picks), ln S for G1, built when its class table
 grows, and the match count for G2, so one gather reads the drawn value.
 numpy's binomial serves the symmetric-t sampled leaves and any K whose
 tables would not fit (replica.binomial_table_fits).  Each chunk of
-MC_CHUNK draws has its own child seed and its own util.stream, and the
-block size (capped by MC_BLOCK_CELLS leaf x site x colour cells) depends
-only on the inputs, so results depend only on the inputs and the seed.
+MC_CHUNK draws has its own child seed and its own util.stream, read in
+RNG blocks of at most MC_BLOCK_CELLS leaf x site x colour cells, so
+results depend only on the inputs and the seed.  A block makes its
+generator calls in a fixed order and draws G1's per-(leaf, site) values
+itself; the arrays over (draw, leaf) (the atoms, G2's alias reads, both
+log-sum-exps and the control columns) are formed once per evaluation
+batch, the whole blocks of one chunk in MC_BLOCK_CELLS (term, draw, leaf)
+cells, in buffers made once per call, so the batch changes no value.
 Sample counts past util.MAX_MC_SAMPLES and draws of more than
 MAX_DRAW_CELLS leaf x site x colour cells (or atoms, in sample_pd_atoms
 and stability_test) raise BudgetExceededError; an n, samples, n_atoms or
@@ -249,11 +254,24 @@ def stability_test(m: float, n_atoms: int, draws: int, seed: int,
     rng = stream(seed)
     mult_top = np.empty((draws, top))
     ref_top = np.empty((draws, top))
-    for d in range(draws):
-        xi = sample_pd_atoms(m, n_atoms, rng).atoms
-        x = np.exp(sigma * rng.standard_normal(n_atoms)) if sigma > 0 else np.ones(n_atoms)
-        mult_top[d] = np.sort(x * xi)[::-1][:top]
-        ref_top[d] = c_ref * sample_pd_atoms(m, n_atoms, rng).atoms[:top]
+    # each draw's generator calls in turn, into rows of a batch of at most
+    # MC_BLOCK_CELLS atoms; then the batch's array operations at once
+    batch = min(draws, max(1, MC_BLOCK_CELLS // n_atoms))
+    xi, x, arrivals = np.empty((batch, n_atoms)), np.empty((batch, n_atoms)), np.empty(n_atoms)
+    for lo in range(0, draws, batch):
+        a, z = xi[:min(batch, draws - lo)], x[:min(batch, draws - lo)]
+        for d in range(len(a)):
+            rng.standard_exponential(out=a[d])
+            if sigma > 0:
+                rng.standard_normal(out=z[d])
+            rng.standard_exponential(out=arrivals)
+            ref_top[lo + d] = arrivals[:top]  # a fresh draw needs only its top arrivals
+        np.power(np.cumsum(a, axis=1, out=a), -1.0 / m, out=a)
+        if sigma > 0:
+            a *= np.exp(np.multiply(z, sigma, out=z), out=z)
+        a.sort(axis=1)
+        mult_top[lo:lo + len(a)] = a[:, :-top - 1:-1]
+    ref_top = c_ref * np.power(np.cumsum(ref_top, axis=1, out=ref_top), -1.0 / m, out=ref_top)
     stats, pvals = [], []
     for r in range(top):
         res = ks_2samp(mult_top[:, r], ref_top[:, r])
@@ -333,54 +351,95 @@ def _tree(spec: CascadeSpec, n_atoms: int) -> tuple[int, int]:
     return 1, n_atoms if ms else 1
 
 
-def _pd_log_atoms(rng: np.random.Generator, m: float,
-                  shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ln of the largest shape[-1] PD(m) atoms per row, ln of each row's sum,
-    and each row's tail fraction.
+def _lse_rows(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """util.logsumexp(a, axis=1) of a 2-D a, with the contiguous scratch work
+    (a.size entries or more, possibly a's own buffer) for its shifted
+    exponentials: the same operations, so the same floats."""
+    top = np.maximum.reduce(a, axis=1, keepdims=True)
+    top[np.isinf(top)] = 0.0
+    shifted = np.subtract(a, top, out=work.reshape(-1)[:a.size].reshape(a.shape))
+    with np.errstate(divide="ignore"):
+        out = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=1, keepdims=True))
+    return (out + top)[:, 0]
+
+
+def _pd_rows(log_xi: np.ndarray, m: float, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of unit exponentials turned, in place, into ln of the largest PD(m)
+    atoms; returns each row's ln sum and tail fraction.
 
     ln xi_k = -ln(Gamma_k) / m as in sample_pd_atoms; the fraction is
     tail / (tail + sum_k xi_k) with the same conditional-mean tail.
     """
-    log_xi = np.log(np.cumsum(rng.exponential(1.0, size=shape), axis=-1)) / -m
-    log_tail = math.log(m / (1.0 - m)) + (1.0 - m) * log_xi[..., -1]
-    log_sum = logsumexp(log_xi, axis=-1)
-    return log_xi, log_sum, np.exp(log_tail - np.logaddexp(log_tail, log_sum))
+    np.cumsum(log_xi, axis=1, out=log_xi)
+    np.log(log_xi, out=log_xi)
+    log_xi /= -m
+    log_tail = math.log(m / (1.0 - m)) + (1.0 - m) * log_xi[:, -1]
+    log_sum = _lse_rows(log_xi, work)
+    return log_sum, np.exp(log_tail - np.logaddexp(log_tail, log_sum))
 
 
-def _block_log_weights(rng: np.random.Generator, ms: tuple[float, ...], outer: int,
-                       inner: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(b, leaves) cascade log-weights, their (b,) log normalizers and (b,)
-    normalizer tail fractions."""
+def _log_weights(ms: tuple[float, ...], log_w: np.ndarray, log_outer: np.ndarray | None,
+                 work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cascade log-weights of b draws, in place: the unit exponentials of
+    each draw's leaves in the rows of log_w (b, leaves), and under two atom
+    levels those of its outer atoms in log_outer (b, outer), become the
+    leaves' log-weights.  Returns the (b,) log normalizers and normalizer
+    tail fractions.  With no atom level log_w holds zeros."""
     if not ms:
-        log_w = np.zeros((b, 1))
-        return log_w, logsumexp(log_w, axis=1), np.zeros(b)
+        return _lse_rows(log_w, work), np.zeros(len(log_w))
     if len(ms) == 1:
-        return _pd_log_atoms(rng, ms[0], (b, inner))
-    log_outer, _, frac_outer = _pd_log_atoms(rng, ms[0], (b, outer))
-    log_inner, _, frac_inner = _pd_log_atoms(rng, ms[1], (b, outer, inner))
-    log_w = (log_outer[:, :, None] + log_inner).reshape(b, -1)
-    return log_w, logsumexp(log_w, axis=1), frac_outer + frac_inner.mean(axis=1)
+        return _pd_rows(log_w, ms[0], work)
+    b, outer = log_outer.shape
+    _, frac_outer = _pd_rows(log_outer, ms[0], work)
+    _, frac_inner = _pd_rows(log_w.reshape(b * outer, -1), ms[1], work)
+    nested = log_w.reshape(b, outer, -1)
+    nested += log_outer[:, :, None]
+    return _lse_rows(log_w, work), frac_outer + frac_inner.reshape(b, outer).mean(axis=1)
+
+
+def _alias_work(size: int) -> tuple[np.ndarray, ...]:
+    """Flat float, float, int64 and bool buffers of size entries: the
+    uniforms, values, rows and accept flags of _alias_draw."""
+    return tuple(np.empty(size, dtype) for dtype in (np.float64, np.float64, np.int64, np.bool_))
+
+
+def _alias_read(table: tuple[np.ndarray, np.ndarray, np.ndarray], k: np.ndarray,
+                x: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Values (*k.shape, leaves) that the uniforms x of that shape draw from
+    alias tables (accept, pick, bounds) laid out as replica._class_alias:
+    x scaled to the row count of k picks row bounds[k] + floor(x), kept
+    while frac(x) < accept[row] and replaced by its alias otherwise.  pick
+    holds the value of each row's alias and of the row itself side by side
+    (replica._alias_picks), so one gather reads the drawn value.  x is
+    overwritten; work holds the last three buffers of _alias_work (or flat
+    ones of their dtypes and x.size entries or more), and the values come
+    back in a view of its first."""
+    accept, pick, bounds = table
+    val, row, keep = (w[:x.size].reshape(x.shape) for w in work)
+    first = bounds[k][..., None].astype(np.float64)
+    x *= bounds[k + 1][..., None] - first
+    # a uniform is below 1 in steps of 2^-53, so x < the row count; the
+    # row is formed in floats, exact below 2^53, and cast once
+    np.floor(x, out=val)
+    x -= val
+    val += first
+    np.copyto(row, val, casting="unsafe")
+    np.less(x, accept.take(row, out=val, mode="clip"), out=keep)
+    row += row
+    row += keep
+    return pick.take(row, out=val, mode="clip")
 
 
 def _alias_draw(rng: np.random.Generator, table: tuple[np.ndarray, np.ndarray, np.ndarray],
-                k: np.ndarray, leaves: int) -> np.ndarray:
-    """Values (*k.shape, leaves) drawn from alias tables (accept, pick,
-    bounds) laid out as replica._class_alias, one uniform each: x uniform
-    below the row count of k picks row bounds[k] + floor(x), kept while
-    frac(x) < accept[row] and replaced by its alias otherwise.  pick holds
-    the value of each row's alias and of the row itself side by side
-    (replica._alias_picks), so one gather reads the drawn value."""
-    accept, pick, bounds = table
-    first = bounds[k][..., None]
-    x = rng.random((*k.shape, leaves))
-    x *= bounds[k + 1][..., None] - first
-    row = x.astype(np.int64)  # a uniform is below 1 in steps of 2^-53, so x < the row count
-    x -= row
-    row += first
-    keep = x < accept[row]
-    row *= 2
-    row += keep
-    return pick[row]
+                k: np.ndarray, leaves: int, work: tuple[np.ndarray, ...] | None = None
+                ) -> np.ndarray:
+    """_alias_read of fresh uniforms, one per value (*k.shape, leaves), in
+    work (_alias_work of k.size * leaves entries or more; fresh when None)."""
+    size = k.size * leaves
+    x, *rest = work or _alias_work(size)
+    x = x[:size].reshape(*k.shape, leaves)
+    rng.random(out=x)
+    return _alias_read(table, k, x, rest)
 
 
 class _ClassDraw:
@@ -415,9 +474,12 @@ class _ClassDraw:
             self.top = k_max
         return k_max <= self.top
 
-    def draw(self, rng: np.random.Generator, k: np.ndarray, leaves: int) -> np.ndarray:
-        """sum_site ln S per leaf, (b, leaves), for k[b, site] slots at each leaf."""
-        return _alias_draw(rng, self.table, k, leaves).sum(axis=1)
+    def draw(self, rng: np.random.Generator, k: np.ndarray, leaves: int,
+             work: tuple[np.ndarray, ...] | None = None, out: np.ndarray | None = None
+             ) -> np.ndarray:
+        """sum_site ln S per leaf, (b, leaves), for k[b, site] slots at each
+        leaf, drawn in work (as _alias_draw) and summed into out if given."""
+        return np.add.reduce(_alias_draw(rng, self.table, k, leaves, work), axis=1, out=out)
 
 
 def _leaf_counts(rng: np.random.Generator, k: np.ndarray, q: int, t: float | None,
@@ -446,13 +508,16 @@ def _leaf_counts(rng: np.random.Generator, k: np.ndarray, q: int, t: float | Non
 
 
 def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | None,
-                  outer: int, inner: int) -> np.ndarray:
+                  outer: int, inner: int, uniforms: np.ndarray | None = None
+                  ) -> np.ndarray | None:
     """Matching pairs (b, outer, inner) among k[b] pairs per leaf.
 
     t is None: Binomial(K, 1/q), drawn with one uniform per leaf from the
     cached alias tables replica._binomial_alias, or with numpy's binomial
     when the tables of the block's largest K would not fit
-    (replica.binomial_table_fits).  Otherwise m ~ Binomial(K, 1/q) pairs
+    (replica.binomial_table_fits).  Given a (b, leaves) buffer, the alias
+    draw only fills it with its uniforms and returns None: _alias_read
+    turns them into matches later.  Otherwise m ~ Binomial(K, 1/q) pairs
     match in the outer node's pattern, and a leaf pair matches with
     probability t^2 + (1 - t^2)/q given a pattern match, (1 - t^2)/q not.
     """
@@ -460,6 +525,9 @@ def _leaf_matches(rng: np.random.Generator, k: np.ndarray, q: int, t: float | No
     if t is None:
         k_max = int(k.max())
         if binomial_table_fits(k_max):
+            if uniforms is not None:
+                rng.random(out=uniforms)
+                return None
             return _alias_draw(rng, _binomial_alias(k_max, q), k, outer * inner).reshape(
                 b, outer, inner)
         return rng.binomial(pairs, 1.0 / q, size=(b, outer, inner))
@@ -486,6 +554,9 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
     docstring's: the two counts less their means, then, on trees with more
     than one leaf, sum_a w^_a (ln V_a - log_other sum_i k_i) - sum_i mu(k_i)
     with mu = _ClassDraw.mean_log_s, and gap (sum_a w^_a M_a - K/q).
+
+    Each evaluation batch (module docstring) runs in two phases over buffers
+    made once: its blocks draw into their rows, then the batch is evaluated.
     """
     check_samples(samples)
     if not spec.last_to_one and params.beta == math.inf:  # -beta * 0 is NaN
@@ -499,47 +570,85 @@ def _run_mc(params: ModelParams, n: int, spec: CascadeSpec, hier: SpinHierarchyS
                                       for _, match, other, ann in factors)
     check_poisson_mean(c * n, c)  # the n Poisson(c) slot counts are summed in int64
     outer, inner = _tree(spec, n_atoms)
-    leaves = outer * inner
+    leaves, ms = outer * inner, spec.atom_levels
     if leaves * n * q > MAX_DRAW_CELLS:
         raise BudgetExceededError(f"{leaves} leaves x {n} sites x {q} colours exceed "
                                   f"{MAX_DRAW_CELLS} cells per draw")
 
     # one stream per chunk of MC_CHUNK draws, drawn in blocks of at most
     # MC_BLOCK_CELLS (leaf, site, colour) cells, so values depend only on
-    # the inputs and the seed
+    # the inputs and the seed; a batch is the whole blocks of one chunk that
+    # fit in MC_BLOCK_CELLS (term, draw, leaf) cells, at least one
     block = min(MC_CHUNK, max(1, MC_BLOCK_CELLS // (leaves * n * q)))
+    batch = block * max(1, min(MC_CHUNK // block, MC_BLOCK_CELLS // (2 * block * leaves)))
+    # log-weights (zeros with no atom level), the terms' leaf excesses, the
+    # normalised weights (G2's alias uniforms before them) and scratch, per
+    # (draw, leaf) of a batch
+    log_w, excess1, excess2, w_hat, scratch = (np.zeros((batch, leaves)) for _ in range(5))
+    log_outer = np.empty((batch, outer))
+    totals = np.empty((2, batch), np.int64)
+    centre1, fits, by_table = np.empty(batch), np.empty(batch, bool), np.empty(batch, bool)
+    work = _alias_work(max(block * n, batch) * leaves)
     classes = _ClassDraw(q, gap1)
     for chunk, lo in enumerate(range(0, samples, MC_CHUNK)):
         rng = stream(child_seed(seed, chunk))
         size = min(MC_CHUNK, samples - lo)
         vals, fracs = np.empty((2, size)), np.empty(size)
         controls = np.zeros((4 if leaves > 1 else 2, size))
-        for a in range(0, size, block):
-            b = min(block, size - a)
-            draws = slice(a, a + b)
-            log_w, norm, fracs[draws] = _block_log_weights(rng, spec.atom_levels, outer,
-                                                           inner, b)
+        for start in range(0, size, batch):
+            nb = min(batch, size - start)
+            # draw: each block's generator calls, in order, into its rows
+            for a in range(0, nb, block):
+                rows = slice(a, min(a + block, nb))
+                b = rows.stop - a
+                if len(ms) == 2:
+                    rng.standard_exponential(out=log_outer[rows])
+                if ms:
+                    rng.standard_exponential(out=log_w[rows])
+                k = rng.poisson(c, size=(b, n))
+                fits[rows] = fit = classes.covers(int(k.max()))
+                if fit and shared is None:
+                    classes.draw(rng, k, leaves, work, excess1[rows])
+                else:
+                    counts = _leaf_counts(rng, k, q, shared, outer, inner)
+                    excess1[rows] = logsumexp(gap1 * counts, axis=0).sum(axis=-1).reshape(b, -1)
+                centre1[rows] = classes.mean_log_s[k].sum(axis=1) if fit else 0.0
+                slots, pairs = totals[:, rows]
+                slots[...] = k.sum(axis=1)
+                # numpy's scalar binomial draws the same value, without an array call's checks
+                pairs[...] = rng.binomial(slots[0] if b == 1 else slots, 0.5)
+                matches = _leaf_matches(rng, pairs, q, shared, outer, inner, w_hat[rows])
+                by_table[rows] = matches is None
+                if matches is not None:
+                    excess2[rows] = matches.reshape(b, -1)
+            # evaluate: the whole batch at once, first G2's alias uniforms
+            # (rows drawn by numpy's binomial keep their matches)
+            draws, slots, pairs = slice(start, start + nb), totals[0, :nb], totals[1, :nb]
+            if by_table[:nb].any():
+                table_k = np.where(by_table[:nb], pairs, 0)
+                matches = _alias_read(_binomial_alias(int(table_k.max()), q), table_k,
+                                      w_hat[:nb], (scratch.reshape(-1), *work[2:]))
+                np.copyto(excess2[:nb], matches, where=by_table[:nb, None])
+            excess2[:nb] *= gap2
+            lw = log_w[:nb]
+            norm, fracs[draws] = _log_weights(ms, lw, log_outer[:nb] if len(ms) == 2 else None,
+                                              scratch)
             if leaves > 1:
-                w_hat = np.exp(log_w - norm[:, None])
-            k = rng.poisson(c, size=(b, n))
-            fits = classes.covers(int(k.max()))
-            if fits and shared is None:
-                excess1 = classes.draw(rng, k, leaves)
-            else:
-                counts = _leaf_counts(rng, k, q, shared, outer, inner)
-                excess1 = logsumexp(gap1 * counts, axis=0).sum(axis=-1).reshape(b, -1)
-            slots = k.sum(axis=1)
-            pairs = rng.binomial(slots, 0.5)
-            excess2 = gap2 * _leaf_matches(rng, pairs, q, shared, outer, inner).reshape(b, -1)
+                np.exp(np.subtract(lw, norm[:, None], out=w_hat[:nb]), out=w_hat[:nb])
             for row, (total, mean, excess, log_other, centre) in enumerate((
-                    (slots, c * n, excess1, other1,
-                     classes.mean_log_s[k].sum(axis=1) if fits else None),
-                    (pairs, 0.5 * c * n, excess2, other2, gap2 * pairs / q))):
-                leaf = excess + log_other * total[:, None]
-                vals[row, draws] = logsumexp(log_w + leaf, axis=1) - norm
+                    (slots, c * n, excess1[:nb], other1, centre1[:nb]),
+                    (pairs, 0.5 * c * n, excess2[:nb], other2, gap2 * pairs / q))):
+                leaf = np.multiply(total[:, None], log_other, out=scratch[:nb])
+                leaf += excess
+                leaf += lw
+                vals[row, draws] = _lse_rows(leaf, scratch) - norm
                 controls[row, draws] = total - mean
-                if leaves > 1 and centre is not None:
-                    controls[2 + row, draws] = (w_hat * excess).sum(axis=1) - centre
+                if leaves > 1:
+                    column = np.multiply(w_hat[:nb], excess, out=scratch[:nb]).sum(axis=1)
+                    column -= centre
+                    if row == 0:
+                        column[~fits[:nb]] = 0.0  # a block with no class table: no G1 column
+                    controls[2 + row, draws] = column
         vals /= n
         yield vals, controls, fracs
 

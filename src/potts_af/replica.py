@@ -274,8 +274,9 @@ def _binomial_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     _class_alias: j successes of k sit at row bounds[k] + j, with
     bounds[k] = k(k + 1)/2; callers check binomial_table_fits first.  Returns
     (accept, pick, bounds), with pick the success counts j of each row's
-    alias and of the row itself (_alias_picks).  An alias stays inside its
-    own run of k, so the prefix of k <= k_top carries its own picks."""
+    alias and of the row itself (_alias_picks), as floats like the class
+    tables' ln S.  An alias stays inside its own run of k, so the prefix of
+    k <= k_top carries its own picks."""
     ks = np.arange(k_top + 2)
     bounds = ks * (ks + 1) // 2
     k = np.repeat(ks[:-1], ks[1:])
@@ -283,7 +284,7 @@ def _binomial_alias(k_top: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     logw = (log_factorial(k) - log_factorial(j) - log_factorial(k - j)
             - j * math.log(q) + (k - j) * math.log1p(-1.0 / q))
     accept, alias, _ = _alias_tables(logw, bounds)
-    return accept, _alias_picks(alias, j), bounds
+    return accept, _alias_picks(alias, j.astype(np.float64)), bounds
 
 
 def _leaf_logs(beta: float, q: int, t, pair: bool):

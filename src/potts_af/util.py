@@ -30,7 +30,7 @@ class BudgetExceededError(RuntimeError):
 # the acceptance criteria and the benchmark use (10 000 draws; a quenched
 # pressure stratum takes at most 8 x 4 096).  Memory does not grow with the
 # count (CrossFitSums), but time does: at the cap a cascade bound at 2 048
-# leaves, 5 sites and q = 2 takes about seven minutes (0.35 to 0.42 ms a
+# leaves, 5 sites and q = 2 takes three to four minutes (0.20 to 0.25 ms a
 # draw on one core of a 2-core Xeon).
 MAX_MC_SAMPLES = 1_000_000
 

@@ -86,6 +86,18 @@ def test_beta_ent_below_threshold_is_infinite():
         assert beta_ent(c_ent, q) == math.inf
 
 
+def test_beta_ent_is_infinite_where_the_computed_limit_is_not_negative():
+    # the float after c_ent(8) lies below the exact threshold, and the
+    # computed beta -> inf entropy there is 0: no root, not an error
+    q = 8
+    c = math.nextafter(thresholds(q).c_ent, math.inf)
+    assert annealed_entropy(math.inf, c, q) == 0.0
+    assert beta_ent(c, q) == math.inf
+    assert classify(50.0, c, q).beta_upper == beta_rs_loc(c, q)
+    # where the computed limit is negative the root stays finite
+    assert math.isfinite(beta_ent(math.nextafter(thresholds(5).c_ent, math.inf), 5))
+
+
 def test_beta_ent_residual():
     # the returned root solves annealed_entropy = 0 to within 1e-9
     for q, c in [(2, 9.0), (2, 4.0), (3, 10.0), (4, 50.0)]:
@@ -104,7 +116,7 @@ def test_beta_ent_monotone_in_c():
 
 def checked_beta_ent(c: float, q: int) -> float:
     """The bisection of beta_ent on the checked, public annealed_entropy."""
-    if c <= thresholds(q).c_ent:
+    if c <= thresholds(q).c_ent or annealed_entropy(math.inf, c, q) >= 0.0:
         return math.inf
     lo, hi = 0.0, 1e-3
     while annealed_entropy(hi, c, q) > 0.0:
@@ -131,7 +143,8 @@ def beta_ent_or_raise(root_find, c, q):
 def test_beta_ent_bit_equal_to_checked_bisection(q):
     # the benchmark's range, roots near the first scan point (c up to 300),
     # and flat roots just above c_ent, down to the next float, where the
-    # bracket leaves an end open; at q = 8 and the next float both raise
+    # bracket leaves an end open; at q = 8 the next float's beta -> inf limit
+    # computes to 0, and both return inf
     c_ent = thresholds(q).c_ent
     cs = [*np.linspace(0.5, 80.0, 41), *np.linspace(80.0, 300.0, 12)]
     cs += [c_ent * (1.0 + 10.0 ** -e) for e in np.arange(3.0, 15.5, 0.5)]

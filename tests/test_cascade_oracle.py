@@ -21,8 +21,8 @@ from potts_af import cascade, util
 from potts_af.cascade import (
     CascadeSpec,
     _leaf_counts,
-    _block_log_weights,
     _leaf_matches,
+    _log_weights,
     _tree,
     annealed_spec,
     cavity_g1,
@@ -220,13 +220,18 @@ def test_block_engine_matches_per_draw_oracle(branch, which):
 
 @pytest.mark.parametrize("levels", [(0.1,), (0.5,), (0.9,), (0.3, 0.7), (0.5, 0.6)])
 def test_block_weights_match_per_draw_atoms(levels):
-    # a block of one draw consumes the exponentials in the per-draw order, so
-    # it gives the same leaf weights and tail fraction, leaf for leaf; the
-    # returned normalizer is the engine's own log-sum-exp of the weights
+    # one draw's exponentials, drawn as the engine draws them (the outer
+    # atoms', then the leaves'), follow the per-draw order, so they give the
+    # same leaf weights and tail fraction, leaf for leaf; the returned
+    # normalizer is the engine's own log-sum-exp of the weights
     spec = CascadeSpec(levels)
+    outer, inner = _tree(spec, 200)
     for seed in range(3):
         old = _CascadeDraw(spec, stream(seed), 200)
-        log_w, norm, frac = _block_log_weights(stream(seed), levels, *_tree(spec, 200), 1)
+        rng = stream(seed)
+        log_outer = rng.standard_exponential((1, outer)) if len(levels) == 2 else None
+        log_w = rng.standard_exponential((1, outer * inner))
+        norm, frac = _log_weights(levels, log_w, log_outer, np.empty(log_w.size))
         assert np.array_equal(norm, util.logsumexp(log_w, axis=1))
         np.testing.assert_allclose(log_w[0], old.log_weights, rtol=1e-12, atol=1e-12)
         assert frac[0] == pytest.approx(old.tail_fraction, rel=1e-12)

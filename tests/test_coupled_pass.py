@@ -142,3 +142,20 @@ def test_pass_memory_does_not_grow_with_the_draws():
 
     rsb_upper_bound(*args, samples=30_000, seed=1, method="monte-carlo")
     assert peak(30_000) - peak(1000) <= 16 * 29_000
+
+
+def test_batch_buffers_stay_small_at_2048_leaves():
+    # the benchmark's l1 bound evaluates its draws in batches of reused
+    # buffers; a traced peak past 1.5 MiB means batches grew or their
+    # arrays are allocated afresh (block-at-a-time evaluation read 0.37 MiB)
+    args = CONFIGS["l1"]
+    rsb_upper_bound(*args[:1], N, *args[1:], samples=200, seed=2, method="monte-carlo",
+                    n_atoms=2048)
+    tracemalloc.start()
+    try:
+        rsb_upper_bound(*args[:1], N, *args[1:], samples=200, seed=2, method="monte-carlo",
+                        n_atoms=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20

@@ -166,7 +166,9 @@ def test_binomial_alias_tables_reproduce_binomial_probabilities(q):
         assert np.all((accept[lo:hi] >= 0.0) & (accept[lo:hi] <= 1.0))
         # row lo + j carries its own match count j, then the count of its alias
         np.testing.assert_array_equal(pick[2 * lo + 1:2 * hi:2], np.arange(k + 1))
-        alias = pick[2 * lo:2 * hi:2]
+        # the counts are stored as floats, for one float gather; each is whole
+        alias = pick[2 * lo:2 * hi:2].astype(np.int64)
+        np.testing.assert_array_equal(alias, pick[2 * lo:2 * hi:2])
         assert np.all((alias >= 0) & (alias <= k))
         mass = accept[lo:hi].copy()
         np.add.at(mass, alias, 1.0 - accept[lo:hi])
