@@ -169,3 +169,17 @@ def test_closed_form_cascades_match_oracle(q):
     ref, ref_tail, _ = old_profile_sum(c, q, log_a, log_b, 0.0, eps)
     assert abs(est.value - offset - ref) <= TOL and est.tail_bound == ref_tail
 
+
+
+@pytest.mark.parametrize("beta, c, q, points", [(1.0, 4.0, 2, 201), (2.0, 10.0, 3, 201),
+                                                (1.0, 10.0, 4, 41)])
+def test_benchmark_scan_grids_match_oracle(beta, c, q, points):
+    # the RS scans of the benchmark's closed-form workload
+    log_a, log_b = rs_factors(beta, q, t_grid(q, points))
+    assert_matches_oracle(c, q, log_a, log_b, 0.0, PROFILE_EPS)
+
+
+def test_zero_temperature_grid_matches_oracle():
+    # at beta = inf, A = 1 - t > 0 for every grid t short of 1
+    log_a, log_b = rs_factors(math.inf, 3, t_grid(3, 201)[:-1])
+    assert_matches_oracle(4.0, 3, log_a, log_b, 0.0, PROFILE_EPS)

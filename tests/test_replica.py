@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -257,6 +258,21 @@ def test_profile_blocks_do_not_change_values(monkeypatch):
     _, default = scan_rs_bound(beta, c, q, 41)
     monkeypatch.setattr("potts_af.replica.PROFILE_BLOCK_CELLS", 1)
     assert scan_rs_bound(beta, c, q, 41)[1] == default
+
+
+@pytest.mark.parametrize("args, class_path_peak", [((2.0, 10.0, 3, 201), 479214),
+                                                   ((1.0, 10.0, 4, 41), 435565)])
+def test_scan_traced_peak(args, class_path_peak):
+    # traced peak of a warm scan, against the bytes the (t, colour class)
+    # blocks of the m = 0 sum peaked at
+    scan_rs_bound(*args)
+    tracemalloc.start()
+    try:
+        scan_rs_bound(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * class_path_peak
 
 
 def test_t_grid_point_cap():
