@@ -23,20 +23,36 @@ profile_sum takes the factors of a whole t grid at once.  With
 d = ln A - ln B and n_ref the largest count of a class when d >= 0, its
 smallest when d < 0,
 
-    ln W = k ln B + n_ref d - ln q + ln(1 + sum_{s != ref} e^{(n_s - n_ref) d}),
+    ln W = k ln B + n_ref d + spread_p,
+    spread_p = ln(1 + sum_{s != ref} e^{(n_s - n_ref) d}) - ln q,
 
-where no exponent is positive.  The last term depends on the class only
-through its gap pattern, the counts less their smallest, so it is computed
-once per (t, pattern) and gathered to the classes (_gap_table: 1 981
+where no exponent is positive.  spread_p depends on the class only through
+its gap pattern p, the counts less their smallest (_gap_table: 1 981
 patterns for 6 166 classes at q = 4, k <= 38).  Each t keeps its own
 truncation order k_max and tail, read from one run of Poisson tails
-between the orders of the smallest and the largest |ln|; one pass over the
-classes of every k <= k_max serves a block of t, and a block holds at most
-PROFILE_BLOCK_CELLS (t, class) cells, so memory does not grow with the
-grid.  The class table itself is capped at MAX_CLASS_ROWS rows and at
-q <= MAX_CLASS_Q, past which BudgetExceededError is raised before it is
-allocated.  scan_rs_bound makes one such call for its whole grid, t = 0
-included, with the tail target PROFILE_EPS, read at call time.
+between the orders of the smallest and the largest |ln|.
+
+At m = 0 the k-term E_tau[ln W_k] is linear in ln W, so with w_c the class
+weights the sum is
+
+    sum_{k <= k_max} pi(k) E_tau[ln W_k] = ln B sum_{k <= k_max} pi(k) k
+        + d sum_{c: k <= k_max} pi(k) w_c n_ref + sum_p mass_p spread_p,
+
+    mass_p = sum_{k <= k_max} pi(k) sum_{classes c of k with pattern p} w_c,
+
+one bincount of the classes by pattern per distinct k_max; a t costs
+(q - 1) exponentials and one log1p per pattern.  A class of pattern p and
+smallest count j has k = k_p + q j and n_max = g_p + j (k_p, g_p those of
+the pattern's class of smallest count 0), so the n_ref sum also comes from
+the masses, with sum pi(k) k = c P(K < k_max).  At m > 0 the log of the
+k-term sits outside E_tau[W^m], so spread_p is gathered to the classes, and
+one pass over the classes of every k <= k_max serves a block of t.  A block
+holds at most PROFILE_BLOCK_CELLS (gap, t, pattern) or (t, class) cells,
+so memory does not grow with the grid.  The class table itself is capped
+at MAX_CLASS_ROWS rows and at q <= MAX_CLASS_Q, past which
+BudgetExceededError is raised before it is allocated.  scan_rs_bound makes
+one such call for its whole grid, t = 0 included, with the tail target
+PROFILE_EPS, read at call time.
 
 Both corrections vanish at t = 0; their t^4 coefficients are
 -(1/4)(q-1) c^2 x^4 and -(1/4)(q-1) c x^2, so the symmetric point goes
@@ -56,7 +72,7 @@ from .util import (BudgetExceededError, check_beta, check_c, check_int, check_q,
                    check_tol, log_factorial, poisson_cutoff, poisson_pmf_vector, poisson_sf)
 
 K_SUM_CAP = 2000  # hard cap on the Poisson truncation order
-PROFILE_BLOCK_CELLS = 2**14  # cap on (t, colour class) cells in one block of the profile sum
+PROFILE_BLOCK_CELLS = 2**14  # cap on the (t, class) or (gap, t, pattern) cells of a profile block
 MAX_T_POINTS = 100_000  # cap on a scan grid, as on phase-diagram rows
 MAX_CLASS_ROWS = 1_000_000  # cap on colour-class rows; 0.84 M rows at q = 5 peak near 260 MB
 MAX_CLASS_Q = 170  # largest q whose q! is a finite float
@@ -117,7 +133,8 @@ def _prefix(table: tuple, k_top: int) -> tuple:
 
 def _largest_per_q(build):
     """Keep only the largest tables built per q and serve smaller k_top as
-    prefix views of them.  `build` returns per-row arrays (rows on the last
+    prefix views of them, made once per k_top and dropped with the table
+    they view.  `build` returns per-row arrays (rows on the last
     axis, each row's entries side by side when it has several) and then the
     run boundaries of k, or a tuple of such groups, one per kind of row;
     rows are sorted by k, and a row depends only on its own k, so the rows
@@ -127,11 +144,12 @@ def _largest_per_q(build):
     def table(k_top: int, q: int):
         if q not in held or held[q][0] < k_top:
             held.pop(q, None)  # free the old table first, so the new one can reuse its memory
-            held[q] = (k_top, build(k_top, q))
-        built = held[q][1]
-        if isinstance(built[0], tuple):
-            return tuple(_prefix(group, k_top) for group in built)
-        return _prefix(built, k_top)
+            held[q] = (k_top, build(k_top, q), {})
+        _, built, served = held[q]
+        if k_top not in served:  # the prefix views go with the table they view
+            served[k_top] = (tuple(_prefix(group, k_top) for group in built)
+                             if isinstance(built[0], tuple) else _prefix(built, k_top))
+        return served[k_top]
 
     return update_wrapper(table, build)
 
@@ -200,7 +218,7 @@ def _gap_table(k_top: int, q: int) -> tuple[tuple[np.ndarray, np.ndarray, np.nda
     new_run = (np.diff(slots, prepend=-1) != 0) | (np.diff(least, prepend=-1) != 0)
     start = np.maximum.accumulate(np.where(new_run, row, 0))
     pattern = pattern_bounds[slots - q * least] + (row - start)
-    rep = counts[:, first].astype(np.float64)
+    rep = np.ascontiguousarray(counts[:, first], dtype=np.float64)  # runs along the patterns
     gaps = np.stack([rep[0] - rep[1:], rep[:-1]], axis=1)
     return (pattern, counts[[0, -1]].astype(np.float64), bounds), (gaps, pattern_bounds)
 
@@ -350,6 +368,97 @@ def pair_sum(c: float, q: int, log_match, log_other, m: float):
     return value if isinstance(value, np.ndarray) else float(value)
 
 
+def _class_sum(q: int, m: float, pmf: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
+               ends: np.ndarray) -> np.ndarray:
+    """sum_{k <= ends} pi(k) (1/m) ln E_tau[W_k^m] per t at m > 0, ends
+    ascending, over the (t, colour class) cells in blocks of at most
+    PROFILE_BLOCK_CELLS."""
+    top = int(ends[-1])
+    _, all_slots, all_logw, bounds = _class_table(top, q)
+    (all_pattern, all_ref, _), (all_gaps, pattern_bounds) = _gap_table(top, q)
+    value = np.empty(ends.size)
+    block = max(1, PROFILE_BLOCK_CELLS // all_slots.size)
+    for hi in range(ends.size, 0, -block):  # blocks of similar k_max, longest sums first
+        rows = slice(max(0, hi - block), hi)
+        # classes and patterns are sorted by k, so those of k <= k_top are prefixes
+        k_top = ends[hi - 1]
+        starts, n = bounds[:k_top + 1], bounds[k_top + 1]
+        slots, logw, pattern = all_slots[:n], all_logw[:n], all_pattern[:n]
+        d = log_a[rows] - log_b[rows]
+        side = (d < 0.0).astype(np.intp)  # 0: n_ref is the largest count, 1: the smallest
+        # ln(1 + sum_{s != ref} e^{(n_s - n_ref) d}) - ln q per (t, gap pattern);
+        # np.take keeps the gathers C-ordered, and the work arrays are
+        # reused in place, since fresh pages for each cost more than the sums
+        gaps = np.take(all_gaps[:, :, :pattern_bounds[k_top + 1]], side, axis=1)
+        gaps *= -np.abs(d)[:, None]
+        spread = np.exp(gaps, out=gaps).sum(axis=0)
+        spread = np.log1p(spread, out=spread) - math.log(q)
+        # m ln W plus the log weight per (t, colour class), then one term per (t, k)
+        log_w = np.take(spread, pattern, axis=1)
+        part = all_ref[side, :n]
+        log_w += np.multiply(part, d[:, None], out=part)
+        log_w += np.multiply(slots, log_b[rows, None], out=part)
+        log_w *= m
+        log_w += logw
+        peak = np.maximum.reduceat(log_w, starts, axis=1)
+        part = np.exp(np.subtract(log_w, np.take(peak, slots, axis=1), out=part), out=part)
+        terms = (np.log(np.add.reduceat(part, starts, axis=1)) + peak) / m
+        # the k-sum in order, stopped at each t's own k_max
+        partial = np.cumsum(pmf[:k_top + 1] * terms, axis=1)
+        value[rows] = partial[np.arange(terms.shape[0]), ends[rows]]
+        del gaps, spread, log_w, part  # free them before the next block takes its own
+    return value
+
+
+def _pattern_sum(q: int, c: float, pmf: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
+                 ends: np.ndarray) -> np.ndarray:
+    """sum_{k <= ends} pi(k) E_tau[ln W_k] per t, ends ascending, over the
+    gap patterns (module docstring).
+
+    A class of pattern p and smallest count j has k = k_p + q j slots and
+    n_max = g_p + j, with k_p and g_p those of the pattern's class of
+    smallest count 0.  So the Poisson-summed n_min of the classes is
+    (sum pi(k) k - sum_p k_p mass_p) / q, their n_max adds sum_p g_p mass_p,
+    and sum_{k <= k_max} pi(k) k = c P(K < k_max).  Each k_max's masses are
+    one bincount over all the classes up to it, in class order, so a t gets
+    the same bits alone as in a batch; adding only the classes between one
+    k_max and the next would regroup the sums."""
+    ks = ends.tolist()
+    _, slots, logw, _ = _class_table(ks[-1], q)
+    (pattern, _, bounds), (gaps, pattern_bounds) = _gap_table(ks[-1], q)
+    d = log_a - log_b
+    side = (d < 0.0).astype(np.intp)  # 0: n_ref is the largest count, 1: the smallest
+    scale = -np.abs(d)
+    weight = np.exp(logw)
+    weight *= pmf[slots]  # pi(k) w per class
+    probs = pmf.tolist()
+    value, terms = np.empty(len(ks)), np.empty((3, len(ks)))
+    cuts = [j for j in range(1, len(ks)) if ks[j] != ks[j - 1]]
+    for lo, hi in zip([0, *cuts], [*cuts, len(ks)]):  # the runs of t with equal k_max
+        k = ks[lo]
+        n, p = bounds[k + 1], pattern_bounds[k + 1]
+        mass = np.bincount(pattern[:n], weight[:n], minlength=p)
+        # sum_p n_s mass_p per colour s but the smallest, over the patterns' classes
+        per_colour = (gaps[:, 1, :p] * mass).sum(axis=1).tolist()
+        slot_mass = c * math.fsum(probs[:k])  # sum_{k' <= k} pi(k') k'
+        terms[:, lo:hi] = np.array([[slot_mass], [(slot_mass - sum(per_colour)) / q],
+                                    [per_colour[0]]])
+        # spread_p per (t, gap pattern), dotted with the masses, in blocks of
+        # at most PROFILE_BLOCK_CELLS (gap, t, pattern) cells
+        block = max(1, PROFILE_BLOCK_CELLS // ((q - 1) * p))
+        for b in range(lo, hi, block):
+            rows = slice(b, min(b + block, hi))
+            spread = np.take(gaps[:, :, :p], side[rows], axis=1)
+            spread *= scale[rows, None]
+            spread = np.exp(spread, out=spread).sum(axis=0)
+            spread = np.log1p(spread, out=spread)
+            spread -= math.log(q)
+            value[rows] = np.multiply(spread, mass, out=spread).sum(axis=1)
+    slot_mass, least, max_mass = terms
+    value += log_b * slot_mass + d * least + np.maximum(d, 0.0) * max_mass
+    return value
+
+
 def profile_sum(c: float, q: int, log_a, log_b, m: float, eps: float):
     """sum_k pi_c(k) (1/m) ln E_tau[W_k^m] with a certified Poisson tail.
 
@@ -360,7 +469,9 @@ def profile_sum(c: float, q: int, log_a, log_b, m: float, eps: float):
 
     log_a and log_b may be equal-shape arrays, one entry per t; each entry
     keeps its own k_max and tail, and the results are arrays of that shape.
-    Scalars give scalars.
+    Scalars give scalars.  E_tau[ln W_k] is linear in ln W, so at m = 0 the
+    sum reduces over gap patterns with Poisson-summed pattern weights
+    (_pattern_sum); at m > 0 it runs over the colour classes (_class_sum).
     """
     check_tol("eps", eps)
     shape = np.shape(log_a)
@@ -388,46 +499,11 @@ def profile_sum(c: float, q: int, log_a, log_b, m: float, eps: float):
             met = bound <= eps
             k_max[live[met]], tail[live[met]] = k, bound[met]
 
-        top = int(k_max.max())
-        pmf = poisson_pmf_vector(top, c)
-        _, all_slots, all_logw, bounds = _class_table(top, q)
-        (all_pattern, all_ref, _), (all_gaps, pattern_bounds) = _gap_table(top, q)
-        weight = np.exp(all_logw)
-        block = max(1, PROFILE_BLOCK_CELLS // all_slots.size)
-        # blocks of similar k_max, longest sums first
-        live = live[np.argsort(-k_max[live], kind="stable")]
-        for lo in range(0, live.size, block):
-            rows = live[lo:lo + block]
-            ends = k_max[rows]
-            # classes and patterns are sorted by k, so those of k <= ends[0] are prefixes
-            starts, n = bounds[:ends[0] + 1], bounds[ends[0] + 1]
-            slots, logw, pattern = all_slots[:n], all_logw[:n], all_pattern[:n]
-            d = log_a[rows] - log_b[rows]
-            side = (d < 0.0).astype(np.intp)  # 0: n_ref is the largest count, 1: the smallest
-            # ln(1 + sum_{s != ref} e^{(n_s - n_ref) d}) - ln q per (t, gap pattern);
-            # np.take keeps the gathers C-ordered, and the work arrays are
-            # reused in place, since fresh pages for each cost more than the sums
-            gaps = np.take(all_gaps[:, :, :pattern_bounds[ends[0] + 1]], side, axis=1)
-            gaps *= -np.abs(d)[:, None]
-            spread = np.exp(gaps, out=gaps).sum(axis=0)
-            spread = np.log1p(spread, out=spread) - math.log(q)
-            # ln W per (t, colour class), then one term per (t, k)
-            log_w = np.take(spread, pattern, axis=1)
-            part = all_ref[side, :n]
-            log_w += np.multiply(part, d[:, None], out=part)
-            log_w += np.multiply(slots, log_b[rows, None], out=part)
-            if m == 0.0:
-                terms = np.add.reduceat(np.multiply(weight[:n], log_w, out=part), starts, axis=1)
-            else:
-                log_w *= m
-                log_w += logw  # ln of each class's weight times W^m
-                peak = np.maximum.reduceat(log_w, starts, axis=1)
-                part = np.exp(np.subtract(log_w, np.take(peak, slots, axis=1), out=part), out=part)
-                terms = (np.log(np.add.reduceat(part, starts, axis=1)) + peak) / m
-            # the k-sum in order, stopped at each t's own k_max
-            partial = np.cumsum(pmf[:ends[0] + 1] * terms, axis=1)
-            value[rows] = partial[np.arange(rows.size), ends]
-            del gaps, spread, log_w, part  # free them before the next block takes its own
+        pmf = poisson_pmf_vector(int(k_max.max()), c)
+        live = live[np.argsort(k_max[live], kind="stable")]
+        ends = k_max[live]
+        value[live] = (_pattern_sum(q, c, pmf, log_a[live], log_b[live], ends) if m == 0.0
+                       else _class_sum(q, m, pmf, log_a[live], log_b[live], ends))
     if not shape:
         return float(value[0]), float(tail[0]), int(k_max[0])
     return value.reshape(shape), tail.reshape(shape), k_max.reshape(shape)

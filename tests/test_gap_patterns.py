@@ -119,3 +119,16 @@ def test_batched_cutoffs_share_the_probes_of_one_search(monkeypatch):
     calls.clear()
     poisson_cutoff(lambda k: 1.0 * 10.0 * counted(k, 10.0), 1e-10, K_SUM_CAP)
     assert probes == len(set(calls))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [0.0, 0.5])
+def test_batched_t_keep_the_bits_of_their_own_calls(q, m):
+    # truncation orders more than q apart, so the classes between two of
+    # them hold several of one gap pattern
+    ts = np.array([1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9])
+    log_a, log_b = factor_logs(1.5, q, ts)
+    value, _, k_max = profile_sum(10.0, q, log_a, log_b, m, 1e-10)
+    assert np.diff(np.unique(k_max)).max() > q
+    for j in range(ts.size):
+        assert profile_sum(10.0, q, float(log_a[j]), float(log_b[j]), m, 1e-10)[0] == value[j]
