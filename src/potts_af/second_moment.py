@@ -194,20 +194,40 @@ def _profile(alpha, ent, c: float, q: int, top):
     return w, 0.5 * c * np.log1p(alpha * w) - w * ent / (q * q)
 
 
+def _cell_bounds(slope: float, c: float, q: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Upper bounds on the gap over the t-cells from lo to hi, rows (t, s, E) at each end.
+
+    Each cell takes the smaller of two sound bounds on max (c/2) ln(1 + a u)
+    - u E / q^2 over its t and u = q - k in [0, q], with a = slope s and s =
+    (t-1)^2.  (i) Endpoints: a is at most slope max s and E at least its
+    smaller end value (both convex), or 0 on a cell holding t = 1.  (ii)
+    Taylor at t = 1: E(1) = E'(1) = 0, and E'' = 1/t + 1/(q-t) is smallest
+    over the hull of the cell and t = 1 at f = min(max(hi, 1), q/2), so E >=
+    s E''(f)/2 there, and the gap is bounded in w = s u <= q max s.
+    """
+    s_max = np.maximum(lo[1], hi[1])
+    ent = np.where((lo[0] <= 1.0) & (hi[0] >= 1.0), 0.0, np.minimum(lo[2], hi[2]))
+    flat = np.minimum(np.maximum(hi[0], 1.0), 0.5 * q)
+    return np.minimum(_profile(slope * s_max, ent, c, q, float(q))[1],
+                      _profile(slope, 0.5 / flat + 0.5 / (q - flat), c, q, q * s_max)[1])
+
+
 def _certify(slope: float, c: float, q: int, edges: np.ndarray,
              s: np.ndarray, e: np.ndarray) -> bool:
     """Branch and bound over the t-cells between edges: True if gap <= CERTIFIED_TOL.
 
     s = (t-1)^2 and e = E(t) are given at the edges, as `_scan_grid` holds
-    them.  a = slope s is at most its larger end value on a cell and E at
-    least its smaller one (both convex, E zero at t = 1); on a cell touching
-    t = 1, E >= s min E''/2 (E'' = 1/t + 1/(q-t)) bounds the gap in
-    w = s u <= q max s.  Failing cells are bisected up to MAX_CELLS; each
-    child inherits (t, s, E) at the end it shares with its parent, so every
-    round evaluates s and E at the new midpoints only.  Past MAX_CELLS the
-    answer is False, even where the maximum is <= CERTIFIED_TOL: at beta =
-    inf that happens at q = 3 for c from 1.261883 to 1.261901 times the
-    x^2 q^2 c = 2 q ln q gate, and at q = 2 for c - 1 = 1e-6, 1e-5 and 7e-5.
+    them.  Every cell is bounded by `_cell_bounds`; failing cells are
+    bisected up to MAX_CELLS, and each child inherits (t, s, E) at the end
+    it shares with its parent, so every round evaluates s and E at the new
+    midpoints only.  Bound (i) on a cell clear of t = 1, and bound (ii) on
+    one touching it (f = min(hi, q/2) there), are bit for bit the bounds of
+    the certificate that gave only the touching cells the Taylor bound, so
+    the failing cells are a subset of that certificate's, round by round.
+    Past MAX_CELLS the answer is False, even where the maximum is <=
+    CERTIFIED_TOL: at beta = inf that happens at q = 3 for c from 1.261883
+    to 1.261901 times the x^2 q^2 c = 2 q ln q gate, and at q = 2 for c - 1
+    from 6.32e-5 to 7.30e-5, just short of the maximum reaching 1e-9.
     """
     ends = np.array([edges, s, e])  # rows t, s, E at every cell end
     lo, hi, seen = ends[:, :-1], ends[:, 1:], 0
@@ -215,15 +235,7 @@ def _certify(slope: float, c: float, q: int, edges: np.ndarray,
         seen += lo.shape[1]
         if seen > MAX_CELLS:
             return False
-        s_max = np.maximum(lo[1], hi[1])
-        alpha, ent, top = slope * s_max, np.minimum(lo[2], hi[2]), float(q)
-        touch = ((lo[0] <= 1.0) & (hi[0] >= 1.0)).nonzero()[0]
-        if touch.size:  # the cells touching t = 1 take the Taylor bound
-            flat = np.minimum(hi[0, touch], 0.5 * q)
-            top = np.full(alpha.size, top)
-            alpha[touch], ent[touch] = slope, 0.5 / flat + 0.5 / (q - flat)
-            top[touch] = q * s_max[touch]
-        fail = (_profile(alpha, ent, c, q, top)[1] > CERTIFIED_TOL).nonzero()[0]
+        fail = (_cell_bounds(slope, c, q, lo, hi) > CERTIFIED_TOL).nonzero()[0]
         if not fail.size:
             return True
         lo, hi = lo.take(fail, axis=1), hi.take(fail, axis=1)
@@ -325,9 +337,11 @@ def optimize(beta: float, c: float, q: int) -> SecondMomentResult:
     then the lowest t, so the symmetric zero gives t* = 1, k* = 0 exactly.
     certified proves (up to rounding) gap <= CERTIFIED_TOL on the whole
     square by branch and bound over t-cells, run only if max_gap is too.
-    It starts from the scan's values, and each cell inherits its end values.
-    certified=False with max_gap <= CERTIFIED_TOL means the proof ran past
-    MAX_CELLS (see `_certify` for the bands where it does).
+    It starts from the scan's values, each cell inherits its end values,
+    and each is bounded by the better of its endpoint bound and its Taylor
+    bound at t = 1 (`_cell_bounds`).  certified=False with max_gap <=
+    CERTIFIED_TOL means the proof ran past MAX_CELLS (see `_certify` for
+    the bands where it does).
     Every field is a plain Python float or bool.
     """
     check_c(c)

@@ -194,6 +194,38 @@ def test_certification_gives_up_past_the_cell_cap(monkeypatch):
     assert res.max_gap == 0.0 and not res.certified
 
 
+def test_certification_takes_one_round_on_the_criterion_10_grid(monkeypatch):
+    # the benchmark's gated grid: every certificate evaluates the scan's
+    # cells once, with no bisection round
+    cells, cell_bounds = [], sm._cell_bounds
+
+    def record(slope, c, q, lo, hi):
+        cells.append(lo.shape[1])
+        return cell_bounds(slope, c, q, lo, hi)
+
+    monkeypatch.setattr(sm, "_cell_bounds", record)
+    betas = (0.3, 0.7, 1.3, 2.5, math.inf)
+    for q in (2, 3, 4):
+        for i in range(20):
+            beta = betas[i % len(betas)]
+            c = (i + 1) / 20.0 * 2 * q * math.log(q) / (x_param(beta, q) ** 2 * q * q)
+            cells.clear()
+            assert optimize(beta, c, q).certified, (q, beta, c)
+            assert cells == [len(sm._scan_grid(q)[0]) - 1], (q, beta, c, cells)
+
+
+def test_q2_zero_temperature_certification_reaches_c_one():
+    # bisect the c where the verdict flips at q = 2, beta = inf: past the
+    # c x^2 = 1 instability of t = 1, short of the c where max_gap reaches
+    # CERTIFIED_TOL (about 1 + 7.3e-5)
+    lo, hi = 0.5, 2.0
+    assert optimize(math.inf, lo, 2).certified and not optimize(math.inf, hi, 2).certified
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if optimize(math.inf, mid, 2).certified else (lo, mid)
+    assert 1.0 <= lo < 1.0 + 7.3e-5, lo
+
+
 def test_scan_grid_is_computed_once_and_read_only():
     for q in (2, 3, 5):
         ts = np.union1d(np.linspace(0.0, q, sm.GRID_POINTS), [1.0])
