@@ -69,7 +69,6 @@ from .second_moment import (
     OverlapMeasure,
     SecondMomentResult,
     Phi2_kt,
-    beta_star_certified,
     in_guaranteed_region,
     ising_gap,
     mu_kt,

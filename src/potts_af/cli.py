@@ -200,7 +200,7 @@ def cmd_second_moment(args) -> dict | None:
         "rescaled_k": k_frak,
         "zero_t_connectivity": second_moment.zero_t_connectivity(args.beta, args.c, args.q),
         "guaranteed_region": second_moment.in_guaranteed_region(args.beta, args.c, args.q),
-        "beta_star_certified": second_moment.beta_star_certified(args.c, args.q),
+        "beta_star_certified": bounds.beta_1(args.c, args.q),
     }
     write_json(args.out, payload)
     return payload

@@ -98,7 +98,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import chain
 from math import comb
 from threading import Lock
 
@@ -108,8 +107,8 @@ from .model import (ModelParams, _check_budget, _check_finite_beta, _site_pairs,
                     colour_classes, config_energies)
 from .util import (BudgetExceededError, CrossFitSums, check_beta, check_c, check_int,
                    check_poisson_mean, check_q, check_samples, check_seed, check_tol, child_seed,
-                   log_factorial, log_multinomial, logsumexp, multinomial_table,
-                   multiset_permutations, poisson_cutoff, poisson_pmf_vector, poisson_sf, stream)
+                   log_factorial, logsumexp, multinomial_table, poisson_cutoff,
+                   poisson_pmf_vector, poisson_sf, stream)
 
 METHOD_EXACT = "exact-conditional"
 METHOD_MC = "monte-carlo"
@@ -822,16 +821,37 @@ def balanced_count(n: int, q: int) -> int:
     return math.factorial(n) // math.factorial(n // q) ** q
 
 
+def _menu_sequences(menu: np.ndarray, budget, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every sequence of `steps` menu rows whose column sums fit the budget,
+    as menu indices in lexicographic order, and the budget each one leaves.
+
+    All partial sequences grow by one row per array pass.  Each caller can
+    complete every partial sequence, so a step past BALANCED_BUDGET (read
+    at call time) means the end is past it too: BudgetExceededError is
+    raised there.
+    """
+    picks = np.zeros((1, 0), dtype=np.intp)
+    left = np.asarray(budget)[None, :]
+    for _ in range(steps):
+        seq, row = np.nonzero(np.all(menu <= left[:, None, :], axis=2))
+        if len(seq) > BALANCED_BUDGET:
+            raise BudgetExceededError(f"more than {BALANCED_BUDGET} balanced sequences")
+        picks = np.column_stack((picks[seq], row))
+        left = left[seq] - menu[row]
+    return picks, left
+
+
 def restricted_partition_balanced(J, beta: float, q: int) -> float:
     """ln of the balanced-sector partition function.
 
     Sums e^{-beta H} over configurations with exactly N/q sites of each
     color.  The color transposition (0 s) maps the balanced
     configurations with sigma_0 = 0 onto those with sigma_0 = s and keeps
-    H, so only sigma_0 = 0 is enumerated and ln Z = ln q + ln Z(sigma_0 =
-    0).  At beta = inf this counts balanced proper colorings (zero
-    energy); returns -inf when none exist.  BALANCED_BUDGET, read at call
-    time, caps the sector size N!/((N/q)!)^q.
+    H, so only sigma_0 = 0 is enumerated, as the sequences of unit color
+    vectors within the counts left (_menu_sequences), and ln Z = ln q +
+    ln Z(sigma_0 = 0).  At beta = inf this counts balanced proper colorings
+    (zero energy); returns -inf when none exist.  BALANCED_BUDGET, read at
+    call time, caps the sector size N!/((N/q)!)^q before any enumeration.
     """
     J = as_couplings(J)
     check_beta(beta)
@@ -840,29 +860,12 @@ def restricted_partition_balanced(J, beta: float, q: int) -> float:
     if states > BALANCED_BUDGET:
         raise BudgetExceededError("balanced sector too large to enumerate")
     rest = [n // q - 1] + [n // q] * (q - 1)  # colors of sites 1..N-1
-    cfg = np.zeros((states // q, n), dtype=np.int8)
-    cfg[:, 1:] = np.fromiter(chain.from_iterable(multiset_permutations(rest)),
-                             dtype=np.int8, count=cfg[:, 1:].size).reshape(len(cfg), n - 1)
-    energies = config_energies(cfg, J)
+    colours, _ = _menu_sequences(np.eye(q, dtype=np.int64), rest, n - 1)
+    energies = config_energies(np.pad(colours.astype(np.int8), ((0, 0), (1, 0))), J)
     if beta == math.inf:
         ground = q * int((energies == 0.0).sum())
         return math.log(ground) if ground else -math.inf
     return math.log(q) + float(logsumexp(-beta * energies))
-
-
-def _balanced_pair_measures(n: int, q: int):
-    """Integer q x q tables with all row and column sums N/q, flattened row by row."""
-    rows, _ = multinomial_table(n // q, np.zeros(q))
-
-    def tables(cols: np.ndarray, left: int):
-        if left == 1:
-            yield tuple(cols.tolist())
-            return
-        for row in rows[np.all(rows <= cols, axis=1)]:
-            for tail in tables(cols - row, left - 1):
-                yield tuple(row.tolist()) + tail
-
-    yield from tables(np.full(q, n // q), q)
 
 
 def conditional_moments_balanced(n: int, q: int, beta: float, k: int) -> tuple[float, float]:
@@ -871,23 +874,25 @@ def conditional_moments_balanced(n: int, q: int, beta: float, k: int) -> tuple[f
     First moment: |balanced| (1 - (1-e^-beta)/q)^K.  Second moment: sum
     over integer doubly balanced pair measures mu of the multinomial count
     times exp(K w(beta, q, mu)) with
-    w = ln(1 - 2(1-e^-beta)/q + (1-e^-beta)^2 sum mu^2).  The log's argument
+    w = ln(1 - 2(1-e^-beta)/q + (1-e^-beta)^2 sum mu^2).  The first q - 1
+    rows of the tables N mu are sequences of compositions of N/q
+    (_menu_sequences), the last row what they leave.  The log's argument
     is 0 only at q = 1, beta = inf, where every edge is monochromatic: then
     Z~ = 0 for K >= 1, and K w reads 0 at K = 0.  BALANCED_BUDGET, read at
-    call time, caps the number of pair measures.
+    call time, caps the number of pair measures; a call past it raises
+    once a partial count passes it.
     """
     check_int("k", k, 0)
     check_beta(beta)
     y = -math.expm1(-beta)
     first = balanced_count(n, q) * (1.0 - y / q) ** k
-    second = 0.0
-    for tables_seen, flat in enumerate(_balanced_pair_measures(n, q)):
-        if tables_seen >= BALANCED_BUDGET:
-            raise BudgetExceededError(
-                f"more than {BALANCED_BUDGET} balanced pair measures at n = {n}, q = {q}"
-            )
-        mu_sq = sum((cell / n) ** 2 for cell in flat)
-        base = 1.0 - 2.0 * y / q + y * y * mu_sq
-        k_w = k * math.log(base) if base > 0.0 else (-math.inf if k else 0.0)
-        second += math.exp(log_multinomial(flat) + k_w)
-    return first, second
+    menu, _ = multinomial_table(n // q, np.zeros(q))
+    picks, last = _menu_sequences(menu, np.full(q, n // q), q - 1)
+
+    def per_table(f):  # f summed over each table's cells, gathered by menu row
+        return f(menu).sum(axis=1)[picks].sum(axis=1) + f(last).sum(axis=1)
+
+    base = 1.0 - 2.0 * y / q + y * y * per_table(np.square) / (n * n)
+    with np.errstate(divide="ignore"):
+        k_w = k * np.log(base) if k else 0.0
+    return first, float(np.exp(log_factorial(n) - per_table(log_factorial) + k_w).sum())

@@ -138,13 +138,18 @@ def _largest_per_q(build):
     axis, each row's entries side by side when it has several) and then the
     run boundaries of k, or a tuple of such groups, one per kind of row;
     rows are sorted by k, and a row depends only on its own k, so the rows
-    of k <= k_top are a bit-exact prefix."""
+    of k <= k_top are a bit-exact prefix.  The tables are shared, so they
+    are made read-only once built, and their views inherit it."""
     held = {}
 
     def table(k_top: int, q: int):
         if q not in held or held[q][0] < k_top:
             held.pop(q, None)  # free the old table first, so the new one can reuse its memory
-            held[q] = (k_top, build(k_top, q), {})
+            built = build(k_top, q)
+            for group in built if isinstance(built[0], tuple) else (built,):
+                for array in group:
+                    array.flags.writeable = False
+            held[q] = (k_top, built, {})
         _, built, served = held[q]
         if k_top not in served:  # the prefix views go with the table they view
             served[k_top] = (tuple(_prefix(group, k_top) for group in built)

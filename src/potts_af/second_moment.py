@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import annealed_pressure, beta_1, x_param
+from .bounds import annealed_pressure, x_param
 from .util import check_beta, check_c, check_q
 
 CERTIFIED_TOL = 1e-9
@@ -380,7 +380,3 @@ def ising_gap(beta: float, c: float, theta: float) -> float:
         ent -= (1.0 - theta) * math.log(2.0 * (1.0 - theta))
     return ent + 0.5 * c * x * x * (2.0 * theta - 1.0) ** 2
 
-
-def beta_star_certified(c: float, q: int) -> float:
-    """Certified annealed-region boundary: exact for q = 2, a lower bound else."""
-    return beta_1(c, q)

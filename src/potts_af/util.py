@@ -359,30 +359,6 @@ class CrossFitSums:
 # Small combinatorics
 # ---------------------------------------------------------------------------
 
-def multiset_permutations(counts: Sequence[int]):
-    """Yield all arrangements of a multiset given per-symbol counts.
-
-    Symbols are 0..len(counts)-1; arrangements come out in lexicographic
-    order, each as a tuple.
-    """
-    total = sum(counts)
-    working = list(counts)
-    slot = [0] * total
-
-    def rec(pos: int):
-        if pos == total:
-            yield tuple(slot)
-            return
-        for sym, left in enumerate(working):
-            if left:
-                working[sym] -= 1
-                slot[pos] = sym
-                yield from rec(pos + 1)
-                working[sym] += 1
-
-    yield from rec(0)
-
-
 def multinomial_table(k: int, log_probs) -> tuple[np.ndarray, np.ndarray]:
     """Every way k iid draws can fill cells with the given log-probabilities.
 

@@ -43,7 +43,7 @@ def no_work(monkeypatch):
             (bounds, ["_entropy"]),
             (model, ["class_representatives", "config_block"]),
             (disorder, ["poisson_cutoff", "stream", "child_seed", "colour_classes",
-                        "multiset_permutations", "_balanced_pair_measures"]),
+                        "_menu_sequences"]),
             (replica, ["poisson_cutoff", "_class_table"]),
             (second_moment, ["_profile", "_row_entropy"]),
             (cascade, ["stream", "child_seed", "_class_table"])):
@@ -80,7 +80,6 @@ C_Q = {
     "beta_1": lambda c, q: pa.beta_1(c, q),
     "beta_rs_loc": lambda c, q: pa.beta_rs_loc(c, q),
     "beta_ent": lambda c, q: pa.beta_ent(c, q),
-    "beta_star_certified": lambda c, q: pa.beta_star_certified(c, q),
 }
 # entry points of beta and q alone
 BETA_Q = {

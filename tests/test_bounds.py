@@ -75,6 +75,7 @@ def test_beta_rs_loc_values():
 
 def test_beta_1_values():
     assert beta_1(9.0, 2) == beta_rs_loc(9.0, 2)
+    assert beta_1(9.0, 2) == pytest.approx(math.log(2), abs=1e-14)
     assert beta_1(6 * math.log(3), 3) == math.inf  # boundary c = c_1(3)
     assert beta_1(24 * math.log(3), 3) == pytest.approx(math.log(4), abs=1e-13)
 

@@ -27,8 +27,9 @@ from potts_af.disorder import (
     sum_rule_deficit,
 )
 from potts_af.model import ModelParams, log_partition
-from potts_af.util import (MAX_MC_SAMPLES, BudgetExceededError, poisson_cutoff,
-                           poisson_pmf_vector, poisson_sf, stream)
+from potts_af.util import (MAX_MC_SAMPLES, BudgetExceededError, log_multinomial,
+                           multinomial_table, poisson_cutoff, poisson_pmf_vector, poisson_sf,
+                           stream)
 
 from conftest import combined_error
 from test_kernel_oracle import cross_fitted, graph_controls, old_overlap_moments, upper_couplings
@@ -510,3 +511,77 @@ def test_conditional_moments_vs_placement_brute_force():
     first, second = conditional_moments_balanced(n, q, beta, k)
     assert first == pytest.approx(m1, abs=1e-12)
     assert second == pytest.approx(m2, abs=1e-12)
+
+
+def _doubly_balanced(n: int, q: int):
+    """Flattened q x q tables with row and column sums N/q, in the order of
+    itertools.product(range(N/q + 1), repeat=q * q), built row by row: the
+    first q - 1 rows are compositions of N/q, the last is what they leave."""
+    m = n // q
+    rows = [r for r in itertools.product(range(m + 1), repeat=q) if sum(r) == m]
+    for head in itertools.product(rows, repeat=q - 1):
+        last = tuple(m - sum(col) for col in zip(*head)) if head else (m,) * q
+        if min(last) >= 0:
+            yield sum(head, ()) + last
+
+
+@pytest.mark.parametrize("n, q", [(4, 2), (6, 2), (6, 3), (8, 4)])
+def test_menu_sequences_are_the_doubly_balanced_tables(n, q):
+    menu, _ = multinomial_table(n // q, np.zeros(q))
+    picks, last = disorder._menu_sequences(menu, np.full(q, n // q), q - 1)
+    tables = np.concatenate((menu[picks].reshape(len(last), -1), last), axis=1)
+    assert tables.tolist() == [list(t) for t in _doubly_balanced(n, q)]
+
+
+@pytest.mark.parametrize("n, q, beta, k", [(8, 4, 1.0, 3), (12, 3, 1.0, 3), (12, 4, 0.7, 5),
+                                           (10, 5, 2.0, 4)])
+def test_second_moment_matches_an_fsum_reference(n, q, beta, k):
+    y = -math.expm1(-beta)
+    terms = []
+    for flat in _doubly_balanced(n, q):
+        base = 1.0 - 2.0 * y / q + y * y * sum((cell / n) ** 2 for cell in flat)
+        terms.append(math.exp(log_multinomial(flat) + k * math.log(base)))
+    reference = math.fsum(terms)
+    _, second = conditional_moments_balanced(n, q, beta, k)
+    assert abs(second - reference) <= 1e-15 * reference
+
+
+def _pinned_couplings(n: int, lam: float, seed: int, loops: bool = True) -> np.ndarray:
+    J = np.random.default_rng(seed).poisson(lam, size=(n, n))
+    if not loops:
+        np.fill_diagonal(J, 0)
+    return J
+
+
+@pytest.mark.parametrize("couplings, beta, q, pin", [
+    ((6, 1.0, 1), 0.7, 2, "-0x1.697a3cb572ccfp+3"),
+    ((6, 1.0, 2), 1.3, 3, "-0x1.928bd71f19798p+3"),
+    ((9, 0.3, 3), 0.4, 3, "0x1.60e6cc8e9134fp+2"),
+    ((8, 0.5, 4), 2.0, 4, "-0x1.4d74223ca72d2p+1"),
+    ((10, 0.4, 8), 25.0, 5, "-0x1.6a1f1b27fababp+6"),
+    ((3, 1.0, 7), 0.5, 1, "-0x1.4000000000000p+2"),
+    ((9, 0.2, 9, False), math.inf, 3, "0x1.545c13f670efbp+2"),
+    ((8, 0.3, 10, False), math.inf, 4, "0x1.5ec2c9c23c107p+2"),
+    ((12, 0.1, 5, False), math.inf, 2, "-inf"),
+])
+def test_restricted_partition_balanced_pins(couplings, beta, q, pin):
+    # float.hex values of the recursive enumerator the array one replaced
+    value = restricted_partition_balanced(_pinned_couplings(*couplings), beta, q)
+    assert (value.hex() if math.isfinite(value) else str(value)) == pin
+
+
+def test_second_moment_refuses_past_the_budget_early():
+    # 3 x 3 tables of margins 44 outnumber BALANCED_BUDGET
+    with pytest.raises(BudgetExceededError, match=f"more than {disorder.BALANCED_BUDGET}"):
+        conditional_moments_balanced(132, 3, 1.0, 3)
+
+
+def test_second_moment_traced_peak():
+    # the 381 424 pair measures at (28, 4), under BALANCED_BUDGET, are held at once
+    tracemalloc.start()
+    try:
+        conditional_moments_balanced(28, 4, 1.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 << 20

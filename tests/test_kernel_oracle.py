@@ -74,7 +74,6 @@ from potts_af.util import (
     BudgetExceededError,
     log_multinomial,
     multinomial_table,
-    multiset_permutations,
     poisson_cutoff,
     poisson_pmf_vector,
     poisson_sf,
@@ -680,11 +679,17 @@ def test_batched_exact_strata_match_per_stratum_loop(q, n, monkeypatch):
         assert max(calls) <= 37 and (new.samples > 0) == (n >= 5)
 
 
+def _balanced_configs(n: int, q: int) -> np.ndarray:
+    """The configurations with N/q sites of each colour, in lexicographic order."""
+    return np.array([s for s in itertools.product(range(q), repeat=n)
+                     if all(s.count(colour) == n // q for colour in range(q))], dtype=np.int8)
+
+
 def test_balanced_energies_bit_identical():
     rng = np.random.default_rng(3)
     for n, q in [(4, 2), (6, 3), (6, 2)]:
         J = rng.poisson(1.0, size=(n, n))
-        cfg = np.array(list(multiset_permutations([n // q] * q)), dtype=np.int8)
+        cfg = _balanced_configs(n, q)
         old = np.array([float(J[s[:, None] == s[None, :]].sum()) for s in cfg.astype(np.int64)])
         assert np.array_equal(config_energies(cfg, J), old)
         beta = 0.7
@@ -903,7 +908,7 @@ def test_balanced_partition_fixes_the_first_site(n, q, monkeypatch):
     rng = np.random.default_rng(n * q)
     J = rng.poisson(2.0 / n, size=(n, n))
     np.fill_diagonal(J, 0)
-    full = np.array(list(multiset_permutations([n // q] * q)), dtype=np.int8)
+    full = _balanced_configs(n, q)
     energies = config_energies(full, J)
     seen = []
     monkeypatch.setattr(disorder, "config_energies",

@@ -327,6 +327,19 @@ print(rss() - start, sum(a.nbytes if a.base is None else a.base.nbytes for a in 
     assert grown <= table + (100 << 20)
 
 
+def test_shared_tables_are_read_only():
+    # every profile sum and cascade draw reads the same cached tables, so an
+    # in-place write into one would change all later results in the process
+    groups = [replica._class_table(12, 3), *replica._gap_table(12, 3),
+              replica._class_alias(12, 3), replica._binomial_alias(12, 3),
+              replica._class_table(5, 3)]  # the last a prefix view
+    assert np.shares_memory(groups[-1][1], groups[0][1])
+    for group in groups:
+        for array in group:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
 def test_rs_bound_improves_when_unstable():
     # q=2, c=9, beta=1 > ln 2: some t strictly beats the annealed value
     beta, c, q = 1.0, 9.0, 2

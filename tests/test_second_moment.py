@@ -12,7 +12,6 @@ from potts_af.bounds import annealed_pressure, beta_rs_loc, x_param
 from potts_af.second_moment import (
     CERTIFIED_TOL,
     Phi2_kt,
-    beta_star_certified,
     in_guaranteed_region,
     ising_gap,
     mu_kt,
@@ -300,12 +299,6 @@ def test_ising_instability_boundary_matches_rs_loc():
             else:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(beta_rs_loc(c, 2), abs=1e-12)
-
-
-def test_beta_star_certified():
-    assert beta_star_certified(9.0, 2) == pytest.approx(math.log(2), abs=1e-14)
-    assert beta_star_certified(24 * math.log(3), 3) == pytest.approx(math.log(4), abs=1e-13)
-    assert beta_star_certified(6 * math.log(3), 3) == math.inf
 
 
 def test_zero_t_connectivity_formula():
