@@ -80,6 +80,8 @@ C_Q = {
     "beta_1": lambda c, q: pa.beta_1(c, q),
     "beta_rs_loc": lambda c, q: pa.beta_rs_loc(c, q),
     "beta_ent": lambda c, q: pa.beta_ent(c, q),
+    # the CLI second-moment field of this name reads beta_1
+    "beta_star_certified": lambda c, q: bounds.beta_1(c, q),
 }
 # entry points of beta and q alone
 BETA_Q = {

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import potts_af.second_moment as sm
 from potts_af.bounds import annealed_pressure, beta_rs_loc, x_param
+from potts_af.cli import cmd_second_moment
 from potts_af.second_moment import (
     CERTIFIED_TOL,
     Phi2_kt,
@@ -299,6 +301,16 @@ def test_ising_instability_boundary_matches_rs_loc():
             else:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(beta_rs_loc(c, 2), abs=1e-12)
+
+
+def test_beta_star_certified(tmp_path):
+    """The CLI second-moment field of this name reports the certified lower curve."""
+    for c, q, want, tol in ((9.0, 2, math.log(2), 1e-14),
+                            (24 * math.log(3), 3, math.log(4), 1e-13)):
+        args = argparse.Namespace(beta=0.5, c=c, q=q, out=str(tmp_path / "sm.json"))
+        assert cmd_second_moment(args)["beta_star_certified"] == pytest.approx(want, abs=tol)
+    args = argparse.Namespace(beta=0.5, c=6 * math.log(3), q=3, out=str(tmp_path / "sm.json"))
+    assert cmd_second_moment(args)["beta_star_certified"] == math.inf
 
 
 def test_zero_t_connectivity_formula():
