@@ -8,7 +8,12 @@ serialized with 17 significant digits (round-trip exact); infinities
 become the literal string "inf"; NaN is never emitted — any NaN aborts
 with a structured error record and a nonzero exit code.
 
-Schema: every JSON document and CSV header carries "potts-af/1".
+Each cmd_* returns only its body, a dict or (header lines, columns, rows);
+main checks beta and c where a subcommand takes them, and writes every
+record with its header: "schema": "potts-af/1" and "command", then q, beta
+and c, in JSON, or "# schema: potts-af/1" and "# command: ..." in CSV.  An
+error record is those two keys and "error".  sum-rule --r-max is capped at
+disorder.SUM_RULE_MAX_R (10 000).
 """
 
 from __future__ import annotations
@@ -81,12 +86,6 @@ def write_csv(path: str, header_lines: list[str], columns: list[str],
             fh.write(",".join(fmt_float(v) for v in row) + "\n")
 
 
-def _require(args, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
-
-
 def _estimate_dict(est: disorder.QuenchedEstimate) -> dict:
     return {
         "value": est.value,
@@ -102,7 +101,7 @@ def _estimate_dict(est: disorder.QuenchedEstimate) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_phase_diagram(args) -> dict | None:
+def cmd_phase_diagram(args) -> tuple[list[str], list[str], list[list[float]]]:
     q = args.q
     check_c(args.c_min, "c-min")
     check_c(args.c_max, "c-max")
@@ -128,29 +127,20 @@ def cmd_phase_diagram(args) -> dict | None:
         bent = bounds.beta_ent(cval, q)
         rows.append([cval, b1, brs, bent, min(brs, bent)])
     header = [
-        f"schema: {SCHEMA}",
-        "command: phase-diagram",
         f"q={q}",
         f"c_rs_loc={fmt_float(th.c_rs_loc)} c_ent={fmt_float(th.c_ent)} c_1={fmt_float(th.c_1)}",
     ]
-    write_csv(args.out, header, ["c", "beta_1", "beta_rs_loc", "beta_ent", "beta_upper"], rows)
-    return None
+    return header, ["c", "beta_1", "beta_rs_loc", "beta_ent", "beta_upper"], rows
 
 
-def cmd_pressure(args) -> dict | None:
-    _require(args, "beta", "c")
+def cmd_pressure(args) -> dict:
     params = ModelParams(q=args.q, beta=args.beta, c=args.c)
     if args.method == "exact":
         est = disorder.quenched_pressure_exact(params, args.n, eps=args.eps, seed=args.seed)
     else:
         est = disorder.quenched_pressure_mc(params, args.n, samples=args.samples, seed=args.seed)
     pressure = bounds.annealed_pressure(args.beta, args.c, args.q)
-    payload = {
-        "schema": SCHEMA,
-        "command": "pressure",
-        "q": args.q,
-        "beta": args.beta,
-        "c": args.c,
+    return {
         "n": args.n,
         "method": args.method,
         "seed": args.seed,
@@ -160,38 +150,26 @@ def cmd_pressure(args) -> dict | None:
         "annealed_pressure": pressure,
         "gap": pressure - est.value,
     }
-    write_json(args.out, payload)
-    return payload
 
 
-def cmd_rs_scan(args) -> dict | None:
-    _require(args, "beta", "c")
+def cmd_rs_scan(args) -> tuple[list[str], list[str], list[list[float]]]:
     ts, evals = replica.scan_rs_bound(args.beta, args.c, args.q, args.t_points)
     rows = [[float(t), ev.g1, ev.g2, ev.gap, ev.rs_bound] for t, ev in zip(ts, evals)]
     best_t, best_bound = min(zip(ts, (ev.rs_bound for ev in evals)), key=lambda r: r[1])
     unstable = replica.instability(args.beta, args.c, args.q)
     header = [
-        f"schema: {SCHEMA}",
-        "command: rs-scan",
         f"q={args.q} beta={fmt_float(args.beta)} c={fmt_float(args.c)}",
         f"annealed_pressure={fmt_float(bounds.annealed_pressure(args.beta, args.c, args.q))}",
         f"min_rs_bound={fmt_float(best_bound)} t_at_min={fmt_float(best_t)} "
         f"instability={'true' if unstable else 'false'}",
     ]
-    write_csv(args.out, header, ["t", "g1", "g2", "gap", "rs_bound"], rows)
-    return None
+    return header, ["t", "g1", "g2", "gap", "rs_bound"], rows
 
 
-def cmd_second_moment(args) -> dict | None:
-    _require(args, "beta", "c")
+def cmd_second_moment(args) -> dict:
     result = second_moment.optimize(args.beta, args.c, args.q)
     c_frak, k_frak = second_moment.rescale(args.beta, args.q, args.c, result.k_star)
-    payload = {
-        "schema": SCHEMA,
-        "command": "second-moment",
-        "q": args.q,
-        "beta": args.beta,
-        "c": args.c,
+    return {
         "t_star": result.t_star,
         "k_star": result.k_star,
         "max_gap": result.max_gap,
@@ -202,24 +180,16 @@ def cmd_second_moment(args) -> dict | None:
         "guaranteed_region": second_moment.in_guaranteed_region(args.beta, args.c, args.q),
         "beta_star_certified": bounds.beta_1(args.c, args.q),
     }
-    write_json(args.out, payload)
-    return payload
 
 
-def cmd_sum_rule(args) -> dict | None:
-    _require(args, "beta", "c")
+def cmd_sum_rule(args) -> dict:
     params = ModelParams(q=args.q, beta=args.beta, c=args.c)
     deficit = disorder.sum_rule_deficit(
         params, args.n, r_max=args.r_max, quad_points=args.quad_points, seed=args.seed
     )
     p_n = disorder.quenched_pressure_exact(params, args.n, eps=args.eps, seed=args.seed + 1)
     direct = bounds.annealed_pressure(args.beta, args.c, args.q) - p_n.value
-    payload = {
-        "schema": SCHEMA,
-        "command": "sum-rule",
-        "q": args.q,
-        "beta": args.beta,
-        "c": args.c,
+    return {
         "n": args.n,
         "r_max": args.r_max,
         "quad_points": args.quad_points,
@@ -231,27 +201,16 @@ def cmd_sum_rule(args) -> dict | None:
         "error_budget": deficit.tail_bound + deficit.stat_error
         + p_n.tail_bound + p_n.stat_error,
     }
-    write_json(args.out, payload)
-    return payload
 
 
-def cmd_cascade(args) -> dict | None:
-    _require(args, "beta", "c")
+def cmd_cascade(args) -> dict:
     params = ModelParams(q=args.q, beta=args.beta, c=args.c)
     ms = [float(v) for v in args.m_list.split(",")]
     spec = cascade.CascadeSpec(tuple(ms))
-    if args.hierarchy == "uniform":
-        hier = cascade.uniform_hierarchy(args.q)
-    else:
-        hier = cascade.symmetric_t_hierarchy(args.q, args.t)
+    hier = cascade.SpinHierarchySpec(args.hierarchy, args.q, args.t)
     g1e, g2e, bound = cascade.cavity_terms(params, args.n, spec, hier, samples=args.samples,
                                            seed=args.seed, method=args.method)
-    payload = {
-        "schema": SCHEMA,
-        "command": "cascade",
-        "q": args.q,
-        "beta": args.beta,
-        "c": args.c,
+    body = {
         "n": args.n,
         "levels": ms,
         "hierarchy": args.hierarchy,
@@ -267,10 +226,9 @@ def cmd_cascade(args) -> dict | None:
     if args.beta < math.inf and _fits_budget(args.q, args.n):
         p_n = disorder.quenched_pressure_exact(params, args.n, eps=args.eps,
                                                seed=args.seed + 2)
-        payload["quenched_pressure"] = _estimate_dict(p_n)
-        payload["bound_minus_pressure"] = bound.value - p_n.value
-    write_json(args.out, payload)
-    return payload
+        body["quenched_pressure"] = _estimate_dict(p_n)
+        body["bound_minus_pressure"] = bound.value - p_n.value
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +350,23 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, TypeError, ValueError) as exc:
         config_problem = f"cannot read config: {exc}"
     args = parser.parse_args(argv)
+    header = {"schema": SCHEMA, "command": args.command}
     try:
         if config_problem:
             raise ValueError(config_problem)
-        args.fn(args)
+        missing = [n for n in ("beta", "c") if n in vars(args) and getattr(args, n) is None]
+        if missing:
+            raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
+        body = args.fn(args)
+        if isinstance(body, dict):
+            write_json(args.out, {**header, "q": args.q, "beta": args.beta, "c": args.c, **body})
+        else:
+            lines, columns, rows = body
+            write_csv(args.out, [f"{k}: {v}" for k, v in header.items()] + lines, columns, rows)
     except (ValueError, BudgetExceededError, RuntimeError, OSError) as exc:
-        record = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
         try:
-            write_json(args.out, record)
+            write_json(args.out, {**header, "error": {"type": type(exc).__name__,
+                                                      "message": str(exc)}})
         except OSError:
             pass
         print(f"error: {exc}", file=sys.stderr)

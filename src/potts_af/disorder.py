@@ -118,6 +118,7 @@ DEFAULT_EXACT_BUDGET = 60_000
 DEFAULT_MC_SAMPLES = 4096
 SUM_RULE_TAIL_EPS = 1e-10  # bound on the sum rule's Poisson tail P(M > M_max)
 SUM_RULE_MC_SAMPLES = 2048  # the sum rule's mc in the sample plan (_sample_plan)
+SUM_RULE_MAX_R = 10_000  # cap on r_max: about 1.3 s a call at N = 6
 # cap on the balanced sector's states and on its doubly balanced pair measures
 BALANCED_BUDGET = 500_000
 M_MAX_CAP = 100_000
@@ -772,9 +773,15 @@ def sum_rule_deficit(params: ModelParams, n: int, r_max: int, quad_points: int,
     tail_bound adds the geometric R > r_max remainder and the certified M
     cutoff error, whose Poisson tail SUM_RULE_TAIL_EPS bounds.  q^n is held
     to model.DEFAULT_ENUM_BUDGET, as in the quenched pressures.
+    r_max past SUM_RULE_MAX_R (read at call time) raises BudgetExceededError
+    before anything is allocated.  At that cap the R > r_max remainder per
+    unit c is below 1e-12 up to beta = 6, but 6e-6 at beta = 7, 5e-3 at 8
+    and 0.7 at 10: at large beta tail_bound, not r_max, limits the value.
     """
     q, beta, c = params.q, params.beta, params.c
     check_int("r_max", r_max)
+    if r_max > SUM_RULE_MAX_R:
+        raise BudgetExceededError(f"r_max {r_max} exceeds {SUM_RULE_MAX_R}")
     check_int("quad_points", quad_points, 3)
     _check_system("sum_rule_deficit", n, q, beta, seed)
     y = -math.expm1(-beta)

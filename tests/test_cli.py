@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from potts_af.cascade import one_rsb_spec, rs_spec, rsb_upper_bound, symmetric_t_hierarchy
 from potts_af.cli import fmt_float, main
+from potts_af.disorder import SUM_RULE_MAX_R
 from potts_af.model import ModelParams
 
 
@@ -175,6 +176,55 @@ def test_config_bad_keys_are_structured_errors(tmp_path, entries, message):
     assert message in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--q", "2", "--beta", "1", "--c", "2", "--n", "2"],
+    ["second-moment", "--q", "2", "--beta", "0.4", "--c", "4"],
+    ["sum-rule", "--q", "2", "--beta", "1", "--c", "1", "--n", "2", "--r-max", "4"],
+    ["cascade", "--q", "2", "--beta", "1", "--c", "4", "--n", "3", "--m-list", "0,1"],
+])
+def test_json_records_open_with_the_header(tmp_path, argv):
+    out = tmp_path / "r.json"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc)[:5] == ["schema", "command", "q", "beta", "c"]
+    assert (doc["schema"], doc["command"], doc["q"]) == ("potts-af/1", argv[0], 2)
+    assert (doc["beta"], doc["c"]) == (float(argv[4]), float(argv[6]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--q", "2", "--c-min", "0", "--c-max", "1", "--c-step", "1"],
+    ["rs-scan", "--q", "2", "--beta", "1", "--c", "4", "--t-points", "3"],
+])
+def test_csv_records_open_with_the_header(tmp_path, argv):
+    out = tmp_path / "r.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["# schema: potts-af/1", f"# command: {argv[0]}"]
+    assert lines[2].startswith("# q=2")
+
+
+@pytest.mark.parametrize("argv, kind, message", [
+    (["pressure", "--q", "2", "--c", "1"], "ValueError", "missing required parameter(s): beta"),
+    (["cascade", "--q", "2"], "ValueError", "missing required parameter(s): beta, c"),
+    (["rs-scan", "--q", "2", "--beta", "1"], "ValueError", "missing required parameter(s): c"),
+    (["second-moment", "--q", "2", "--beta", "nan", "--c", "4"], "ValueError", "beta"),
+    (["pressure", "--q", "3", "--beta", "1", "--c", "1", "--n", "12"],
+     "BudgetExceededError", "enumeration budget"),
+    (["phase-diagram", "--q", "2", "--c-min", "3", "--c-max", "0", "--c-step", "1"],
+     "ValueError", "exceeds c-max"),
+    (["cascade", "--q", "2", "--beta", "1", "--c", "4", "--n", "3", "--m-list", "0,1",
+      "--hierarchy", "uniform", "--t", "0.5"],
+     "ValueError", "uniform hierarchy has no t parameter"),
+])
+def test_error_records_hold_only_the_header_and_the_error(tmp_path, argv, kind, message):
+    out = tmp_path / "e.json"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["schema", "command", "error"]
+    assert (doc["schema"], doc["command"]) == ("potts-af/1", argv[0])
+    assert doc["error"]["type"] == kind and message in doc["error"]["message"]
+
+
 def test_missing_parameter_is_structured_error(tmp_path):
     out = tmp_path / "m.json"
     code = run_cli("pressure", "--q", "2", "--out", str(out))
@@ -327,6 +377,23 @@ def test_rs_scan_class_table_budget_fails_fast(tmp_path):
     assert "1000000 rows" in error["message"]
 
 
+def test_sum_rule_r_max_past_the_cap_fails_fast(tmp_path):
+    # r_max = 10^9 used to end in an uncaught MemoryError under a memory cap,
+    # with no record, and to be killed for memory without one
+    out = tmp_path / "sr.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "potts_af.cli", "sum-rule", "--q", "2", "--beta", "1",
+         "--c", "2", "--n", "3", "--r-max", "1000000000", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(out.read_text())["error"]
+    assert error == {"type": "BudgetExceededError",
+                     "message": f"r_max 1000000000 exceeds {SUM_RULE_MAX_R}"}
+
+
 @pytest.mark.parametrize("argv", [
     ["cascade", "--q", "2", "--beta", "1", "--c", "4", "--m-list", "0.5",
      "--method", "monte-carlo", "--samples", "100000000000"],
@@ -381,7 +448,8 @@ _INTS = {
     "q": st.integers(-1, 6), "n": st.integers(-1, 8), "seed": st.integers(-2, 2**40),
     "samples": st.one_of(st.integers(-1, 3000), st.sampled_from([10**6 + 1, 10**9, 10**11])),
     "t-points": st.integers(-1, 400),
-    "r-max": st.integers(-1, 40), "quad-points": st.integers(-1, 20),
+    "r-max": st.one_of(st.integers(-1, 40), st.sampled_from([SUM_RULE_MAX_R + 1, 10**9])),
+    "quad-points": st.integers(-1, 20),
 }
 _CHOICES = {
     "hierarchy": ["uniform", "symmetric-t"],
@@ -446,8 +514,10 @@ def check_cli_outcome(argv: list[str], out) -> None:
     doc = json.loads(text)
     assert doc["schema"] == "potts-af/1" and doc["command"] == argv[0]
     if proc.returncode == 1:
+        assert list(doc) == ["schema", "command", "error"], argv
         assert set(doc["error"]) == {"type", "message"}, argv
     else:
+        assert list(doc)[:5] == ["schema", "command", "q", "beta", "c"], argv
         assert "error" not in doc and _nan_free(doc), argv
 
 

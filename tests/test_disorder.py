@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -17,6 +18,7 @@ from potts_af.disorder import (
     DEFAULT_EXACT_BUDGET,
     M_MAX_CAP,
     METHOD_EXACT,
+    SUM_RULE_MAX_R,
     SUM_RULE_TAIL_EPS,
     balanced_count,
     conditional_moments_balanced,
@@ -294,6 +296,21 @@ def test_sum_rule_enumeration_budget():
     # q^n = 3^14 = 4.8 M configurations is refused before any enumeration
     with pytest.raises(BudgetExceededError, match="exceeds enumeration budget"):
         sum_rule_deficit(ModelParams(q=3, beta=1.0, c=1.0), 14, r_max=2, quad_points=3)
+
+
+def test_sum_rule_r_max_cap_raises_before_allocating(monkeypatch):
+    # r_max = 10^9 once allocated its R array and ran a Horner step per R
+    # in every kernel block, until it was killed for memory
+    params = ModelParams(2, 1.0, 2.0)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"exceeds {SUM_RULE_MAX_R}"):
+        sum_rule_deficit(params, 3, 10**9, 3)
+    assert time.perf_counter() - start < 0.1
+    assert sum_rule_deficit(params, 3, SUM_RULE_MAX_R, 3).tail_bound < 1e-10
+    monkeypatch.setattr(disorder, "SUM_RULE_MAX_R", 20)  # read at call time
+    sum_rule_deficit(params, 3, 20, 3)
+    with pytest.raises(BudgetExceededError, match="r_max 21 exceeds 20"):
+        sum_rule_deficit(params, 3, 21, 3)
 
 
 def drawn_per_stratum(monkeypatch) -> Counter:
